@@ -17,7 +17,6 @@ from .geometry import (
     enumerate_faces,
     face_samples,
     in_convex_hull,
-    interior_lattice,
     on_segment,
     separating_hyperplane,
     separating_hyperplane_sets,

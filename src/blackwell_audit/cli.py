@@ -11,10 +11,7 @@ verify      Re-check a certificate file (exit 0 = valid, 4 = invalid,
             2 = unreadable).
 
 Outputs are written atomically (temp file + rename) and are
-byte-identical for identical configuration and seed.  The environment
-variable BLACKWELL_AUDIT_THREADS caps worker parallelism; the current
-implementation is single-threaded, so any positive value is honored
-trivially.
+byte-identical for identical configuration and seed.
 """
 
 from __future__ import annotations

@@ -54,8 +54,9 @@ def _check_rows_stochastic(matrix: np.ndarray, what: str) -> np.ndarray:
         raise ValueError(f"{what} has a negative entry: {np.min(matrix)}")
     matrix = np.maximum(matrix, 0.0)
     sums = matrix.sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > 1e-9:
-        raise ValueError(f"{what} rows must sum to 1 (max deviation {np.max(np.abs(sums - 1.0)):.2e})")
+    deviation = np.max(np.abs(sums - 1.0))
+    if not deviation <= 1e-9:  # also rejects NaN and inf entries
+        raise ValueError(f"{what} rows must be finite and sum to 1 (max deviation {deviation:.2e})")
     return matrix / sums[:, None]
 
 
@@ -133,8 +134,8 @@ class PosteriorDistribution:
         if np.min(pr) < -TOL_SUM:
             raise ValueError(f"negative probability: {np.min(pr)}")
         pr = np.maximum(pr, 0.0)
-        if abs(pr.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities must sum to 1, got {pr.sum()}")
+        if not abs(pr.sum() - 1.0) <= 1e-9:  # also rejects NaN and inf
+            raise ValueError(f"probabilities must be finite and sum to 1, got {pr.sum()}")
         merged_pts: list = []
         merged_pr: list = []
         for row, p in zip(pts, pr):
@@ -165,9 +166,6 @@ class PosteriorDistribution:
     @property
     def n_states(self) -> int:
         return self.support.shape[1]
-
-    def beliefs(self) -> list:
-        return [Belief(row) for row in self.support]
 
     def to_json(self) -> dict:
         return {

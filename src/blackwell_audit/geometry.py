@@ -6,9 +6,11 @@ n-vector normal; on the simplex's affine hull this is equivalent to the
 usual (n-1)-dimensional representation, with the advantage that no state
 index is privileged.
 
-Hull membership and strict separation reduce to small linear programs
-solved with scipy's HiGHS backend, which is deterministic for fixed
-inputs, so every witness produced here is reproducible.
+Hull membership is decided by barycentric coordinates when the hull
+points are affinely independent and those coordinates settle the
+question; otherwise it, like strict separation, reduces to a small linear
+program solved with scipy's HiGHS backend, which is deterministic for
+fixed inputs, so every witness produced here is reproducible.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ from scipy.optimize import linprog
 TOL_SUM = 1e-12
 # Default geometric tolerance for membership / segment / separation tests.
 TOL_GEO = 1e-9
+# HiGHS accepts constraint violations up to its primal feasibility tolerance
+# (1e-7), so the membership LP can call a point up to about that far outside
+# the hull a member.  Barycentric rejection leaves points within this slack
+# of tol to the LP, so both routes return the same verdict.
+_LP_SLACK = 1e-6
 
 
 class EmptyInput(ValueError):
@@ -70,8 +77,8 @@ class Belief:
             raise ValueError(f"negative probability weight: {np.min(arr)}")
         arr = np.maximum(arr, 0.0)
         total = float(arr.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {total}")
+        if not abs(total - 1.0) <= 1e-9:  # also rejects NaN and inf weights
+            raise ValueError(f"weights must be finite and sum to 1, got {total}")
         # Tiny drift (clamping, float accumulation) is renormalized away.
         if total != 1.0:
             arr = arr / total
@@ -126,12 +133,6 @@ class Face:
     @property
     def dim(self) -> int:
         return len(self.support) - 1
-
-    def contains(self, other: "Face") -> bool:
-        return set(other.support) <= set(self.support)
-
-    def vertices(self, n: int) -> list:
-        return [vertex_belief(n, i) for i in self.support]
 
 
 def enumerate_faces(n: int, min_dim: int = 0, max_dim: Optional[int] = None) -> list:
@@ -221,11 +222,56 @@ def dedupe_points(points: np.ndarray, tol: float = TOL_GEO) -> np.ndarray:
 def in_convex_hull(p, hull_points: Sequence, tol: float = TOL_GEO) -> bool:
     """True when p is reproducible as a convex combination of hull_points.
 
-    Solved as a linear program minimizing the sup-norm reconstruction
-    error over convex weights; membership means the optimum is <= tol.
+    Membership means the least sup-norm reconstruction error over convex
+    weights is <= tol.  When the hull points are affinely independent,
+    p's barycentric coordinates decide this in most cases, with a proof
+    either way.  Dependent or duplicate points, and points whose error is
+    too close to tol, go to a linear program that computes the error.
+    Both routes return the same verdict.
     """
     pa = _coerce(p)
     H = _coerce_many(hull_points)
+    verdict = _in_hull_barycentric(pa, H, tol)
+    if verdict is None:
+        return _in_hull_lp(pa, H, tol)
+    return verdict
+
+
+def _in_hull_barycentric(pa: np.ndarray, H: np.ndarray, tol: float) -> Optional[bool]:
+    """Hull membership from barycentric coordinates, or None when they cannot decide.
+
+    With A = [H^T; 1^T] of full column rank, P its pseudo-inverse and
+    w = P [p; 1], the clipped and renormalized w is a convex combination,
+    so a reconstruction error <= tol proves membership.  For the other
+    side, every convex v has v = w - (PA - I) v - P [p - H^T v; 0], so
+    v_i >= 0 bounds the sup-norm error |p - H^T v| below by
+    (-w_i - max_j |(PA - I)_ij|) / |P_i1..P_in|_1.  A lower bound above
+    tol + _LP_SLACK proves p is outside, by more than the LP can miss.
+    """
+    k, n = H.shape
+    if k > n + 1 or pa.shape != (n,) or not (np.isfinite(H).all() and np.isfinite(pa).all()):
+        return None
+    A = np.vstack([H.T, np.ones(k)])
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    if s[-1] <= TOL_GEO * s[0]:
+        return None  # affinely dependent: the LP decides
+    P = (Vt.T / s) @ U.T
+    b = np.append(pa, 1.0)
+    w = P @ b
+    wc = np.maximum(w, 0.0)
+    total = wc.sum()
+    if total > 0.0 and np.max(np.abs((wc / total) @ H - pa)) <= tol:
+        return True
+    slack = np.max(np.abs(P @ A - np.eye(k)), axis=1)
+    lower = float(np.max((-w - slack) / np.abs(P[:, :n]).sum(axis=1)))
+    if lower > tol + _LP_SLACK:
+        return False
+    return None
+
+
+def _in_hull_lp(pa: np.ndarray, H: np.ndarray, tol: float) -> bool:
+    """Hull membership by a linear program minimizing the sup-norm
+    reconstruction error over convex weights."""
     k, n = H.shape
     # Variables: weights w (k of them) then the error bound t.
     c = np.zeros(k + 1)
@@ -255,30 +301,8 @@ def separating_hyperplane(p, hull_points: Sequence, margin: float = TOL_GEO) -> 
     boxed to [-1, 1]; the witness is then rescaled so its sup norm is 1.
     Raises NoStrictSeparation when the achievable margin is <= ``margin``.
     """
-    pa = _coerce(p)
     H = dedupe_points(_coerce_many(hull_points), tol=TOL_GEO)
-    n = pa.shape[0]
-    # Variables: normal (n), offset, margin m; maximize m.
-    c = np.zeros(n + 2)
-    c[-1] = -1.0
-    rows = [np.concatenate([-pa, [1.0, 1.0]])]
-    for h in H:
-        rows.append(np.concatenate([h, [-1.0, 1.0]]))
-    A_ub = np.asarray(rows)
-    b_ub = np.zeros(len(rows))
-    bounds = [(-1.0, 1.0)] * n + [(-2.0, 2.0), (0.0, 4.0)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"separation LP failed: {res.message}")
-    m = float(res.x[-1])
-    if m <= margin:
-        raise NoStrictSeparation(
-            f"achievable margin {m:.3e} does not exceed required {margin:.3e}"
-        )
-    alpha = res.x[:n]
-    beta = float(res.x[n])
-    scale = float(np.max(np.abs(alpha)))
-    return Hyperplane(alpha / scale, beta / scale)
+    return _max_margin_separation(_coerce(p)[None, :], H, margin)
 
 
 def separating_hyperplane_sets(above: Sequence, below: Sequence, margin: float = TOL_GEO) -> Hyperplane:
@@ -290,7 +314,12 @@ def separating_hyperplane_sets(above: Sequence, below: Sequence, margin: float =
     """
     A = dedupe_points(_coerce_many(above), tol=TOL_GEO)
     B = dedupe_points(_coerce_many(below), tol=TOL_GEO)
+    return _max_margin_separation(A, B, margin)
+
+
+def _max_margin_separation(A: np.ndarray, B: np.ndarray, margin: float) -> Hyperplane:
     n = A.shape[1]
+    # Variables: normal (n), offset, margin m; maximize m.
     c = np.zeros(n + 2)
     c[-1] = -1.0
     rows = [np.concatenate([-a, [1.0, 1.0]]) for a in A]
@@ -310,15 +339,6 @@ def separating_hyperplane_sets(above: Sequence, below: Sequence, margin: float =
     beta = float(res.x[n])
     scale = float(np.max(np.abs(alpha)))
     return Hyperplane(alpha / scale, beta / scale)
-
-
-def separation_margin(h: Hyperplane, p, hull_points: Sequence) -> float:
-    """Worst-case two-sided margin of a separation witness (negative = invalid)."""
-    pa = _coerce(p)
-    H = _coerce_many(hull_points)
-    above = float(h.normal @ pa - h.offset)
-    below = float(np.min(h.offset - H @ h.normal))
-    return min(above, below)
 
 
 def simplex_lattice(n: int, grid_size: int, max_points: int = 2_000_000) -> np.ndarray:
@@ -363,12 +383,6 @@ def simplex_lattice(n: int, grid_size: int, max_points: int = 2_000_000) -> np.n
         parts.append(res + n - 2 - prev)
         rows.append(parts)
     return np.asarray(rows, dtype=np.float64) / res
-
-
-def interior_lattice(n: int, grid_size: int, max_points: int = 2_000_000) -> np.ndarray:
-    """The strictly positive points of :func:`simplex_lattice`."""
-    grid = simplex_lattice(n, grid_size, max_points=max_points)
-    return grid[np.all(grid > 0.0, axis=1)]
 
 
 # Low-discrepancy interior sampling used by the structural checkers.  A

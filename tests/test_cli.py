@@ -178,6 +178,22 @@ class TestVerifyCommand:
         bad.write_text(json.dumps(doc))
         assert run(["verify", str(bad)]) == EXIT_INVALID_CERT
 
+    def test_non_finite_likelihood(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        run([
+            "audit", "--states", "3", "--prior", "uniform", "--rule", "grether(2,1)",
+            "--grid", "41", "--budget", "300", "--out", str(out),
+        ])
+        doc = json.loads((tmp_path / "report.certificate.json").read_text())
+        doc["pi"]["likelihoods"][0][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", str(bad)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     def test_unreadable_file(self, tmp_path):
         bad = tmp_path / "junk.json"
         bad.write_text("{not json")

@@ -39,6 +39,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Experiment([[0.5, 0.4], [0.5, 0.5]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Experiment([[bad, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            GarblingMatrix([[1.0, 0.0], [bad, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            PosteriorDistribution([(bad, 0.5), (0.2, 0.8)], [0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            PosteriorDistribution([(0.5, 0.5), (0.2, 0.8)], [bad, 0.5])
+
     def test_signal_labels(self):
         e = Experiment([[1.0]], signal_labels=["null"])
         assert e.signal_labels == ("null",)

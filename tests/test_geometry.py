@@ -15,6 +15,8 @@ from blackwell_audit.geometry import (
     affinely_independent,
     enumerate_faces,
     face_samples,
+    _in_hull_barycentric,
+    _in_hull_lp,
     in_convex_hull,
     on_segment,
     separating_hyperplane,
@@ -33,6 +35,11 @@ class TestBelief:
     def test_validates_sum(self):
         with pytest.raises(ValueError):
             Belief([0.5, 0.4])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Belief([bad, 0.5, 0.5])
 
     def test_clamps_tiny_negative(self):
         b = Belief([1.0 + 1e-13, -1e-13])
@@ -153,6 +160,51 @@ class TestConvexHull:
                 # Grid resolution 1/64 cannot certify absence; check the LP's
                 # optimum is genuinely far relative to the grid error.
                 assert dist > 1e-7 or brute_says is False
+
+
+class TestHullFastPath:
+    """Barycentric membership must return the LP's verdict on every input."""
+
+    @staticmethod
+    def hull_queries(rng, n, k, facet_offset):
+        hull = rng.dirichlet(np.ones(n), size=k)
+        yield "inside", rng.dirichlet(np.ones(k)) @ hull, hull
+        yield "outside", rng.dirichlet(np.ones(n)), hull
+        if k >= 2:
+            # Just across (or just inside) the facet opposite hull[0].
+            f = rng.dirichlet(np.ones(k - 1)) @ hull[1:]
+            u = f - hull[0]
+            yield "facet", f + facet_offset * u / np.max(np.abs(u)), hull
+        if rng.random() < 0.25:
+            dup = np.vstack([hull, hull[int(rng.integers(k))]])
+            yield "dependent-inside", rng.dirichlet(np.ones(k + 1)) @ dup, dup
+            yield "dependent-outside", rng.dirichlet(np.ones(n)), dup
+
+    def test_matches_lp_on_seeded_hulls(self):
+        rng = np.random.default_rng(20261018)
+        decided = total = 0
+        for trial in range(1000):
+            n = 2 + trial % 4
+            k = int(rng.integers(1, n + 1))
+            tol = (1e-9, 1e-7)[trial % 2]
+            offset = (1e-6, -1e-6, tol, -tol)[(trial // 2) % 4]
+            for kind, p, hull in self.hull_queries(rng, n, k, offset):
+                fast = _in_hull_barycentric(p, hull, tol)
+                lp = _in_hull_lp(p, hull, tol)
+                assert in_convex_hull(p, hull, tol) == lp, (kind, n, k, tol, offset)
+                if kind == "inside":
+                    assert fast is True, (n, k)
+                if kind.startswith("dependent"):
+                    assert fast is None
+                decided += fast is not None
+                total += 1
+        # The LP must stay the exception, not the rule.
+        assert decided >= 0.6 * total
+
+    def test_nan_query_raises_lp_error(self):
+        hull = [(1, 0, 0), (0, 1, 0)]
+        with pytest.raises(ValueError, match="b_ub must not contain values inf, nan"):
+            in_convex_hull((np.nan, 0.5, 0.5), hull)
 
 
 class TestSeparatingHyperplane:
