@@ -25,7 +25,10 @@ Construction recipes, cheapest first
 * ``vertexprop-separation`` - a vertex image off the segment toward the
   common collapse point.
 * ``random-search``       - randomized experiment pairs and threshold
-  problems for the remaining budget.
+  problems for the remaining budget.  Trials are drawn in blocks from
+  one seeded stream and screened in one numpy pass; only the trials the
+  conservative screen flags are scored one at a time, in trial order, so
+  the result is that of scoring every trial on its own.
 
 Every candidate pair is scored by exact expected-welfare computation and
 emitted only if it passes independent re-verification.
@@ -34,6 +37,7 @@ emitted only if it passes independent re-verification.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -59,6 +63,7 @@ from .experiments import (
     NotAffinelyIndependent,
     PosteriorDistribution,
     TargetOutsideOppositeHull,
+    _check_rows_stochastic,
     bayes,
     blackwell_dominates,
     bring_point_in,
@@ -77,8 +82,10 @@ from .distortions import (
     rule_from_json,
 )
 from .decision import (
+    TIE_TOL,
     DecisionProblem,
     Selector,
+    SelectorPolicy,
     WelfareMode,
     expected_payoff,
 )
@@ -149,6 +156,9 @@ class ViolationCertificate:
     @staticmethod
     def from_json(doc: dict) -> "ViolationCertificate":
         prior = Belief(doc["prior"])
+        gap = float(doc["gap"])
+        if not math.isfinite(gap):
+            raise ValueError(f"certificate gap must be finite, got {gap}")
         return ViolationCertificate(
             prior=prior,
             rule=rule_from_json(doc["rule"], n=prior.n),
@@ -157,7 +167,7 @@ class ViolationCertificate:
             problem=DecisionProblem.from_json(doc["problem"]),
             selector=Selector.from_json(doc["selector"]),
             mode=WelfareMode(doc["mode"]),
-            gap=float(doc["gap"]),
+            gap=gap,
             recipe=str(doc["recipe"]),
             seed=int(doc.get("seed", 0)),
         )
@@ -204,7 +214,7 @@ def verify_certificate(c: ViolationCertificate, tol: float = GAP_TOL) -> Tuple[b
         )
     except Exception:
         return False, "malformed"
-    if abs(gap - c.gap) > 1e-9:
+    if not abs(gap - c.gap) <= 1e-9:
         return False, "gap-mismatch"
     if gap > -tol:
         return False, "gap-too-small"
@@ -597,6 +607,30 @@ def _audit_contractive_many_states(
     return None
 
 
+def _audit_contractive(d: Distortion, mu: np.ndarray, x0: np.ndarray, *rest):
+    """The contraction recipes for mu's state count; ``rest`` is (budget, sel, mode, tol, seed)."""
+    recipes = _audit_contractive_two_state if mu.shape[0] == 2 else _audit_contractive_many_states
+    return recipes(d, mu, x0, *rest)
+
+
+def _audit_one_error(kind: str, d: Distortion, mu, x0, budget: int, sel, mode, tol: float, seed: int):
+    """Check that x0 carries a ``kind`` error, then run that kind's recipes under ``budget``."""
+    mua = _coerce(mu)
+    x0a = _coerce(x0)
+    sel = sel or Selector()
+    mode = WelfareMode(mode)
+    if classify_error(d, mua, x0a, tol).kind != kind:
+        raise ValueError(f"x0 must carry an error of kind {kind!r}")
+    recipes = _audit_expansive if kind == "expansive" else _audit_contractive
+    try:
+        cert = recipes(d, mua, x0a, _Budget(budget), sel, mode, tol, seed)
+    except BudgetExhausted:
+        cert = None
+    if cert is None:
+        raise BudgetExhausted("no construction produced a verified certificate")
+    return cert
+
+
 def audit_expansive(
     d: Distortion,
     mu,
@@ -608,20 +642,7 @@ def audit_expansive(
     seed: int = 0,
 ) -> ViolationCertificate:
     """Certificate synthesis from one expansive error; raises BudgetExhausted."""
-    mua = _coerce(mu)
-    x0a = _coerce(x0)
-    sel = sel or Selector()
-    mode = WelfareMode(mode)
-    if classify_error(d, mua, x0a, tol).kind != "expansive":
-        raise ValueError("x0 must carry an expansive error")
-    tracker = _Budget(budget)
-    try:
-        cert = _audit_expansive(d, mua, x0a, tracker, sel, mode, tol, seed)
-    except BudgetExhausted:
-        cert = None
-    if cert is None:
-        raise BudgetExhausted("no construction produced a verified certificate")
-    return cert
+    return _audit_one_error("expansive", d, mu, x0, budget, sel, mode, tol, seed)
 
 
 def audit_contractive(
@@ -635,23 +656,7 @@ def audit_contractive(
     seed: int = 0,
 ) -> ViolationCertificate:
     """Certificate synthesis from one contractive error; raises BudgetExhausted."""
-    mua = _coerce(mu)
-    x0a = _coerce(x0)
-    sel = sel or Selector()
-    mode = WelfareMode(mode)
-    if classify_error(d, mua, x0a, tol).kind != "contractive":
-        raise ValueError("x0 must carry a contractive error")
-    tracker = _Budget(budget)
-    try:
-        if mua.shape[0] == 2:
-            cert = _audit_contractive_two_state(d, mua, x0a, tracker, sel, mode, tol, seed)
-        else:
-            cert = _audit_contractive_many_states(d, mua, x0a, tracker, sel, mode, tol, seed)
-    except BudgetExhausted:
-        cert = None
-    if cert is None:
-        raise BudgetExhausted("no construction produced a verified certificate")
-    return cert
+    return _audit_one_error("contractive", d, mu, x0, budget, sel, mode, tol, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -750,9 +755,202 @@ def _lean_expected_welfare(
     if mode is WelfareMode.DOUBLE:
         w = scores.max(axis=1)
     else:
-        choice = (scores >= scores.max(axis=1, keepdims=True) - 1e-10).argmax(axis=1)
+        choice = (scores >= scores.max(axis=1, keepdims=True) - TIE_TOL).argmax(axis=1)
         w = np.einsum("ij,ij->i", payoff[choice], posts)
     return float(marginal[keep] @ w)
+
+
+#: Random-search blocks start at the first size and double up to the second,
+#: so a certificate found in the first trials costs few extra draws.
+_BLOCK_FIRST, _BLOCK_MAX = 8, 256
+#: The block screen flags a trial whose screened gap, or one of whose act
+#: scores against the selector's tie threshold, lies within this of the cut,
+#: and one with two posteriors of one experiment this close (``bayes``
+#: merges posteriors within TOL_GEO).  Rounding moves the screened gap and
+#: scores by far less.
+_SCREEN_SLACK = 1e-7
+
+
+def _unit_rows(e: np.ndarray) -> np.ndarray:
+    """Rows of e scaled to sum 1 exactly as numpy's Dirichlet sampler does it:
+    the sum runs left to right, and the row is multiplied by its inverse."""
+    acc = e[..., 0]
+    for j in range(1, e.shape[-1]):
+        acc = acc + e[..., j]
+    return e * (1.0 / acc)[..., None]
+
+
+def _draw_block(rng: np.random.Generator, n: int, size: int):
+    """The next ``size`` trials of the search stream, grouped by shape.
+
+    Each trial draws its numbers in the one-trial-at-a-time order: signal
+    count k, lik as n Dirichlet(1^k) rows, channel count kp, channel as k
+    Dirichlet(1^kp) rows, point as one Dirichlet(1^n) row, then n standard
+    normals z.  A Dirichlet(1^m) row is m standard exponentials scaled to
+    sum 1, and the channel's and the point's exponentials are adjacent, so
+    they come from one call.  Returns (groups, points, z): one (trial
+    indices, lik stack, channel stack) per (k, kp), and (size, n) arrays.
+    """
+    shapes, e_lik, e_rest, z = [], [], [], []
+    for _ in range(size):
+        k = int(rng.integers(2, 5))
+        e_lik.append(rng.standard_exponential((n, k)))
+        kp = int(rng.integers(1, k + 1))
+        e_rest.append(rng.standard_exponential(k * kp + n))
+        z.append(rng.standard_normal(n))
+        shapes.append((k, kp))
+    members: dict = {}
+    for t, shape in enumerate(shapes):
+        members.setdefault(shape, []).append(t)
+    groups = []
+    points = np.empty((size, n))
+    for (k, kp), idx in sorted(members.items()):
+        rest = np.array([e_rest[t] for t in idx])
+        channel = _unit_rows(rest[:, : k * kp].reshape(len(idx), k, kp))
+        points[idx] = _unit_rows(rest[:, k * kp :])
+        groups.append((idx, _unit_rows(np.array([e_lik[t] for t in idx])), channel))
+    return groups, points, np.array(z)
+
+
+def _block_posteriors(mu: np.ndarray, fast: bool, block):
+    """Every trial's signal marginals M (size, 8) and posteriors X (size, 8, n).
+
+    Slots 0-3 hold pi's signals and slots 4-7 pi''s; unused slots have
+    M = 0.  Both are bitwise what the per-trial stage-1 gap computes (numpy
+    multiplies a stack of equal-shape matrices one by one, as it does a
+    single one), so the rule sees the same beliefs.
+    """
+    groups, _, z = block
+    size, n = z.shape
+    L = np.zeros((size, n, 8))
+    M = np.zeros((size, 8))
+    for idx, lik, channel in groups:
+        k, kp = channel.shape[1:]
+        lik_p = lik @ channel
+        if not fast:  # the likelihoods Experiment stores
+            lik = _check_rows_stochastic(lik.reshape(-1, k), "likelihood matrix").reshape(lik.shape)
+            lik_p = _check_rows_stochastic(lik_p.reshape(-1, kp), "likelihood matrix").reshape(lik_p.shape)
+        L[idx, :, :k] = lik
+        L[idx, :, 4 : 4 + kp] = lik_p
+        M[idx, :k] = mu @ lik
+        M[idx, 4 : 4 + kp] = mu @ lik_p
+    X = (mu[None, :, None] * L) / np.where(M > 0.0, M, 1.0)[:, None, :]
+    return M, X.transpose(0, 2, 1)
+
+
+def _screen(
+    d: Distortion,
+    mu: np.ndarray,
+    sel: Selector,
+    mode: WelfareMode,
+    fast: bool,
+    block,
+) -> np.ndarray:
+    """Flag the trials of a block that may be candidates; one numpy pass.
+
+    The posteriors are those of the per-trial path (``_block_posteriors``).
+    The rest is elementwise across the block, and differs from the
+    per-trial arithmetic by rounding only, which ``_SCREEN_SLACK`` covers.
+    A trial stays unflagged only when its stage-1 gap is surely above
+    -GAP_TOL: not near the cut, no act score near the tie threshold
+    (SINGLE mode), no two posteriors of one experiment that ``bayes`` could
+    merge, a normal not too small to rescale, and a selector without pins.
+    """
+    _, points, z = block
+    size = z.shape[0]
+    if sel.pins:
+        return np.ones(size, dtype=bool)
+    M, X = _block_posteriors(mu, fast, block)
+    keep = M > 0.0
+    try:
+        with np.errstate(all="ignore"):
+            imgs = np.zeros_like(X)
+            imgs[keep] = d.apply_batch(mu, X[keep])
+            normal = z - z.mean(axis=1, keepdims=True)
+            scale = np.max(np.abs(normal), axis=1)
+            normal /= np.where(scale > 0.0, scale, 1.0)[:, None]
+            act = (normal - np.sum(normal * points, axis=1, keepdims=True))[:, None, :]
+            score = np.sum(imgs * act, axis=2)
+            if mode is WelfareMode.DOUBLE:
+                w = np.maximum(score, 0.0)
+                near = np.zeros(size, dtype=bool)
+            else:
+                tie = TIE_TOL if fast else sel.tie_tol
+                cut = -tie if sel.policy is SelectorPolicy.LEX_LAST else tie
+                w = np.where(score > cut, np.sum(X * act, axis=2), 0.0)
+                near = np.any(keep & ~(np.abs(score - cut) > _SCREEN_SLACK), axis=1)
+            welfare = np.where(keep, M * w, 0.0)
+            gap = welfare[:, :4].sum(axis=1) - welfare[:, 4:].sum(axis=1)
+            close = np.zeros(size, dtype=bool)
+            for half in (slice(0, 4), slice(4, 8)):
+                Xh, kh = X[:, half], keep[:, half]
+                dist = np.max(np.abs(Xh[:, :, None, :] - Xh[:, None, :, :]), axis=3)
+                pair = kh[:, :, None] & kh[:, None, :] & ~np.eye(4, dtype=bool)
+                close |= np.any(pair & (dist <= _SCREEN_SLACK), axis=(1, 2))
+    except Exception:
+        # Whatever the rule raises or returns, the per-trial path meets it
+        # at the trial where one-at-a-time scoring would.
+        return np.ones(size, dtype=bool)
+    return ~(gap > -GAP_TOL + _SCREEN_SLACK) | near | close | (scale < 1e-6)
+
+
+def _block_trial(block, t: int):
+    """Trial t's (lik, channel, point, z), each as a fresh array."""
+    groups, points, z = block
+    for idx, lik, channel in groups:
+        if t in idx:
+            j = idx.index(t)
+            return lik[j].copy(), channel[j].copy(), points[t].copy(), z[t].copy()
+    raise IndexError(t)
+
+
+def _search_trial(
+    d: Distortion,
+    mu: np.ndarray,
+    sel: Selector,
+    mode: WelfareMode,
+    seed: int,
+    fast: bool,
+    lik: np.ndarray,
+    channel: np.ndarray,
+    point: np.ndarray,
+    z: np.ndarray,
+) -> Optional[ViolationCertificate]:
+    """Score one trial exactly; the certificate if it is a verified violation."""
+    lik_p = lik @ channel
+    normal = z - z.mean()
+    scale = float(np.max(np.abs(normal)))
+    if scale < 1e-9:
+        return None
+    normal /= scale
+    problem = hyperplane_problem(Hyperplane(normal, float(normal @ point)))
+    try:
+        if fast:
+            gap = _lean_expected_welfare(d, mu, problem.payoff, mode, lik) - _lean_expected_welfare(
+                d, mu, problem.payoff, mode, lik_p
+            )
+        else:
+            gap = expected_payoff(problem, d, mu, sel, mode, bayes(mu, Experiment(lik))) - expected_payoff(
+                problem, d, mu, sel, mode, bayes(mu, Experiment(lik_p))
+            )
+    except (ValueError, BarycenterMismatch):
+        return None
+    if gap > -GAP_TOL:
+        return None
+    # Candidate: rebuild through the standard objects and re-verify.
+    pi = Experiment(lik)
+    pi_p = garble(pi, GarblingMatrix(channel))
+    gap = expected_payoff(problem, d, mu, sel, mode, bayes(mu, pi)) - expected_payoff(
+        problem, d, mu, sel, mode, bayes(mu, pi_p)
+    )
+    if gap > -GAP_TOL:
+        return None
+    cert = ViolationCertificate(
+        prior=Belief(mu), rule=d, pi=pi, pi_prime=pi_p, problem=problem,
+        selector=sel, mode=mode, gap=float(gap), recipe="random-search", seed=seed,
+    )
+    ok, _ = verify_certificate(cert)
+    return cert if ok else None
 
 
 def _random_search(
@@ -763,53 +961,29 @@ def _random_search(
     mode: WelfareMode,
     seed: int,
 ) -> Optional[ViolationCertificate]:
-    """Randomized fallback: random garbled pairs against threshold problems."""
+    """Randomized fallback: random garbled pairs against threshold problems.
+
+    One trial per budget unit, drawn from a stream seeded by ``seed``.
+    Trials come in blocks (``_draw_block``), and one numpy pass screens a
+    block's stage-1 gaps conservatively (``_screen``).  Only the flagged
+    trials take the exact per-trial path (``_search_trial``), in trial
+    order, so the certificate and the budget charged are those of scoring
+    every trial on that path.
+    """
     n = mu.shape[0]
     rng = np.random.default_rng(seed)
     fast = sel.policy.value == "lex-first" and not sel.pins
+    size = _BLOCK_FIRST
     while budget.remaining > 0:
-        budget.charge()
-        k = int(rng.integers(2, 5))
-        lik = rng.dirichlet(np.ones(k), size=n)
-        kp = int(rng.integers(1, k + 1))
-        channel = rng.dirichlet(np.ones(kp), size=k)
-        lik_p = lik @ channel
-        point = rng.dirichlet(np.ones(n))
-        normal = rng.normal(size=n)
-        normal -= normal.mean()
-        scale = float(np.max(np.abs(normal)))
-        if scale < 1e-9:
-            continue
-        normal /= scale
-        problem = hyperplane_problem(Hyperplane(normal, float(normal @ point)))
-        try:
-            if fast:
-                gap = _lean_expected_welfare(d, mu, problem.payoff, mode, lik) - _lean_expected_welfare(
-                    d, mu, problem.payoff, mode, lik_p
-                )
-            else:
-                gap = expected_payoff(problem, d, mu, sel, mode, bayes(mu, Experiment(lik))) - expected_payoff(
-                    problem, d, mu, sel, mode, bayes(mu, Experiment(lik_p))
-                )
-        except (ValueError, BarycenterMismatch):
-            continue
-        if gap > -GAP_TOL:
-            continue
-        # Candidate: rebuild through the standard objects and re-verify.
-        pi = Experiment(lik)
-        pi_p = garble(pi, GarblingMatrix(channel))
-        gap = expected_payoff(problem, d, mu, sel, mode, bayes(mu, pi)) - expected_payoff(
-            problem, d, mu, sel, mode, bayes(mu, pi_p)
-        )
-        if gap > -GAP_TOL:
-            continue
-        cert = ViolationCertificate(
-            prior=Belief(mu), rule=d, pi=pi, pi_prime=pi_p, problem=problem,
-            selector=sel, mode=mode, gap=float(gap), recipe="random-search", seed=seed,
-        )
-        ok, _ = verify_certificate(cert)
-        if ok:
-            return cert
+        size = min(size, budget.remaining)
+        block = _draw_block(rng, n, size)
+        for t in np.flatnonzero(_screen(d, mu, sel, mode, fast, block)):
+            cert = _search_trial(d, mu, sel, mode, seed, fast, *_block_trial(block, int(t)))
+            if cert is not None:
+                budget.charge(int(t) + 1)
+                return cert
+        budget.charge(size)
+        size = min(2 * size, _BLOCK_MAX)
     return None
 
 
@@ -891,11 +1065,7 @@ def audit(
             if certificate is not None:
                 return report(certificate)
 
-        handlers = (
-            (1, _audit_expansive),
-            (2, _audit_contractive_two_state if n == 2 else _audit_contractive_many_states),
-        )
-        for kind_code, handler in handlers:
+        for kind_code, handler in ((1, _audit_expansive), (2, _audit_contractive)):
             idx = np.nonzero(kinds_all == kind_code)[0]
             if idx.size == 0:
                 continue

@@ -311,8 +311,8 @@ class GretherRule(Distortion):
     family: str = field(default="grether", init=False)
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
+            raise ValueError("alpha and beta must be positive and finite")
 
     def apply_batch(self, mu, X):
         mu = _require_interior(np.asarray(mu, dtype=np.float64))

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .geometry import TOL_GEO, TOL_SUM, Belief, _coerce, affinely_independent
+from .geometry import TOL_GEO, TOL_SUM, Belief, DimensionMismatch, _coerce, affinely_independent
 
 # Barycenter agreement required of Bayes-plausible posterior distributions.
 TOL_BARY = 1e-10
@@ -29,10 +29,6 @@ class PriorNotInterior(ValueError):
 
 class BarycenterMismatch(ValueError):
     """Posterior distribution's mean disagrees with the stated prior."""
-
-
-class DimensionMismatch(ValueError):
-    """Matrix shapes do not line up."""
 
 
 class NotAffinelyIndependent(ValueError):

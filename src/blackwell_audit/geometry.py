@@ -37,6 +37,10 @@ class EmptyInput(ValueError):
     """Raised when an operation receives an empty point list."""
 
 
+class DimensionMismatch(ValueError):
+    """Matrix shapes do not line up."""
+
+
 class NoStrictSeparation(ValueError):
     """Raised when the query point cannot be strictly separated from the hull.
 
@@ -227,10 +231,13 @@ def in_convex_hull(p, hull_points: Sequence, tol: float = TOL_GEO) -> bool:
     p's barycentric coordinates decide this in most cases, with a proof
     either way.  Dependent or duplicate points, and points whose error is
     too close to tol, go to a linear program that computes the error.
-    Both routes return the same verdict.
+    Both routes return the same verdict.  A p whose length differs from
+    the hull points' raises DimensionMismatch.
     """
     pa = _coerce(p)
     H = _coerce_many(hull_points)
+    if pa.shape != H.shape[1:]:
+        raise DimensionMismatch(f"point of shape {pa.shape} against hull points of length {H.shape[1]}")
     verdict = _in_hull_barycentric(pa, H, tol)
     if verdict is None:
         return _in_hull_lp(pa, H, tol)
@@ -249,7 +256,7 @@ def _in_hull_barycentric(pa: np.ndarray, H: np.ndarray, tol: float) -> Optional[
     tol + _LP_SLACK proves p is outside, by more than the LP can miss.
     """
     k, n = H.shape
-    if k > n + 1 or pa.shape != (n,) or not (np.isfinite(H).all() and np.isfinite(pa).all()):
+    if k > n + 1 or not (np.isfinite(H).all() and np.isfinite(pa).all()):
         return None
     A = np.vstack([H.T, np.ones(k)])
     U, s, Vt = np.linalg.svd(A, full_matrices=False)

@@ -5,21 +5,32 @@ import json
 import numpy as np
 import pytest
 
-from blackwell_audit.geometry import Hyperplane
-from blackwell_audit.decision import Selector, WelfareMode, value_function
+from blackwell_audit.geometry import Belief, Hyperplane
+from blackwell_audit.experiments import BarycenterMismatch, Experiment, GarblingMatrix, bayes, garble
+from blackwell_audit.decision import TIE_TOL, Selector, SelectorPolicy, WelfareMode, expected_payoff, value_function
 from blackwell_audit.distortions import (
     BayesRule,
     CoarseRule,
     GretherRule,
     ShrinkageRule,
     TrivialRule,
+    random_rule,
     stubborn_example_a,
     stubborn_example_b,
 )
 from blackwell_audit.auditor import (
+    GAP_TOL,
     AuditReport,
     BudgetExhausted,
     ViolationCertificate,
+    _Budget,
+    _lean_expected_welfare,
+    _SCREEN_SLACK,
+    _block_posteriors,
+    _block_trial,
+    _draw_block,
+    _random_search,
+    _screen,
     audit,
     audit_contractive,
     audit_expansive,
@@ -227,3 +238,177 @@ class TestDeterminism:
         b = audit(rule, MU2, grid_size=101, budget=400, seed=3)
         assert a.verdict == b.verdict == "violation"
         assert a.certificate.dumps() == b.certificate.dumps()
+
+
+def _reference_random_search(d, mu, budget, sel, mode, seed):
+    """The one-trial-at-a-time random search that block screening replaced."""
+    n = mu.shape[0]
+    rng = np.random.default_rng(seed)
+    fast = sel.policy.value == "lex-first" and not sel.pins
+    while budget.remaining > 0:
+        budget.charge()
+        k = int(rng.integers(2, 5))
+        lik = rng.dirichlet(np.ones(k), size=n)
+        kp = int(rng.integers(1, k + 1))
+        channel = rng.dirichlet(np.ones(kp), size=k)
+        lik_p = lik @ channel
+        point = rng.dirichlet(np.ones(n))
+        normal = rng.normal(size=n)
+        normal -= normal.mean()
+        scale = float(np.max(np.abs(normal)))
+        if scale < 1e-9:
+            continue
+        normal /= scale
+        problem = hyperplane_problem(Hyperplane(normal, float(normal @ point)))
+        try:
+            if fast:
+                gap = _lean_expected_welfare(d, mu, problem.payoff, mode, lik) - _lean_expected_welfare(
+                    d, mu, problem.payoff, mode, lik_p
+                )
+            else:
+                gap = expected_payoff(problem, d, mu, sel, mode, bayes(mu, Experiment(lik))) - expected_payoff(
+                    problem, d, mu, sel, mode, bayes(mu, Experiment(lik_p))
+                )
+        except (ValueError, BarycenterMismatch):
+            continue
+        if gap > -GAP_TOL:
+            continue
+        pi = Experiment(lik)
+        pi_p = garble(pi, GarblingMatrix(channel))
+        gap = expected_payoff(problem, d, mu, sel, mode, bayes(mu, pi)) - expected_payoff(
+            problem, d, mu, sel, mode, bayes(mu, pi_p)
+        )
+        if gap > -GAP_TOL:
+            continue
+        cert = ViolationCertificate(
+            prior=Belief(mu), rule=d, pi=pi, pi_prime=pi_p, problem=problem,
+            selector=sel, mode=mode, gap=float(gap), recipe="random-search", seed=seed,
+        )
+        ok, _ = verify_certificate(cert)
+        if ok:
+            return cert
+    return None
+
+
+class TestRandomSearchBlocks:
+    # Harmful families twice per cycle, so that enough cases end in a certificate.
+    FAMILIES = (
+        "grether", "shrinkage", "occ-coarse", "occ-stubborn",
+        "grether", "shrinkage", "trivial", "bayes",
+    )
+    # 1, then ends inside the first, second, fourth and fifth block (8, 16, 32, 64, 128).
+    BUDGETS = (1, 5, 19, 70, 150)
+
+    @staticmethod
+    def _case(i):
+        rng = np.random.default_rng(5000 + i)
+        family = TestRandomSearchBlocks.FAMILIES[i % 8]
+        n = 2 if family == "occ-coarse" else int(rng.integers(3, 5)) if family == "occ-stubborn" else int(rng.integers(2, 5))
+        rule = BayesRule(n) if family == "bayes" else random_rule(family, n, rng)
+        mu = rng.dirichlet(np.full(n, 4.0))
+        mode = (WelfareMode.SINGLE, WelfareMode.DOUBLE)[int(rng.integers(2))]
+        kind = int(rng.integers(3))
+        tie_tol = (TIE_TOL, 0.05)[int(rng.integers(2))]  # the lex-first fast path ignores it
+        if kind == 0:
+            sel = Selector(tie_tol=tie_tol)
+        elif kind == 1:
+            sel = Selector(SelectorPolicy.LEX_LAST, tie_tol=tie_tol)
+        else:
+            sel = Selector(SelectorPolicy.PINNED, pins=((tuple(rng.dirichlet(np.ones(n))), 1),))
+        budget = TestRandomSearchBlocks.BUDGETS[int(rng.integers(len(TestRandomSearchBlocks.BUDGETS)))]
+        if kind == 2:
+            budget = min(budget, 19)  # pinned selectors score every trial one at a time
+        return rule, mu, sel, mode, budget, int(rng.integers(1 << 30))
+
+    def test_matches_one_trial_at_a_time(self):
+        certs = 0
+        for i in range(520):
+            rule, mu, sel, mode, budget, seed = self._case(i)
+            want_budget, got_budget = _Budget(budget), _Budget(budget)
+            want = _reference_random_search(rule, mu, want_budget, sel, mode, seed)
+            got = _random_search(rule, mu, got_budget, sel, mode, seed)
+            case = (i, rule.family, mode.value, sel.policy.value, budget)
+            assert (got is None) == (want is None), case
+            if want is not None:
+                certs += 1
+                assert got.dumps() == want.dumps(), case
+            assert got_budget.used == want_budget.used, case
+        assert certs >= 100
+
+
+    def test_block_draws_and_posteriors_are_bitwise_the_per_trial_ones(self):
+        for n in (2, 3, 4, 5):
+            mu = np.random.default_rng(n).dirichlet(np.full(n, 4.0))
+            block = _draw_block(np.random.default_rng(100 + n), n, 200)
+            stream = np.random.default_rng(100 + n)
+            for fast in (True, False):
+                M, X = _block_posteriors(mu, fast, block)
+                for t in range(200):
+                    lik, channel, point, z = _block_trial(block, t)
+                    if fast:  # replay the one-trial-at-a-time draws
+                        k = int(stream.integers(2, 5))
+                        assert np.array_equal(lik, stream.dirichlet(np.ones(k), size=n))
+                        kp = int(stream.integers(1, k + 1))
+                        assert np.array_equal(channel, stream.dirichlet(np.ones(kp), size=k))
+                        assert np.array_equal(point, stream.dirichlet(np.ones(n)))
+                        assert np.array_equal(z, stream.normal(size=n))
+                    for slots, L in ((slice(0, 4), lik), (slice(4, 8), lik @ channel)):
+                        if not fast:
+                            L = Experiment(L).likelihoods
+                        m = mu @ L
+                        assert np.array_equal(M[t, slots], np.pad(m, (0, 4 - m.size)))
+                        assert np.array_equal(X[t, slots][: m.size], ((mu[:, None] * L) / m[None, :]).T)
+
+
+class TestRandomSearchScreen:
+    """The block screen flags every trial near one of its cuts.
+
+    Random trials almost never land there, so these trials are built by
+    hand: two states, prior (1/2, 1/2), normal (1, -1), and a point p0
+    that sets the offset 2 p0 - 1, so the act score at x is x0 - x1 - offset.
+    """
+
+    MU = np.array([0.5, 0.5])
+    Z = np.array([1.0, -1.0])
+
+    def _flagged(self, rule, sel, mode, lik, channel, p0):
+        fast = sel.policy is SelectorPolicy.LEX_FIRST and not sel.pins
+        block = ([([0], lik[None], channel[None])], np.array([[p0, 1.0 - p0]]), self.Z[None, :])
+        return bool(_screen(rule, self.MU, sel, mode, fast, block)[0])
+
+    def test_act_score_near_tie_threshold(self):
+        # Signal 0's posterior x = (7/9, 2/9); pi' is uninformative.
+        lik, channel = np.array([[0.7, 0.3], [0.2, 0.8]]), np.ones((2, 1))
+        x = self.MU * lik[:, 0] / (self.MU @ lik[:, 0])
+        for sel, cut in ((Selector(), TIE_TOL), (Selector(SelectorPolicy.LEX_LAST), -TIE_TOL)):
+            for delta, flagged in ((-0.5 * _SCREEN_SLACK, True), (0.5 * _SCREEN_SLACK, True), (-1e-3, False), (1e-3, False)):
+                offset = x[0] - x[1] - (cut + delta)
+                p0 = (1.0 + offset) / 2.0
+                assert self._flagged(BayesRule(2), sel, WelfareMode.SINGLE, lik, channel, p0) == flagged, (sel, delta)
+
+    def test_gap_just_above_the_cut(self):
+        rule = GretherRule(2.0, 1.0, 2)
+        lik = np.array([[0.62, 0.38], [0.06, 0.94]])
+        channel = np.array([[0.54, 0.46], [0.47, 0.53]])
+
+        def gap(p0):  # stage-1 gap of the per-trial path; continuous in p0 in DOUBLE mode
+            problem = hyperplane_problem(Hyperplane(self.Z, float(self.Z @ [p0, 1.0 - p0])))
+            return _lean_expected_welfare(rule, self.MU, problem.payoff, WelfareMode.DOUBLE, lik) - _lean_expected_welfare(
+                rule, self.MU, problem.payoff, WelfareMode.DOUBLE, lik @ channel
+            )
+
+        lo, hi = 0.08, 0.98
+        assert gap(lo) < -GAP_TOL < gap(hi)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if gap(mid) < -GAP_TOL + 0.5 * _SCREEN_SLACK else (lo, mid)
+        assert -GAP_TOL < gap(hi) < -GAP_TOL + _SCREEN_SLACK
+        assert self._flagged(rule, Selector(), WelfareMode.DOUBLE, lik, channel, hi)
+        assert not self._flagged(rule, Selector(), WelfareMode.DOUBLE, lik, channel, 0.98)
+
+    def test_posteriors_bayes_could_merge(self):
+        # Signals 0 and 1 of pi give the same posterior; pi' is uninformative.
+        lik, channel = np.array([[0.3, 0.3, 0.4], [0.1, 0.1, 0.8]]), np.ones((3, 1))
+        assert self._flagged(BayesRule(2), Selector(), WelfareMode.DOUBLE, lik, channel, 0.3)
+        lik[0, :2] = (0.25, 0.35)
+        assert not self._flagged(BayesRule(2), Selector(), WelfareMode.DOUBLE, lik, channel, 0.3)

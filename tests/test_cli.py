@@ -194,6 +194,21 @@ class TestVerifyCommand:
         assert "must be finite" in captured.err
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("field", ["gap", "alpha"])
+    def test_non_finite_field(self, cert_path, tmp_path, capsys, field):
+        doc = json.loads(cert_path.read_text())
+        if field == "gap":
+            doc["gap"] = float("nan")
+        else:
+            doc["rule"]["alpha"] = float("nan")
+        bad = tmp_path / f"nan-{field}.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", str(bad)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "cannot parse certificate" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     def test_unreadable_file(self, tmp_path):
         bad = tmp_path / "junk.json"
         bad.write_text("{not json")

@@ -87,6 +87,35 @@ class TestEvaluate:
         with pytest.raises(PriorNotInterior):
             evaluate(BayesRule(2), (1.0, 0.0), (0.5, 0.5))
 
+    def test_grether_rejects_non_finite_parameters(self):
+        for alpha, beta in ((float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0), (2.0, float("inf"))):
+            with pytest.raises(ValueError):
+                GretherRule(alpha, beta, 3)
+
+    @pytest.mark.parametrize("family", ["bayes", "occ-coarse", "occ-stubborn", "grether", "shrinkage", "trivial", "tabulated"])
+    def test_batch_invariant(self, family):
+        # Random search screens a block of posteriors with one apply_batch
+        # call; each row's image must not depend on the other rows, on the
+        # batch size or on the memory layout.
+        rng = np.random.default_rng(sum(map(ord, family)))
+        for _ in range(20):
+            n = 2 if family == "occ-coarse" else int(rng.integers(3, 6))
+            X = rng.dirichlet(np.ones(n), size=40)
+            X[:n] = np.eye(n)  # vertices
+            for r in range(n, 2 * n + 6):  # faces: one to n - 1 coordinates zeroed
+                X[r, rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 0.0
+                X[r] /= X[r].sum()
+            if family == "bayes":
+                rule = BayesRule(n)
+            elif family == "tabulated":
+                rule = TabulatedRule(X, rng.dirichlet(np.ones(n), size=len(X)), tol=1e-12)
+            else:
+                rule = random_rule(family, n, rng)
+            mu = rng.dirichlet(np.full(n, 3.0))
+            rows = np.vstack([rule.apply_batch(mu, X[r : r + 1]) for r in range(len(X))])
+            assert np.array_equal(rule.apply_batch(mu, X), rows)
+            assert np.array_equal(rule.apply_batch(mu, np.asfortranarray(X)), rows)
+
     def test_tabulated_lookup_and_miss(self):
         rule = TabulatedRule([(0.25, 0.75), (0.75, 0.25)], [(0.3, 0.7), (0.7, 0.3)], tol=0.05)
         assert evaluate(rule, MU2, (0.26, 0.74)).allclose((0.3, 0.7))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from blackwell_audit.geometry import (
     Belief,
+    DimensionMismatch,
     EmptyInput,
     Face,
     NoStrictSeparation,
@@ -137,6 +138,15 @@ class TestConvexHull:
         p = 0.5 * np.array(hull[0]) + 0.5 * np.array(hull[1])
         assert np.allclose(p, [0.35, 0.35, 0.30])
         assert in_convex_hull(p, hull)
+
+    def test_length_mismatch_rejected(self):
+        from blackwell_audit import experiments
+
+        assert experiments.DimensionMismatch is DimensionMismatch
+        with pytest.raises(DimensionMismatch):
+            in_convex_hull((0.5, 0.5), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        with pytest.raises(DimensionMismatch):
+            in_convex_hull((0.2, 0.2, 0.2, 0.4), [(1, 0, 0), (0, 1, 0)])
 
     def test_duplicate_hull_points_allowed(self):
         assert in_convex_hull((0.5, 0.5), [(1, 0), (1, 0), (0, 1)])
