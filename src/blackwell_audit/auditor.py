@@ -26,12 +26,15 @@ Construction recipes, cheapest first
   common collapse point.
 * ``random-search``       - randomized experiment pairs and threshold
   problems for the remaining budget.  Trials are drawn in blocks from
-  one seeded stream and screened in one numpy pass; only the trials the
-  conservative screen flags are scored one at a time, in trial order, so
-  the result is that of scoring every trial on its own.
+  one seeded stream and screened in one numpy pass on the posteriors the
+  certificate would carry; only the trials the conservative screen flags
+  are emitted, one at a time and in trial order, so the result is that
+  of emitting every trial.
 
-Every candidate pair is scored by exact expected-welfare computation and
-emitted only if it passes independent re-verification.
+Every candidate pair, from a recipe or from random search, goes through
+one emission step: its gap is computed once by exact expected-welfare
+computation, must lie below -(GAP_TOL + the selector's tie_tol), and the
+certificate is kept only if it passes independent re-verification.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from .experiments import (
     NotAffinelyIndependent,
     PosteriorDistribution,
     TargetOutsideOppositeHull,
-    _check_rows_stochastic,
     bayes,
     blackwell_dominates,
     bring_point_in,
@@ -82,7 +84,6 @@ from .distortions import (
     rule_from_json,
 )
 from .decision import (
-    TIE_TOL,
     DecisionProblem,
     Selector,
     SelectorPolicy,
@@ -188,13 +189,24 @@ def hyperplane_problem(h: Hyperplane) -> DecisionProblem:
     return DecisionProblem(np.vstack([zero, act]), ["pass", "act"])
 
 
-def verify_certificate(c: ViolationCertificate, tol: float = GAP_TOL) -> Tuple[bool, Optional[str]]:
+def _gap_cut(sel: Selector) -> float:
+    """A certificate's gap must lie strictly below this.
+
+    The selector may take any action within ``tie_tol`` of the best, so
+    under Bayes W(pi) >= V(pi) - tie_tol >= V(pi') - tie_tol >= W(pi') -
+    tie_tol: a gap down to -tie_tol can come from the tie-break alone.
+    """
+    return -(GAP_TOL + sel.tie_tol)
+
+
+def verify_certificate(c: ViolationCertificate) -> Tuple[bool, Optional[str]]:
     """Independently re-check a certificate; returns (ok, reason-if-not).
 
     Recomputes dominance with the garbling feasibility program and both
     expected payoffs from the raw experiments (posteriors via Bayes, one
     welfare evaluation per support point, no pushforward shortcut); none
-    of the auditor's intermediate state is reused.
+    of the auditor's intermediate state is reused.  The recomputed gap
+    must lie below ``_gap_cut`` of the certificate's selector.
     """
     try:
         mu = c.prior
@@ -216,7 +228,7 @@ def verify_certificate(c: ViolationCertificate, tol: float = GAP_TOL) -> Tuple[b
         return False, "malformed"
     if not abs(gap - c.gap) <= 1e-9:
         return False, "gap-mismatch"
-    if gap > -tol:
+    if not gap < _gap_cut(c.selector):
         return False, "gap-too-small"
     return True, None
 
@@ -238,10 +250,29 @@ def _try_pair(
         pi_p = experiment_from_posteriors(rho_lo, mu)
     except (BarycenterMismatch, ValueError):
         return None
+    return _emit(d, mu, sel, mode, pi, pi_p, problem, recipe, seed)
+
+
+def _emit(
+    d: Distortion,
+    mu: np.ndarray,
+    sel: Selector,
+    mode: WelfareMode,
+    pi: Experiment,
+    pi_p: Experiment,
+    problem: DecisionProblem,
+    recipe: str,
+    seed: int,
+) -> Optional[ViolationCertificate]:
+    """Score a candidate pair once; the certificate if its gap clears the cut and it verifies.
+
+    Every recipe and random search emit through here.  A rule's error
+    propagates; each caller decides whether it skips the candidate.
+    """
     gap = expected_payoff(problem, d, mu, sel, mode, bayes(mu, pi)) - expected_payoff(
         problem, d, mu, sel, mode, bayes(mu, pi_p)
     )
-    if gap > -GAP_TOL:
+    if not gap < _gap_cut(sel):
         return None
     cert = ViolationCertificate(
         prior=Belief(mu),
@@ -739,35 +770,14 @@ def _vertex_condition_certificate(
     return None
 
 
-def _lean_expected_welfare(
-    d: Distortion,
-    mu: np.ndarray,
-    payoff: np.ndarray,
-    mode: WelfareMode,
-    lik: np.ndarray,
-) -> float:
-    """Fast lex-first welfare of a raw likelihood matrix (trial screening only)."""
-    marginal = mu @ lik
-    keep = marginal > 1e-15
-    posts = ((mu[:, None] * lik[:, keep]) / marginal[keep][None, :]).T
-    imgs = d.apply_batch(mu, posts)
-    scores = imgs @ payoff.T
-    if mode is WelfareMode.DOUBLE:
-        w = scores.max(axis=1)
-    else:
-        choice = (scores >= scores.max(axis=1, keepdims=True) - TIE_TOL).argmax(axis=1)
-        w = np.einsum("ij,ij->i", payoff[choice], posts)
-    return float(marginal[keep] @ w)
-
-
 #: Random-search blocks start at the first size and double up to the second,
 #: so a certificate found in the first trials costs few extra draws.
 _BLOCK_FIRST, _BLOCK_MAX = 8, 256
-#: The block screen flags a trial whose screened gap, or one of whose act
-#: scores against the selector's tie threshold, lies within this of the cut,
-#: and one with two posteriors of one experiment this close (``bayes``
-#: merges posteriors within TOL_GEO).  Rounding moves the screened gap and
-#: scores by far less.
+#: The block screen flags a trial whose screened gap lies within this of
+#: ``_gap_cut``, or one of whose act scores lies within it of the
+#: selector's tie threshold, and one with two posteriors of one experiment
+#: this close (``bayes`` merges posteriors within TOL_GEO).  Rounding moves
+#: the screened gap and scores by far less.
 _SCREEN_SLACK = 1e-7
 
 
@@ -812,13 +822,15 @@ def _draw_block(rng: np.random.Generator, n: int, size: int):
     return groups, points, np.array(z)
 
 
-def _block_posteriors(mu: np.ndarray, fast: bool, block):
+def _block_posteriors(mu: np.ndarray, block):
     """Every trial's signal marginals M (size, 8) and posteriors X (size, 8, n).
 
     Slots 0-3 hold pi's signals and slots 4-7 pi''s; unused slots have
-    M = 0.  Both are bitwise what the per-trial stage-1 gap computes (numpy
-    multiplies a stack of equal-shape matrices one by one, as it does a
-    single one), so the rule sees the same beliefs.
+    M = 0.  Both are bitwise what ``bayes`` computes from the likelihoods
+    of Experiment(lik) and garble(that, GarblingMatrix(channel)), which
+    divide each row by its sum (numpy sums and multiplies a stack of
+    equal-shape matrices one by one, as it does a single one), so the
+    rule sees the certificate's beliefs.
     """
     groups, _, z = block
     size, n = z.shape
@@ -826,10 +838,10 @@ def _block_posteriors(mu: np.ndarray, fast: bool, block):
     M = np.zeros((size, 8))
     for idx, lik, channel in groups:
         k, kp = channel.shape[1:]
-        lik_p = lik @ channel
-        if not fast:  # the likelihoods Experiment stores
-            lik = _check_rows_stochastic(lik.reshape(-1, k), "likelihood matrix").reshape(lik.shape)
-            lik_p = _check_rows_stochastic(lik_p.reshape(-1, kp), "likelihood matrix").reshape(lik_p.shape)
+        idx = np.array(idx)
+        lik = lik / lik.sum(axis=-1, keepdims=True)
+        lik_p = lik @ (channel / channel.sum(axis=-1, keepdims=True))
+        lik_p /= lik_p.sum(axis=-1, keepdims=True)
         L[idx, :, :k] = lik
         L[idx, :, 4 : 4 + kp] = lik_p
         M[idx, :k] = mu @ lik
@@ -843,24 +855,23 @@ def _screen(
     mu: np.ndarray,
     sel: Selector,
     mode: WelfareMode,
-    fast: bool,
     block,
 ) -> np.ndarray:
     """Flag the trials of a block that may be candidates; one numpy pass.
 
-    The posteriors are those of the per-trial path (``_block_posteriors``).
-    The rest is elementwise across the block, and differs from the
-    per-trial arithmetic by rounding only, which ``_SCREEN_SLACK`` covers.
-    A trial stays unflagged only when its stage-1 gap is surely above
-    -GAP_TOL: not near the cut, no act score near the tie threshold
-    (SINGLE mode), no two posteriors of one experiment that ``bayes`` could
-    merge, a normal not too small to rescale, and a selector without pins.
+    The posteriors are the certificate's (``_block_posteriors``).  The
+    rest is elementwise across the block, and differs from ``_emit``'s
+    arithmetic by rounding only, which ``_SCREEN_SLACK`` covers.  A trial
+    stays unflagged only when its gap is surely above ``_gap_cut``: not
+    near the cut, no act score near the tie threshold (SINGLE mode), no two
+    posteriors of one experiment that ``bayes`` could merge, a normal not
+    too small to rescale, and a selector without pins.
     """
     _, points, z = block
     size = z.shape[0]
     if sel.pins:
         return np.ones(size, dtype=bool)
-    M, X = _block_posteriors(mu, fast, block)
+    M, X = _block_posteriors(mu, block)
     keep = M > 0.0
     try:
         with np.errstate(all="ignore"):
@@ -875,8 +886,7 @@ def _screen(
                 w = np.maximum(score, 0.0)
                 near = np.zeros(size, dtype=bool)
             else:
-                tie = TIE_TOL if fast else sel.tie_tol
-                cut = -tie if sel.policy is SelectorPolicy.LEX_LAST else tie
+                cut = -sel.tie_tol if sel.policy is SelectorPolicy.LEX_LAST else sel.tie_tol
                 w = np.where(score > cut, np.sum(X * act, axis=2), 0.0)
                 near = np.any(keep & ~(np.abs(score - cut) > _SCREEN_SLACK), axis=1)
             welfare = np.where(keep, M * w, 0.0)
@@ -891,7 +901,7 @@ def _screen(
         # Whatever the rule raises or returns, the per-trial path meets it
         # at the trial where one-at-a-time scoring would.
         return np.ones(size, dtype=bool)
-    return ~(gap > -GAP_TOL + _SCREEN_SLACK) | near | close | (scale < 1e-6)
+    return ~(gap > _gap_cut(sel) + _SCREEN_SLACK) | near | close | (scale < 1e-6)
 
 
 def _block_trial(block, t: int):
@@ -910,14 +920,12 @@ def _search_trial(
     sel: Selector,
     mode: WelfareMode,
     seed: int,
-    fast: bool,
     lik: np.ndarray,
     channel: np.ndarray,
     point: np.ndarray,
     z: np.ndarray,
 ) -> Optional[ViolationCertificate]:
-    """Score one trial exactly; the certificate if it is a verified violation."""
-    lik_p = lik @ channel
+    """Emit one trial's pair against its threshold problem; None unless it is a verified violation."""
     normal = z - z.mean()
     scale = float(np.max(np.abs(normal)))
     if scale < 1e-9:
@@ -925,32 +933,10 @@ def _search_trial(
     normal /= scale
     problem = hyperplane_problem(Hyperplane(normal, float(normal @ point)))
     try:
-        if fast:
-            gap = _lean_expected_welfare(d, mu, problem.payoff, mode, lik) - _lean_expected_welfare(
-                d, mu, problem.payoff, mode, lik_p
-            )
-        else:
-            gap = expected_payoff(problem, d, mu, sel, mode, bayes(mu, Experiment(lik))) - expected_payoff(
-                problem, d, mu, sel, mode, bayes(mu, Experiment(lik_p))
-            )
+        pi = Experiment(lik)
+        return _emit(d, mu, sel, mode, pi, garble(pi, GarblingMatrix(channel)), problem, "random-search", seed)
     except (ValueError, BarycenterMismatch):
         return None
-    if gap > -GAP_TOL:
-        return None
-    # Candidate: rebuild through the standard objects and re-verify.
-    pi = Experiment(lik)
-    pi_p = garble(pi, GarblingMatrix(channel))
-    gap = expected_payoff(problem, d, mu, sel, mode, bayes(mu, pi)) - expected_payoff(
-        problem, d, mu, sel, mode, bayes(mu, pi_p)
-    )
-    if gap > -GAP_TOL:
-        return None
-    cert = ViolationCertificate(
-        prior=Belief(mu), rule=d, pi=pi, pi_prime=pi_p, problem=problem,
-        selector=sel, mode=mode, gap=float(gap), recipe="random-search", seed=seed,
-    )
-    ok, _ = verify_certificate(cert)
-    return cert if ok else None
 
 
 def _random_search(
@@ -965,20 +951,19 @@ def _random_search(
 
     One trial per budget unit, drawn from a stream seeded by ``seed``.
     Trials come in blocks (``_draw_block``), and one numpy pass screens a
-    block's stage-1 gaps conservatively (``_screen``).  Only the flagged
-    trials take the exact per-trial path (``_search_trial``), in trial
-    order, so the certificate and the budget charged are those of scoring
-    every trial on that path.
+    block's gaps conservatively (``_screen``).  Only the flagged trials
+    are emitted one at a time (``_search_trial``, then ``_emit``), in trial
+    order, so the certificate and the budget charged are those of
+    emitting every trial.  A trial whose rule raises ValueError is skipped.
     """
     n = mu.shape[0]
     rng = np.random.default_rng(seed)
-    fast = sel.policy.value == "lex-first" and not sel.pins
     size = _BLOCK_FIRST
     while budget.remaining > 0:
         size = min(size, budget.remaining)
         block = _draw_block(rng, n, size)
-        for t in np.flatnonzero(_screen(d, mu, sel, mode, fast, block)):
-            cert = _search_trial(d, mu, sel, mode, seed, fast, *_block_trial(block, int(t)))
+        for t in np.flatnonzero(_screen(d, mu, sel, mode, block)):
+            cert = _search_trial(d, mu, sel, mode, seed, *_block_trial(block, int(t)))
             if cert is not None:
                 budget.charge(int(t) + 1)
                 return cert

@@ -29,13 +29,7 @@ import numpy as np
 
 from .geometry import Belief, Face, face_samples, uniform_belief
 from .experiments import PriorNotInterior
-from .distortions import (
-    CoarseRule,
-    Distortion,
-    parse_rule,
-    stubborn_example_a,
-    stubborn_example_b,
-)
+from .distortions import CoarseRule, Distortion, parse_rule
 from .decision import (
     Selector,
     WelfareMode,
@@ -81,10 +75,6 @@ class RunConfig:
 
     def resolve_rule(self) -> Distortion:
         text = self.rule.strip()
-        if text == "occ-stubborn-a":
-            return stubborn_example_a()
-        if text == "occ-stubborn-b":
-            return stubborn_example_b()
         if not text.startswith("{") and Path(text).is_file():
             text = Path(text).read_text()
         try:
@@ -215,7 +205,7 @@ def cmd_reproduce(example_id: str, outdir: str, a: float, b: float, u: float, v:
         print(f"wrote {out / 'occ_coarse_figure.csv'}")
         return EXIT_OK
     if example_id in ("occ-stubborn-a", "occ-stubborn-b"):
-        rule = stubborn_example_a() if example_id.endswith("a") else stubborn_example_b()
+        rule = parse_rule(example_id)
         mu = (1 / 3, 1 / 3, 1 / 3)
         pts = [np.eye(3)[i] for i in range(3)]
         for face in (Face((0, 1)), Face((0, 2)), Face((1, 2))):

@@ -14,6 +14,7 @@ probes.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -111,6 +112,11 @@ class Selector:
     tie_tol: float = TIE_TOL
     pins: tuple = ()
     pin_tol: float = 1e-9
+
+    def __post_init__(self) -> None:
+        # A certificate's gap must clear -tie_tol; a negative one would let a gap of 0 pass.
+        if not 0.0 <= self.tie_tol < math.inf:
+            raise ValueError(f"tie_tol must be finite and non-negative, got {self.tie_tol}")
 
     def to_json(self) -> dict:
         doc: dict = {"policy": self.policy.value, "tie_tol": self.tie_tol}

@@ -747,10 +747,14 @@ def _need_n(n: Optional[int]) -> int:
 
 
 def parse_rule(text: str, n: Optional[int] = None) -> Distortion:
-    """Parse a compact rule string such as ``grether(2,1)`` or inline JSON."""
+    """Parse a compact rule string such as ``grether(2,1)``, a reference
+    example (``occ-stubborn-a``, ``occ-stubborn-b``; three states) or inline JSON."""
     import json
 
     text = text.strip()
+    examples = {"occ-stubborn-a": stubborn_example_a, "occ-stubborn-b": stubborn_example_b}
+    if text.lower() in examples:
+        return examples[text.lower()]()
     if text.startswith("{"):
         return rule_from_json(json.loads(text), n=n)
     if "(" in text:

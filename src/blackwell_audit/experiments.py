@@ -15,9 +15,17 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .geometry import TOL_GEO, TOL_SUM, Belief, DimensionMismatch, _coerce, affinely_independent
+from .geometry import (
+    TOL_GEO,
+    TOL_SUM,
+    Belief,
+    DimensionMismatch,
+    _coerce,
+    _min_sup_residual,
+    affinely_independent,
+    in_convex_hull,
+)
 
 # Barycenter agreement required of Bayes-plausible posterior distributions.
 TOL_BARY = 1e-10
@@ -248,32 +256,9 @@ def blackwell_dominates(pi: Experiment, pi_prime: Experiment, tol: float = 1e-8)
     A = pi.likelihoods
     B = pi_prime.likelihoods
     k, kp = A.shape[1], B.shape[1]
-    nv = k * kp + 1
-    c = np.zeros(nv)
-    c[-1] = 1.0
-    # Row-stochasticity of M: for each signal s of pi, sum_s' M[s, s'] = 1.
-    A_eq = np.zeros((k, nv))
-    for s in range(k):
-        A_eq[s, s * kp : (s + 1) * kp] = 1.0
-    b_eq = np.ones(k)
-    # |(A M - B)[theta, s']| <= t for all theta, s'.
-    n = A.shape[0]
-    A_ub = np.zeros((2 * n * kp, nv))
-    b_ub = np.zeros(2 * n * kp)
-    row = 0
-    for sign in (+1.0, -1.0):
-        for theta in range(n):
-            for sp in range(kp):
-                for s in range(k):
-                    A_ub[row, s * kp + sp] = sign * A[theta, s]
-                A_ub[row, -1] = -1.0
-                b_ub[row] = sign * B[theta, sp]
-                row += 1
-    bounds = [(0.0, 1.0)] * (k * kp) + [(0.0, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"garbling LP failed: {res.message}")
-    return bool(res.fun <= tol)
+    # G = kron(A, I): row (theta, s') of G applied to the flattened M is (A M)[theta, s'].
+    G = (A[:, None, :, None] * np.eye(kp)[:, None, :]).reshape(-1, k * kp)
+    return bool(_min_sup_residual([(G, B.ravel())], (k, kp), "garbling") <= tol)
 
 
 def is_mpc(rho_prime: PosteriorDistribution, rho: PosteriorDistribution, tol: float = 1e-8) -> bool:
@@ -289,42 +274,11 @@ def is_mpc(rho_prime: PosteriorDistribution, rho: PosteriorDistribution, tol: fl
     if np.max(np.abs(rho.barycenter.coords - rho_prime.barycenter.coords)) > max(tol, TOL_BARY):
         raise BarycenterMismatch("mean-preserving comparison requires equal barycenters")
     I, J = rho_prime.size, rho.size
-    n = rho.n_states
-    nv = I * J + 1
-    c = np.zeros(nv)
-    c[-1] = 1.0
-    # Each row of the dilation kernel is a probability vector.
-    A_eq = np.zeros((I, nv))
-    for i in range(I):
-        A_eq[i, i * J : (i + 1) * J] = 1.0
-    b_eq = np.ones(I)
-    rows = []
-    rhs = []
-    # Barycenter of row i reproduces rho_prime's i-th support point.
-    for sign in (+1.0, -1.0):
-        for i in range(I):
-            for theta in range(n):
-                r = np.zeros(nv)
-                r[i * J : (i + 1) * J] = sign * rho.support[:, theta]
-                r[-1] = -1.0
-                rows.append(r)
-                rhs.append(sign * rho_prime.support[i, theta])
-    # Mixture of the rows reproduces rho's probabilities.
-    for sign in (+1.0, -1.0):
-        for j in range(J):
-            r = np.zeros(nv)
-            for i in range(I):
-                r[i * J + j] = sign * rho_prime.probs[i]
-            r[-1] = -1.0
-            rows.append(r)
-            rhs.append(sign * rho.probs[j])
-    A_ub = np.asarray(rows)
-    b_ub = np.asarray(rhs)
-    bounds = [(0.0, 1.0)] * (I * J) + [(0.0, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"dilation LP failed: {res.message}")
-    return bool(res.fun <= tol)
+    # The kernel's rows are probability vectors; row i's barycenter is
+    # rho_prime's i-th support point, and the rows mix back to rho's probabilities.
+    barycenters = (np.kron(np.eye(I), rho.support.T), rho_prime.support.ravel())
+    mixture = (np.kron(rho_prime.probs[None, :], np.eye(J)), rho.probs)
+    return bool(_min_sup_residual([barycenters, mixture], (I, J), "dilation") <= tol)
 
 
 def bring_point_in(
@@ -341,8 +295,6 @@ def bring_point_in(
     probability.  The output is a strict mean-preserving contraction of
     the input.
     """
-    from .geometry import in_convex_hull  # local import to avoid cycle at module load
-
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must be strictly between 0 and 1")
     pts = rho.support

@@ -279,25 +279,32 @@ def _in_hull_barycentric(pa: np.ndarray, H: np.ndarray, tol: float) -> Optional[
 def _in_hull_lp(pa: np.ndarray, H: np.ndarray, tol: float) -> bool:
     """Hull membership by a linear program minimizing the sup-norm
     reconstruction error over convex weights."""
-    k, n = H.shape
-    # Variables: weights w (k of them) then the error bound t.
-    c = np.zeros(k + 1)
-    c[-1] = 1.0
-    A_eq = np.concatenate([np.ones(k), [0.0]])[None, :]
-    b_eq = np.array([1.0])
-    rows = []
-    rhs = []
-    for sign in (+1.0, -1.0):
-        block = np.hstack([sign * H.T, -np.ones((n, 1))])
-        rows.append(block)
-        rhs.append(sign * pa)
-    A_ub = np.vstack(rows)
-    b_ub = np.concatenate(rhs)
-    bounds = [(0.0, 1.0)] * k + [(0.0, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    return bool(_min_sup_residual([(H.T, pa)], (1, H.shape[0]), "hull membership") <= tol)
+
+
+def _min_sup_residual(blocks: Sequence, shape: tuple, what: str) -> float:
+    """min t over w of ``shape`` with rows summing to 1 and 0 <= w <= 1,
+    subject to |G w - g| <= t entrywise for every (G, g) in ``blocks``.
+
+    w is flattened row-major.  Each block contributes its rows G w - t <= g,
+    then -G w - t <= -g, in block order; HiGHS's optimum can depend on the
+    row order, so callers keep theirs.  Raises RuntimeError naming ``what``
+    when the solve fails.
+    """
+    r, c = shape
+    # Variables: the entries of w, then the error bound t.
+    cost = np.zeros(r * c + 1)
+    cost[-1] = 1.0
+    A_eq = np.hstack([np.repeat(np.eye(r), c, axis=1), np.zeros((r, 1))])
+    A_ub = np.vstack(
+        [np.hstack([sign * G, -np.ones((G.shape[0], 1))]) for G, _ in blocks for sign in (+1.0, -1.0)]
+    )
+    b_ub = np.concatenate([sign * g for _, g in blocks for sign in (+1.0, -1.0)])
+    bounds = [(0.0, 1.0)] * (r * c) + [(0.0, None)]
+    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.ones(r), bounds=bounds, method="highs")
     if res.status != 0:
-        raise RuntimeError(f"hull membership LP failed: {res.message}")
-    return bool(res.fun <= tol)
+        raise RuntimeError(f"{what} LP failed: {res.message}")
+    return res.fun
 
 
 def separating_hyperplane(p, hull_points: Sequence, margin: float = TOL_GEO) -> Hyperplane:

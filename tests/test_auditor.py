@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from blackwell_audit.geometry import Belief, Hyperplane
-from blackwell_audit.experiments import BarycenterMismatch, Experiment, GarblingMatrix, bayes, garble
+from blackwell_audit.experiments import (
+    BarycenterMismatch,
+    Experiment,
+    GarblingMatrix,
+    PosteriorDistribution,
+    bayes,
+    experiment_from_posteriors,
+    garble,
+)
 from blackwell_audit.decision import TIE_TOL, Selector, SelectorPolicy, WelfareMode, expected_payoff, value_function
 from blackwell_audit.distortions import (
     BayesRule,
@@ -24,11 +32,11 @@ from blackwell_audit.auditor import (
     BudgetExhausted,
     ViolationCertificate,
     _Budget,
-    _lean_expected_welfare,
     _SCREEN_SLACK,
     _block_posteriors,
     _block_trial,
     _draw_block,
+    _gap_cut,
     _random_search,
     _screen,
     audit,
@@ -117,6 +125,17 @@ class TestFullAudit:
         assert rep.error_census["expansive"] == 0
         assert rep.error_census["contractive"] == 0
         assert rep.certificate is None
+
+    @pytest.mark.parametrize("policy", [SelectorPolicy.LEX_FIRST, SelectorPolicy.LEX_LAST])
+    def test_bayes_passes_whatever_the_tie_tolerance(self, policy):
+        # Any action within tie_tol of the best may be taken, so a gap of
+        # -tie_tol is no violation; random search must not accuse Bayes.
+        sel = Selector(policy, tie_tol=0.05)
+        for n in (2, 3):
+            for seed in range(6):
+                mu = np.random.default_rng(seed).dirichlet(np.full(n, 4.0))
+                rep = audit(BayesRule(n), mu, grid_size=41, budget=300, seed=seed, sel=sel)
+                assert rep.verdict == "pass", (n, seed)
 
     def test_grether_three_states_violates(self):
         # Continuous, non-trivial, non-Bayesian: must fail at any interior prior.
@@ -216,6 +235,25 @@ class TestVerifyCertificate:
         ok, reason = verify_certificate(forged)
         assert not ok and reason == "gap-mismatch"
 
+    def test_gap_within_tie_tolerance_is_no_violation(self):
+        # Lex-last acts on any score >= -tie_tol, so Bayes can lose up to
+        # tie_tol by splitting the prior across that threshold: act scores
+        # -0.049 and -0.071 against -0.06 at the prior give a gap of -0.0245.
+        mu = np.array([0.5, 0.5])
+        split = PosteriorDistribution([[0.5055, 0.4945], [0.4945, 0.5055]], [0.5, 0.5])
+        pi, pi_p = experiment_from_posteriors(split, mu), Experiment(np.ones((2, 1)))
+        problem = hyperplane_problem(Hyperplane((1.0, -1.0), 0.06))
+        sel = Selector(SelectorPolicy.LEX_LAST, tie_tol=0.05)
+        gap = expected_payoff(problem, BayesRule(2), mu, sel, WelfareMode.SINGLE, bayes(mu, pi)) - expected_payoff(
+            problem, BayesRule(2), mu, sel, WelfareMode.SINGLE, bayes(mu, pi_p)
+        )
+        assert -0.05 < gap < -GAP_TOL
+        cert = ViolationCertificate(
+            prior=Belief(mu), rule=BayesRule(2), pi=pi, pi_prime=pi_p, problem=problem,
+            selector=sel, mode=WelfareMode.SINGLE, gap=gap, recipe="random-search",
+        )
+        assert verify_certificate(cert) == (False, "gap-too-small")
+
     def test_json_round_trip_verifies(self, cert):
         back = ViolationCertificate.from_json(json.loads(cert.dumps()))
         assert verify_certificate(back)[0]
@@ -244,7 +282,6 @@ def _reference_random_search(d, mu, budget, sel, mode, seed):
     """The one-trial-at-a-time random search that block screening replaced."""
     n = mu.shape[0]
     rng = np.random.default_rng(seed)
-    fast = sel.policy.value == "lex-first" and not sel.pins
     while budget.remaining > 0:
         budget.charge()
         k = int(rng.integers(2, 5))
@@ -261,14 +298,9 @@ def _reference_random_search(d, mu, budget, sel, mode, seed):
         normal /= scale
         problem = hyperplane_problem(Hyperplane(normal, float(normal @ point)))
         try:
-            if fast:
-                gap = _lean_expected_welfare(d, mu, problem.payoff, mode, lik) - _lean_expected_welfare(
-                    d, mu, problem.payoff, mode, lik_p
-                )
-            else:
-                gap = expected_payoff(problem, d, mu, sel, mode, bayes(mu, Experiment(lik))) - expected_payoff(
-                    problem, d, mu, sel, mode, bayes(mu, Experiment(lik_p))
-                )
+            gap = expected_payoff(problem, d, mu, sel, mode, bayes(mu, Experiment(lik))) - expected_payoff(
+                problem, d, mu, sel, mode, bayes(mu, Experiment(lik_p))
+            )
         except (ValueError, BarycenterMismatch):
             continue
         if gap > -GAP_TOL:
@@ -308,7 +340,7 @@ class TestRandomSearchBlocks:
         mu = rng.dirichlet(np.full(n, 4.0))
         mode = (WelfareMode.SINGLE, WelfareMode.DOUBLE)[int(rng.integers(2))]
         kind = int(rng.integers(3))
-        tie_tol = (TIE_TOL, 0.05)[int(rng.integers(2))]  # the lex-first fast path ignores it
+        tie_tol = (TIE_TOL, 0.05)[int(rng.integers(2))]
         if kind == 0:
             sel = Selector(tie_tol=tie_tol)
         elif kind == 1:
@@ -321,8 +353,9 @@ class TestRandomSearchBlocks:
         return rule, mu, sel, mode, budget, int(rng.integers(1 << 30))
 
     def test_matches_one_trial_at_a_time(self):
+        # 750 cases keep at least 100 certificates now that gaps within tie_tol are refused.
         certs = 0
-        for i in range(520):
+        for i in range(750):
             rule, mu, sel, mode, budget, seed = self._case(i)
             want_budget, got_budget = _Budget(budget), _Budget(budget)
             want = _reference_random_search(rule, mu, want_budget, sel, mode, seed)
@@ -341,23 +374,22 @@ class TestRandomSearchBlocks:
             mu = np.random.default_rng(n).dirichlet(np.full(n, 4.0))
             block = _draw_block(np.random.default_rng(100 + n), n, 200)
             stream = np.random.default_rng(100 + n)
-            for fast in (True, False):
-                M, X = _block_posteriors(mu, fast, block)
-                for t in range(200):
-                    lik, channel, point, z = _block_trial(block, t)
-                    if fast:  # replay the one-trial-at-a-time draws
-                        k = int(stream.integers(2, 5))
-                        assert np.array_equal(lik, stream.dirichlet(np.ones(k), size=n))
-                        kp = int(stream.integers(1, k + 1))
-                        assert np.array_equal(channel, stream.dirichlet(np.ones(kp), size=k))
-                        assert np.array_equal(point, stream.dirichlet(np.ones(n)))
-                        assert np.array_equal(z, stream.normal(size=n))
-                    for slots, L in ((slice(0, 4), lik), (slice(4, 8), lik @ channel)):
-                        if not fast:
-                            L = Experiment(L).likelihoods
-                        m = mu @ L
-                        assert np.array_equal(M[t, slots], np.pad(m, (0, 4 - m.size)))
-                        assert np.array_equal(X[t, slots][: m.size], ((mu[:, None] * L) / m[None, :]).T)
+            M, X = _block_posteriors(mu, block)
+            for t in range(200):
+                lik, channel, point, z = _block_trial(block, t)
+                # Replay the one-trial-at-a-time draws.
+                k = int(stream.integers(2, 5))
+                assert np.array_equal(lik, stream.dirichlet(np.ones(k), size=n))
+                kp = int(stream.integers(1, k + 1))
+                assert np.array_equal(channel, stream.dirichlet(np.ones(kp), size=k))
+                assert np.array_equal(point, stream.dirichlet(np.ones(n)))
+                assert np.array_equal(z, stream.normal(size=n))
+                pi = Experiment(lik)
+                pi_p = garble(pi, GarblingMatrix(channel))
+                for slots, L in ((slice(0, 4), pi.likelihoods), (slice(4, 8), pi_p.likelihoods)):
+                    m = mu @ L
+                    assert np.array_equal(M[t, slots], np.pad(m, (0, 4 - m.size)))
+                    assert np.array_equal(X[t, slots][: m.size], ((mu[:, None] * L) / m[None, :]).T)
 
 
 class TestRandomSearchScreen:
@@ -372,15 +404,15 @@ class TestRandomSearchScreen:
     Z = np.array([1.0, -1.0])
 
     def _flagged(self, rule, sel, mode, lik, channel, p0):
-        fast = sel.policy is SelectorPolicy.LEX_FIRST and not sel.pins
         block = ([([0], lik[None], channel[None])], np.array([[p0, 1.0 - p0]]), self.Z[None, :])
-        return bool(_screen(rule, self.MU, sel, mode, fast, block)[0])
+        return bool(_screen(rule, self.MU, sel, mode, block)[0])
 
     def test_act_score_near_tie_threshold(self):
         # Signal 0's posterior x = (7/9, 2/9); pi' is uninformative.
         lik, channel = np.array([[0.7, 0.3], [0.2, 0.8]]), np.ones((2, 1))
         x = self.MU * lik[:, 0] / (self.MU @ lik[:, 0])
-        for sel, cut in ((Selector(), TIE_TOL), (Selector(SelectorPolicy.LEX_LAST), -TIE_TOL)):
+        cases = ((Selector(), TIE_TOL), (Selector(SelectorPolicy.LEX_LAST), -TIE_TOL), (Selector(tie_tol=0.05), 0.05))
+        for sel, cut in cases:
             for delta, flagged in ((-0.5 * _SCREEN_SLACK, True), (0.5 * _SCREEN_SLACK, True), (-1e-3, False), (1e-3, False)):
                 offset = x[0] - x[1] - (cut + delta)
                 p0 = (1.0 + offset) / 2.0
@@ -391,20 +423,28 @@ class TestRandomSearchScreen:
         lik = np.array([[0.62, 0.38], [0.06, 0.94]])
         channel = np.array([[0.54, 0.46], [0.47, 0.53]])
 
-        def gap(p0):  # stage-1 gap of the per-trial path; continuous in p0 in DOUBLE mode
+        pi = Experiment(lik)
+        pi_p = garble(pi, GarblingMatrix(channel))
+
+        def gap(p0):  # the emission step's exact gap; continuous in p0, and free of the selector, in DOUBLE mode
             problem = hyperplane_problem(Hyperplane(self.Z, float(self.Z @ [p0, 1.0 - p0])))
-            return _lean_expected_welfare(rule, self.MU, problem.payoff, WelfareMode.DOUBLE, lik) - _lean_expected_welfare(
-                rule, self.MU, problem.payoff, WelfareMode.DOUBLE, lik @ channel
+            return expected_payoff(problem, rule, self.MU, Selector(), WelfareMode.DOUBLE, bayes(self.MU, pi)) - expected_payoff(
+                problem, rule, self.MU, Selector(), WelfareMode.DOUBLE, bayes(self.MU, pi_p)
             )
 
-        lo, hi = 0.08, 0.98
-        assert gap(lo) < -GAP_TOL < gap(hi)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if gap(mid) < -GAP_TOL + 0.5 * _SCREEN_SLACK else (lo, mid)
-        assert -GAP_TOL < gap(hi) < -GAP_TOL + _SCREEN_SLACK
-        assert self._flagged(rule, Selector(), WelfareMode.DOUBLE, lik, channel, hi)
-        assert not self._flagged(rule, Selector(), WelfareMode.DOUBLE, lik, channel, 0.98)
+        for sel in (Selector(), Selector(tie_tol=0.05)):
+            cut = _gap_cut(sel)
+            lo, hi = 0.08, 0.98
+            assert gap(lo) < cut < gap(hi)
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if gap(mid) < cut + 0.5 * _SCREEN_SLACK else (lo, mid)
+            assert cut < gap(hi) < cut + _SCREEN_SLACK
+            assert self._flagged(rule, sel, WelfareMode.DOUBLE, lik, channel, hi)
+            assert not self._flagged(rule, sel, WelfareMode.DOUBLE, lik, channel, 0.98)
+        # A gap the tie tolerance explains (about -0.025 here) is no candidate.
+        assert cut + 1e-3 < gap(0.228) < -GAP_TOL
+        assert not self._flagged(rule, sel, WelfareMode.DOUBLE, lik, channel, 0.228)
 
     def test_posteriors_bayes_could_merge(self):
         # Signals 0 and 1 of pi give the same posterior; pi' is uninformative.

@@ -74,6 +74,16 @@ class TestAuditCommand:
         assert run(["audit", "--states", "2", "--rule", "bayes", "--prior", "[0.9,0.2]"]) == EXIT_CONFIG
         assert run(["audit", "--states", "3", "--rule", "bayes", "--prior", "[1.0,0.0,0.0]"]) == EXIT_CONFIG
 
+    def test_reference_example_on_wrong_state_count(self, tmp_path, capsys):
+        for states, rule in (("4", "occ-stubborn-a"), ("2", "occ-stubborn-b")):
+            capsys.readouterr()
+            assert run(["audit", "--states", states, "--rule", rule, "--grid", "11", "--budget", "1"]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert "rule is for 3 states" in captured.err
+            assert "Traceback" not in captured.out + captured.err
+        out = tmp_path / "r.json"
+        assert run(["audit", "--states", "3", "--rule", "occ-stubborn-b", "--grid", "11", "--budget", "1", "--out", str(out)]) == EXIT_OK
+
     def test_byte_identical_reruns(self, tmp_path):
         args = [
             "audit", "--states", "2", "--prior", "uniform", "--rule", "shrinkage(0.5)",
@@ -194,14 +204,21 @@ class TestVerifyCommand:
         assert "must be finite" in captured.err
         assert "Traceback" not in captured.out + captured.err
 
-    @pytest.mark.parametrize("field", ["gap", "alpha"])
-    def test_non_finite_field(self, cert_path, tmp_path, capsys, field):
+    @pytest.mark.parametrize(
+        "field, value",
+        [("gap", float("nan")), ("alpha", float("nan")), ("tie_tol", float("nan")), ("tie_tol", -1.0)],
+        ids=["gap", "alpha", "tie_tol", "negative-tie_tol"],
+    )
+    def test_non_finite_field(self, cert_path, tmp_path, capsys, field, value):
+        # A negative tie_tol would let a gap of 0 verify.
         doc = json.loads(cert_path.read_text())
         if field == "gap":
-            doc["gap"] = float("nan")
+            doc["gap"] = value
+        elif field == "alpha":
+            doc["rule"]["alpha"] = value
         else:
-            doc["rule"]["alpha"] = float("nan")
-        bad = tmp_path / f"nan-{field}.json"
+            doc["selector"]["tie_tol"] = value
+        bad = tmp_path / f"bad-{field}.json"
         bad.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run(["verify", str(bad)]) == EXIT_CONFIG
