@@ -1004,10 +1004,8 @@ def audit(
     mags_all = np.empty(grid.shape[0])
     chunk = 500_000
     for lo in range(0, grid.shape[0], chunk):
-        part = grid[lo : lo + chunk]
-        kinds, imgs, _ = classify_batch(d, mua, part, tol)
-        kinds_all[lo : lo + chunk] = kinds
-        mags_all[lo : lo + chunk] = np.max(np.abs(imgs - part), axis=1)
+        part = slice(lo, lo + chunk)
+        kinds_all[part], mags_all[part] = classify_batch(d, mua, grid[part], tol)
     census = {
         "none": int(np.sum(kinds_all == 0)),
         "expansive": int(np.sum(kinds_all == 1)),

@@ -29,7 +29,7 @@ import numpy as np
 
 from .geometry import Belief, Face, face_samples, uniform_belief
 from .experiments import PriorNotInterior
-from .distortions import CoarseRule, Distortion, parse_rule
+from .distortions import CoarseRule, Distortion, GridMiss, parse_rule
 from .decision import (
     Selector,
     WelfareMode,
@@ -319,7 +319,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return cmd_reproduce(args.example, args.out, args.a, args.b, args.u, args.v)
         if args.command == "verify":
             return cmd_verify(args.certificate)
-    except (ConfigError, PriorNotInterior) as err:
+    except (ConfigError, PriorNotInterior, GridMiss) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_CONFIG

@@ -16,6 +16,7 @@ role of the right endpoint 1.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
@@ -382,7 +383,7 @@ class TabulatedRule(Distortion):
             dist = np.max(np.abs(self.nodes - x), axis=1)
             j = int(np.argmin(dist))
             if dist[j] > self.tol:
-                raise GridMiss(f"query {x} is {dist[j]:.3e} from the nearest node")
+                raise GridMiss(f"tabulated rule queried off its nodes: {x} is {dist[j]:.3e} from the nearest")
             out[r] = self.images[j]
         return out
 
@@ -461,25 +462,32 @@ def classify_error(d: Distortion, mu, x, tol: float = TOL_GEO) -> ErrorClass:
 
 
 def classify_batch(d: Distortion, mu, X, tol: float = TOL_GEO):
-    """Vectorized error census: returns (kinds, images, lambdas).
+    """Vectorized error census: returns (kinds, magnitudes).
 
-    kinds is int8 with 0 = none, 1 = expansive, 2 = contractive.
+    magnitudes is max|image - x| per row; a row errs when it exceeds tol.
+    kinds is int8 with 0 = none, 1 = expansive, 2 = contractive.  Only the
+    erring rows are located against the posterior-prior segment.
     """
     mua = _coerce(mu)
     X = np.asarray(X, dtype=np.float64)
     imgs = evaluate_batch(d, mua, X)
-    err = np.max(np.abs(imgs - X), axis=1) > tol
+    # Row maxima column by column: np.max(axis=1) is several times slower on few columns.
+    mags = functools.reduce(np.maximum, np.abs(imgs - X).T)
+    err = mags > tol
+    rows = slice(None)
+    if not err.all():  # on many rules every row errs, and then a gather only costs time
+        rows = np.flatnonzero(err)
+        X, imgs = X.take(rows, axis=0), imgs.take(rows, axis=0)  # take: far faster than X[rows]
     dx = X - mua
     di = imgs - mua
     denom = np.sum(dx * dx, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         lam = np.where(denom > 0.0, np.sum(di * dx, axis=1) / np.where(denom > 0, denom, 1.0), 0.0)
     lam = np.clip(lam, 0.0, 1.0)
-    resid = np.max(np.abs(lam[:, None] * X + (1.0 - lam[:, None]) * mua - imgs), axis=1)
-    kinds = np.zeros(X.shape[0], dtype=np.int8)
-    kinds[err & (resid <= tol)] = 2
-    kinds[err & (resid > tol)] = 1
-    return kinds, imgs, lam
+    resid = functools.reduce(np.maximum, np.abs(lam[:, None] * X + (1.0 - lam[:, None]) * mua - imgs).T)
+    kinds = np.zeros(mags.shape[0], dtype=np.int8)
+    kinds[rows] = 2 * (resid <= tol) + (resid > tol)  # a NaN residual stays 0
+    return kinds, mags
 
 
 # ---------------------------------------------------------------------------

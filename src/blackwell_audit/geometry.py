@@ -15,7 +15,9 @@ fixed inputs, so every witness produced here is reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -358,45 +360,38 @@ def _max_margin_separation(A: np.ndarray, B: np.ndarray, margin: float) -> Hyper
 def simplex_lattice(n: int, grid_size: int, max_points: int = 2_000_000) -> np.ndarray:
     """Barycentric lattice on the (n-1)-simplex with ``grid_size`` levels per axis.
 
-    Coordinates are multiples of 1/(grid_size - 1).  The resolution is
-    lowered automatically if the lattice would exceed ``max_points`` (only
-    relevant for n >= 5 at fine grids); the result is always deterministic.
+    Coordinates are multiples of 1/(grid_size - 1), one row per point, rows
+    in lexicographic order.  The resolution is halved while the lattice
+    would exceed ``max_points`` (only relevant for n >= 5 at fine grids).
+    The result is cached per resolution and shared by every caller, so it
+    is read-only.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     res = grid_size - 1
-
-    def count(r: int) -> int:
-        from math import comb
-
-        return comb(r + n - 1, n - 1)
-
-    while count(res) > max_points and res > 1:
+    while math.comb(res + n - 1, n - 1) > max_points and res > 1:
         res = max(1, res // 2)
+    return _lattice(n, res)
 
-    if n == 2:
+
+@functools.lru_cache(maxsize=4)  # at least 3: some callers cycle through three shapes
+def _lattice(n: int, res: int) -> np.ndarray:
+    """Stars and bars, one column at a time: a row with r units left spawns
+    r + 1 children taking 0..r of them, so rows come out lexicographic."""
+    if n == 2:  # the second column is 1 - t, not (res - k) / res, in the bytes reports carry
         t = np.arange(res + 1, dtype=np.float64) / res
-        return np.column_stack([t, 1.0 - t])
-
-    if n <= 4:
-        axes = np.meshgrid(*([np.arange(res + 1, dtype=np.int32)] * (n - 1)), indexing="ij")
-        flat = np.column_stack([a.ravel() for a in axes])
-        keep = flat.sum(axis=1) <= res
-        flat = flat[keep]
-        last = res - flat.sum(axis=1)
-        grid = np.column_stack([flat, last]).astype(np.float64) / res
-        return grid
-
-    rows = []
-    for combo in itertools.combinations(range(res + n - 1), n - 1):
-        prev = -1
-        parts = []
-        for c in combo:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(res + n - 2 - prev)
-        rows.append(parts)
-    return np.asarray(rows, dtype=np.float64) / res
+        grid = np.column_stack([t, 1.0 - t])
+    else:
+        cols: list = []
+        left = np.array([res])
+        for _ in range(n - 1):
+            counts = left + 1
+            value = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            cols = [np.repeat(c, counts) for c in cols] + [value]
+            left = np.repeat(left, counts) - value
+        grid = np.column_stack(cols + [left]) / res
+    grid.setflags(write=False)
+    return grid
 
 
 # Low-discrepancy interior sampling used by the structural checkers.  A

@@ -12,6 +12,7 @@ from blackwell_audit.cli import (
     EXIT_VIOLATION,
     main,
 )
+from blackwell_audit.geometry import simplex_lattice
 
 
 def run(argv):
@@ -83,6 +84,19 @@ class TestAuditCommand:
             assert "Traceback" not in captured.out + captured.err
         out = tmp_path / "r.json"
         assert run(["audit", "--states", "3", "--rule", "occ-stubborn-b", "--grid", "11", "--budget", "1", "--out", str(out)]) == EXIT_OK
+
+    def test_tabulated_rule_queried_off_its_nodes(self, tmp_path, capsys):
+        # The checkers sample faces off the 11-level lattice the table covers.
+        nodes = simplex_lattice(3, 11).tolist()
+        rule_file = tmp_path / "tab.json"
+        rule_file.write_text(json.dumps({"family": "tabulated", "nodes": nodes, "images": nodes, "tol": 1e-9}))
+        out = tmp_path / "r.json"
+        code = run(["audit", "--states", "3", "--rule", str(rule_file), "--grid", "11", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "configuration error: tabulated rule queried off its nodes" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         args = [

@@ -16,6 +16,7 @@ from blackwell_audit.distortions import (
     TabulatedRule,
     TrivialRule,
     WrongDimension,
+    classify_batch,
     classify_error,
     evaluate,
     evaluate_batch,
@@ -30,6 +31,7 @@ from blackwell_audit.distortions import (
     stubborn_example_a,
     stubborn_example_b,
 )
+from blackwell_audit.geometry import TOL_GEO, _coerce, simplex_lattice
 from blackwell_audit.experiments import PosteriorDistribution, PriorNotInterior, is_mpc
 from blackwell_audit.decision import (
     DecisionProblem,
@@ -223,6 +225,86 @@ class TestClassifyError:
         err = classify_error(TrivialRule((0.5, 0.5)), MU2, (0.9, 0.1))
         assert err.kind == "contractive"
         assert err.witness_lambda == pytest.approx(0.0, abs=1e-9)
+
+
+def _reference_classify_batch(d, mu, X, tol=TOL_GEO):
+    """The census that located every row against its segment; returns (kinds, images, lambdas)."""
+    mua = _coerce(mu)
+    X = np.asarray(X, dtype=np.float64)
+    imgs = evaluate_batch(d, mua, X)
+    err = np.max(np.abs(imgs - X), axis=1) > tol
+    dx = X - mua
+    di = imgs - mua
+    denom = np.sum(dx * dx, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lam = np.where(denom > 0.0, np.sum(di * dx, axis=1) / np.where(denom > 0, denom, 1.0), 0.0)
+    lam = np.clip(lam, 0.0, 1.0)
+    resid = np.max(np.abs(lam[:, None] * X + (1.0 - lam[:, None]) * mua - imgs), axis=1)
+    kinds = np.zeros(X.shape[0], dtype=np.int8)
+    kinds[err & (resid <= tol)] = 2
+    kinds[err & (resid > tol)] = 1
+    return kinds, imgs, lam
+
+
+class TestClassifyBatch:
+    # (family, n, which lattice rows err): "none", "all" or "some".
+    CASES = [
+        ("bayes", 2, "none"), ("bayes", 3, "none"), ("bayes", 4, "none"),
+        ("shrinkage", 3, "all"), ("shrinkage", 4, "all"), ("trivial", 3, "all"),
+        ("grether", 2, "some"), ("grether", 3, "some"), ("grether", 4, "some"), ("grether", 5, "some"),
+        ("occ-coarse", 2, "some"), ("occ-stubborn", 3, "some"), ("occ-stubborn", 4, "some"),
+    ]
+
+    @staticmethod
+    def _draws(family, n, share, tol, seed, count=3):
+        """``count`` (rule, prior) pairs at Dirichlet(4) priors whose lattice rows err as ``share`` says."""
+        rng = np.random.default_rng(seed)
+        X = simplex_lattice(n, {2: 201, 3: 61, 4: 31, 5: 11}[n])
+        out = []
+        while len(out) < count:
+            d = BayesRule(n) if family == "bayes" else random_rule(family, n, rng)
+            mu = rng.dirichlet(np.ones(n) * 4.0)
+            erring = np.mean(np.max(np.abs(evaluate_batch(d, mu, X) - X), axis=1) > tol)
+            if {"none": erring == 0.0, "all": erring == 1.0, "some": 0.0 < erring < 1.0}[share]:
+                out.append((d, mu, X))
+        return out
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    @pytest.mark.parametrize("family,n,share", CASES)
+    def test_bitwise_equal_to_reference(self, family, n, share, tol):
+        for d, mu, X in self._draws(family, n, share, tol, seed=self.CASES.index((family, n, share))):
+            kinds, mags = classify_batch(d, mu, X, tol)
+            ref_kinds, imgs, _ = _reference_classify_batch(d, mu, X, tol)
+            assert kinds.dtype == np.int8
+            assert kinds.tobytes() == ref_kinds.tobytes()
+            assert mags.tobytes() == np.max(np.abs(imgs - X), axis=1).tobytes()
+
+    def test_residuals_near_tolerance_match_reference(self):
+        # Contractive images pushed off their segment by 0.3 to 3 times tol.
+        tol = 1e-6
+        X = simplex_lattice(3, 21)
+        mu = np.array([0.2, 0.3, 0.5])
+        offsets = np.geomspace(0.3, 3.0, X.shape[0])[:, None] * tol * np.array([0.5, -1.0, 0.5])
+        rule = TabulatedRule(X, 0.6 * X + 0.4 * mu + offsets, tol=1e-12)
+        kinds, mags = classify_batch(rule, mu, X, tol)
+        ref_kinds, imgs, _ = _reference_classify_batch(rule, mu, X, tol)
+        assert kinds.tobytes() == ref_kinds.tobytes()
+        assert mags.tobytes() == np.max(np.abs(imgs - X), axis=1).tobytes()
+        assert np.sum(kinds == 1) > 10 and np.sum(kinds == 2) > 10
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_images_match_reference(self, bad):
+        # An infinite image can leave a NaN residual, which the census counts as no error.
+        X = simplex_lattice(3, 11)
+        images = X.copy()
+        images[::7, 0] = bad
+        images[::5] = 0.5 * images[::5] + 0.5 * np.array([0.2, 0.3, 0.5])
+        rule = TabulatedRule(X, images, tol=1e-12)
+        for mu in ((0.2, 0.3, 0.5), (0.5, 0.3, 0.2)):
+            kinds, mags = classify_batch(rule, mu, X)
+            ref_kinds, imgs, _ = _reference_classify_batch(rule, mu, X)
+            assert kinds.tobytes() == ref_kinds.tobytes()
+            assert mags.tobytes() == np.max(np.abs(imgs - X), axis=1).tobytes()
 
 
 class TestCoarseChecker:

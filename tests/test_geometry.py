@@ -285,6 +285,65 @@ class TestLattice:
         grid = simplex_lattice(5, 201, max_points=50_000)
         assert grid.shape[0] <= 50_000
 
+    @staticmethod
+    def _reference(n, grid_size, max_points=2_000_000):
+        """The meshgrid-and-filter (n <= 4) and combinations (n >= 5) builder."""
+        res = grid_size - 1
+
+        def count(r):
+            from math import comb
+
+            return comb(r + n - 1, n - 1)
+
+        while count(res) > max_points and res > 1:
+            res = max(1, res // 2)
+
+        if n == 2:
+            t = np.arange(res + 1, dtype=np.float64) / res
+            return np.column_stack([t, 1.0 - t])
+
+        if n <= 4:
+            axes = np.meshgrid(*([np.arange(res + 1, dtype=np.int32)] * (n - 1)), indexing="ij")
+            flat = np.column_stack([a.ravel() for a in axes])
+            keep = flat.sum(axis=1) <= res
+            flat = flat[keep]
+            last = res - flat.sum(axis=1)
+            grid = np.column_stack([flat, last]).astype(np.float64) / res
+            return grid
+
+        rows = []
+        for combo in itertools.combinations(range(res + n - 1), n - 1):
+            prev = -1
+            parts = []
+            for c in combo:
+                parts.append(c - prev - 1)
+                prev = c
+            parts.append(res + n - 2 - prev)
+            rows.append(parts)
+        return np.asarray(rows, dtype=np.float64) / res
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_bitwise_equal_to_reference(self, n):
+        # A cap of 500 points halves the resolution at grid 41 for every n >= 3.
+        cases = [(g, 2_000_000) for g in (2, 3, 11, 21)] + [(41, 500)]
+        for grid_size, max_points in cases:
+            grid = simplex_lattice(n, grid_size, max_points=max_points)
+            ref = self._reference(n, grid_size, max_points)
+            assert grid.shape == ref.shape
+            assert grid.tobytes() == ref.tobytes(), (n, grid_size, max_points)
+        if n <= 4:
+            for grid_size in (41, 201):
+                assert simplex_lattice(n, grid_size).tobytes() == self._reference(n, grid_size).tobytes()
+
+    def test_read_only_and_shared(self):
+        grid = simplex_lattice(3, 41)
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.5
+        # Both resolve to resolution 20: the cache is keyed by it, not by the arguments.
+        assert simplex_lattice(3, 21) is simplex_lattice(3, 41, max_points=300)
+        assert simplex_lattice(3, 21).shape[0] == 231
+
 
 class TestFaces:
     def test_enumeration_count(self):
