@@ -39,6 +39,7 @@ certificate is kept only if it passes independent re-verification.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -295,12 +296,25 @@ def _emit(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _tangent_basis(n: int) -> np.ndarray:
-    """Orthonormal basis (rows) of the simplex tangent space {v : sum v = 0}."""
+    """Orthonormal basis (rows) of the simplex tangent space {v : sum v = 0}; cached, read-only."""
     ones = np.ones((1, n)) / np.sqrt(n)
     proj = np.eye(n) - ones.T @ ones
     u, s, _ = np.linalg.svd(proj)
-    return u[:, :-1].T if s[-1] < 0.5 else u.T  # last singular value is 0
+    basis = u[:, :-1].T if s[-1] < 0.5 else u.T  # last singular value is 0
+    basis.setflags(write=False)
+    return basis
+
+
+@functools.lru_cache(maxsize=None)
+def _simplex_vertices(m: int) -> np.ndarray:
+    """m regular-simplex vertices in m - 1 coordinates, centred at 0; cached, read-only."""
+    centered = np.eye(m) - 1.0 / m
+    _, _, vt = np.linalg.svd(centered)
+    flat = centered @ vt[: m - 1].T
+    flat.setflags(write=False)
+    return flat
 
 
 def _spread_directions(u: np.ndarray, n: int, kappa: float = 0.9) -> np.ndarray:
@@ -312,11 +326,7 @@ def _spread_directions(u: np.ndarray, n: int, kappa: float = 0.9) -> np.ndarray:
     perp = basis.T - np.outer(u, coords) / max(float(coords @ coords), 1e-300)
     pu, ps, _ = np.linalg.svd(perp, full_matrices=False)
     P = pu[:, ps > 1e-9].T[: n - 2]  # (n-2, n) orthonormal, perpendicular to u
-    m = n - 1
-    centered = np.eye(m) - 1.0 / m
-    _, _, vt = np.linalg.svd(centered)
-    flat = centered @ vt[: m - 1].T  # m regular-simplex vertices, zero sum
-    return u[None, :] + kappa * (flat @ P)
+    return u[None, :] + kappa * (_simplex_vertices(n - 1) @ P)
 
 
 def _fit_inside(mu: np.ndarray, dirs: np.ndarray, eps: float) -> np.ndarray:
@@ -375,14 +385,12 @@ def _vertex_pulled_scaffold(
     return None
 
 
-def _moved_point(rho: PosteriorDistribution, x0: np.ndarray, gamma: float, target: np.ndarray):
-    """bring_point_in, with the moved point's coordinates returned alongside."""
-    moved = gamma * x0 + (1.0 - gamma) * target
+def _moved(rho: PosteriorDistribution, gamma: float, target: np.ndarray) -> Optional[PosteriorDistribution]:
+    """bring_point_in on support point 0, or None when no weights keep the barycenter."""
     try:
-        rho_new = bring_point_in(rho, 0, gamma, target)
+        return bring_point_in(rho, 0, gamma, target)
     except (InfeasibleWeights, NotAffinelyIndependent, TargetOutsideOppositeHull, ValueError):
-        return None, moved
-    return rho_new, moved
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +408,9 @@ def _audit_expansive(
     tol: float,
     seed: int,
 ) -> Optional[ViolationCertificate]:
+    """Claims 1-3 from the expansive error x0.  Images decide before weights: when
+    x0's image is that of both moved points of a gamma, every branch would skip
+    uncharged, so the weights go unsolved and the outcome is unchanged."""
     img0 = evaluate_batch(d, mu, x0[None, :])[0]
     if np.max(np.abs(x0 - mu)) <= tol:
         return _audit_prior_error(d, mu, budget, sel, mode, tol, seed)
@@ -415,10 +426,13 @@ def _audit_expansive(
         imgs_others = evaluate_batch(d, mu, others)
         target = others.mean(axis=0)
         for gamma in (0.6, 0.35, 0.15):
-            rho_p, x0p = _moved_point(rho, x0, gamma, target)
+            x0p, x0pp = (g * x0 + (1.0 - g) * target for g in (gamma, gamma / 2.0))
+            img0p, img0pp = evaluate_batch(d, mu, np.vstack([x0p, x0pp]))
+            if np.max(np.abs(img0p - img0)) <= tol and np.max(np.abs(img0pp - img0p)) <= tol:
+                continue  # one destination for all three: each branch below would skip uncharged
+            rho_p = _moved(rho, gamma, target)
             if rho_p is None:
                 continue
-            img0p = evaluate_batch(d, mu, x0p[None, :])[0]
 
             if np.max(np.abs(img0p - img0)) > tol:
                 # A shared destination would sit on both sides: skip the cut.
@@ -434,12 +448,11 @@ def _audit_expansive(
                 except NoStrictSeparation:
                     pass
 
-            rho_pp, x0pp = _moved_point(rho, x0, gamma / 2.0, target)
-            if rho_pp is None:
-                continue
-            img0pp = evaluate_batch(d, mu, x0pp[None, :])[0]
             if np.max(np.abs(img0pp - img0p)) <= tol:
                 continue  # same destination: consistent with a collapse rule
+            rho_pp = _moved(rho, gamma / 2.0, target)
+            if rho_pp is None:
+                continue
 
             budget.charge()
             kite = np.vstack([rho_p.support, imgs_others, img0pp[None, :]])
@@ -533,6 +546,9 @@ def _audit_contractive_two_state(
     tol: float,
     seed: int,
 ) -> Optional[ViolationCertificate]:
+    """Lemma 3 from the contractive error x0: its 8 rungs, and each rung's
+    5 sub-rungs, are evaluated in one call each; a rule's map is pure, so
+    the certificate and the budget charged are those of rung-by-rung calls."""
     m = float(mu[0])
     z = float(x0[0])
     direction = 1.0 if z > m else -1.0
@@ -541,13 +557,12 @@ def _audit_contractive_two_state(
     def belief(t: float) -> np.ndarray:
         return np.array([t, 1.0 - t])
 
-    def phi(t: float) -> float:
-        return float(evaluate_batch(d, mu, belief(t)[None, :])[0][0])
+    def phi(t: np.ndarray) -> list:
+        return evaluate_batch(d, mu, np.stack([t, 1.0 - t], axis=1))[:, 0].tolist()
 
-    zhat = phi(z)
-    for k in range(1, 9):
-        zp = zhat + (z - zhat) * k / 9.0
-        zp_hat = phi(zp)
+    (zhat,) = phi(np.array([z]))
+    rungs = zhat + (z - zhat) * np.arange(1, 9) / 9.0
+    for zp, zp_hat in zip(rungs.tolist(), phi(rungs)):
         if direction * (zp_hat - zhat) > tol:
             # A less extreme posterior lands on a more extreme belief.
             cutoff = 0.5 * (zp_hat + zhat)
@@ -563,9 +578,8 @@ def _audit_contractive_two_state(
             if cert is not None:
                 return cert
             continue
-        for j in range(1, 6):
-            zpp = zp_hat + (zp - zp_hat) * j / 6.0
-            zpp_hat = phi(zpp)
+        sub_rungs = zp_hat + (zp - zp_hat) * np.arange(1, 6) / 6.0
+        for zpp, zpp_hat in zip(sub_rungs.tolist(), phi(sub_rungs)):
             if direction * (zp_hat - zpp_hat) <= tol:
                 continue
             # Ternary comparison: {far, zpp, z} against the binary {far, zp}.
@@ -606,6 +620,9 @@ def _audit_contractive_many_states(
     tol: float,
     seed: int,
 ) -> Optional[ViolationCertificate]:
+    """Contagion from the contractive error x0.  A moved point's image is
+    tested against the prior and img0 before its weights are solved: both
+    skips are uncharged, so the outcome is that of solving them first."""
     img0 = evaluate_batch(d, mu, x0[None, :])[0]
     for pull in (0.25, 0.45):
         rho = _vertex_pulled_scaffold(mu, x0, pull)
@@ -614,14 +631,15 @@ def _audit_contractive_many_states(
         for s in range(1, rho.size):
             xs = rho.support[s]
             for frac in (0.8, 0.6):
-                rho_p, x0p = _moved_point(rho, x0, frac, xs)
-                if rho_p is None:
-                    continue
+                x0p = frac * x0 + (1.0 - frac) * xs
                 img0p = evaluate_batch(d, mu, x0p[None, :])[0]
                 if np.max(np.abs(img0p - mu)) <= tol:
                     continue  # edge point mapped to the prior: consistent
                 if np.max(np.abs(img0p - img0)) <= tol:
                     continue  # shared destination would sit on both sides
+                rho_p = _moved(rho, frac, xs)
+                if rho_p is None:
+                    continue
                 budget.charge()
                 try:
                     h = separating_hyperplane_sets(
@@ -990,7 +1008,8 @@ def audit(
     constructive recipes (largest error first), checks erring vertices
     against the collapse-point segment condition, and spends any
     budget on randomized search.  Absence of a certificate is a pass
-    (with structural checker verdicts attached), never an error.
+    (with structural checker verdicts attached), never an error.  An error
+    raised by the rule's map propagates, such as an off-node GridMiss.
     """
     mua = _coerce(mu)
     n = mua.shape[0]

@@ -1,17 +1,31 @@
 """Auditor: recipe constructions, certificates, verification, determinism."""
 
 import json
+from typing import Optional
 
 import numpy as np
 import pytest
 
-from blackwell_audit.geometry import Belief, Hyperplane
+from blackwell_audit import auditor
+from blackwell_audit.geometry import (
+    Belief,
+    Hyperplane,
+    NoStrictSeparation,
+    in_convex_hull,
+    separating_hyperplane,
+    separating_hyperplane_sets,
+    simplex_lattice,
+)
 from blackwell_audit.experiments import (
     BarycenterMismatch,
     Experiment,
     GarblingMatrix,
+    InfeasibleWeights,
+    NotAffinelyIndependent,
     PosteriorDistribution,
+    TargetOutsideOppositeHull,
     bayes,
+    bring_point_in,
     experiment_from_posteriors,
     garble,
 )
@@ -19,26 +33,43 @@ from blackwell_audit.decision import TIE_TOL, Selector, SelectorPolicy, WelfareM
 from blackwell_audit.distortions import (
     BayesRule,
     CoarseRule,
+    Distortion,
     GretherRule,
+    GridMiss,
     ShrinkageRule,
+    TabulatedRule,
     TrivialRule,
+    classify_batch,
+    evaluate_batch,
     random_rule,
     stubborn_example_a,
     stubborn_example_b,
 )
 from blackwell_audit.auditor import (
     GAP_TOL,
+    SEP_MARGIN,
     AuditReport,
     BudgetExhausted,
     ViolationCertificate,
     _Budget,
     _SCREEN_SLACK,
+    _audit_contractive_many_states,
+    _audit_contractive_two_state,
+    _audit_expansive,
+    _audit_prior_error,
     _block_posteriors,
     _block_trial,
     _draw_block,
     _gap_cut,
+    _plausible,
     _random_search,
+    _scaffold,
     _screen,
+    _simplex_vertices,
+    _tangent_basis,
+    _threshold_problem,
+    _try_pair,
+    _vertex_pulled_scaffold,
     audit,
     audit_contractive,
     audit_expansive,
@@ -159,6 +190,12 @@ class TestFullAudit:
         rep = audit(TrivialRule((0.5, 0.2, 0.3)), MU3, grid_size=41, budget=300, seed=1)
         assert rep.verdict == "pass"
         assert rep.checker_verdicts["trivial_on_interior"]
+
+    def test_tabulated_rule_queried_off_its_nodes_raises(self):
+        # Identity on the 11-level lattice; the checkers' face samples fall off its nodes.
+        nodes = simplex_lattice(3, 11)
+        with pytest.raises(GridMiss):
+            audit(TabulatedRule(nodes, nodes, tol=1e-9), MU3, grid_size=11)
 
     def test_misread_prior_is_caught(self):
         # Identity except the prior itself drifts: the two-stage
@@ -452,3 +489,328 @@ class TestRandomSearchScreen:
         assert self._flagged(BayesRule(2), Selector(), WelfareMode.DOUBLE, lik, channel, 0.3)
         lik[0, :2] = (0.25, 0.35)
         assert not self._flagged(BayesRule(2), Selector(), WelfareMode.DOUBLE, lik, channel, 0.3)
+
+
+# The recipes as they were when every moved point's weights were solved
+# before its image was looked at; kept verbatim as the reference order.
+
+
+def _moved_point(rho: PosteriorDistribution, x0: np.ndarray, gamma: float, target: np.ndarray):
+    """bring_point_in, with the moved point's coordinates returned alongside."""
+    moved = gamma * x0 + (1.0 - gamma) * target
+    try:
+        rho_new = bring_point_in(rho, 0, gamma, target)
+    except (InfeasibleWeights, NotAffinelyIndependent, TargetOutsideOppositeHull, ValueError):
+        return None, moved
+    return rho_new, moved
+
+
+def _weights_first_expansive(
+    d: Distortion,
+    mu: np.ndarray,
+    x0: np.ndarray,
+    budget: _Budget,
+    sel: Selector,
+    mode: WelfareMode,
+    tol: float,
+    seed: int,
+) -> Optional[ViolationCertificate]:
+    img0 = evaluate_batch(d, mu, x0[None, :])[0]
+    if np.max(np.abs(x0 - mu)) <= tol:
+        return _audit_prior_error(d, mu, budget, sel, mode, tol, seed)
+
+    eps0 = 0.05 * np.sqrt(2.0)  # nearness in simplex-diameter units
+    for eps in (eps0, eps0 / 2.0, eps0 / 4.0):
+        rho = _scaffold(mu, x0, eps)
+        if rho is None:
+            continue
+        others = rho.support[1:]
+        if in_convex_hull(img0, rho.support, tol=1e-7):
+            continue  # image not banished at this scaffold width
+        imgs_others = evaluate_batch(d, mu, others)
+        target = others.mean(axis=0)
+        for gamma in (0.6, 0.35, 0.15):
+            rho_p, x0p = _moved_point(rho, x0, gamma, target)
+            if rho_p is None:
+                continue
+            img0p = evaluate_batch(d, mu, x0p[None, :])[0]
+
+            if np.max(np.abs(img0p - img0)) > tol:
+                # A shared destination would sit on both sides: skip the cut.
+                budget.charge()
+                hull_set = np.vstack([rho.support, imgs_others, img0p[None, :]])
+                try:
+                    h = separating_hyperplane(img0, hull_set, margin=SEP_MARGIN)
+                    cert = _try_pair(
+                        d, mu, sel, mode, rho, rho_p, hyperplane_problem(h), "claim1-hyperplane", seed
+                    )
+                    if cert is not None:
+                        return cert
+                except NoStrictSeparation:
+                    pass
+
+            rho_pp, x0pp = _moved_point(rho, x0, gamma / 2.0, target)
+            if rho_pp is None:
+                continue
+            img0pp = evaluate_batch(d, mu, x0pp[None, :])[0]
+            if np.max(np.abs(img0pp - img0p)) <= tol:
+                continue  # same destination: consistent with a collapse rule
+
+            budget.charge()
+            kite = np.vstack([rho_p.support, imgs_others, img0pp[None, :]])
+            try:
+                h = separating_hyperplane(img0p, kite, margin=SEP_MARGIN)
+                cert = _try_pair(
+                    d, mu, sel, mode, rho_p, rho_pp, hyperplane_problem(h), "claim2-separation", seed
+                )
+                if cert is not None:
+                    return cert
+            except NoStrictSeparation:
+                pass
+
+            budget.charge()
+            base = np.vstack([rho_p.support, imgs_others, img0p[None, :]])
+            try:
+                h = separating_hyperplane(img0pp, base, margin=SEP_MARGIN)
+            except NoStrictSeparation:
+                continue
+            # Mixture on {x0, x0pp, others}: collapsing the first two onto
+            # x0p reproduces rho_p, making rho_p its strict contraction.
+            lam = gamma / (2.0 - gamma)  # x0p = lam * x0 + (1 - lam) * x0pp
+            q = float(rho_p.probs[0])
+            mix_support = np.vstack([x0[None, :], x0pp[None, :], rho_p.support[1:]])
+            mix_probs = np.concatenate([[q * lam, q * (1.0 - lam)], rho_p.probs[1:]])
+            try:
+                rho_mix = PosteriorDistribution(mix_support, mix_probs)
+            except ValueError:
+                continue
+            cert = _try_pair(
+                d, mu, sel, mode, rho_mix, rho_p, hyperplane_problem(h), "claim3-mixture", seed
+            )
+            if cert is not None:
+                return cert
+    return None
+
+
+
+def _weights_first_two_state(
+    d: Distortion,
+    mu: np.ndarray,
+    x0: np.ndarray,
+    budget: _Budget,
+    sel: Selector,
+    mode: WelfareMode,
+    tol: float,
+    seed: int,
+) -> Optional[ViolationCertificate]:
+    m = float(mu[0])
+    z = float(x0[0])
+    direction = 1.0 if z > m else -1.0
+    far = 0.0 if direction > 0 else 1.0  # scalar coordinate of the opposite vertex
+
+    def belief(t: float) -> np.ndarray:
+        return np.array([t, 1.0 - t])
+
+    def phi(t: float) -> float:
+        return float(evaluate_batch(d, mu, belief(t)[None, :])[0][0])
+
+    zhat = phi(z)
+    for k in range(1, 9):
+        zp = zhat + (z - zhat) * k / 9.0
+        zp_hat = phi(zp)
+        if direction * (zp_hat - zhat) > tol:
+            # A less extreme posterior lands on a more extreme belief.
+            cutoff = 0.5 * (zp_hat + zhat)
+            rho_hi = _plausible(np.vstack([belief(far), belief(z)]), mu)
+            rho_lo = _plausible(np.vstack([belief(far), belief(zp)]), mu)
+            if rho_hi is None or rho_lo is None:
+                continue
+            budget.charge()
+            cert = _try_pair(
+                d, mu, sel, mode, rho_hi, rho_lo,
+                _threshold_problem(direction, cutoff), "lemma3-threshold", seed,
+            )
+            if cert is not None:
+                return cert
+            continue
+        for j in range(1, 6):
+            zpp = zp_hat + (zp - zp_hat) * j / 6.0
+            zpp_hat = phi(zpp)
+            if direction * (zp_hat - zpp_hat) <= tol:
+                continue
+            # Ternary comparison: {far, zpp, z} against the binary {far, zp}.
+            cutoff = 0.5 * (zp_hat + zpp_hat)
+            rho_lo = _plausible(np.vstack([belief(far), belief(zp)]), mu)
+            if rho_lo is None:
+                continue
+            p = float(rho_lo.probs[1])
+            if abs(z - zpp) < 1e-12:
+                continue
+            q_z = p * (zp - zpp) / (z - zpp)
+            q_zpp = p - q_z
+            if min(q_z, q_zpp) < 1e-9:
+                continue
+            try:
+                rho_hi = PosteriorDistribution(
+                    np.vstack([belief(far), belief(zpp), belief(z)]), [1.0 - p, q_zpp, q_z]
+                )
+            except ValueError:
+                continue
+            budget.charge()
+            cert = _try_pair(
+                d, mu, sel, mode, rho_hi, rho_lo,
+                _threshold_problem(direction, cutoff), "lemma3-ternary", seed,
+            )
+            if cert is not None:
+                return cert
+    return None
+
+
+
+def _weights_first_many_states(
+    d: Distortion,
+    mu: np.ndarray,
+    x0: np.ndarray,
+    budget: _Budget,
+    sel: Selector,
+    mode: WelfareMode,
+    tol: float,
+    seed: int,
+) -> Optional[ViolationCertificate]:
+    img0 = evaluate_batch(d, mu, x0[None, :])[0]
+    for pull in (0.25, 0.45):
+        rho = _vertex_pulled_scaffold(mu, x0, pull)
+        if rho is None:
+            continue
+        for s in range(1, rho.size):
+            xs = rho.support[s]
+            for frac in (0.8, 0.6):
+                rho_p, x0p = _moved_point(rho, x0, frac, xs)
+                if rho_p is None:
+                    continue
+                img0p = evaluate_batch(d, mu, x0p[None, :])[0]
+                if np.max(np.abs(img0p - mu)) <= tol:
+                    continue  # edge point mapped to the prior: consistent
+                if np.max(np.abs(img0p - img0)) <= tol:
+                    continue  # shared destination would sit on both sides
+                budget.charge()
+                try:
+                    h = separating_hyperplane_sets(
+                        [img0p, x0p, x0], [img0, mu], margin=SEP_MARGIN
+                    )
+                except NoStrictSeparation:
+                    continue
+                cert = _try_pair(
+                    d, mu, sel, mode, rho, rho_p, hyperplane_problem(h),
+                    "contagion1-separation", seed,
+                )
+                if cert is not None:
+                    return cert
+    return None
+
+
+class TestImagesBeforeWeights:
+    """The recipes look at a moved point's image before solving its weights.
+
+    Every branch the image check skips ended in an uncharged ``continue``
+    in the weights-first order above, so each recipe must return the same
+    certificate bytes and charge the same budget, or raise the same error.
+    """
+
+    FAMILIES = ("bayes", "tabulated", "grether", "shrinkage", "trivial", "occ-coarse", "occ-stubborn")
+
+    @staticmethod
+    def _rule(family, n, rng):
+        if family == "bayes":
+            return BayesRule(n)
+        if family == "tabulated":
+            # Nearest-node lookup with a sup-norm reach of 1 answers every query.
+            nodes = simplex_lattice(n, 7)
+            inner = random_rule(("grether", "shrinkage", "occ-coarse" if n == 2 else "occ-stubborn")[int(rng.integers(3))], n, rng)
+            return TabulatedRule(nodes, evaluate_batch(inner, np.full(n, 1.0 / n), nodes), tol=1.0)
+        if family in ("occ-coarse", "occ-stubborn"):
+            family = "occ-coarse" if n == 2 else "occ-stubborn"
+        return random_rule(family, n, rng)
+
+    @classmethod
+    def _case(cls, i):
+        rng = np.random.default_rng(7000 + i)
+        family = cls.FAMILIES[i % len(cls.FAMILIES)]
+        n = 2 + (i // len(cls.FAMILIES)) % 3
+        rule = cls._rule(family, n, rng)
+        mu = rng.dirichlet(np.full(n, 4.0))
+        tol = (1e-9, 1e-6)[int(rng.integers(2))]
+        grid = simplex_lattice(n, 21 if n == 2 else 9)
+        kinds, mags = classify_batch(rule, mu, grid, tol)
+        # The largest errors of each kind, as the audit dispatches them, plus two lattice points at random.
+        picks = [idx[np.argsort(-mags[idx], kind="stable")][:2] for idx in (np.flatnonzero(kinds == 1), np.flatnonzero(kinds == 2))]
+        picks.append(rng.choice(grid.shape[0], size=2, replace=False))
+        points = grid[np.concatenate(picks)]
+        mode = (WelfareMode.SINGLE, WelfareMode.DOUBLE)[int(rng.integers(2))]
+        kind = int(rng.integers(3))
+        if kind == 0:
+            sel = Selector()
+        elif kind == 1:
+            sel = Selector(SelectorPolicy.LEX_LAST)
+        else:
+            pin = evaluate_batch(rule, mu, points[:1])[0]
+            sel = Selector(SelectorPolicy.PINNED, pins=((tuple(pin), int(rng.integers(2))),))
+        budget = (1, 4, 50, 50)[int(rng.integers(4))]  # 50 covers every charge a recipe can make; 1 and 4 can run out
+        return rule, mu, points, sel, mode, tol, budget, int(rng.integers(1 << 30))
+
+    @staticmethod
+    def _outcome(recipe, rule, mu, x0, budget, sel, mode, tol, seed):
+        tracker = _Budget(budget)
+        try:
+            cert = recipe(rule, mu, x0, tracker, sel, mode, tol, seed)
+        except Exception as exc:  # the error's type is part of the outcome
+            return type(exc), tracker.used
+        return (cert.dumps() if cert is not None else None), tracker.used
+
+    def test_matches_the_weights_first_order(self, monkeypatch):
+        failed_solves = []
+
+        def counted(*args, **kwargs):
+            try:
+                return bring_point_in(*args, **kwargs)
+            except Exception:
+                failed_solves.append(args)
+                raise
+
+        monkeypatch.setattr(auditor, "bring_point_in", counted)
+        certs, exhausted, families = 0, 0, set()
+        for i in range(84):
+            rule, mu, points, sel, mode, tol, budget, seed = self._case(i)
+            pairs = [(_audit_expansive, _weights_first_expansive)]
+            if mu.shape[0] == 2:
+                pairs.append((_audit_contractive_two_state, _weights_first_two_state))
+            else:
+                pairs.append((_audit_contractive_many_states, _weights_first_many_states))
+            for x0 in points:
+                for recipe, reference in pairs:
+                    got = self._outcome(recipe, rule, mu, x0, budget, sel, mode, tol, seed)
+                    want = self._outcome(reference, rule, mu, x0, budget, sel, mode, tol, seed)
+                    assert got == want, (i, rule.family, mu.shape[0], recipe.__name__, x0.tolist())
+                    certs += isinstance(want[0], str)
+                    exhausted += want[0] is BudgetExhausted
+                    families.add((rule.family, mu.shape[0]))
+        # The mix reaches certificates, spent budgets, weight solves that
+        # fail after the images differ, and every family at each state count.
+        assert certs >= 50 and exhausted >= 20
+        assert len(failed_solves) >= 20
+        assert len(families) == 5 * 3 + 3, sorted(families)  # occ-coarse at n = 2, occ-stubborn at n = 3 and 4
+
+
+class TestCachedBases:
+    def test_read_only_and_equal_to_a_fresh_computation(self):
+        for n in range(2, 7):
+            ones = np.ones((1, n)) / np.sqrt(n)
+            u, s, _ = np.linalg.svd(np.eye(n) - ones.T @ ones)
+            fresh_basis = u[:, :-1].T if s[-1] < 0.5 else u.T
+            centered = np.eye(n) - 1.0 / n
+            _, _, vt = np.linalg.svd(centered)
+            fresh_vertices = centered @ vt[: n - 1].T
+            for cached, fresh in ((_tangent_basis(n), fresh_basis), (_simplex_vertices(n), fresh_vertices)):
+                assert cached is not None and cached.tobytes() == fresh.tobytes() and cached.shape == fresh.shape
+                with pytest.raises(ValueError):
+                    cached[0, 0] = 1.0
