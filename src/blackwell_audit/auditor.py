@@ -43,7 +43,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -353,18 +353,23 @@ def _plausible(support: np.ndarray, mu: np.ndarray) -> Optional[PosteriorDistrib
         return None
 
 
-def _scaffold(mu: np.ndarray, x0: np.ndarray, eps: float) -> Optional[PosteriorDistribution]:
-    """Distribution on {x0} + (n-1) points near the prior, mean = prior."""
+def _scaffolds(mu: np.ndarray, x0: np.ndarray) -> Iterator[PosteriorDistribution]:
+    """Distributions on {x0} + (n-1) points near the prior, mean = prior, at three
+    widths from the widest; a width with no such distribution is skipped."""
     u = mu - x0
     nrm = float(np.linalg.norm(u))
     if nrm < 1e-9:
-        return None
-    dirs = _spread_directions(u / nrm, mu.shape[0])
-    try:
-        pts = _fit_inside(mu, dirs, eps)
-    except InfeasibleWeights:
-        return None
-    return _plausible(np.vstack([x0[None, :], pts]), mu)
+        return
+    dirs = _spread_directions(u / nrm, mu.shape[0])  # the same at every width
+    eps0 = 0.05 * np.sqrt(2.0)  # nearness in simplex-diameter units
+    for eps in (eps0, eps0 / 2.0, eps0 / 4.0):
+        try:
+            pts = _fit_inside(mu, dirs, eps)
+        except InfeasibleWeights:
+            continue
+        rho = _plausible(np.vstack([x0[None, :], pts]), mu)
+        if rho is not None:
+            yield rho
 
 
 def _vertex_pulled_scaffold(
@@ -415,11 +420,7 @@ def _audit_expansive(
     if np.max(np.abs(x0 - mu)) <= tol:
         return _audit_prior_error(d, mu, budget, sel, mode, tol, seed)
 
-    eps0 = 0.05 * np.sqrt(2.0)  # nearness in simplex-diameter units
-    for eps in (eps0, eps0 / 2.0, eps0 / 4.0):
-        rho = _scaffold(mu, x0, eps)
-        if rho is None:
-            continue
+    for rho in _scaffolds(mu, x0):
         others = rho.support[1:]
         if in_convex_hull(img0, rho.support, tol=1e-7):
             continue  # image not banished at this scaffold width

@@ -9,8 +9,9 @@ index is privileged.
 Hull membership is decided by barycentric coordinates when the hull
 points are affinely independent and those coordinates settle the
 question; otherwise it, like strict separation, reduces to a small linear
-program solved with scipy's HiGHS backend, which is deterministic for
-fixed inputs, so every witness produced here is reproducible.
+program.  Every LP goes through :func:`solve_lp`, which hands HiGHS what
+``linprog(method="highs")`` would, so its optima are linprog's, bit for bit;
+HiGHS is deterministic for fixed inputs, so every witness is reproducible.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+# The private HiGHS binding under linprog, given linprog's options (_HIGHS_OPTIONS).  TestSolveLP
+# in tests/test_geometry.py fails for a scipy release that moves it or changes what linprog passes.
+from scipy.optimize._highspy import _core as _highs
 
 # Construction tolerance for probability vectors (sum and negativity).
 TOL_SUM = 1e-12
@@ -33,6 +36,12 @@ TOL_GEO = 1e-9
 # the hull a member.  Barycentric rejection leaves points within this slack
 # of tol to the LP, so both routes return the same verdict.
 _LP_SLACK = 1e-6
+
+_HIGHS_OPTIONS = _highs.HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_HIGHS_OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+_HIGHS_OPTIONS.output_flag = _HIGHS_OPTIONS.log_to_console = False
 
 
 class EmptyInput(ValueError):
@@ -302,11 +311,43 @@ def _min_sup_residual(blocks: Sequence, shape: tuple, what: str) -> float:
         [np.hstack([sign * G, -np.ones((G.shape[0], 1))]) for G, _ in blocks for sign in (+1.0, -1.0)]
     )
     b_ub = np.concatenate([sign * g for _, g in blocks for sign in (+1.0, -1.0)])
-    bounds = [(0.0, 1.0)] * (r * c) + [(0.0, None)]
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.ones(r), bounds=bounds, method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"{what} LP failed: {res.message}")
-    return res.fun
+    ub = np.append(np.ones(r * c), np.inf)
+    return solve_lp(cost, A_ub, b_ub, A_eq, np.ones(r), np.zeros(r * c + 1), ub, what)[1]
+
+
+def solve_lp(c, A_ub, b_ub, A_eq, b_eq, lb, ub, what: str) -> tuple:
+    """min c . x subject to A_ub x <= b_ub, A_eq x = b_eq and lb <= x <= ub.
+
+    Returns ``(x, fun)``, bitwise what ``linprog(method="highs")`` returns.
+    Raises linprog's ValueError on non-finite coefficients, before HiGHS sees
+    them, and RuntimeError naming ``what`` when the solve ends without an
+    optimum or with one that breaks its bounds or rows by more than linprog allows.
+    """
+    for name, arr in (("c", c), ("A_ub", A_ub), ("b_ub", b_ub), ("A_eq", A_eq), ("b_eq", b_eq)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"Invalid input for linprog: {name} must not contain values inf, nan, or None")
+    m, inf = len(b_ub), _highs.kHighsInf
+    At = np.vstack([A_ub, A_eq]).T  # rows A_ub then A_eq; column-major nonzeros, as csc_array keeps
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+    lp.num_row_ = lp.a_matrix_.num_row_ = m + len(b_eq)
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.append(0, np.cumsum(np.count_nonzero(At, axis=1)))
+    lp.a_matrix_.index_, lp.a_matrix_.value_ = np.nonzero(At)[1], At[At != 0.0]
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, np.clip(lb, -inf, inf), np.clip(ub, -inf, inf)
+    lp.row_lower_, lp.row_upper_ = np.append(np.full(m, -inf), b_eq), np.append(b_ub, b_eq)
+    highs = _highs._Highs()  # fresh per solve: a reused one carries state from solve to solve
+    highs.passOptions(_HIGHS_OPTIONS)
+    ran = highs.passModel(lp) != _highs.HighsStatus.kError and highs.run() != _highs.HighsStatus.kError
+    if not ran or highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"{what} LP failed: {highs.modelStatusToString(highs.getModelStatus())}")
+    sol, fun = highs.getSolution(), highs.getInfo().objective_function_value
+    x, rows = np.array(sol.col_value), np.array(sol.row_value)
+    tol = 10.0 * math.sqrt(1e-9)  # linprog's feasibility check, for its tol of 1e-9
+    if math.isnan(fun) or not (np.all(x >= lb - tol) and np.all(x <= ub + tol)
+                               and np.all(b_ub - rows[:m] >= -tol) and np.all(np.abs(b_eq - rows[m:]) <= tol)):
+        raise RuntimeError(f"{what} LP failed: the optimum breaks its constraints by more than {tol:.2e}")
+    return x, fun
 
 
 def separating_hyperplane(p, hull_points: Sequence, margin: float = TOL_GEO) -> Hyperplane:
@@ -342,17 +383,15 @@ def _max_margin_separation(A: np.ndarray, B: np.ndarray, margin: float) -> Hyper
     rows += [np.concatenate([b, [-1.0, 1.0]]) for b in B]
     A_ub = np.asarray(rows)
     b_ub = np.zeros(len(rows))
-    bounds = [(-1.0, 1.0)] * n + [(-2.0, 2.0), (0.0, 4.0)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"separation LP failed: {res.message}")
-    m = float(res.x[-1])
+    lb, ub = np.append(np.full(n, -1.0), [-2.0, 0.0]), np.append(np.ones(n), [2.0, 4.0])
+    x, _ = solve_lp(c, A_ub, b_ub, np.zeros((0, n + 2)), np.zeros(0), lb, ub, "separation")
+    m = float(x[-1])
     if m <= margin:
         raise NoStrictSeparation(
             f"achievable margin {m:.3e} does not exceed required {margin:.3e}"
         )
-    alpha = res.x[:n]
-    beta = float(res.x[n])
+    alpha = x[:n]
+    beta = float(x[n])
     scale = float(np.max(np.abs(alpha)))
     return Hyperplane(alpha / scale, beta / scale)
 

@@ -63,7 +63,7 @@ from blackwell_audit.auditor import (
     _gap_cut,
     _plausible,
     _random_search,
-    _scaffold,
+    _scaffolds,
     _screen,
     _simplex_vertices,
     _tangent_basis,
@@ -519,11 +519,7 @@ def _weights_first_expansive(
     if np.max(np.abs(x0 - mu)) <= tol:
         return _audit_prior_error(d, mu, budget, sel, mode, tol, seed)
 
-    eps0 = 0.05 * np.sqrt(2.0)  # nearness in simplex-diameter units
-    for eps in (eps0, eps0 / 2.0, eps0 / 4.0):
-        rho = _scaffold(mu, x0, eps)
-        if rho is None:
-            continue
+    for rho in _scaffolds(mu, x0):
         others = rho.support[1:]
         if in_convex_hull(img0, rho.support, tol=1e-7):
             continue  # image not banished at this scaffold width

@@ -1,12 +1,28 @@
 """Simplex geometry: segments, rank tests, hull membership, separation."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+import blackwell_audit
+from blackwell_audit import geometry
+from blackwell_audit.experiments import (
+    Experiment,
+    GarblingMatrix,
+    PosteriorDistribution,
+    bayes,
+    blackwell_dominates,
+    garble,
+    is_mpc,
+)
 from blackwell_audit.geometry import (
     Belief,
     DimensionMismatch,
@@ -23,6 +39,7 @@ from blackwell_audit.geometry import (
     separating_hyperplane,
     separating_hyperplane_sets,
     simplex_lattice,
+    solve_lp,
     uniform_belief,
     vertex_belief,
 )
@@ -215,6 +232,189 @@ class TestHullFastPath:
         hull = [(1, 0, 0), (0, 1, 0)]
         with pytest.raises(ValueError, match="b_ub must not contain values inf, nan"):
             in_convex_hull((np.nan, 0.5, 0.5), hull)
+
+
+class TestSolveLP:
+    """solve_lp against scipy's linprog, the reference: bitwise equal optima,
+    and a RuntimeError naming the LP wherever linprog reports a failure."""
+
+    @staticmethod
+    def assert_matches_linprog(c, A_ub, b_ub, A_eq, b_eq, lb, ub) -> int:
+        """Solve one LP both ways and compare; return linprog's status."""
+        ref = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                      bounds=np.column_stack([lb, ub]), method="highs")
+        if ref.status != 0:
+            with pytest.raises(RuntimeError, match="^probe LP failed: "):
+                solve_lp(c, A_ub, b_ub, A_eq, b_eq, lb, ub, "probe")
+            return ref.status
+        x, fun = solve_lp(c, A_ub, b_ub, A_eq, b_eq, lb, ub, "probe")
+        assert x.tobytes() == ref.x.tobytes()
+        assert fun == ref.fun
+        return 0
+
+    @staticmethod
+    def separate(A, B):
+        try:
+            if A.shape[0] == 1:
+                separating_hyperplane(A[0], B)
+            else:
+                separating_hyperplane_sets(A, B)
+        except NoStrictSeparation:
+            pass
+
+    def instances(self, rng):
+        """Seeded calls into every LP builder of the package."""
+        for trial in range(40):
+            n = 2 + trial % 3
+            k = int(rng.integers(1, 5))
+            hull = rng.dirichlet(np.ones(n), size=k)
+            dup = np.vstack([hull, hull[int(rng.integers(k))]])  # a duplicate point
+            mid = np.vstack([hull, hull.mean(axis=0)])  # an affinely dependent point
+            for H in (hull, dup, mid):
+                for p in (rng.dirichlet(np.ones(len(H))) @ H, rng.dirichlet(np.ones(n))):
+                    yield lambda p=p, H=H: _in_hull_lp(p, H, 1e-9)
+                    yield lambda p=p, H=H: self.separate(p[None, :], H)
+            upper = rng.dirichlet(np.ones(n), size=int(rng.integers(2, 4)))
+            yield lambda A=upper, B=hull: self.separate(A, B)
+
+            pi = Experiment(rng.dirichlet(np.ones(int(rng.integers(2, 4))), size=n))
+            m = GarblingMatrix(rng.dirichlet(np.ones(int(rng.integers(1, 4))), size=pi.n_signals))
+            other = Experiment(rng.dirichlet(np.ones(pi.n_signals), size=n))
+            for a, b in ((pi, garble(pi, m)), (garble(pi, m), pi), (pi, other)):
+                yield lambda a=a, b=b: blackwell_dominates(a, b)
+            mu = rng.dirichlet(np.ones(n))
+            rho, rho_g = bayes(mu, pi), bayes(mu, garble(pi, m))
+            yield lambda a=rho_g, b=rho: is_mpc(a, b)
+            yield lambda a=rho, b=rho_g: is_mpc(a, b)
+
+    def test_bitwise_equal_to_linprog_on_every_builder(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append((args[-1], args[:-1]))
+            return solve_lp(*args)
+
+        monkeypatch.setattr(geometry, "solve_lp", spy)
+        for build in self.instances(np.random.default_rng(20261018)):
+            build()
+        monkeypatch.undo()
+        seen = {}
+        for what, args in calls:
+            assert self.assert_matches_linprog(*args) == 0, what
+            seen[what] = seen.get(what, 0) + 1
+        assert set(seen) == {"hull membership", "separation", "garbling", "dilation"}
+        assert min(seen.values()) >= 50, seen
+
+    def test_failures_raise_where_linprog_fails(self):
+        one, no_rows, no_rhs = np.ones((1, 2)), np.zeros((0, 2)), np.zeros(0)
+        free_above = (np.zeros(2), np.full(2, np.inf))
+        # Infeasible: x0 + x1 <= -1 with x >= 0.
+        assert self.assert_matches_linprog(np.ones(2), one, [-1.0], no_rows, no_rhs, *free_above) == 2
+        # Infeasible through the equality rows: x0 + x1 = 3 with x <= 1.
+        assert self.assert_matches_linprog(np.ones(2), no_rows, no_rhs, one, [3.0], np.zeros(2), np.ones(2)) == 2
+        # Unbounded: minimize -x0 with x0 free above.
+        assert self.assert_matches_linprog(np.array([-1.0, 0.0]), -one, [0.0], no_rows, no_rhs, *free_above) in (3, 4)
+        rng = np.random.default_rng(5)
+        statuses = set()
+        for _ in range(60):
+            n = int(rng.integers(2, 5))
+            rows = int(rng.integers(1, 5))
+            lb = np.where(rng.random(n) < 0.3, -np.inf, -1.0)
+            ub = np.where(rng.random(n) < 0.3, np.inf, 1.0)
+            statuses.add(self.assert_matches_linprog(
+                rng.normal(size=n), rng.normal(size=(rows, n)), rng.normal(size=rows),
+                rng.normal(size=(1, n)), rng.normal(size=1), lb, ub,
+            ))
+        assert 0 in statuses and len(statuses) > 1, statuses
+
+    @pytest.mark.parametrize("shift", [1e-3, -1e-3])
+    @pytest.mark.parametrize("field", ["col_value", "row_value"])
+    def test_optimum_off_its_constraints_is_refused(self, monkeypatch, field, shift):
+        """linprog's check after the solve refuses HiGHS's solution moved by
+        ``shift``: off a bound of w = (1, 0) or of the error t, or off its rows."""
+        real = geometry._highs._Highs
+
+        class Moved:
+            def __init__(self):
+                self.highs = real()
+
+            def __getattr__(self, name):
+                return getattr(self.highs, name)
+
+            def getSolution(self):
+                sol = self.highs.getSolution()
+                setattr(sol, field, [v + shift for v in getattr(sol, field)])
+                return sol
+
+        monkeypatch.setattr(geometry._highs, "_Highs", Moved)
+        with pytest.raises(RuntimeError, match="^hull membership LP failed: the optimum breaks"):
+            _in_hull_lp(np.array([1.0, 0.0]), np.eye(2), 1e-9)
+
+    def test_non_finite_input_raises_linprog_error(self):
+        good = (np.ones(2), np.ones((1, 2)), np.ones(1), np.ones((1, 2)), np.ones(1), np.zeros(2), np.ones(2))
+        for slot, name in enumerate(("c", "A_ub", "b_ub", "A_eq", "b_eq")):
+            for bad in (np.nan, np.inf, -np.inf):
+                args = [a.copy() for a in good]
+                args[slot].flat[0] = bad
+                with pytest.raises(ValueError, match=f"{name} must not contain values inf, nan"):
+                    solve_lp(*args, "probe")
+
+
+class TestHostileInput:
+    """NaN and infinite coordinates end in ValueError, never a crashed process.
+
+    The calls run in a child interpreter, so a crash inside the solver fails
+    this test instead of killing the test run."""
+
+    SCRIPT = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from blackwell_audit.geometry import (
+            Belief, in_convex_hull, separating_hyperplane, separating_hyperplane_sets)
+        from blackwell_audit.experiments import PosteriorDistribution, is_mpc
+
+        def hand_built(support, probs, barycenter):
+            # The constructor rejects a non-finite barycenter, so set the fields directly.
+            rho = object.__new__(PosteriorDistribution)
+            for name, value in (("support", np.array(support, dtype=float)),
+                                ("probs", np.array(probs, dtype=float)), ("barycenter", Belief(barycenter))):
+                object.__setattr__(rho, name, value)
+            return rho
+
+        bad = float(sys.argv[1])
+        q = (bad, 0.5, 0.5)
+        vertices = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        centre = (1 / 3, 1 / 3, 1 / 3)
+        spread = PosteriorDistribution(vertices, [1 / 3] * 3)
+        cases = {
+            "in_convex_hull query": lambda: in_convex_hull(q, vertices),
+            "in_convex_hull hull point": lambda: in_convex_hull(centre, [q] + vertices[1:]),
+            "separating_hyperplane point": lambda: separating_hyperplane(q, vertices),
+            "separating_hyperplane hull point": lambda: separating_hyperplane(centre, [q] + vertices[1:]),
+            "separating_hyperplane_sets above": lambda: separating_hyperplane_sets([q, centre], vertices[:2]),
+            "separating_hyperplane_sets below": lambda: separating_hyperplane_sets([centre], [q] + vertices[1:]),
+            "is_mpc contraction": lambda: is_mpc(hand_built([q, centre], [0.5, 0.5], centre), spread),
+            "is_mpc dilation": lambda: is_mpc(spread, hand_built([q, centre], [0.5, 0.5], centre)),
+        }
+        for name, call in cases.items():
+            try:
+                call()
+            except ValueError:
+                print(name, "ValueError")
+            else:
+                print(name, "returned")
+    """)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinates_raise_value_error(self, bad):
+        src = os.path.dirname(os.path.dirname(blackwell_audit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, bad], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 8, done.stdout
+        assert all(line.endswith(" ValueError") for line in lines), done.stdout
 
 
 class TestSeparatingHyperplane:
