@@ -31,10 +31,14 @@ Construction recipes, cheapest first
   are emitted, one at a time and in trial order, so the result is that
   of emitting every trial.
 
-Every candidate pair, from a recipe or from random search, goes through
-one emission step: its gap is computed once by exact expected-welfare
-computation, must lie below -(GAP_TOL + the selector's tie_tol), and the
-certificate is kept only if it passes independent re-verification.
+One search object (``_Search``) holds an audit's fixed inputs and its
+construction budget.  Every recipe cuts through ``_Search.cut`` (charge
+one construction, separate, build the threshold problem), and every
+candidate pair, from a recipe or from random search, goes through one
+emission step, ``_Search.emit``: its gap is computed once by exact
+expected-welfare computation, must lie below -(GAP_TOL + the selector's
+tie_tol), and the certificate is kept only if it passes independent
+re-verification.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ from .geometry import (
     _coerce,
     in_convex_hull,
     on_segment,
-    separating_hyperplane,
     separating_hyperplane_sets,
     simplex_lattice,
 )
@@ -100,23 +103,6 @@ SEP_MARGIN = 1e-7
 
 class BudgetExhausted(RuntimeError):
     """All constructions tried within the allotted budget; no violation found."""
-
-
-class _Budget:
-    """Counts candidate constructions; raises when the allowance runs out."""
-
-    def __init__(self, limit: int) -> None:
-        self.limit = int(limit)
-        self.used = 0
-
-    def charge(self, amount: int = 1) -> None:
-        if self.used + amount > self.limit:
-            raise BudgetExhausted(f"construction budget of {self.limit} exhausted")
-        self.used += amount
-
-    @property
-    def remaining(self) -> int:
-        return self.limit - self.used
 
 
 @dataclass(frozen=True)
@@ -234,61 +220,73 @@ def verify_certificate(c: ViolationCertificate) -> Tuple[bool, Optional[str]]:
     return True, None
 
 
-def _try_pair(
-    d: Distortion,
-    mu: np.ndarray,
-    sel: Selector,
-    mode: WelfareMode,
-    rho_hi: PosteriorDistribution,
-    rho_lo: PosteriorDistribution,
-    problem: DecisionProblem,
-    recipe: str,
-    seed: int,
-) -> Optional[ViolationCertificate]:
-    """Materialize a candidate pair as experiments; keep it only if it verifies."""
-    try:
-        pi = experiment_from_posteriors(rho_hi, mu)
-        pi_p = experiment_from_posteriors(rho_lo, mu)
-    except (BarycenterMismatch, ValueError):
-        return None
-    return _emit(d, mu, sel, mode, pi, pi_p, problem, recipe, seed)
+@dataclass(eq=False)
+class _Search:
+    """One audit's fixed inputs, its construction budget, and the steps every recipe shares.
 
-
-def _emit(
-    d: Distortion,
-    mu: np.ndarray,
-    sel: Selector,
-    mode: WelfareMode,
-    pi: Experiment,
-    pi_p: Experiment,
-    problem: DecisionProblem,
-    recipe: str,
-    seed: int,
-) -> Optional[ViolationCertificate]:
-    """Score a candidate pair once; the certificate if its gap clears the cut and it verifies.
-
-    Every recipe and random search emit through here.  A rule's error
-    propagates; each caller decides whether it skips the candidate.
+    One budget unit buys one recipe ``cut``, one lemma-3 pair or one
+    random-search trial; ``charge`` raises BudgetExhausted past ``limit``.
     """
-    gap = expected_payoff(problem, d, mu, sel, mode, bayes(mu, pi)) - expected_payoff(
-        problem, d, mu, sel, mode, bayes(mu, pi_p)
-    )
-    if not gap < _gap_cut(sel):
-        return None
-    cert = ViolationCertificate(
-        prior=Belief(mu),
-        rule=d,
-        pi=pi,
-        pi_prime=pi_p,
-        problem=problem,
-        selector=sel,
-        mode=mode,
-        gap=float(gap),
-        recipe=recipe,
-        seed=seed,
-    )
-    ok, _ = verify_certificate(cert)
-    return cert if ok else None
+
+    d: Distortion
+    mu: np.ndarray
+    sel: Selector
+    mode: WelfareMode
+    tol: float
+    seed: int
+    limit: int
+    used: int = 0
+
+    def charge(self, amount: int = 1) -> None:
+        if self.used + amount > self.limit:
+            raise BudgetExhausted(f"construction budget of {self.limit} exhausted")
+        self.used += amount
+
+    @property
+    def remaining(self) -> int:
+        return self.limit - self.used
+
+    def cut(self, above, below) -> Optional[DecisionProblem]:
+        """Charge one construction; the threshold problem of a strict cut of hull(above)
+        from hull(below), or None when none clears SEP_MARGIN."""
+        self.charge()
+        try:
+            h = separating_hyperplane_sets(above, below, margin=SEP_MARGIN)
+        except NoStrictSeparation:
+            return None
+        return hyperplane_problem(h)
+
+    def try_pair(
+        self, rho_hi: PosteriorDistribution, rho_lo: PosteriorDistribution, problem: DecisionProblem, recipe: str
+    ) -> Optional[ViolationCertificate]:
+        """Materialize a candidate pair as experiments; keep it only if it verifies."""
+        try:
+            pi = experiment_from_posteriors(rho_hi, self.mu)
+            pi_p = experiment_from_posteriors(rho_lo, self.mu)
+        except (BarycenterMismatch, ValueError):
+            return None
+        return self.emit(pi, pi_p, problem, recipe)
+
+    def emit(
+        self, pi: Experiment, pi_p: Experiment, problem: DecisionProblem, recipe: str
+    ) -> Optional[ViolationCertificate]:
+        """Score a candidate pair once; the certificate if its gap clears the cut and it verifies.
+
+        Every recipe and random search emit through here.  A rule's error
+        propagates; each caller decides whether it skips the candidate.
+        """
+        d, mu, sel, mode = self.d, self.mu, self.sel, self.mode
+        gap = expected_payoff(problem, d, mu, sel, mode, bayes(mu, pi)) - expected_payoff(
+            problem, d, mu, sel, mode, bayes(mu, pi_p)
+        )
+        if not gap < _gap_cut(sel):
+            return None
+        cert = ViolationCertificate(
+            prior=Belief(mu), rule=d, pi=pi, pi_prime=pi_p, problem=problem,
+            selector=sel, mode=mode, gap=float(gap), recipe=recipe, seed=self.seed,
+        )
+        ok, _ = verify_certificate(cert)
+        return cert if ok else None
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +315,11 @@ def _simplex_vertices(m: int) -> np.ndarray:
     return flat
 
 
-def _spread_directions(u: np.ndarray, n: int, kappa: float = 0.9) -> np.ndarray:
+#: How far ``_spread_directions`` fans its directions out around u.
+_SPREAD = 0.9
+
+
+def _spread_directions(u: np.ndarray, n: int) -> np.ndarray:
     """n-1 tangent directions averaging to u, fanned symmetrically around it."""
     if n == 2:
         return u[None, :]
@@ -326,7 +328,7 @@ def _spread_directions(u: np.ndarray, n: int, kappa: float = 0.9) -> np.ndarray:
     perp = basis.T - np.outer(u, coords) / max(float(coords @ coords), 1e-300)
     pu, ps, _ = np.linalg.svd(perp, full_matrices=False)
     P = pu[:, ps > 1e-9].T[: n - 2]  # (n-2, n) orthonormal, perpendicular to u
-    return u[None, :] + kappa * (_simplex_vertices(n - 1) @ P)
+    return u[None, :] + _SPREAD * (_simplex_vertices(n - 1) @ P)
 
 
 def _fit_inside(mu: np.ndarray, dirs: np.ndarray, eps: float) -> np.ndarray:
@@ -403,22 +405,14 @@ def _moved(rho: PosteriorDistribution, gamma: float, target: np.ndarray) -> Opti
 # ---------------------------------------------------------------------------
 
 
-def _audit_expansive(
-    d: Distortion,
-    mu: np.ndarray,
-    x0: np.ndarray,
-    budget: _Budget,
-    sel: Selector,
-    mode: WelfareMode,
-    tol: float,
-    seed: int,
-) -> Optional[ViolationCertificate]:
+def _audit_expansive(search: _Search, x0: np.ndarray) -> Optional[ViolationCertificate]:
     """Claims 1-3 from the expansive error x0.  Images decide before weights: when
     x0's image is that of both moved points of a gamma, every branch would skip
     uncharged, so the weights go unsolved and the outcome is unchanged."""
+    d, mu, tol = search.d, search.mu, search.tol
     img0 = evaluate_batch(d, mu, x0[None, :])[0]
     if np.max(np.abs(x0 - mu)) <= tol:
-        return _audit_prior_error(d, mu, budget, sel, mode, tol, seed)
+        return _audit_prior_error(search)
 
     for rho in _scaffolds(mu, x0):
         others = rho.support[1:]
@@ -437,17 +431,10 @@ def _audit_expansive(
 
             if np.max(np.abs(img0p - img0)) > tol:
                 # A shared destination would sit on both sides: skip the cut.
-                budget.charge()
-                hull_set = np.vstack([rho.support, imgs_others, img0p[None, :]])
-                try:
-                    h = separating_hyperplane(img0, hull_set, margin=SEP_MARGIN)
-                    cert = _try_pair(
-                        d, mu, sel, mode, rho, rho_p, hyperplane_problem(h), "claim1-hyperplane", seed
-                    )
-                    if cert is not None:
-                        return cert
-                except NoStrictSeparation:
-                    pass
+                problem = search.cut([img0], np.vstack([rho.support, imgs_others, img0p[None, :]]))
+                cert = problem and search.try_pair(rho, rho_p, problem, "claim1-hyperplane")
+                if cert is not None:
+                    return cert
 
             if np.max(np.abs(img0pp - img0p)) <= tol:
                 continue  # same destination: consistent with a collapse rule
@@ -455,23 +442,13 @@ def _audit_expansive(
             if rho_pp is None:
                 continue
 
-            budget.charge()
-            kite = np.vstack([rho_p.support, imgs_others, img0pp[None, :]])
-            try:
-                h = separating_hyperplane(img0p, kite, margin=SEP_MARGIN)
-                cert = _try_pair(
-                    d, mu, sel, mode, rho_p, rho_pp, hyperplane_problem(h), "claim2-separation", seed
-                )
-                if cert is not None:
-                    return cert
-            except NoStrictSeparation:
-                pass
+            problem = search.cut([img0p], np.vstack([rho_p.support, imgs_others, img0pp[None, :]]))
+            cert = problem and search.try_pair(rho_p, rho_pp, problem, "claim2-separation")
+            if cert is not None:
+                return cert
 
-            budget.charge()
-            base = np.vstack([rho_p.support, imgs_others, img0p[None, :]])
-            try:
-                h = separating_hyperplane(img0pp, base, margin=SEP_MARGIN)
-            except NoStrictSeparation:
+            problem = search.cut([img0pp], np.vstack([rho_p.support, imgs_others, img0p[None, :]]))
+            if problem is None:
                 continue
             # Mixture on {x0, x0pp, others}: collapsing the first two onto
             # x0p reproduces rho_p, making rho_p its strict contraction.
@@ -483,27 +460,18 @@ def _audit_expansive(
                 rho_mix = PosteriorDistribution(mix_support, mix_probs)
             except ValueError:
                 continue
-            cert = _try_pair(
-                d, mu, sel, mode, rho_mix, rho_p, hyperplane_problem(h), "claim3-mixture", seed
-            )
+            cert = search.try_pair(rho_mix, rho_p, problem, "claim3-mixture")
             if cert is not None:
                 return cert
     return None
 
 
-def _audit_prior_error(
-    d: Distortion,
-    mu: np.ndarray,
-    budget: _Budget,
-    sel: Selector,
-    mode: WelfareMode,
-    tol: float,
-    seed: int,
-) -> Optional[ViolationCertificate]:
+def _audit_prior_error(search: _Search) -> Optional[ViolationCertificate]:
     """The prior itself is misread: two-stage contraction pair around it."""
+    d, mu = search.d, search.mu
     img_mu = evaluate_batch(d, mu, mu[None, :])[0]
     drift = img_mu - mu
-    if np.max(np.abs(drift)) <= tol:
+    if np.max(np.abs(drift)) <= search.tol:
         return None
     basis = _tangent_basis(mu.shape[0])
     # The tangent direction least aligned with the drift keeps the image separable.
@@ -516,14 +484,12 @@ def _audit_prior_error(
     x4 = 0.5 * (x2 + mu)
     pts = np.vstack([x1, x2, x3, x4])
     imgs = evaluate_batch(d, mu, pts)
-    budget.charge()
-    try:
-        h = separating_hyperplane(img_mu, np.vstack([pts[:2], imgs]), margin=SEP_MARGIN)
-    except NoStrictSeparation:
+    problem = search.cut([img_mu], np.vstack([pts[:2], imgs]))
+    if problem is None:
         return None
     rho_hi = PosteriorDistribution(np.vstack([x1, x2, mu]), [0.25, 0.25, 0.5])
     rho_lo = PosteriorDistribution(np.vstack([x3, x4]), [0.5, 0.5])
-    return _try_pair(d, mu, sel, mode, rho_hi, rho_lo, hyperplane_problem(h), "degenerate-prior", seed)
+    return search.try_pair(rho_hi, rho_lo, problem, "degenerate-prior")
 
 
 # ---------------------------------------------------------------------------
@@ -537,19 +503,11 @@ def _threshold_problem(direction: float, cutoff: float) -> DecisionProblem:
     return hyperplane_problem(Hyperplane(normal, direction * cutoff))
 
 
-def _audit_contractive_two_state(
-    d: Distortion,
-    mu: np.ndarray,
-    x0: np.ndarray,
-    budget: _Budget,
-    sel: Selector,
-    mode: WelfareMode,
-    tol: float,
-    seed: int,
-) -> Optional[ViolationCertificate]:
+def _audit_contractive_two_state(search: _Search, x0: np.ndarray) -> Optional[ViolationCertificate]:
     """Lemma 3 from the contractive error x0: its 8 rungs, and each rung's
     5 sub-rungs, are evaluated in one call each; a rule's map is pure, so
     the certificate and the budget charged are those of rung-by-rung calls."""
+    d, mu, tol = search.d, search.mu, search.tol
     m = float(mu[0])
     z = float(x0[0])
     direction = 1.0 if z > m else -1.0
@@ -571,11 +529,8 @@ def _audit_contractive_two_state(
             rho_lo = _plausible(np.vstack([belief(far), belief(zp)]), mu)
             if rho_hi is None or rho_lo is None:
                 continue
-            budget.charge()
-            cert = _try_pair(
-                d, mu, sel, mode, rho_hi, rho_lo,
-                _threshold_problem(direction, cutoff), "lemma3-threshold", seed,
-            )
+            search.charge()
+            cert = search.try_pair(rho_hi, rho_lo, _threshold_problem(direction, cutoff), "lemma3-threshold")
             if cert is not None:
                 return cert
             continue
@@ -601,29 +556,18 @@ def _audit_contractive_two_state(
                 )
             except ValueError:
                 continue
-            budget.charge()
-            cert = _try_pair(
-                d, mu, sel, mode, rho_hi, rho_lo,
-                _threshold_problem(direction, cutoff), "lemma3-ternary", seed,
-            )
+            search.charge()
+            cert = search.try_pair(rho_hi, rho_lo, _threshold_problem(direction, cutoff), "lemma3-ternary")
             if cert is not None:
                 return cert
     return None
 
 
-def _audit_contractive_many_states(
-    d: Distortion,
-    mu: np.ndarray,
-    x0: np.ndarray,
-    budget: _Budget,
-    sel: Selector,
-    mode: WelfareMode,
-    tol: float,
-    seed: int,
-) -> Optional[ViolationCertificate]:
+def _audit_contractive_many_states(search: _Search, x0: np.ndarray) -> Optional[ViolationCertificate]:
     """Contagion from the contractive error x0.  A moved point's image is
     tested against the prior and img0 before its weights are solved: both
     skips are uncharged, so the outcome is that of solving them first."""
+    d, mu, tol = search.d, search.mu, search.tol
     img0 = evaluate_batch(d, mu, x0[None, :])[0]
     for pull in (0.25, 0.45):
         rho = _vertex_pulled_scaffold(mu, x0, pull)
@@ -641,39 +585,28 @@ def _audit_contractive_many_states(
                 rho_p = _moved(rho, frac, xs)
                 if rho_p is None:
                     continue
-                budget.charge()
-                try:
-                    h = separating_hyperplane_sets(
-                        [img0p, x0p, x0], [img0, mu], margin=SEP_MARGIN
-                    )
-                except NoStrictSeparation:
-                    continue
-                cert = _try_pair(
-                    d, mu, sel, mode, rho, rho_p, hyperplane_problem(h),
-                    "contagion1-separation", seed,
-                )
+                problem = search.cut([img0p, x0p, x0], [img0, mu])
+                cert = problem and search.try_pair(rho, rho_p, problem, "contagion1-separation")
                 if cert is not None:
                     return cert
     return None
 
 
-def _audit_contractive(d: Distortion, mu: np.ndarray, x0: np.ndarray, *rest):
-    """The contraction recipes for mu's state count; ``rest`` is (budget, sel, mode, tol, seed)."""
-    recipes = _audit_contractive_two_state if mu.shape[0] == 2 else _audit_contractive_many_states
-    return recipes(d, mu, x0, *rest)
+def _audit_contractive(search: _Search, x0: np.ndarray) -> Optional[ViolationCertificate]:
+    """The contraction recipes for the prior's state count."""
+    recipes = _audit_contractive_two_state if search.mu.shape[0] == 2 else _audit_contractive_many_states
+    return recipes(search, x0)
 
 
 def _audit_one_error(kind: str, d: Distortion, mu, x0, budget: int, sel, mode, tol: float, seed: int):
     """Check that x0 carries a ``kind`` error, then run that kind's recipes under ``budget``."""
-    mua = _coerce(mu)
+    search = _Search(d, _coerce(mu), sel or Selector(), WelfareMode(mode), tol, seed, int(budget))
     x0a = _coerce(x0)
-    sel = sel or Selector()
-    mode = WelfareMode(mode)
-    if classify_error(d, mua, x0a, tol).kind != kind:
+    if classify_error(d, search.mu, x0a, tol).kind != kind:
         raise ValueError(f"x0 must carry an error of kind {kind!r}")
     recipes = _audit_expansive if kind == "expansive" else _audit_contractive
     try:
-        cert = recipes(d, mua, x0a, _Budget(budget), sel, mode, tol, seed)
+        cert = recipes(search, x0a)
     except BudgetExhausted:
         cert = None
     if cert is None:
@@ -742,17 +675,9 @@ class AuditReport:
         }
 
 
-def _vertex_condition_certificate(
-    d: Distortion,
-    mu: np.ndarray,
-    x_star: np.ndarray,
-    budget: _Budget,
-    sel: Selector,
-    mode: WelfareMode,
-    tol: float,
-    seed: int,
-) -> Optional[ViolationCertificate]:
+def _vertex_condition_certificate(search: _Search, x_star: np.ndarray) -> Optional[ViolationCertificate]:
     """Erring vertex whose image leaves the segment toward the collapse point."""
+    d, mu, tol = search.d, search.mu, search.tol
     n = mu.shape[0]
     verts = np.eye(n)
     vert_imgs = evaluate_batch(d, mu, verts)
@@ -763,12 +688,8 @@ def _vertex_condition_certificate(
             continue
         if on_segment(x_star, e, img, tol=max(tol, 1e-9)).on:
             continue
-        budget.charge()
-        try:
-            h = separating_hyperplane(
-                img, np.vstack([e[None, :], x_star[None, :], mu[None, :]]), margin=SEP_MARGIN
-            )
-        except NoStrictSeparation:
+        problem = search.cut([img], np.vstack([e[None, :], x_star[None, :], mu[None, :]]))
+        if problem is None:
             continue
         # Reveal-state-i experiment versus a slightly blurred contraction of it.
         for p in (0.5 * float(mu[i]), 0.25 * float(mu[i])):
@@ -780,10 +701,7 @@ def _vertex_condition_certificate(
             rho_lo = _plausible(np.vstack([z, y]), mu)
             if rho_lo is None:
                 continue
-            cert = _try_pair(
-                d, mu, sel, mode, rho_hi, rho_lo, hyperplane_problem(h),
-                "vertexprop-separation", seed,
-            )
+            cert = search.try_pair(rho_hi, rho_lo, problem, "vertexprop-separation")
             if cert is not None:
                 return cert
     return None
@@ -869,23 +787,18 @@ def _block_posteriors(mu: np.ndarray, block):
     return M, X.transpose(0, 2, 1)
 
 
-def _screen(
-    d: Distortion,
-    mu: np.ndarray,
-    sel: Selector,
-    mode: WelfareMode,
-    block,
-) -> np.ndarray:
+def _screen(search: _Search, block) -> np.ndarray:
     """Flag the trials of a block that may be candidates; one numpy pass.
 
     The posteriors are the certificate's (``_block_posteriors``).  The
-    rest is elementwise across the block, and differs from ``_emit``'s
+    rest is elementwise across the block, and differs from ``_Search.emit``'s
     arithmetic by rounding only, which ``_SCREEN_SLACK`` covers.  A trial
     stays unflagged only when its gap is surely above ``_gap_cut``: not
     near the cut, no act score near the tie threshold (SINGLE mode), no two
     posteriors of one experiment that ``bayes`` could merge, a normal not
     too small to rescale, and a selector without pins.
     """
+    d, mu, sel = search.d, search.mu, search.sel
     _, points, z = block
     size = z.shape[0]
     if sel.pins:
@@ -901,7 +814,7 @@ def _screen(
             normal /= np.where(scale > 0.0, scale, 1.0)[:, None]
             act = (normal - np.sum(normal * points, axis=1, keepdims=True))[:, None, :]
             score = np.sum(imgs * act, axis=2)
-            if mode is WelfareMode.DOUBLE:
+            if search.mode is WelfareMode.DOUBLE:
                 w = np.maximum(score, 0.0)
                 near = np.zeros(size, dtype=bool)
             else:
@@ -934,15 +847,7 @@ def _block_trial(block, t: int):
 
 
 def _search_trial(
-    d: Distortion,
-    mu: np.ndarray,
-    sel: Selector,
-    mode: WelfareMode,
-    seed: int,
-    lik: np.ndarray,
-    channel: np.ndarray,
-    point: np.ndarray,
-    z: np.ndarray,
+    search: _Search, lik: np.ndarray, channel: np.ndarray, point: np.ndarray, z: np.ndarray
 ) -> Optional[ViolationCertificate]:
     """Emit one trial's pair against its threshold problem; None unless it is a verified violation."""
     normal = z - z.mean()
@@ -953,42 +858,39 @@ def _search_trial(
     problem = hyperplane_problem(Hyperplane(normal, float(normal @ point)))
     try:
         pi = Experiment(lik)
-        return _emit(d, mu, sel, mode, pi, garble(pi, GarblingMatrix(channel)), problem, "random-search", seed)
+        return search.emit(pi, garble(pi, GarblingMatrix(channel)), problem, "random-search")
     except (ValueError, BarycenterMismatch):
         return None
 
 
-def _random_search(
-    d: Distortion,
-    mu: np.ndarray,
-    budget: _Budget,
-    sel: Selector,
-    mode: WelfareMode,
-    seed: int,
-) -> Optional[ViolationCertificate]:
+def _random_search(search: _Search) -> Optional[ViolationCertificate]:
     """Randomized fallback: random garbled pairs against threshold problems.
 
-    One trial per budget unit, drawn from a stream seeded by ``seed``.
-    Trials come in blocks (``_draw_block``), and one numpy pass screens a
-    block's gaps conservatively (``_screen``).  Only the flagged trials
-    are emitted one at a time (``_search_trial``, then ``_emit``), in trial
-    order, so the certificate and the budget charged are those of
-    emitting every trial.  A trial whose rule raises ValueError is skipped.
+    One budget unit buys one trial, drawn from a stream seeded by the
+    search's seed.  Trials come in blocks (``_draw_block``), and one numpy
+    pass screens a block's gaps conservatively (``_screen``).  Only the
+    flagged trials are emitted one at a time (``_search_trial``, then
+    ``_Search.emit``), in trial order, so the certificate and the budget
+    charged are those of emitting every trial.  A trial whose rule raises
+    ValueError is skipped.
     """
-    n = mu.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(search.seed)
     size = _BLOCK_FIRST
-    while budget.remaining > 0:
-        size = min(size, budget.remaining)
-        block = _draw_block(rng, n, size)
-        for t in np.flatnonzero(_screen(d, mu, sel, mode, block)):
-            cert = _search_trial(d, mu, sel, mode, seed, *_block_trial(block, int(t)))
+    while search.remaining > 0:
+        size = min(size, search.remaining)
+        block = _draw_block(rng, search.mu.shape[0], size)
+        for t in np.flatnonzero(_screen(search, block)):
+            cert = _search_trial(search, *_block_trial(block, int(t)))
             if cert is not None:
-                budget.charge(int(t) + 1)
+                search.charge(int(t) + 1)
                 return cert
-        budget.charge(size)
+        search.charge(size)
         size = min(2 * size, _BLOCK_MAX)
     return None
+
+
+#: Errors of each kind handed to the constructive recipes, largest first.
+_MAX_DISPATCH = 16
 
 
 def audit(
@@ -1000,15 +902,14 @@ def audit(
     seed: int = 0,
     sel: Optional[Selector] = None,
     tol: float = TOL_GEO,
-    samples_per_face: int = 24,
-    max_dispatch: int = 16,
 ) -> AuditReport:
     """Scan a rule for order violations at one prior.
 
-    Classifies every lattice belief, dispatches detected errors to the
-    constructive recipes (largest error first), checks erring vertices
-    against the collapse-point segment condition, and spends any
-    budget on randomized search.  Absence of a certificate is a pass
+    Classifies every lattice belief, dispatches the ``_MAX_DISPATCH``
+    largest errors of each kind to the constructive recipes, checks
+    erring vertices against the collapse-point segment condition, and
+    spends any budget left on randomized search.  One budget unit buys
+    one recipe cut, one lemma-3 pair or one random-search trial.  Absence of a certificate is a pass
     (with structural checker verdicts attached), never an error.  An error
     raised by the rule's map propagates, such as an off-node GridMiss.
     """
@@ -1039,12 +940,12 @@ def audit(
         ).to_json()
     else:
         checker_verdicts["occasionally_stubborn"] = is_occasionally_stubborn(
-            d, mua, samples_per_face=samples_per_face, tol=max(tol, 1e-9)
+            d, mua, tol=max(tol, 1e-9)
         ).to_json()
     checker_verdicts["trivial_on_interior"] = is_trivial_on_interior(d, mua, tol=max(tol, 1e-9))
     checker_verdicts["affine"] = is_affine(d, mua)
 
-    tracker = _Budget(budget)
+    search = _Search(d, mua, sel, mode, tol, seed, int(budget))
     certificate: Optional[ViolationCertificate] = None
 
     def report(cert: Optional[ViolationCertificate]) -> AuditReport:
@@ -1053,7 +954,7 @@ def audit(
             certificate=cert,
             checker_verdicts=checker_verdicts,
             error_census=census,
-            budget_used=tracker.used,
+            budget_used=search.used,
             grid_points=grid.shape[0],
             states=n,
             prior=Belief(mua),
@@ -1064,7 +965,7 @@ def audit(
     try:
         # A misread prior is the degenerate starting point.
         if classify_error(d, mua, mua, tol).kind != "none":
-            certificate = _audit_prior_error(d, mua, tracker, sel, mode, tol, seed)
+            certificate = _audit_prior_error(search)
             if certificate is not None:
                 return report(certificate)
 
@@ -1072,9 +973,9 @@ def audit(
             idx = np.nonzero(kinds_all == kind_code)[0]
             if idx.size == 0:
                 continue
-            order = idx[np.lexsort((idx, -mags_all[idx]))][:max_dispatch]
+            order = idx[np.lexsort((idx, -mags_all[idx]))][:_MAX_DISPATCH]
             for gi in order:
-                certificate = handler(d, mua, grid[gi], tracker, sel, mode, tol, seed)
+                certificate = handler(search, grid[gi])
                 if certificate is not None:
                     return report(certificate)
 
@@ -1086,11 +987,11 @@ def audit(
         elif checker_verdicts["trivial_on_interior"] and n >= 3:
             star = evaluate_batch(d, mua, mua[None, :])[0]
         if star is not None and n >= 3:
-            certificate = _vertex_condition_certificate(d, mua, star, tracker, sel, mode, tol, seed)
+            certificate = _vertex_condition_certificate(search, star)
             if certificate is not None:
                 return report(certificate)
 
-        certificate = _random_search(d, mua, tracker, sel, mode, seed)
+        certificate = _random_search(search)
     except BudgetExhausted:
         certificate = None
     return report(certificate)

@@ -272,7 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
         "shrinkage(0.5); inline JSON; or a path to a JSON file",
     )
     p_audit.add_argument("--grid", type=int, default=101, help="belief lattice resolution (>= 11)")
-    p_audit.add_argument("--budget", type=int, default=5000, help="construction budget")
+    p_audit.add_argument(
+        "--budget", type=int, default=5000,
+        help="construction budget: one unit per recipe cut, lemma-3 pair or random-search trial",
+    )
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--tol", type=float, default=1e-9, help="error-detection tolerance")
     p_audit.add_argument("--mode", choices=["single", "double"], default="single")
@@ -295,10 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once per process: parse_args keeps no state between calls.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as err:
         return EXIT_CONFIG if err.code not in (0, None) else EXIT_OK
     try:

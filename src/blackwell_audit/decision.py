@@ -26,6 +26,10 @@ from .experiments import BarycenterMismatch, PosteriorDistribution
 
 #: Default slack when collecting the set of optimal actions.
 TIE_TOL = 1e-10
+#: A selector's pin applies to held beliefs within this sup-norm distance.
+PIN_TOL = 1e-9
+#: Rows of beliefs that ``welfare_batch`` sends to the rule per call.
+_WELFARE_CHUNK = 262144
 
 
 class WelfareMode(str, enum.Enum):
@@ -105,13 +109,13 @@ class Selector:
 
     Ties (scores within ``tie_tol`` of the best) break lexicographically,
     or through explicit pins: (belief coordinates, action index) pairs
-    matched within ``pin_tol``, falling back to lex-first.
+    matched within ``PIN_TOL``, falling back to lex-first.  A pin whose
+    action is not one of the problem's is ignored.
     """
 
     policy: SelectorPolicy = SelectorPolicy.LEX_FIRST
     tie_tol: float = TIE_TOL
     pins: tuple = ()
-    pin_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         # A certificate's gap must clear -tie_tol; a negative one would let a gap of 0 pass.
@@ -153,18 +157,7 @@ def value_batch(p: DecisionProblem, X: np.ndarray) -> np.ndarray:
 
 def select_action(p: DecisionProblem, sel: Selector, x_hat) -> int:
     """The selector's choice among actions optimal at the held belief."""
-    xh = _coerce(x_hat)
-    scores = p.payoff @ xh
-    best = float(np.max(scores))
-    ties = np.nonzero(scores >= best - sel.tie_tol)[0]
-    if sel.policy is SelectorPolicy.PINNED:
-        for coords, action in sel.pins:
-            if np.max(np.abs(np.asarray(coords) - xh)) <= sel.pin_tol and action in ties:
-                return int(action)
-        return int(ties[0])
-    if sel.policy is SelectorPolicy.LEX_LAST:
-        return int(ties[-1])
-    return int(ties[0])
+    return int(_select_batch(p, sel, _coerce(x_hat)[None, :])[0])
 
 
 def _select_batch(p: DecisionProblem, sel: Selector, X_hat: np.ndarray) -> np.ndarray:
@@ -179,7 +172,11 @@ def _select_batch(p: DecisionProblem, sel: Selector, X_hat: np.ndarray) -> np.nd
     if sel.policy is SelectorPolicy.PINNED and sel.pins:
         for r in range(X_hat.shape[0]):
             for coords, action in sel.pins:
-                if np.max(np.abs(np.asarray(coords) - X_hat[r])) <= sel.pin_tol and ties[r, action]:
+                if (
+                    0 <= action < p.n_actions
+                    and ties[r, action]
+                    and np.max(np.abs(np.asarray(coords) - X_hat[r])) <= PIN_TOL
+                ):
                     choice[r] = action
                     break
     return choice.astype(np.int64)
@@ -209,19 +206,18 @@ def welfare_batch(
     sel: Selector,
     mode: WelfareMode,
     X,
-    chunk: int = 262144,
 ) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     mode = WelfareMode(mode)
     out = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], chunk):
-        part = X[lo : lo + chunk]
+    for lo in range(0, X.shape[0], _WELFARE_CHUNK):
+        part = X[lo : lo + _WELFARE_CHUNK]
         imgs = evaluate_batch(d, mu, part)
         if mode is WelfareMode.DOUBLE:
-            out[lo : lo + chunk] = value_batch(p, imgs)
+            out[lo : lo + _WELFARE_CHUNK] = value_batch(p, imgs)
         else:
             actions = _select_batch(p, sel, imgs)
-            out[lo : lo + chunk] = np.einsum("ij,ij->i", p.payoff[actions], part)
+            out[lo : lo + _WELFARE_CHUNK] = np.einsum("ij,ij->i", p.payoff[actions], part)
     return out
 
 
@@ -274,7 +270,6 @@ def convexity_violations(
     tol: float = 1e-9,
     seed: int = 0,
     n_pairs: Optional[int] = None,
-    chunk: int = 200_000,
 ) -> list:
     """Sampled convexity check of the welfare profile.
 
@@ -301,17 +296,10 @@ def convexity_violations(
 
     found: list = []
     for lam in MIX_WEIGHTS:
-        mixes = lam * A + (1.0 - lam) * B
-        chord = lam * wA + (1.0 - lam) * wB
-        for lo in range(0, mixes.shape[0], chunk):
-            part = mixes[lo : lo + chunk]
-            lhs = welfare_batch(p, d, mu, sel, mode, part)
-            rhs = chord[lo : lo + chunk]
-            bad = np.nonzero(lhs > rhs + tol)[0]
-            for k in bad:
-                found.append(
-                    ConvexityViolation(A[lo + k].copy(), B[lo + k].copy(), lam, float(lhs[k]), float(rhs[k]))
-                )
+        lhs = welfare_batch(p, d, mu, sel, mode, lam * A + (1.0 - lam) * B)
+        rhs = lam * wA + (1.0 - lam) * wB
+        for k in np.nonzero(lhs > rhs + tol)[0]:
+            found.append(ConvexityViolation(A[k].copy(), B[k].copy(), lam, float(lhs[k]), float(rhs[k])))
     return found
 
 

@@ -271,6 +271,8 @@ def is_mpc(rho_prime: PosteriorDistribution, rho: PosteriorDistribution, tol: fl
     """
     if rho.n_states != rho_prime.n_states:
         raise DimensionMismatch("posterior distributions must share the state space")
+    if not (np.all(np.isfinite(rho.support)) and np.all(np.isfinite(rho_prime.support))):
+        raise ValueError("posterior supports must be finite")
     if np.max(np.abs(rho.barycenter.coords - rho_prime.barycenter.coords)) > max(tol, TOL_BARY):
         raise BarycenterMismatch("mean-preserving comparison requires equal barycenters")
     I, J = rho_prime.size, rho.size

@@ -358,8 +358,7 @@ def separating_hyperplane(p, hull_points: Sequence, margin: float = TOL_GEO) -> 
     boxed to [-1, 1]; the witness is then rescaled so its sup norm is 1.
     Raises NoStrictSeparation when the achievable margin is <= ``margin``.
     """
-    H = dedupe_points(_coerce_many(hull_points), tol=TOL_GEO)
-    return _max_margin_separation(_coerce(p)[None, :], H, margin)
+    return separating_hyperplane_sets([p], hull_points, margin)
 
 
 def separating_hyperplane_sets(above: Sequence, below: Sequence, margin: float = TOL_GEO) -> Hyperplane:
@@ -369,7 +368,8 @@ def separating_hyperplane_sets(above: Sequence, below: Sequence, margin: float =
     several points on the upper side.  Raises NoStrictSeparation when the
     hulls are closer than ``margin``.
     """
-    A = dedupe_points(_coerce_many(above), tol=TOL_GEO)
+    A = _coerce_many(above)
+    A = dedupe_points(A, tol=TOL_GEO) if len(A) > 1 else A  # one point needs no dedupe
     B = dedupe_points(_coerce_many(below), tol=TOL_GEO)
     return _max_margin_separation(A, B, margin)
 

@@ -51,8 +51,8 @@ from blackwell_audit.auditor import (
     AuditReport,
     BudgetExhausted,
     ViolationCertificate,
-    _Budget,
     _SCREEN_SLACK,
+    _Search,
     _audit_contractive_many_states,
     _audit_contractive_two_state,
     _audit_expansive,
@@ -68,7 +68,6 @@ from blackwell_audit.auditor import (
     _simplex_vertices,
     _tangent_basis,
     _threshold_problem,
-    _try_pair,
     _vertex_pulled_scaffold,
     audit,
     audit_contractive,
@@ -234,12 +233,12 @@ class TestFullAudit:
         # The reference trivial-on-edges rule carries vertex images that
         # are more extreme than the collapse point but off its segment;
         # the dedicated vertex construction turns that into a certificate.
-        from blackwell_audit.auditor import _Budget, _vertex_condition_certificate
+        from blackwell_audit.auditor import _Search, _vertex_condition_certificate
 
         rule = stubborn_example_a()
         star = np.array([0.2, 1 / 3, 1 - 0.2 - 1 / 3])
         cert = _vertex_condition_certificate(
-            rule, np.asarray(MU3), star, _Budget(50), Selector(), WelfareMode.SINGLE, 1e-9, 0
+            _Search(rule, np.asarray(MU3), Selector(), WelfareMode.SINGLE, 1e-9, 0, 50), star
         )
         assert cert is not None
         assert cert.recipe == "vertexprop-separation"
@@ -394,9 +393,9 @@ class TestRandomSearchBlocks:
         certs = 0
         for i in range(750):
             rule, mu, sel, mode, budget, seed = self._case(i)
-            want_budget, got_budget = _Budget(budget), _Budget(budget)
+            want_budget, got_budget = (_Search(rule, mu, sel, mode, 1e-9, seed, budget) for _ in range(2))
             want = _reference_random_search(rule, mu, want_budget, sel, mode, seed)
-            got = _random_search(rule, mu, got_budget, sel, mode, seed)
+            got = _random_search(got_budget)
             case = (i, rule.family, mode.value, sel.policy.value, budget)
             assert (got is None) == (want is None), case
             if want is not None:
@@ -442,7 +441,7 @@ class TestRandomSearchScreen:
 
     def _flagged(self, rule, sel, mode, lik, channel, p0):
         block = ([([0], lik[None], channel[None])], np.array([[p0, 1.0 - p0]]), self.Z[None, :])
-        return bool(_screen(rule, self.MU, sel, mode, block)[0])
+        return bool(_screen(_Search(rule, self.MU, sel, mode, 1e-9, 0, 1), block)[0])
 
     def test_act_score_near_tie_threshold(self):
         # Signal 0's posterior x = (7/9, 2/9); pi' is uninformative.
@@ -505,19 +504,11 @@ def _moved_point(rho: PosteriorDistribution, x0: np.ndarray, gamma: float, targe
     return rho_new, moved
 
 
-def _weights_first_expansive(
-    d: Distortion,
-    mu: np.ndarray,
-    x0: np.ndarray,
-    budget: _Budget,
-    sel: Selector,
-    mode: WelfareMode,
-    tol: float,
-    seed: int,
-) -> Optional[ViolationCertificate]:
+def _weights_first_expansive(search: _Search, x0: np.ndarray) -> Optional[ViolationCertificate]:
+    d, mu, tol = search.d, search.mu, search.tol
     img0 = evaluate_batch(d, mu, x0[None, :])[0]
     if np.max(np.abs(x0 - mu)) <= tol:
-        return _audit_prior_error(d, mu, budget, sel, mode, tol, seed)
+        return _audit_prior_error(search)
 
     for rho in _scaffolds(mu, x0):
         others = rho.support[1:]
@@ -533,13 +524,11 @@ def _weights_first_expansive(
 
             if np.max(np.abs(img0p - img0)) > tol:
                 # A shared destination would sit on both sides: skip the cut.
-                budget.charge()
+                search.charge()
                 hull_set = np.vstack([rho.support, imgs_others, img0p[None, :]])
                 try:
                     h = separating_hyperplane(img0, hull_set, margin=SEP_MARGIN)
-                    cert = _try_pair(
-                        d, mu, sel, mode, rho, rho_p, hyperplane_problem(h), "claim1-hyperplane", seed
-                    )
+                    cert = search.try_pair(rho, rho_p, hyperplane_problem(h), "claim1-hyperplane")
                     if cert is not None:
                         return cert
                 except NoStrictSeparation:
@@ -552,19 +541,17 @@ def _weights_first_expansive(
             if np.max(np.abs(img0pp - img0p)) <= tol:
                 continue  # same destination: consistent with a collapse rule
 
-            budget.charge()
+            search.charge()
             kite = np.vstack([rho_p.support, imgs_others, img0pp[None, :]])
             try:
                 h = separating_hyperplane(img0p, kite, margin=SEP_MARGIN)
-                cert = _try_pair(
-                    d, mu, sel, mode, rho_p, rho_pp, hyperplane_problem(h), "claim2-separation", seed
-                )
+                cert = search.try_pair(rho_p, rho_pp, hyperplane_problem(h), "claim2-separation")
                 if cert is not None:
                     return cert
             except NoStrictSeparation:
                 pass
 
-            budget.charge()
+            search.charge()
             base = np.vstack([rho_p.support, imgs_others, img0p[None, :]])
             try:
                 h = separating_hyperplane(img0pp, base, margin=SEP_MARGIN)
@@ -580,25 +567,15 @@ def _weights_first_expansive(
                 rho_mix = PosteriorDistribution(mix_support, mix_probs)
             except ValueError:
                 continue
-            cert = _try_pair(
-                d, mu, sel, mode, rho_mix, rho_p, hyperplane_problem(h), "claim3-mixture", seed
-            )
+            cert = search.try_pair(rho_mix, rho_p, hyperplane_problem(h), "claim3-mixture")
             if cert is not None:
                 return cert
     return None
 
 
 
-def _weights_first_two_state(
-    d: Distortion,
-    mu: np.ndarray,
-    x0: np.ndarray,
-    budget: _Budget,
-    sel: Selector,
-    mode: WelfareMode,
-    tol: float,
-    seed: int,
-) -> Optional[ViolationCertificate]:
+def _weights_first_two_state(search: _Search, x0: np.ndarray) -> Optional[ViolationCertificate]:
+    d, mu, tol = search.d, search.mu, search.tol
     m = float(mu[0])
     z = float(x0[0])
     direction = 1.0 if z > m else -1.0
@@ -621,11 +598,8 @@ def _weights_first_two_state(
             rho_lo = _plausible(np.vstack([belief(far), belief(zp)]), mu)
             if rho_hi is None or rho_lo is None:
                 continue
-            budget.charge()
-            cert = _try_pair(
-                d, mu, sel, mode, rho_hi, rho_lo,
-                _threshold_problem(direction, cutoff), "lemma3-threshold", seed,
-            )
+            search.charge()
+            cert = search.try_pair(rho_hi, rho_lo, _threshold_problem(direction, cutoff), "lemma3-threshold")
             if cert is not None:
                 return cert
             continue
@@ -652,27 +626,16 @@ def _weights_first_two_state(
                 )
             except ValueError:
                 continue
-            budget.charge()
-            cert = _try_pair(
-                d, mu, sel, mode, rho_hi, rho_lo,
-                _threshold_problem(direction, cutoff), "lemma3-ternary", seed,
-            )
+            search.charge()
+            cert = search.try_pair(rho_hi, rho_lo, _threshold_problem(direction, cutoff), "lemma3-ternary")
             if cert is not None:
                 return cert
     return None
 
 
 
-def _weights_first_many_states(
-    d: Distortion,
-    mu: np.ndarray,
-    x0: np.ndarray,
-    budget: _Budget,
-    sel: Selector,
-    mode: WelfareMode,
-    tol: float,
-    seed: int,
-) -> Optional[ViolationCertificate]:
+def _weights_first_many_states(search: _Search, x0: np.ndarray) -> Optional[ViolationCertificate]:
+    d, mu, tol = search.d, search.mu, search.tol
     img0 = evaluate_batch(d, mu, x0[None, :])[0]
     for pull in (0.25, 0.45):
         rho = _vertex_pulled_scaffold(mu, x0, pull)
@@ -689,17 +652,14 @@ def _weights_first_many_states(
                     continue  # edge point mapped to the prior: consistent
                 if np.max(np.abs(img0p - img0)) <= tol:
                     continue  # shared destination would sit on both sides
-                budget.charge()
+                search.charge()
                 try:
                     h = separating_hyperplane_sets(
                         [img0p, x0p, x0], [img0, mu], margin=SEP_MARGIN
                     )
                 except NoStrictSeparation:
                     continue
-                cert = _try_pair(
-                    d, mu, sel, mode, rho, rho_p, hyperplane_problem(h),
-                    "contagion1-separation", seed,
-                )
+                cert = search.try_pair(rho, rho_p, hyperplane_problem(h), "contagion1-separation")
                 if cert is not None:
                     return cert
     return None
@@ -756,9 +716,9 @@ class TestImagesBeforeWeights:
 
     @staticmethod
     def _outcome(recipe, rule, mu, x0, budget, sel, mode, tol, seed):
-        tracker = _Budget(budget)
+        tracker = _Search(rule, mu, sel, mode, tol, seed, budget)
         try:
-            cert = recipe(rule, mu, x0, tracker, sel, mode, tol, seed)
+            cert = recipe(tracker, x0)
         except Exception as exc:  # the error's type is part of the outcome
             return type(exc), tracker.used
         return (cert.dumps() if cert is not None else None), tracker.used

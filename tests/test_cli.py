@@ -1,10 +1,18 @@
 """Command-line interface: exit codes, report files, reproductions."""
 
+import functools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blackwell_audit.auditor import audit_expansive
+from blackwell_audit.decision import Selector, SelectorPolicy
+from blackwell_audit.distortions import GretherRule
 from blackwell_audit.cli import (
     EXIT_CONFIG,
     EXIT_INVALID_CERT,
@@ -111,6 +119,16 @@ class TestAuditCommand:
         c1 = tmp_path / "a.certificate.json"
         c2 = tmp_path / "b.certificate.json"
         assert c1.read_bytes() == c2.read_bytes()
+
+
+    def test_flags_do_not_carry_over_between_calls(self, tmp_path):
+        # One process, one parser: a flag given to one call must not stick to the next.
+        args = ["audit", "--states", "2", "--rule", "grether(2,1)", "--grid", "51", "--budget", "200"]
+        assert run(args + ["--mode", "double", "--out", str(tmp_path / "a.json")]) in (EXIT_OK, EXIT_VIOLATION)
+        assert run(args + ["--out", str(tmp_path / "b.json")]) == EXIT_VIOLATION
+        assert run(["verify", str(tmp_path / "b.certificate.json")]) == EXIT_OK
+        modes = [json.loads((tmp_path / f"{stem}.json").read_text())["config"]["mode"] for stem in "ab"]
+        assert modes == ["double", "single"]
 
 
 class TestReproduceCommand:
@@ -245,3 +263,52 @@ class TestVerifyCommand:
         bad.write_text("{not json")
         assert run(["verify", str(bad)]) == EXIT_CONFIG
         assert run(["verify", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_certificates() -> tuple:
+    """Two verified certificates: two states, lex-first; three states, with a pin."""
+    two = audit_expansive(GretherRule(2.0, 1.0, 2), (0.5, 0.5), (0.7, 0.3), budget=100)
+    pinned = Selector(SelectorPolicy.PINNED, pins=(((0.6, 0.2, 0.2), 1),))
+    three = audit_expansive(GretherRule(2.0, 1.0, 3), (1 / 3, 1 / 3, 1 / 3), (0.6, 0.2, 0.2), budget=100, sel=pinned)
+    return json.dumps(two.to_json()), json.dumps(three.to_json())
+
+
+def _paths(doc, prefix=()):
+    """Every path into a JSON document, the root included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestVerifyFuzz:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_any_document_ends_in_a_documented_exit_code(self, data):
+        # Random JSON (a mutation at the root) and single-field mutations of valid certificates.
+        doc = json.loads(data.draw(st.sampled_from(_valid_certificates())))
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        if path:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(JSON_VALUES)
+        else:
+            doc = data.draw(JSON_VALUES)
+        if data.draw(st.booleans()):
+            doc = {"verdict": "violation", "certificate": doc}  # the report form verify also reads
+        with tempfile.TemporaryDirectory() as tmp:
+            target = Path(tmp) / "certificate.json"
+            target.write_text(json.dumps(doc))
+            assert main(["verify", str(target)]) in (EXIT_OK, EXIT_CONFIG, EXIT_INVALID_CERT)

@@ -8,6 +8,7 @@ from blackwell_audit.decision import (
     Selector,
     SelectorPolicy,
     WelfareMode,
+    _select_batch,
     convexity_violations,
     expected_payoff,
     quadratic_loss_problem,
@@ -58,6 +59,27 @@ class TestValueFunction:
         pinned = Selector(SelectorPolicy.PINNED, pins=(((0.5, 0.5), 1),))
         assert select_action(p, pinned, (0.5, 0.5)) == 1
         assert select_action(p, pinned, (0.9, 0.1)) == 1  # unique optimum anyway
+
+    @pytest.mark.parametrize("action", [5, -1])
+    def test_pin_naming_no_action_is_ignored(self, action):
+        p = DecisionProblem([[0.0, 0.0], [0.5, -0.5]])
+        pinned = Selector(SelectorPolicy.PINNED, pins=(((0.5, 0.5), action),))
+        assert select_action(p, pinned, (0.5, 0.5)) == 0  # lex-first, as without the pin
+        X = np.array([[0.5, 0.5], [0.9, 0.1]])
+        assert _select_batch(p, pinned, X).tolist() == _select_batch(p, Selector(), X).tolist() == [0, 1]
+
+    @pytest.mark.parametrize(
+        "sel",
+        [
+            Selector(),
+            Selector(SelectorPolicy.LEX_LAST, tie_tol=0.05),
+            Selector(SelectorPolicy.PINNED),
+            Selector(SelectorPolicy.PINNED, tie_tol=1e-6, pins=(((0.5, 0.5), 1), ((0.25, 0.75), 0))),
+        ],
+        ids=["lex-first", "lex-last", "pinned-no-pins", "pinned"],
+    )
+    def test_selector_json_round_trip(self, sel):
+        assert Selector.from_json(sel.to_json()) == sel
 
 
 class TestWelfare:

@@ -364,7 +364,8 @@ class TestHostileInput:
     """NaN and infinite coordinates end in ValueError, never a crashed process.
 
     The calls run in a child interpreter, so a crash inside the solver fails
-    this test instead of killing the test run."""
+    this test instead of killing the test run.  The child turns a
+    RuntimeWarning into an error, as the pytest configuration does."""
 
     SCRIPT = textwrap.dedent("""
         import sys
@@ -409,8 +410,8 @@ class TestHostileInput:
     def test_non_finite_coordinates_raise_value_error(self, bad):
         src = os.path.dirname(os.path.dirname(blackwell_audit.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-c", self.SCRIPT, bad], capture_output=True, text=True,
-                              env=env, timeout=120)
+        argv = [sys.executable, "-W", "error::RuntimeWarning", "-c", self.SCRIPT, bad]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
         assert len(lines) == 8, done.stdout
