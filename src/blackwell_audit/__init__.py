@@ -53,6 +53,7 @@ from .distortions import (
     ErrorClass,
     GretherRule,
     GridMiss,
+    NonFiniteImage,
     ShrinkageRule,
     StubbornRule,
     StubbornSpec,

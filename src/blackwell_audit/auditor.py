@@ -467,7 +467,7 @@ def _audit_expansive(search: _Search, x0: np.ndarray) -> Optional[ViolationCerti
 
 
 def _audit_prior_error(search: _Search) -> Optional[ViolationCertificate]:
-    """The prior itself is misread: two-stage contraction pair around it."""
+    """The prior itself is misread: two-stage contraction pair around it; None when it is read right."""
     d, mu = search.d, search.mu
     img_mu = evaluate_batch(d, mu, mu[None, :])[0]
     drift = img_mu - mu
@@ -808,7 +808,7 @@ def _screen(search: _Search, block) -> np.ndarray:
     try:
         with np.errstate(all="ignore"):
             imgs = np.zeros_like(X)
-            imgs[keep] = d.apply_batch(mu, X[keep])
+            imgs[keep] = evaluate_batch(d, mu, X[keep])
             normal = z - z.mean(axis=1, keepdims=True)
             scale = np.max(np.abs(normal), axis=1)
             normal /= np.where(scale > 0.0, scale, 1.0)[:, None]
@@ -911,7 +911,8 @@ def audit(
     spends any budget left on randomized search.  One budget unit buys
     one recipe cut, one lemma-3 pair or one random-search trial.  Absence of a certificate is a pass
     (with structural checker verdicts attached), never an error.  An error
-    raised by the rule's map propagates, such as an off-node GridMiss.
+    of the rule's evaluation propagates, such as NonFiniteImage or an
+    off-node GridMiss.
     """
     mua = _coerce(mu)
     n = mua.shape[0]
@@ -964,10 +965,9 @@ def audit(
 
     try:
         # A misread prior is the degenerate starting point.
-        if classify_error(d, mua, mua, tol).kind != "none":
-            certificate = _audit_prior_error(search)
-            if certificate is not None:
-                return report(certificate)
+        certificate = _audit_prior_error(search)
+        if certificate is not None:
+            return report(certificate)
 
         for kind_code, handler in ((1, _audit_expansive), (2, _audit_contractive)):
             idx = np.nonzero(kinds_all == kind_code)[0]

@@ -4,8 +4,9 @@ Subcommands
 -----------
 audit       Run the violation search for a rule at one or more priors and
             write a JSON report (exit 0 = pass, 3 = violation found,
-            2 = bad configuration).  A found certificate is also written
-            next to the report as ``<stem>.certificate.json``.
+            2 = bad configuration, a malformed rule table, or a rule whose
+            map returns non-finite images).  A found certificate is also
+            written next to the report as ``<stem>.certificate.json``.
 reproduce   Emit the reference data sets as plot-ready CSV files.
 verify      Re-check a certificate file (exit 0 = valid, 4 = invalid,
             2 = unreadable).
@@ -21,7 +22,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .geometry import Belief, Face, face_samples, uniform_belief
 from .experiments import PriorNotInterior
-from .distortions import CoarseRule, Distortion, GridMiss, parse_rule
+from .distortions import CoarseRule, Distortion, GridMiss, NonFiniteImage, evaluate_batch, parse_rule
 from .decision import (
     Selector,
     WelfareMode,
@@ -49,81 +49,51 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Validated audit configuration (mirrors the CLI flags)."""
+#: The audit flags a report's "config" records.
+_CONFIG_KEYS = ("states", "prior", "rule", "grid", "budget", "seed", "tol", "mode")
 
-    states: int
-    prior: str
-    rule: str
-    grid: int = 101
-    budget: int = 5000
-    seed: int = 0
-    tol: float = 1e-9
-    mode: str = "single"
-    out: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.states < 2:
-            raise ConfigError("--states must be at least 2")
-        if self.grid < 11:
-            raise ConfigError("--grid must be at least 11")
-        if self.budget < 1:
-            raise ConfigError("--budget must be positive")
-        if self.mode not in ("single", "double"):
-            raise ConfigError("--mode must be 'single' or 'double'")
+def _resolve_rule(args: argparse.Namespace) -> Distortion:
+    text = args.rule.strip()
+    if not text.startswith("{") and Path(text).is_file():
+        text = Path(text).read_text()
+    try:
+        rule = parse_rule(text, n=args.states)
+    except Exception as err:
+        raise ConfigError(f"cannot parse rule: {err}") from err
+    if rule.n != args.states:
+        raise ConfigError(f"rule is for {rule.n} states, config says {args.states}")
+    return rule
 
-    def resolve_rule(self) -> Distortion:
-        text = self.rule.strip()
-        if not text.startswith("{") and Path(text).is_file():
-            text = Path(text).read_text()
+
+def _resolve_priors(args: argparse.Namespace) -> List[Belief]:
+    spec = args.prior.strip()
+    n = args.states
+    if spec == "uniform":
+        return [uniform_belief(n)]
+    if spec.startswith("sweep:"):
         try:
-            rule = parse_rule(text, n=self.states)
-        except Exception as err:
-            raise ConfigError(f"cannot parse rule: {err}") from err
-        if rule.n != self.states:
-            raise ConfigError(f"rule is for {rule.n} states, config says {self.states}")
-        return rule
-
-    def resolve_priors(self) -> List[Belief]:
-        spec = self.prior.strip()
-        if spec == "uniform":
-            return [uniform_belief(self.states)]
-        if spec.startswith("sweep:"):
-            try:
-                k = int(spec.split(":", 1)[1])
-            except ValueError as err:
-                raise ConfigError("sweep prior must look like sweep:5") from err
-            if k < 1:
-                raise ConfigError("sweep count must be positive")
-            rng = np.random.default_rng(self.seed)
-            out = []
-            for _ in range(k):
-                raw = rng.dirichlet(np.ones(self.states) * 2.0)
-                out.append(Belief(0.8 * raw + 0.2 / self.states))
-            return out
-        try:
-            coords = json.loads(spec)
-            prior = Belief(coords)
-        except Exception as err:
-            raise ConfigError(f"cannot parse prior: {err}") from err
-        if prior.n != self.states:
-            raise ConfigError("prior length must match --states")
-        if not prior.is_interior():
-            raise ConfigError("prior must have full support")
-        return [prior]
-
-    def to_json(self) -> dict:
-        return {
-            "states": self.states,
-            "prior": self.prior,
-            "rule": self.rule,
-            "grid": self.grid,
-            "budget": self.budget,
-            "seed": self.seed,
-            "tol": self.tol,
-            "mode": self.mode,
-        }
+            k = int(spec.split(":", 1)[1])
+        except ValueError as err:
+            raise ConfigError("sweep prior must look like sweep:5") from err
+        if k < 1:
+            raise ConfigError("sweep count must be positive")
+        rng = np.random.default_rng(args.seed)
+        out = []
+        for _ in range(k):
+            raw = rng.dirichlet(np.ones(n) * 2.0)
+            out.append(Belief(0.8 * raw + 0.2 / n))
+        return out
+    try:
+        coords = json.loads(spec)
+        prior = Belief(coords)
+    except Exception as err:
+        raise ConfigError(f"cannot parse prior: {err}") from err
+    if prior.n != n:
+        raise ConfigError("prior length must match --states")
+    if not prior.is_interior():
+        raise ConfigError("prior must have full support")
+    return [prior]
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -143,31 +113,37 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def cmd_audit(cfg: RunConfig) -> int:
-    rule = cfg.resolve_rule()
-    priors = cfg.resolve_priors()
+def cmd_audit(args: argparse.Namespace) -> int:
+    # The bounds argparse's types and choices leave open.
+    if args.states < 2:
+        raise ConfigError("--states must be at least 2")
+    if args.grid < 11:
+        raise ConfigError("--grid must be at least 11")
+    if args.budget < 1:
+        raise ConfigError("--budget must be positive")
+    rule = _resolve_rule(args)
     runs = []
     first_cert: Optional[ViolationCertificate] = None
-    for prior in priors:
+    for prior in _resolve_priors(args):
         rep = audit(
             rule,
             prior,
-            grid_size=cfg.grid,
-            budget=cfg.budget,
-            mode=WelfareMode(cfg.mode),
-            seed=cfg.seed,
-            tol=cfg.tol,
+            grid_size=args.grid,
+            budget=args.budget,
+            mode=WelfareMode(args.mode),
+            seed=args.seed,
+            tol=args.tol,
         )
         runs.append(rep.to_json())
         if rep.certificate is not None and first_cert is None:
             first_cert = rep.certificate
     doc = {
-        "config": cfg.to_json(),
+        "config": {key: getattr(args, key) for key in _CONFIG_KEYS},
         "verdict": "violation" if first_cert else "pass",
         "runs": runs,
     }
-    if cfg.out:
-        out = Path(cfg.out)
+    if args.out:
+        out = Path(args.out)
         _atomic_write(out, _dump(doc))
         if first_cert is not None:
             cert_path = out.with_name(out.stem + ".certificate.json")
@@ -204,27 +180,23 @@ def cmd_reproduce(example_id: str, outdir: str, a: float, b: float, u: float, v:
         _write_csv(out / "occ_coarse_figure.csv", ["x", "phi", "V", "W"], rows)
         print(f"wrote {out / 'occ_coarse_figure.csv'}")
         return EXIT_OK
-    if example_id in ("occ-stubborn-a", "occ-stubborn-b"):
-        rule = parse_rule(example_id)
-        mu = (1 / 3, 1 / 3, 1 / 3)
-        pts = [np.eye(3)[i] for i in range(3)]
-        for face in (Face((0, 1)), Face((0, 2)), Face((1, 2))):
-            pts.extend(face_samples(face, 3, 8))
-        pts.extend(face_samples(Face((0, 1, 2)), 3, 16))
-        from .distortions import evaluate_batch
-
-        X = np.asarray(pts)
-        imgs = evaluate_batch(rule, mu, X)
-        rows = [
-            [float(x[0]), float(x[1]), float(im[0]), float(im[1])]
-            for x, im in zip(X, imgs)
-        ]
-        name = "occ_stubborn_a.csv" if example_id.endswith("a") else "occ_stubborn_b.csv"
-        _write_csv(out / name, ["x1", "x2", "phi1", "phi2"], rows)
-        print(f"wrote {out / name}")
-        return EXIT_OK
-    print(f"unknown example: {example_id}", file=sys.stderr)
-    return EXIT_CONFIG
+    # argparse's choices leave the two stubborn examples.
+    rule = parse_rule(example_id)
+    mu = (1 / 3, 1 / 3, 1 / 3)
+    pts = [np.eye(3)[i] for i in range(3)]
+    for face in (Face((0, 1)), Face((0, 2)), Face((1, 2))):
+        pts.extend(face_samples(face, 3, 8))
+    pts.extend(face_samples(Face((0, 1, 2)), 3, 16))
+    X = np.asarray(pts)
+    imgs = evaluate_batch(rule, mu, X)
+    rows = [
+        [float(x[0]), float(x[1]), float(im[0]), float(im[1])]
+        for x, im in zip(X, imgs)
+    ]
+    name = "occ_stubborn_a.csv" if example_id.endswith("a") else "occ_stubborn_b.csv"
+    _write_csv(out / name, ["x1", "x2", "phi1", "phi2"], rows)
+    print(f"wrote {out / name}")
+    return EXIT_OK
 
 
 def cmd_verify(path: str) -> int:
@@ -309,26 +281,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CONFIG if err.code not in (0, None) else EXIT_OK
     try:
         if args.command == "audit":
-            cfg = RunConfig(
-                states=args.states,
-                prior=args.prior,
-                rule=args.rule,
-                grid=args.grid,
-                budget=args.budget,
-                seed=args.seed,
-                tol=args.tol,
-                mode=args.mode,
-                out=args.out,
-            )
-            return cmd_audit(cfg)
+            return cmd_audit(args)
         if args.command == "reproduce":
             return cmd_reproduce(args.example, args.out, args.a, args.b, args.u, args.v)
-        if args.command == "verify":
-            return cmd_verify(args.certificate)
-    except (ConfigError, PriorNotInterior, GridMiss) as err:
+        return cmd_verify(args.certificate)  # the subparser is required: verify is all that is left
+    except (ConfigError, PriorNotInterior, GridMiss, NonFiniteImage) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

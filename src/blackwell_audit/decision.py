@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Belief, _coerce
+from .geometry import _coerce
 from .distortions import Distortion, evaluate_batch
 from .experiments import BarycenterMismatch, PosteriorDistribution
 
@@ -28,8 +28,6 @@ from .experiments import BarycenterMismatch, PosteriorDistribution
 TIE_TOL = 1e-10
 #: A selector's pin applies to held beliefs within this sup-norm distance.
 PIN_TOL = 1e-9
-#: Rows of beliefs that ``welfare_batch`` sends to the rule per call.
-_WELFARE_CHUNK = 262144
 
 
 class WelfareMode(str, enum.Enum):
@@ -81,19 +79,17 @@ class DecisionProblem:
         return DecisionProblem(doc["payoff"], doc.get("actions"))
 
 
-def quadratic_loss_problem(
-    n_actions: int = 101, offset: float = 0.3, targets: Sequence[float] = (1.0, 0.0)
-) -> DecisionProblem:
-    """Quadratic-loss problem on an action grid of [0, 1].
+def quadratic_loss_problem(n_actions: int = 101) -> DecisionProblem:
+    """Two-state quadratic-loss problem on an action grid of [0, 1].
 
-    u(a, state j) = -(a - target_j)**2 + offset.  With the two-state
-    targets (1, 0) and the scalar convention x = coords[0], the value
-    function is -x(1-x) + offset, attained at a = x (exactly on-grid
-    whenever x is a multiple of the action step).
+    u(a, state j) = -(a - target_j)**2 + 0.3 with targets (1, 0).  In
+    the scalar convention x = coords[0] the value function is
+    -x(1-x) + 0.3, attained at a = x (exactly on-grid whenever x is a
+    multiple of the action step).
     """
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = np.array([1.0, 0.0])
     grid = np.linspace(0.0, 1.0, n_actions)
-    payoff = -((grid[:, None] - targets[None, :]) ** 2) + offset
+    payoff = -((grid[:, None] - targets[None, :]) ** 2) + 0.3
     return DecisionProblem(payoff, [f"{a:g}" for a in grid])
 
 
@@ -143,11 +139,11 @@ class ValueResult(NamedTuple):
     argmax: tuple
 
 
-def value_function(p: DecisionProblem, x, tie_tol: float = TIE_TOL) -> ValueResult:
-    """Best attainable expected payoff at belief x, with the optimal action set."""
+def value_function(p: DecisionProblem, x) -> ValueResult:
+    """Best attainable expected payoff at belief x, with the actions within TIE_TOL of it."""
     scores = p.payoff @ _coerce(x)
     best = float(np.max(scores))
-    argmax = tuple(int(i) for i in np.nonzero(scores >= best - tie_tol)[0])
+    argmax = tuple(int(i) for i in np.nonzero(scores >= best - TIE_TOL)[0])
     return ValueResult(best, argmax)
 
 
@@ -208,17 +204,11 @@ def welfare_batch(
     X,
 ) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    mode = WelfareMode(mode)
-    out = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], _WELFARE_CHUNK):
-        part = X[lo : lo + _WELFARE_CHUNK]
-        imgs = evaluate_batch(d, mu, part)
-        if mode is WelfareMode.DOUBLE:
-            out[lo : lo + _WELFARE_CHUNK] = value_batch(p, imgs)
-        else:
-            actions = _select_batch(p, sel, imgs)
-            out[lo : lo + _WELFARE_CHUNK] = np.einsum("ij,ij->i", p.payoff[actions], part)
-    return out
+    imgs = evaluate_batch(d, mu, X)
+    if WelfareMode(mode) is WelfareMode.DOUBLE:
+        return value_batch(p, imgs)
+    actions = _select_batch(p, sel, imgs)
+    return np.einsum("ij,ij->i", p.payoff[actions], X)
 
 
 def expected_payoff(

@@ -25,6 +25,7 @@ import numpy as np
 
 from .geometry import (
     TOL_GEO,
+    TOL_SUM,
     Belief,
     Face,
     _coerce,
@@ -47,10 +48,8 @@ class GridMiss(ValueError):
     """Tabulated rule queried off its grid."""
 
 
-def _require_interior(mu: np.ndarray) -> np.ndarray:
-    if np.min(mu) <= 0.0:
-        raise PriorNotInterior("rule evaluation requires a full-support prior")
-    return mu
+class NonFiniteImage(ValueError):
+    """A rule's map returned NaN or an infinite coordinate."""
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +64,12 @@ class Distortion:
     family: str
 
     def apply_batch(self, mu: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Images of the rows of X at prior mu; called only through ``evaluate_batch``.
+
+        mu is a float64 prior already found interior, and X a float64
+        array of posteriors, one per row.  The images must be finite:
+        ``evaluate_batch`` raises NonFiniteImage otherwise.
+        """
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -79,8 +84,7 @@ class BayesRule(Distortion):
     family: str = field(default="bayes", init=False)
 
     def apply_batch(self, mu, X):
-        _require_interior(np.asarray(mu, dtype=np.float64))
-        return np.array(X, dtype=np.float64)
+        return X.copy()
 
     def to_json(self):
         return {"family": "bayes", "n": self.n}
@@ -100,8 +104,6 @@ class TrivialRule(Distortion):
         object.__setattr__(self, "n", xs.shape[0])
 
     def apply_batch(self, mu, X):
-        _require_interior(np.asarray(mu, dtype=np.float64))
-        X = np.asarray(X, dtype=np.float64)
         return np.broadcast_to(self.x_star, X.shape).copy()
 
     def to_json(self):
@@ -140,8 +142,6 @@ class CoarseRule(Distortion):
         return out
 
     def apply_batch(self, mu, X):
-        _require_interior(np.asarray(mu, dtype=np.float64))
-        X = np.asarray(X, dtype=np.float64)
         y = self.apply_scalar(X[..., 0])
         return np.stack([y, 1.0 - y], axis=-1)
 
@@ -254,8 +254,7 @@ class StubbornRule(Distortion):
         object.__setattr__(self, "n", spec.n)
 
     def apply_batch(self, mu, X):
-        _require_interior(np.asarray(mu, dtype=np.float64))
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = np.atleast_2d(X)
         spec = self.spec
         n = self.n
         out = np.broadcast_to(spec.x_star, X.shape).copy()
@@ -316,10 +315,10 @@ class GretherRule(Distortion):
             raise ValueError("alpha and beta must be positive and finite")
 
     def apply_batch(self, mu, X):
-        mu = _require_interior(np.asarray(mu, dtype=np.float64))
-        X = np.asarray(X, dtype=np.float64)
-        w = np.power(X / mu, self.alpha) * np.power(mu, self.beta)
-        return w / w.sum(axis=-1, keepdims=True)
+        # Extreme exponents overflow or underflow to a non-finite image, which the gate reports.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            w = np.power(X / mu, self.alpha) * np.power(mu, self.beta)
+            return w / w.sum(axis=-1, keepdims=True)
 
     def to_json(self):
         return {"family": "grether", "alpha": self.alpha, "beta": self.beta, "n": self.n}
@@ -342,8 +341,6 @@ class ShrinkageRule(Distortion):
             raise ValueError("shrinkage weight must lie in [0, 1]")
 
     def apply_batch(self, mu, X):
-        mu = _require_interior(np.asarray(mu, dtype=np.float64))
-        X = np.asarray(X, dtype=np.float64)
         return self.lam * X + (1.0 - self.lam) * mu
 
     def to_json(self):
@@ -352,7 +349,7 @@ class ShrinkageRule(Distortion):
 
 @dataclass(frozen=True, eq=False)
 class TabulatedRule(Distortion):
-    """Rule given by a finite table of (node, image) pairs.
+    """Rule given by a finite table of (node, image) pairs, each a belief.
 
     Lookup is nearest-node within ``tol`` in the sup norm, with no
     interpolation; queries farther than ``tol`` from every node raise
@@ -370,14 +367,20 @@ class TabulatedRule(Distortion):
         im = np.asarray(images, dtype=np.float64)
         if nd.shape != im.shape or nd.ndim != 2:
             raise ValueError("nodes and images must be matching 2-d arrays")
+        for what, rows in (("node", nd), ("image", im)):
+            sums = np.maximum(rows, 0.0).sum(axis=1)
+            # The checks a Belief makes, row by row; NaN and inf fail them.
+            if not (np.all(rows >= -TOL_SUM) and np.all(np.abs(sums - 1.0) <= 1e-9)):
+                raise ValueError(f"every {what} of a tabulated rule must be a finite belief summing to 1")
+        if not 0.0 <= float(tol) < math.inf:
+            raise ValueError(f"tabulated rule tol must be finite and non-negative, got {tol}")
         object.__setattr__(self, "nodes", nd)
         object.__setattr__(self, "images", im)
         object.__setattr__(self, "tol", float(tol))
         object.__setattr__(self, "n", nd.shape[1])
 
     def apply_batch(self, mu, X):
-        _require_interior(np.asarray(mu, dtype=np.float64))
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = np.atleast_2d(X)
         out = np.empty_like(X)
         for r, x in enumerate(X):
             dist = np.max(np.abs(self.nodes - x), axis=1)
@@ -420,13 +423,26 @@ class TabulatedRule(Distortion):
 def evaluate(d: Distortion, mu, x) -> Belief:
     """Apply the rule's distortion map at prior mu to a single posterior."""
     X = _coerce(x)[None, :]
-    out = d.apply_batch(_coerce(mu), X)[0]
+    out = evaluate_batch(d, mu, X)[0]
     # Families built from exact data can drift by float rounding only.
     return Belief(out)
 
 
 def evaluate_batch(d: Distortion, mu, X) -> np.ndarray:
-    return d.apply_batch(_coerce(mu), np.asarray(X, dtype=np.float64))
+    """The rule's images of the rows of X at prior mu: the one gate to ``Distortion.apply_batch``.
+
+    mu and X are coerced to float64 once; a prior off the interior raises
+    PriorNotInterior before the rule runs, and an image holding NaN or an
+    infinite coordinate raises NonFiniteImage, so every caller gets finite
+    images or an error.
+    """
+    mua = _coerce(mu)
+    if np.min(mua) <= 0.0:
+        raise PriorNotInterior("rule evaluation requires a full-support prior")
+    imgs = d.apply_batch(mua, np.asarray(X, dtype=np.float64))
+    if not np.isfinite(imgs).all():
+        raise NonFiniteImage(f"the rule's map returned a non-finite image at prior {mua.tolist()}")
+    return imgs
 
 
 def pushforward(d: Distortion, mu, rho_b: PosteriorDistribution) -> PosteriorDistribution:
@@ -524,13 +540,12 @@ def is_occasionally_coarse(
     """
     if d.n != 2:
         raise WrongDimension("interval structure is defined for two states")
-    mua = _require_interior(_coerce(mu))
     g = int(grid_size)
     if g < 2:
         raise ValueError("grid_size must be at least 2")
     ts = np.arange(g + 1, dtype=np.float64) / g
     X = np.column_stack([ts, 1.0 - ts])
-    phis = evaluate_batch(d, mua, X)[:, 0]
+    phis = evaluate_batch(d, mu, X)[:, 0]
 
     u_hat = float(phis[0])
     v_hat = float(phis[-1])
@@ -595,16 +610,15 @@ def is_occasionally_stubborn(
     n = d.n
     if n < 3:
         raise WrongDimension("this structure test needs three or more states")
-    mua = _require_interior(_coerce(mu))
 
     verts = np.eye(n)
-    vert_imgs = evaluate_batch(d, mua, verts)
+    vert_imgs = evaluate_batch(d, mu, verts)
     vert_err = np.max(np.abs(vert_imgs - verts), axis=1) > tol
 
     face_data = []  # (face, samples, images, err mask)
     for face in enumerate_faces(n, min_dim=1):
         S = face_samples(face, n, samples_per_face)
-        imgs = evaluate_batch(d, mua, S)
+        imgs = evaluate_batch(d, mu, S)
         errs = np.max(np.abs(imgs - S), axis=1) > tol
         face_data.append((face, S, imgs, errs))
 
@@ -677,39 +691,38 @@ def is_occasionally_stubborn(
     return StubbornVerdict(True, star)
 
 
-def is_trivial_on_interior(d: Distortion, mu, samples: int = 64, tol: float = TOL_GEO) -> bool:
-    """True when all sampled interior posteriors share one image."""
+def is_trivial_on_interior(d: Distortion, mu, tol: float = TOL_GEO) -> bool:
+    """True when 64 sampled interior posteriors share one image."""
     n = d.n
-    mua = _require_interior(_coerce(mu))
-    S = face_samples(Face(tuple(range(n))), n, samples)
-    imgs = evaluate_batch(d, mua, S)
+    S = face_samples(Face(tuple(range(n))), n, 64)
+    imgs = evaluate_batch(d, mu, S)
     return bool(np.max(np.abs(imgs - imgs[0])) <= tol)
 
 
-def is_affine(d: Distortion, mu, tol: float = 1e-8, check_points: int = 128) -> bool:
+def is_affine(d: Distortion, mu) -> bool:
     """True when the rule's map is affine on the whole simplex.
 
     Fits x -> Ax + b on n + 1 affinely independent samples, then verifies
-    the fit on deterministic interior samples plus every vertex.
+    the fit, to within 1e-8, on 128 deterministic interior samples plus
+    every vertex.
     """
     n = d.n
-    mua = _require_interior(_coerce(mu))
     centroid = np.full(n, 1.0 / n)
     fit_pts = [centroid] + [0.8 * np.eye(n)[i] + 0.2 * centroid for i in range(n)]
     fit_pts = np.asarray(fit_pts)
-    fit_imgs = evaluate_batch(d, mua, fit_pts)
+    fit_imgs = evaluate_batch(d, mu, fit_pts)
     design = np.hstack([fit_pts, np.ones((n + 1, 1))])
     coefs, *_ = np.linalg.lstsq(design, fit_imgs, rcond=None)
 
     check = np.vstack(
         [
-            face_samples(Face(tuple(range(n))), n, check_points),
+            face_samples(Face(tuple(range(n))), n, 128),
             np.eye(n),
         ]
     )
     predicted = np.hstack([check, np.ones((check.shape[0], 1))]) @ coefs
-    actual = evaluate_batch(d, mua, check)
-    return bool(np.max(np.abs(predicted - actual)) <= tol)
+    actual = evaluate_batch(d, mu, check)
+    return bool(np.max(np.abs(predicted - actual)) <= 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -742,8 +755,6 @@ def rule_from_json(doc: dict, n: Optional[int] = None) -> Distortion:
         )
         return StubbornRule(spec)
     if family == "tabulated":
-        if "csv" in doc:
-            return TabulatedRule.from_csv(doc["csv"], int(doc.get("n", n or 0)) or _need_n(n), float(doc["tol"]))
         return TabulatedRule(doc["nodes"], doc["images"], float(doc["tol"]))
     raise ValueError(f"unknown rule family: {family!r}")
 

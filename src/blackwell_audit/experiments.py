@@ -121,7 +121,7 @@ def binary_symmetric(accuracy: float) -> Experiment:
 class PosteriorDistribution:
     """Finite-support distribution over posterior beliefs.
 
-    Support points closer than ``merge_tol`` are merged on construction
+    Support points within TOL_GEO (sup norm) are merged on construction
     (probabilities summed), so the support is always pairwise distinct;
     zero-probability atoms are dropped.  The barycenter is cached.
     """
@@ -130,7 +130,7 @@ class PosteriorDistribution:
     probs: np.ndarray
     barycenter: Belief
 
-    def __init__(self, support, probs, merge_tol: float = TOL_GEO) -> None:
+    def __init__(self, support, probs) -> None:
         pts = np.asarray([_coerce(p) for p in support], dtype=np.float64)
         pr = np.asarray(probs, dtype=np.float64).ravel()
         if pts.ndim != 2 or pts.shape[0] != pr.shape[0]:
@@ -146,7 +146,7 @@ class PosteriorDistribution:
             if p <= 0.0:
                 continue
             for i, kept in enumerate(merged_pts):
-                if np.max(np.abs(row - kept)) <= merge_tol:
+                if np.max(np.abs(row - kept)) <= TOL_GEO:
                     merged_pr[i] += p
                     break
             else:
@@ -170,16 +170,6 @@ class PosteriorDistribution:
     @property
     def n_states(self) -> int:
         return self.support.shape[1]
-
-    def to_json(self) -> dict:
-        return {
-            "support": [[float(v) for v in row] for row in self.support],
-            "probs": [float(p) for p in self.probs],
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "PosteriorDistribution":
-        return PosteriorDistribution(doc["support"], doc["probs"])
 
 
 def point_mass(x) -> PosteriorDistribution:

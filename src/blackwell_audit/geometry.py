@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -150,12 +150,10 @@ class Face:
         return len(self.support) - 1
 
 
-def enumerate_faces(n: int, min_dim: int = 0, max_dim: Optional[int] = None) -> list:
-    """All faces of the (n-1)-simplex with dimension in [min_dim, max_dim]."""
-    if max_dim is None:
-        max_dim = n - 1
+def enumerate_faces(n: int, min_dim: int = 0) -> list:
+    """All faces of the (n-1)-simplex of dimension min_dim or more."""
     faces = []
-    for size in range(min_dim + 1, max_dim + 2):
+    for size in range(min_dim + 1, n + 1):
         for support in itertools.combinations(range(n), size):
             faces.append(Face(support))
     return faces
@@ -179,9 +177,6 @@ class Hyperplane:
     def value(self, x) -> float:
         """Signed evaluation normal . x - offset."""
         return float(self.normal @ _coerce(x) - self.offset)
-
-    def to_json(self) -> dict:
-        return {"normal": [float(v) for v in self.normal], "offset": self.offset}
 
 
 class SegmentLocation(NamedTuple):
@@ -208,10 +203,10 @@ def on_segment(x, y, z, tol: float = TOL_GEO) -> SegmentLocation:
     return SegmentLocation(resid <= tol, lam)
 
 
-def affinely_independent(points: Sequence, tol: float = TOL_GEO) -> bool:
+def affinely_independent(points: Sequence) -> bool:
     """True when the difference vectors {p_i - p_0} have full rank.
 
-    Rank is judged by the smallest singular value exceeding ``tol``; a
+    Rank is judged by the smallest singular value exceeding TOL_GEO; a
     single point is trivially independent.
     """
     arr = _coerce_many(points)
@@ -222,14 +217,14 @@ def affinely_independent(points: Sequence, tol: float = TOL_GEO) -> bool:
         return False
     diffs = arr[1:] - arr[0]
     sv = np.linalg.svd(diffs, compute_uv=False)
-    return bool(sv[-1] > tol)
+    return bool(sv[-1] > TOL_GEO)
 
 
-def dedupe_points(points: np.ndarray, tol: float = TOL_GEO) -> np.ndarray:
-    """Drop near-duplicate rows (sup-norm within tol), keeping first occurrences."""
+def dedupe_points(points: np.ndarray) -> np.ndarray:
+    """Drop near-duplicate rows (sup-norm within TOL_GEO), keeping first occurrences."""
     kept: list = []
     for row in points:
-        if not any(np.max(np.abs(row - k)) <= tol for k in kept):
+        if not any(np.max(np.abs(row - k)) <= TOL_GEO for k in kept):
             kept.append(row)
     return np.asarray(kept)
 
@@ -369,8 +364,8 @@ def separating_hyperplane_sets(above: Sequence, below: Sequence, margin: float =
     hulls are closer than ``margin``.
     """
     A = _coerce_many(above)
-    A = dedupe_points(A, tol=TOL_GEO) if len(A) > 1 else A  # one point needs no dedupe
-    B = dedupe_points(_coerce_many(below), tol=TOL_GEO)
+    A = dedupe_points(A) if len(A) > 1 else A  # one point needs no dedupe
+    B = dedupe_points(_coerce_many(below))
     return _max_margin_separation(A, B, margin)
 
 
@@ -448,12 +443,12 @@ def _kronecker_alphas(dim: int) -> np.ndarray:
     return alphas
 
 
-def face_samples(face: Face, n: int, count: int, interior_pad: float = 1e-3) -> np.ndarray:
+def face_samples(face: Face, n: int, count: int) -> np.ndarray:
     """Deterministic well-spread points in the relative interior of a face.
 
     The sequence is keyed by the face's support so refutations are stable
-    across runs; ``interior_pad`` mixes each point slightly toward the
-    face centroid to keep samples strictly inside.
+    across runs; each point is mixed with weight 1e-3 toward the face
+    centroid to keep samples strictly inside.
     """
     support = face.support
     d = len(support) - 1
@@ -469,6 +464,6 @@ def face_samples(face: Face, n: int, count: int, interior_pad: float = 1e-3) -> 
     u_sorted = np.sort(u, axis=1)
     bary = np.diff(np.concatenate([np.zeros((count, 1)), u_sorted, np.ones((count, 1))], axis=1), axis=1)
     centroid = np.full(d + 1, 1.0 / (d + 1))
-    bary = (1.0 - interior_pad) * bary + interior_pad * centroid
+    bary = (1.0 - 1e-3) * bary + 1e-3 * centroid
     out[:, list(support)] = bary
     return out

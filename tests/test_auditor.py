@@ -229,6 +229,37 @@ class TestFullAudit:
         assert rep.verdict == "violation"
         assert verify_certificate(rep.certificate)[0]
 
+    def test_collapse_point_falls_back_to_the_prior_image(self, monkeypatch):
+        # Constant on the open simplex, the identity on its boundary, except that face
+        # {0, 1, 2} reads beliefs with x0 > 1/2 as one point: checker item 1 fails
+        # without naming x*, yet the rule is trivial on the interior, so the vertex
+        # stage must take x* = phi(mu).
+        class InteriorConstant(Distortion):
+            n = 4
+
+            def apply_batch(self, mu, X):
+                out = X.copy()
+                out[np.all(X > 0.0, axis=1)] = (0.1, 0.2, 0.3, 0.4)
+                face = np.all(X[:, :3] > 0.0, axis=1) & (X[:, 3] == 0.0) & (X[:, 0] > 0.5)
+                out[face] = (0.6, 0.3, 0.1, 0.0)
+                return out
+
+        stars = []
+
+        def spy(search, x_star):
+            stars.append(np.array(x_star))
+            return vertex_stage(search, x_star)
+
+        vertex_stage = auditor._vertex_condition_certificate
+        monkeypatch.setattr(auditor, "_vertex_condition_certificate", spy)
+        rep = audit(InteriorConstant(), np.full(4, 0.25), grid_size=21, budget=400, seed=1)
+        stubborn = rep.checker_verdicts["occasionally_stubborn"]
+        assert not stubborn["ok"] and stubborn["x_star"] is None
+        assert stubborn["refutation"]["item"] == "item1-common-image"
+        assert rep.checker_verdicts["trivial_on_interior"]
+        assert rep.verdict == "pass"
+        assert len(stars) == 1 and stars[0].tolist() == [0.1, 0.2, 0.3, 0.4]
+
     def test_vertex_construction_directly(self):
         # The reference trivial-on-edges rule carries vertex images that
         # are more extreme than the collapse point but off its segment;

@@ -27,6 +27,11 @@ def run(argv):
     return main(argv)
 
 
+def _table(nodes, images, tol=0.006):
+    """A tabulated rule's JSON spec."""
+    return {"family": "tabulated", "nodes": nodes.tolist(), "images": images.tolist(), "tol": tol}
+
+
 class TestAuditCommand:
     def test_bayes_sweep_passes(self, tmp_path):
         out = tmp_path / "report.json"
@@ -103,6 +108,36 @@ class TestAuditCommand:
         assert code == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "configuration error: tabulated rule queried off its nodes" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rule", ["grether(2,800)", "grether(1000,1)"])
+    def test_non_finite_images(self, tmp_path, capsys, rule):
+        # mu**800 underflows to 0/0 on every lattice row; (x/mu)**1000 overflows on some.
+        out = tmp_path / "r.json"
+        code = run(["audit", "--states", "3", "--rule", rule, "--grid", "41", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "configuration error: the rule's map returned a non-finite image at prior "
+            f"{[1 / 3] * 3}"
+        ]
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("images", ["off-simplex", "nan"])
+    def test_malformed_table(self, tmp_path, capsys, images):
+        # Images 5 * node - 2 sum to 1 but leave the simplex: the table is no updating rule.
+        nodes = simplex_lattice(2, 101)
+        imgs = 5.0 * nodes - 2.0 if images == "off-simplex" else np.where(nodes[:, :1] > 0.5, np.nan, nodes)
+        rule_file = tmp_path / "tab.json"
+        rule_file.write_text(json.dumps(_table(nodes, imgs)))
+        out = tmp_path / "r.json"
+        assert run(["audit", "--states", "2", "--rule", str(rule_file), "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "configuration error: cannot parse rule: every image of a tabulated rule must be a finite belief summing to 1"
+        ]
         assert "Traceback" not in captured.out + captured.err
         assert not out.exists()
 
@@ -256,6 +291,19 @@ class TestVerifyCommand:
         assert run(["verify", str(bad)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "cannot parse certificate" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_malformed_table(self, cert_path, tmp_path, capsys):
+        # A certificate's verdict cannot rest on a rule table that is no rule.
+        doc = json.loads(cert_path.read_text())
+        nodes = simplex_lattice(2, 101)
+        doc["rule"] = _table(nodes, 5.0 * nodes - 2.0)
+        bad = tmp_path / "table.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", str(bad)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "cannot parse certificate: every image of a tabulated rule" in captured.err
         assert "Traceback" not in captured.out + captured.err
 
     def test_unreadable_file(self, tmp_path):

@@ -8,8 +8,10 @@ import pytest
 from blackwell_audit.distortions import (
     BayesRule,
     CoarseRule,
+    Distortion,
     GretherRule,
     GridMiss,
+    NonFiniteImage,
     ShrinkageRule,
     StubbornRule,
     StubbornSpec,
@@ -117,6 +119,32 @@ class TestEvaluate:
             rows = np.vstack([rule.apply_batch(mu, X[r : r + 1]) for r in range(len(X))])
             assert np.array_equal(rule.apply_batch(mu, X), rows)
             assert np.array_equal(rule.apply_batch(mu, np.asfortranarray(X)), rows)
+
+    def test_gate_hands_families_float64_and_checks_the_prior_first(self):
+        seen = []
+
+        class Spy(Distortion):
+            n = 2
+
+            def apply_batch(self, mu, X):
+                seen.append((mu.dtype, X.dtype))
+                return X.copy()
+
+        assert evaluate_batch(Spy(), [0.5, 0.5], [[1, 0], [0, 1]]).dtype == np.float64
+        assert evaluate(Spy(), (0.5, 0.5), (1, 0)).allclose((1.0, 0.0))
+        assert seen == [(np.float64, np.float64)] * 2
+        with pytest.raises(PriorNotInterior):
+            evaluate_batch(Spy(), (1, 0), [[0.5, 0.5]])
+        assert len(seen) == 2  # the rule never ran
+
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 800.0), (1000.0, 1.0)])
+    def test_non_finite_images_raise_at_the_gate(self, alpha, beta):
+        # mu**800 underflows to 0/0 everywhere; (x/mu)**1000 overflows where x/mu > 1.
+        X = simplex_lattice(3, 41)
+        with pytest.raises(NonFiniteImage):
+            evaluate_batch(GretherRule(alpha, beta, 3), MU3, X)
+        with pytest.raises(NonFiniteImage):
+            classify_batch(GretherRule(alpha, beta, 3), MU3, X)
 
     def test_tabulated_lookup_and_miss(self):
         rule = TabulatedRule([(0.25, 0.75), (0.75, 0.25)], [(0.3, 0.7), (0.7, 0.3)], tol=0.05)
@@ -294,17 +322,21 @@ class TestClassifyBatch:
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_images_match_reference(self, bad):
-        # An infinite image can leave a NaN residual, which the census counts as no error.
+        # A non-finite image has no error class: the census raises rather than count it as none.
         X = simplex_lattice(3, 11)
         images = X.copy()
         images[::7, 0] = bad
         images[::5] = 0.5 * images[::5] + 0.5 * np.array([0.2, 0.3, 0.5])
-        rule = TabulatedRule(X, images, tol=1e-12)
+
+        class Fixed(Distortion):  # a table cannot hold such images: it checks its rows
+            n = 3
+
+            def apply_batch(self, mu, X):
+                return images.copy()
+
         for mu in ((0.2, 0.3, 0.5), (0.5, 0.3, 0.2)):
-            kinds, mags = classify_batch(rule, mu, X)
-            ref_kinds, imgs, _ = _reference_classify_batch(rule, mu, X)
-            assert kinds.tobytes() == ref_kinds.tobytes()
-            assert mags.tobytes() == np.max(np.abs(imgs - X), axis=1).tobytes()
+            with pytest.raises(NonFiniteImage):
+                classify_batch(Fixed(), mu, X)
 
 
 class TestCoarseChecker:
@@ -473,6 +505,34 @@ class TestSerialization:
     def test_parse_inline_json(self):
         rule = parse_rule('{"family": "grether", "alpha": 2.0, "beta": 1.0}', n=2)
         assert isinstance(rule, GretherRule)
+
+    @pytest.mark.parametrize(
+        "nodes, images, tol",
+        [
+            ([(0.25, 0.75)], [(-0.25, 1.25)], 0.05),  # image leaves the simplex, sum 1
+            ([(0.25, 0.75)], [(0.3, 0.8)], 0.05),  # image sums to 1.1
+            ([(0.25, 0.75)], [(np.nan, 0.7)], 0.05),
+            ([(0.25, 0.75)], [(np.inf, -np.inf)], 0.05),
+            ([(np.nan, 0.75)], [(0.3, 0.7)], 0.05),
+            ([(1.5, -0.5)], [(0.3, 0.7)], 0.05),  # node leaves the simplex
+            ([(0.25, 0.75)], [(0.3, 0.7)], -0.01),
+            ([(0.25, 0.75)], [(0.3, 0.7)], np.inf),
+            ([(0.25, 0.75)], [(0.3, 0.7)], np.nan),
+        ],
+    )
+    def test_tabulated_table_must_hold_beliefs(self, nodes, images, tol):
+        with pytest.raises(ValueError):
+            TabulatedRule(nodes, images, tol)
+
+    def test_tabulated_table_takes_what_a_belief_takes(self):
+        rule = TabulatedRule([(1.0 + 1e-13, -1e-13)], [(0.3, 0.7 + 1e-10)], 0.0)
+        assert evaluate_batch(rule, MU2, [(1.0 + 1e-13, -1e-13)]).tolist() == [[0.3, 0.7 + 1e-10]]
+
+    def test_tabulated_json_reads_no_file(self, tmp_path):
+        path = tmp_path / "rule.csv"
+        path.write_text("0.25,0.75,0.3,0.7\n")
+        with pytest.raises(KeyError):
+            rule_from_json({"family": "tabulated", "csv": str(path), "tol": 0.05}, n=2)
 
     def test_tabulated_csv_round_trip(self, tmp_path):
         path = tmp_path / "rule.csv"
