@@ -38,7 +38,10 @@ candidate pair, from a recipe or from random search, goes through one
 emission step, ``_Search.emit``: its gap is computed once by exact
 expected-welfare computation, must lie below -(GAP_TOL + the selector's
 tie_tol), and the certificate is kept only if it passes independent
-re-verification.
+re-verification (``verify_certificate``).  There, and in ``blackwell-audit
+verify``, dominance is proved by a garbling matrix that nonnegative least
+squares finds; only when none fits within tolerance does the garbling
+feasibility LP decide.
 """
 
 from __future__ import annotations
@@ -78,6 +81,8 @@ from .experiments import (
 )
 from .distortions import (
     Distortion,
+    GridMiss,
+    NonFiniteImage,
     classify_batch,
     classify_error,
     evaluate_batch,
@@ -189,11 +194,15 @@ def _gap_cut(sel: Selector) -> float:
 def verify_certificate(c: ViolationCertificate) -> Tuple[bool, Optional[str]]:
     """Independently re-check a certificate; returns (ok, reason-if-not).
 
-    Recomputes dominance with the garbling feasibility program and both
-    expected payoffs from the raw experiments (posteriors via Bayes, one
-    welfare evaluation per support point, no pushforward shortcut); none
-    of the auditor's intermediate state is reused.  The recomputed gap
-    must lie below ``_gap_cut`` of the certificate's selector.
+    Recomputes dominance with ``blackwell_dominates`` (a garbling found by
+    nonnegative least squares proves it; failing that, the garbling
+    feasibility program decides) and both expected payoffs from the raw
+    experiments (posteriors via Bayes, one welfare evaluation per support
+    point, no pushforward shortcut); none of the auditor's intermediate
+    state is reused.  The recomputed gap must lie below ``_gap_cut`` of
+    the certificate's selector.  A rule that cannot be evaluated on the
+    certificate's posteriors raises NonFiniteImage or GridMiss, as it does
+    in an audit; every other failure of the recomputation is "malformed".
     """
     try:
         mu = c.prior
@@ -211,6 +220,8 @@ def verify_certificate(c: ViolationCertificate) -> Tuple[bool, Optional[str]]:
         gap = expected_payoff(c.problem, c.rule, mu, c.selector, c.mode, rho) - expected_payoff(
             c.problem, c.rule, mu, c.selector, c.mode, rho_p
         )
+    except (NonFiniteImage, GridMiss):
+        raise
     except Exception:
         return False, "malformed"
     if not abs(gap - c.gap) <= 1e-9:

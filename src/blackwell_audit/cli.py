@@ -9,7 +9,8 @@ audit       Run the violation search for a rule at one or more priors and
             written next to the report as ``<stem>.certificate.json``.
 reproduce   Emit the reference data sets as plot-ready CSV files.
 verify      Re-check a certificate file (exit 0 = valid, 4 = invalid,
-            2 = unreadable).
+            2 = unreadable, or a rule that returns non-finite images or is
+            queried off its table on the certificate's posteriors).
 
 Outputs are written atomically (temp file + rename) and are
 byte-identical for identical configuration and seed.

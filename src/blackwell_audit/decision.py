@@ -239,13 +239,6 @@ class ConvexityViolation:
     def gap(self) -> float:
         return self.lhs - self.rhs
 
-    def csv_row(self) -> list:
-        return (
-            [float(v) for v in self.x]
-            + [float(v) for v in self.x_prime]
-            + [self.lam, self.lhs, self.rhs, self.gap]
-        )
-
 
 MIX_WEIGHTS = (0.25, 0.5, 0.75)
 
@@ -292,22 +285,3 @@ def convexity_violations(
             found.append(ConvexityViolation(A[k].copy(), B[k].copy(), lam, float(lhs[k]), float(rhs[k])))
     return found
 
-
-def violations_to_csv(records: Sequence[ConvexityViolation], path) -> None:
-    """CSV report: x coordinates, x' coordinates, lambda, lhs, rhs, gap."""
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        if records:
-            n = len(records[0].x)
-        else:
-            n = 0
-        header = (
-            [f"x{i}" for i in range(n)]
-            + [f"xp{i}" for i in range(n)]
-            + ["lambda", "lhs", "rhs", "gap"]
-        )
-        writer.writerow(header)
-        for rec in records:
-            writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in rec.csv_row()])

@@ -477,12 +477,20 @@ def classify_error(d: Distortion, mu, x, tol: float = TOL_GEO) -> ErrorClass:
     return ErrorClass("expansive")
 
 
+#: Census rows whose column-wise residual lies this close to tol are decided row-wise.
+_REDECIDE = 1e-12
+
+
 def classify_batch(d: Distortion, mu, X, tol: float = TOL_GEO):
     """Vectorized error census: returns (kinds, magnitudes).
 
     magnitudes is max|image - x| per row; a row errs when it exceeds tol.
     kinds is int8 with 0 = none, 1 = expansive, 2 = contractive.  Only the
-    erring rows are located against the posterior-prior segment.
+    erring rows are located against the posterior-prior segment, column by
+    column (``_segment_residual``); a row whose residual lands within
+    ``_REDECIDE`` of tol is decided again by the row-wise formulas
+    (``_segment_residual_rows``), so kinds never depend on the rounding of
+    the column-wise sums.
     """
     mua = _coerce(mu)
     X = np.asarray(X, dtype=np.float64)
@@ -494,16 +502,50 @@ def classify_batch(d: Distortion, mu, X, tol: float = TOL_GEO):
     if not err.all():  # on many rules every row errs, and then a gather only costs time
         rows = np.flatnonzero(err)
         X, imgs = X.take(rows, axis=0), imgs.take(rows, axis=0)  # take: far faster than X[rows]
+    resid = _segment_residual(X, imgs, mua)
+    near = np.flatnonzero(~(np.abs(resid - tol) > _REDECIDE))
+    if near.size:
+        resid[near] = _segment_residual_rows(X.take(near, axis=0), imgs.take(near, axis=0), mua)
+    kinds = np.zeros(mags.shape[0], dtype=np.int8)
+    kinds[rows] = 2 * (resid <= tol) + (resid > tol)  # a NaN residual stays 0
+    return kinds, mags
+
+
+def _segment_residual(X: np.ndarray, imgs: np.ndarray, mua: np.ndarray) -> np.ndarray:
+    """Per row, the sup-norm distance from the image to its nearest point
+    lam x + (1 - lam) mu of the posterior-prior segment, lam clipped to
+    [0, 1]: the formulas of ``_segment_residual_rows``, evaluated in place
+    on whole columns rather than broadcast over rows of a few entries."""
+    XT, IT = X.T, imgs.T
+    dx, di = XT[0] - mua[0], IT[0] - mua[0]
+    denom, num = dx * dx, di * dx
+    for c in range(1, len(mua)):
+        np.subtract(XT[c], mua[c], out=dx)
+        np.subtract(IT[c], mua[c], out=di)
+        denom += dx * dx
+        num += di * dx
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lam = np.where(denom > 0.0, num / np.where(denom > 0, denom, 1.0), 0.0)
+    np.clip(lam, 0.0, 1.0, out=lam)
+    rest = np.subtract(1.0, lam, out=denom)
+    resid = np.zeros_like(lam)
+    for c, m in enumerate(mua):  # dx, then di, reused as scratch columns
+        np.multiply(lam, XT[c], out=dx)
+        dx += np.multiply(rest, m, out=di)
+        dx -= IT[c]
+        np.maximum(resid, np.abs(dx, out=dx), out=resid)
+    return resid
+
+
+def _segment_residual_rows(X: np.ndarray, imgs: np.ndarray, mua: np.ndarray) -> np.ndarray:
+    """``_segment_residual`` with row sums: the census's reference formulas."""
     dx = X - mua
     di = imgs - mua
     denom = np.sum(dx * dx, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         lam = np.where(denom > 0.0, np.sum(di * dx, axis=1) / np.where(denom > 0, denom, 1.0), 0.0)
     lam = np.clip(lam, 0.0, 1.0)
-    resid = functools.reduce(np.maximum, np.abs(lam[:, None] * X + (1.0 - lam[:, None]) * mua - imgs).T)
-    kinds = np.zeros(mags.shape[0], dtype=np.int8)
-    kinds[rows] = 2 * (resid <= tol) + (resid > tol)  # a NaN residual stays 0
-    return kinds, mags
+    return np.max(np.abs(lam[:, None] * X + (1.0 - lam[:, None]) * mua - imgs), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +636,16 @@ class StubbornVerdict:
         return doc
 
 
+@functools.lru_cache(maxsize=16)
+def _face_stack(n: int, count: int) -> tuple:
+    """(faces, samples): every face of dimension >= 1 and its ``face_samples``, stacked
+    in face order, ``count`` rows per face; cached, read-only."""
+    faces = tuple(enumerate_faces(n, min_dim=1))
+    stack = np.vstack([face_samples(face, n, count) for face in faces])
+    stack.setflags(write=False)
+    return faces, stack
+
+
 def is_occasionally_stubborn(
     d: Distortion, mu, samples_per_face: int = 24, tol: float = TOL_GEO
 ) -> StubbornVerdict:
@@ -615,12 +667,13 @@ def is_occasionally_stubborn(
     vert_imgs = evaluate_batch(d, mu, verts)
     vert_err = np.max(np.abs(vert_imgs - verts), axis=1) > tol
 
+    faces, stack = _face_stack(n, samples_per_face)
+    stack_imgs = evaluate_batch(d, mu, stack)
+    stack_errs = np.max(np.abs(stack_imgs - stack), axis=1) > tol
     face_data = []  # (face, samples, images, err mask)
-    for face in enumerate_faces(n, min_dim=1):
-        S = face_samples(face, n, samples_per_face)
-        imgs = evaluate_batch(d, mu, S)
-        errs = np.max(np.abs(imgs - S), axis=1) > tol
-        face_data.append((face, S, imgs, errs))
+    for j, face in enumerate(faces):
+        part = slice(j * samples_per_face, (j + 1) * samples_per_face)
+        face_data.append((face, stack[part], stack_imgs[part], stack_errs[part]))
 
     error_supports = [face.support for face, _, _, errs in face_data if bool(np.any(errs))]
     error_supports += [(int(i),) for i in np.nonzero(vert_err)[0]]

@@ -6,7 +6,8 @@ finite-support distribution over posterior beliefs whose barycenter is
 the prior.  Informativeness comparisons run through two equivalent
 routes: garbling feasibility between likelihood matrices, and the
 mean-preserving-contraction (dilation) test between posterior
-distributions; both are small linear programs.
+distributions; both are small linear programs, and garbling feasibility
+first tries a least-squares witness that proves it without one.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .geometry import (
     TOL_GEO,
@@ -238,8 +240,13 @@ def garble(experiment: Experiment, m: GarblingMatrix) -> Experiment:
 def blackwell_dominates(pi: Experiment, pi_prime: Experiment, tol: float = 1e-8) -> bool:
     """True when pi_prime is a garbling of pi (pi is weakly more informative).
 
-    Feasibility of a row-stochastic M with pi @ M = pi_prime, tested by
-    minimizing the sup-norm residual with a linear program.
+    Blackwell (1953): that holds exactly when some row-stochastic M gives
+    pi @ M = pi_prime.  A witness is tried first: M solved by nonnegative
+    least squares, rows renormalized; if max|pi @ M - pi_prime| <= tol, M
+    is a feasible point of the linear program below with objective <= tol,
+    and it proves dominance.  Otherwise, and whenever the least-squares
+    solve fails, that program decides: it minimizes the sup-norm residual
+    over row-stochastic M.
     """
     if pi.n_states != pi_prime.n_states:
         raise DimensionMismatch("experiments must share the state space")
@@ -248,6 +255,16 @@ def blackwell_dominates(pi: Experiment, pi_prime: Experiment, tol: float = 1e-8)
     k, kp = A.shape[1], B.shape[1]
     # G = kron(A, I): row (theta, s') of G applied to the flattened M is (A M)[theta, s'].
     G = (A[:, None, :, None] * np.eye(kp)[:, None, :]).reshape(-1, k * kp)
+    row_sums = np.repeat(np.eye(k), kp, axis=1)  # applied to the flattened M: M's row sums
+    try:
+        m, _ = nnls(np.vstack([G, row_sums]), np.append(B.ravel(), np.ones(k)))
+    except (ValueError, RuntimeError):  # non-finite input, or no convergence
+        m = None
+    if m is not None:
+        M = np.maximum(m, 0.0).reshape(k, kp)
+        sums = M.sum(axis=1, keepdims=True)
+        if np.all(sums > 0.0) and np.max(np.abs(A @ (M / sums) - B)) <= tol:
+            return True
     return bool(_min_sup_residual([(G, B.ravel())], (k, kp), "garbling") <= tol)
 
 

@@ -443,18 +443,21 @@ def _kronecker_alphas(dim: int) -> np.ndarray:
     return alphas
 
 
+@functools.lru_cache(maxsize=256)
 def face_samples(face: Face, n: int, count: int) -> np.ndarray:
     """Deterministic well-spread points in the relative interior of a face.
 
     The sequence is keyed by the face's support so refutations are stable
     across runs; each point is mixed with weight 1e-3 toward the face
-    centroid to keep samples strictly inside.
+    centroid to keep samples strictly inside.  The result is cached per
+    (face, n, count) and shared by every caller, so it is read-only.
     """
     support = face.support
     d = len(support) - 1
     out = np.zeros((count, n))
     if d == 0:
         out[:, support[0]] = 1.0
+        out.setflags(write=False)
         return out
     alphas = _kronecker_alphas(d)
     seed = sum((i + 1) * 0.618033988749895 for i in support) % 1.0
@@ -466,4 +469,5 @@ def face_samples(face: Face, n: int, count: int) -> np.ndarray:
     centroid = np.full(d + 1, 1.0 / (d + 1))
     bary = (1.0 - 1e-3) * bary + 1e-3 * centroid
     out[:, list(support)] = bary
+    out.setflags(write=False)
     return out

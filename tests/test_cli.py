@@ -306,6 +306,32 @@ class TestVerifyCommand:
         assert "cannot parse certificate: every image of a tabulated rule" in captured.err
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("broken", ["beta", "table"])
+    def test_rule_that_cannot_be_evaluated(self, tmp_path, capsys, broken):
+        # verify meets such a rule as audit does: a configuration error, exit 2, not "invalid".
+        out = tmp_path / "report.json"
+        run([
+            "audit", "--states", "3", "--prior", "uniform", "--rule", "grether(2,1)",
+            "--grid", "41", "--budget", "300", "--out", str(out),
+        ])
+        cert = tmp_path / "report.certificate.json"
+        assert run(["verify", str(cert)]) == EXIT_OK
+        doc = json.loads(cert.read_text())
+        if broken == "beta":
+            doc["rule"]["beta"] = 800.0  # the prior's 800th power underflows: NaN images
+            expected = "non-finite image"
+        else:
+            doc["rule"] = _table(np.eye(3), np.eye(3), tol=1e-9)  # answers at the vertices only
+            expected = "queried off its nodes"
+        bad = tmp_path / f"{broken}.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", str(bad)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error:") and expected in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert "Traceback" not in captured.out + captured.err
+
     def test_unreadable_file(self, tmp_path):
         bad = tmp_path / "junk.json"
         bad.write_text("{not json")

@@ -16,7 +16,6 @@ from blackwell_audit.decision import (
     value_function,
     welfare,
     welfare_batch,
-    violations_to_csv,
 )
 from blackwell_audit.distortions import (
     BayesRule,
@@ -194,16 +193,6 @@ class TestConvexityViolations:
             p = DecisionProblem(rng.uniform(-1, 1, size=(3, 2)))
             out = convexity_violations(p, rule, MU2, SEL, WelfareMode.DOUBLE, grid_size=60, tol=1e-9)
             assert out == []
-
-    def test_csv_report(self, tmp_path):
-        p = DecisionProblem([[0.0, 0.0], [0.35, -0.65]])
-        rule = ShrinkageRule(0.5, 2)
-        out = convexity_violations(p, rule, MU2, SEL, WelfareMode.SINGLE, grid_size=100, tol=1e-9)
-        path = tmp_path / "violations.csv"
-        violations_to_csv(out, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x0,x1,xp0,xp1,lambda,lhs,rhs,gap"
-        assert len(lines) == len(out) + 1
 
 
 class TestFivePieceProfile:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from blackwell_audit import distortions
 from blackwell_audit.distortions import (
     BayesRule,
     CoarseRule,
@@ -319,6 +320,29 @@ class TestClassifyBatch:
         assert kinds.tobytes() == ref_kinds.tobytes()
         assert mags.tobytes() == np.max(np.abs(imgs - X), axis=1).tobytes()
         assert np.sum(kinds == 1) > 10 and np.sum(kinds == 2) > 10
+
+    @pytest.mark.parametrize("shift", [-5e-13, 0.0, 5e-13])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_tolerance_at_a_row_residual_is_decided_row_wise(self, monkeypatch, n, shift):
+        # tol is one erring row's exact row-wise residual, so that row is contractive.  The
+        # column-wise residual, also when shifted by a rounding-sized amount, must not decide it.
+        X = simplex_lattice(n, {3: 41, 4: 21, 5: 11}[n])
+        mu = np.arange(1.0, n + 1.0) / (n * (n + 1) / 2)
+        rule = GretherRule(0.6, 1.3, n)  # under-reacts: images fall short of x, off the segment
+        _, imgs, lam = _reference_classify_batch(rule, mu, X, 0.0)
+        resid = np.max(np.abs(lam[:, None] * X + (1.0 - lam[:, None]) * mu - imgs), axis=1)
+        mags = np.max(np.abs(imgs - X), axis=1)
+        row = int(np.flatnonzero((resid > 1e-6) & (mags > 2.0 * resid))[0])
+        tol = float(resid[row])
+        real_columns = distortions._segment_residual
+        monkeypatch.setattr(distortions, "_segment_residual", lambda *a: real_columns(*a) + shift)
+        redecided = []
+        real_rows = distortions._segment_residual_rows
+        monkeypatch.setattr(distortions, "_segment_residual_rows", lambda *a: redecided.append(len(a[0])) or real_rows(*a))
+        kinds, _ = classify_batch(rule, mu, X, tol)
+        ref_kinds, _, _ = _reference_classify_batch(rule, mu, X, tol)
+        assert kinds[row] == 2 and redecided
+        assert kinds.tobytes() == ref_kinds.tobytes()
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_images_match_reference(self, bad):

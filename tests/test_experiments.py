@@ -176,6 +176,74 @@ class TestBlackwellDominates:
         assert blackwell_dominates(exp, exp)
 
 
+class TestDominanceWitness:
+    """The least-squares garbling witness may prove dominance; only the LP may refute it."""
+
+    @staticmethod
+    def _pairs(rng, count):
+        """(pi, garble, non-garble, perturbed garble) draws; the perturbation is 1e-10 to 1e-7."""
+        for _ in range(count):
+            n, k, kp = (int(v) for v in rng.integers((2, 1, 1), (5, 6, 6)))
+            pi = Experiment(rng.dirichlet(np.ones(k) * rng.choice([0.2, 1.0, 5.0]), size=n))
+            m = GarblingMatrix(rng.dirichlet(np.ones(kp) * rng.choice([0.2, 1.0, 5.0]), size=k))
+            pi_g = garble(pi, m)
+            other = Experiment(rng.dirichlet(np.ones(kp), size=n))
+            bumped = pi_g.likelihoods + 10.0 ** rng.uniform(-10, -7) * rng.choice([-1.0, 1.0], size=(n, kp))
+            bumped = np.maximum(bumped, 0.0)
+            yield pi, pi_g, other, Experiment(bumped / bumped.sum(axis=1, keepdims=True))
+
+    def test_witness_never_accepts_what_the_lp_rejects(self, monkeypatch):
+        from blackwell_audit import experiments
+
+        lp_calls = []
+        real_lp = experiments._min_sup_residual
+        monkeypatch.setattr(experiments, "_min_sup_residual", lambda *a: lp_calls.append(1) or real_lp(*a))
+        real_nnls = experiments.nnls
+
+        def lp_verdict(a, b):
+            def fail(*args, **kwargs):
+                raise RuntimeError("no witness")
+
+            monkeypatch.setattr(experiments, "nnls", fail)
+            try:
+                return blackwell_dominates(a, b)
+            finally:
+                monkeypatch.setattr(experiments, "nnls", real_nnls)
+
+        proved = {"garble": 0, "other": 0, "bumped": 0}
+        rng = np.random.default_rng(2026)
+        for pi, pi_g, other, bumped in self._pairs(rng, 300):
+            for kind, b in (("garble", pi_g), ("other", other), ("bumped", bumped)):
+                for x, y in ((pi, b), (b, pi)):
+                    del lp_calls[:]
+                    if blackwell_dominates(x, y) and not lp_calls:
+                        proved[kind] += 1
+                        assert lp_verdict(x, y), (kind, x.likelihoods, y.likelihoods)
+        assert proved["garble"] >= 300 and proved["bumped"] >= 200 and proved["other"] >= 50, proved
+
+    def test_every_exact_garble_is_proved_without_the_lp(self, monkeypatch):
+        from blackwell_audit import experiments
+
+        def no_lp(*args):
+            raise AssertionError("the garbling LP ran")
+
+        monkeypatch.setattr(experiments, "_min_sup_residual", no_lp)
+        rng = np.random.default_rng(77)
+        for pi, pi_g, _, _ in self._pairs(rng, 400):
+            assert blackwell_dominates(pi, pi_g)
+        assert blackwell_dominates(fully_informative(4), uninformative(4))
+
+    def test_lp_decides_when_the_witness_fails(self, monkeypatch):
+        from blackwell_audit import experiments
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(experiments, "nnls", fail)
+        assert blackwell_dominates(binary_symmetric(0.8), binary_symmetric(0.65))
+        assert not blackwell_dominates(binary_symmetric(0.65), binary_symmetric(0.8))
+
+
 class TestIsMpc:
     def test_collapse_to_mean(self):
         rho = PosteriorDistribution([(1, 0), (0, 1)], [0.5, 0.5])

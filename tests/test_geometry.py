@@ -564,3 +564,14 @@ class TestFaces:
         a = face_samples(Face((0, 1, 2)), 3, 16)
         b = face_samples(Face((0, 1, 2)), 3, 16)
         assert np.array_equal(a, b)
+
+    def test_face_samples_cached_read_only(self):
+        a = face_samples(Face((0, 2)), 4, 24)
+        assert a is face_samples(Face((2, 0)), 4, 24)  # one entry per (face, n, count)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.5
+        assert np.array_equal(a, face_samples.__wrapped__(Face((0, 2)), 4, 24))
+        assert a is not face_samples(Face((0, 2)), 4, 25)
+        vertex = face_samples(Face((1,)), 3, 4)
+        assert not vertex.flags.writeable and vertex is face_samples(Face((1,)), 3, 4)
