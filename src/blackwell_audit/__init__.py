@@ -13,7 +13,6 @@ from .geometry import (
     Face,
     Hyperplane,
     NoStrictSeparation,
-    affinely_independent,
     enumerate_faces,
     face_samples,
     in_convex_hull,
@@ -29,15 +28,11 @@ from .experiments import (
     DimensionMismatch,
     Experiment,
     GarblingMatrix,
-    InfeasibleWeights,
-    NotAffinelyIndependent,
     PosteriorDistribution,
     PriorNotInterior,
-    TargetOutsideOppositeHull,
     bayes,
     binary_symmetric,
     blackwell_dominates,
-    bring_point_in,
     experiment_from_posteriors,
     fully_informative,
     garble,

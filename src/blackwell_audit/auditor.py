@@ -69,13 +69,9 @@ from .experiments import (
     BarycenterMismatch,
     Experiment,
     GarblingMatrix,
-    InfeasibleWeights,
-    NotAffinelyIndependent,
     PosteriorDistribution,
-    TargetOutsideOppositeHull,
     bayes,
     blackwell_dominates,
-    bring_point_in,
     experiment_from_posteriors,
     garble,
 )
@@ -342,15 +338,15 @@ def _spread_directions(u: np.ndarray, n: int) -> np.ndarray:
     return u[None, :] + _SPREAD * (_simplex_vertices(n - 1) @ P)
 
 
-def _fit_inside(mu: np.ndarray, dirs: np.ndarray, eps: float) -> np.ndarray:
-    """Scale the step down until every mu + step * dir stays inside the simplex."""
+def _fit_inside(mu: np.ndarray, dirs: np.ndarray, eps: float) -> Optional[np.ndarray]:
+    """Scale the step down until every mu + step * dir stays inside the simplex; None if it never does."""
     step = eps
     for _ in range(40):
         pts = mu[None, :] + step * dirs
         if np.min(pts) > 1e-9:
             return pts
         step *= 0.5
-    raise InfeasibleWeights("could not fit scaffold inside the simplex")
+    return None
 
 
 def _plausible(support: np.ndarray, mu: np.ndarray) -> Optional[PosteriorDistribution]:
@@ -376,9 +372,8 @@ def _scaffolds(mu: np.ndarray, x0: np.ndarray) -> Iterator[PosteriorDistribution
     dirs = _spread_directions(u / nrm, mu.shape[0])  # the same at every width
     eps0 = 0.05 * np.sqrt(2.0)  # nearness in simplex-diameter units
     for eps in (eps0, eps0 / 2.0, eps0 / 4.0):
-        try:
-            pts = _fit_inside(mu, dirs, eps)
-        except InfeasibleWeights:
+        pts = _fit_inside(mu, dirs, eps)
+        if pts is None:
             continue
         rho = _plausible(np.vstack([x0[None, :], pts]), mu)
         if rho is not None:
@@ -403,11 +398,26 @@ def _vertex_pulled_scaffold(
     return None
 
 
-def _moved(rho: PosteriorDistribution, gamma: float, target: np.ndarray) -> Optional[PosteriorDistribution]:
-    """bring_point_in on support point 0, or None when no weights keep the barycenter."""
+def _moved(
+    rho: PosteriorDistribution, gamma: float, lam: np.ndarray, moved: np.ndarray
+) -> Optional[PosteriorDistribution]:
+    """rho with support point 0 moved to ``moved`` = gamma * x0 + (1 - gamma) * lam @ others.
+
+    ``lam`` holds convex weights over the other support points.  The moved
+    point takes weight p0 / gamma, and other point j gives up
+    lam_j * p0 * (1 - gamma) / gamma.  Splitting the moved point back into
+    x0 (share gamma) and the others (shares (1 - gamma) * lam) recovers rho,
+    so the result is a mean-preserving contraction of rho whatever its
+    support.  None when a weight falls below 1e-12 or the distribution
+    cannot be built.
+    """
+    p0 = float(rho.probs[0])
+    probs = np.concatenate([[p0 / gamma], rho.probs[1:] - lam * (p0 * (1.0 - gamma) / gamma)])
+    if np.min(probs) < 1e-12:
+        return None
     try:
-        return bring_point_in(rho, 0, gamma, target)
-    except (InfeasibleWeights, NotAffinelyIndependent, TargetOutsideOppositeHull, ValueError):
+        return PosteriorDistribution(np.vstack([moved[None, :], rho.support[1:]]), probs)
+    except ValueError:
         return None
 
 
@@ -430,13 +440,14 @@ def _audit_expansive(search: _Search, x0: np.ndarray) -> Optional[ViolationCerti
         if in_convex_hull(img0, rho.support, tol=1e-7):
             continue  # image not banished at this scaffold width
         imgs_others = evaluate_batch(d, mu, others)
+        even = np.full(others.shape[0], 1.0 / others.shape[0])  # target's weights over others
         target = others.mean(axis=0)
         for gamma in (0.6, 0.35, 0.15):
             x0p, x0pp = (g * x0 + (1.0 - g) * target for g in (gamma, gamma / 2.0))
             img0p, img0pp = evaluate_batch(d, mu, np.vstack([x0p, x0pp]))
             if np.max(np.abs(img0p - img0)) <= tol and np.max(np.abs(img0pp - img0p)) <= tol:
                 continue  # one destination for all three: each branch below would skip uncharged
-            rho_p = _moved(rho, gamma, target)
+            rho_p = _moved(rho, gamma, even, x0p)
             if rho_p is None:
                 continue
 
@@ -449,7 +460,7 @@ def _audit_expansive(search: _Search, x0: np.ndarray) -> Optional[ViolationCerti
 
             if np.max(np.abs(img0pp - img0p)) <= tol:
                 continue  # same destination: consistent with a collapse rule
-            rho_pp = _moved(rho, gamma / 2.0, target)
+            rho_pp = _moved(rho, gamma / 2.0, even, x0pp)
             if rho_pp is None:
                 continue
 
@@ -593,7 +604,7 @@ def _audit_contractive_many_states(search: _Search, x0: np.ndarray) -> Optional[
                     continue  # edge point mapped to the prior: consistent
                 if np.max(np.abs(img0p - img0)) <= tol:
                     continue  # shared destination would sit on both sides
-                rho_p = _moved(rho, frac, xs)
+                rho_p = _moved(rho, frac, np.eye(rho.size - 1)[s - 1], x0p)
                 if rho_p is None:
                     continue
                 problem = search.cut([img0p, x0p, x0], [img0, mu])
@@ -951,9 +962,8 @@ def audit(
             d, mua, grid_size=max(grid_size, 100), tol=max(tol, 1e-9)
         ).to_json()
     else:
-        checker_verdicts["occasionally_stubborn"] = is_occasionally_stubborn(
-            d, mua, tol=max(tol, 1e-9)
-        ).to_json()
+        stubborn = is_occasionally_stubborn(d, mua, tol=max(tol, 1e-9))
+        checker_verdicts["occasionally_stubborn"] = stubborn.to_json()
     checker_verdicts["trivial_on_interior"] = is_trivial_on_interior(d, mua, tol=max(tol, 1e-9))
     checker_verdicts["affine"] = is_affine(d, mua)
 
@@ -991,16 +1001,14 @@ def audit(
                     return report(certificate)
 
         # Vertex images must stay on the segment toward the collapse point.
-        star = None
-        sv = checker_verdicts.get("occasionally_stubborn")
-        if sv and sv.get("x_star") is not None:
-            star = np.asarray(sv["x_star"], dtype=np.float64)
-        elif checker_verdicts["trivial_on_interior"] and n >= 3:
-            star = evaluate_batch(d, mua, mua[None, :])[0]
-        if star is not None and n >= 3:
-            certificate = _vertex_condition_certificate(search, star)
-            if certificate is not None:
-                return report(certificate)
+        if n >= 3:
+            star = stubborn.x_star.coords if stubborn.x_star is not None else None
+            if star is None and checker_verdicts["trivial_on_interior"]:
+                star = evaluate_batch(d, mua, mua[None, :])[0]
+            if star is not None:
+                certificate = _vertex_condition_certificate(search, star)
+                if certificate is not None:
+                    return report(certificate)
 
         certificate = _random_search(search)
     except BudgetExhausted:

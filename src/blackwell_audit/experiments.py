@@ -7,7 +7,10 @@ the prior.  Informativeness comparisons run through two equivalent
 routes: garbling feasibility between likelihood matrices, and the
 mean-preserving-contraction (dilation) test between posterior
 distributions; both are small linear programs, and garbling feasibility
-first tries a least-squares witness that proves it without one.
+first tries a least-squares witness that proves it without one.  The
+auditor builds its contractions itself: it moves one support point toward
+a known convex combination of the others, which fixes the new weights in
+closed form.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from .geometry import (
     DimensionMismatch,
     _coerce,
     _min_sup_residual,
-    affinely_independent,
-    in_convex_hull,
 )
 
 # Barycenter agreement required of Bayes-plausible posterior distributions.
@@ -39,18 +40,6 @@ class PriorNotInterior(ValueError):
 
 class BarycenterMismatch(ValueError):
     """Posterior distribution's mean disagrees with the stated prior."""
-
-
-class NotAffinelyIndependent(ValueError):
-    """Operation requires an affinely independent support."""
-
-
-class TargetOutsideOppositeHull(ValueError):
-    """The contraction target must lie in the hull of the other support points."""
-
-
-class InfeasibleWeights(ValueError):
-    """No strictly positive reweighting preserves the barycenter."""
 
 
 def _check_rows_stochastic(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -123,9 +112,10 @@ def binary_symmetric(accuracy: float) -> Experiment:
 class PosteriorDistribution:
     """Finite-support distribution over posterior beliefs.
 
-    Support points within TOL_GEO (sup norm) are merged on construction
-    (probabilities summed), so the support is always pairwise distinct;
-    zero-probability atoms are dropped.  The barycenter is cached.
+    Each support point within TOL_GEO (sup norm) of an earlier kept point
+    is merged into the first such point on construction (probabilities
+    summed), so the support is always pairwise distinct; zero-probability
+    atoms are dropped.  The barycenter is cached.
     """
 
     support: np.ndarray
@@ -142,21 +132,23 @@ class PosteriorDistribution:
         pr = np.maximum(pr, 0.0)
         if not abs(pr.sum() - 1.0) <= 1e-9:  # also rejects NaN and inf
             raise ValueError(f"probabilities must be finite and sum to 1, got {pr.sum()}")
-        merged_pts: list = []
+        rows = np.flatnonzero(pr > 0.0)
+        if rows.size == 0:
+            raise ValueError("distribution needs at least one positive-probability atom")
+        # Each atom joins the first kept atom within TOL_GEO (sup norm), else is kept.
+        with np.errstate(invalid="ignore"):  # inf - inf: NaN, never near; Belief rejects the point below
+            near = (np.max(np.abs(pts[rows, None, :] - pts[None, rows, :]), axis=2) <= TOL_GEO).tolist()
+        kept: list = []  # positions in rows
         merged_pr: list = []
-        for row, p in zip(pts, pr):
-            if p <= 0.0:
-                continue
-            for i, kept in enumerate(merged_pts):
-                if np.max(np.abs(row - kept)) <= TOL_GEO:
-                    merged_pr[i] += p
+        for a, i in enumerate(rows.tolist()):
+            for slot, b in enumerate(kept):
+                if near[a][b]:
+                    merged_pr[slot] += pr[i]
                     break
             else:
-                merged_pts.append(row.copy())
-                merged_pr.append(p)
-        if not merged_pts:
-            raise ValueError("distribution needs at least one positive-probability atom")
-        sup = np.asarray(merged_pts)
+                kept.append(a)
+                merged_pr.append(pr[i])
+        sup = pts[rows[kept]]
         pra = np.asarray(merged_pr)
         pra = pra / pra.sum()
         sup.flags.writeable = False
@@ -289,47 +281,3 @@ def is_mpc(rho_prime: PosteriorDistribution, rho: PosteriorDistribution, tol: fl
     mixture = (np.kron(rho_prime.probs[None, :], np.eye(J)), rho.probs)
     return bool(_min_sup_residual([barycenters, mixture], (I, J), "dilation") <= tol)
 
-
-def bring_point_in(
-    rho: PosteriorDistribution,
-    index: int,
-    gamma: float,
-    direction_target,
-) -> PosteriorDistribution:
-    """Contract one support point toward a target inside the others' hull.
-
-    The moved point becomes gamma * x + (1 - gamma) * target; all
-    probabilities are re-solved (uniquely, thanks to affine independence)
-    to keep the barycenter fixed, which always raises the moved point's
-    probability.  The output is a strict mean-preserving contraction of
-    the input.
-    """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must be strictly between 0 and 1")
-    pts = rho.support
-    k = rho.size
-    if not 0 <= index < k:
-        raise IndexError(f"support index {index} out of range")
-    if not affinely_independent(pts):
-        raise NotAffinelyIndependent("support must be affinely independent")
-    target = _coerce(direction_target)
-    others = np.delete(pts, index, axis=0)
-    if k >= 2 and not in_convex_hull(target, others, tol=1e-7):
-        raise TargetOutsideOppositeHull("target must lie in the hull of the other support points")
-
-    moved = gamma * pts[index] + (1.0 - gamma) * target
-    new_pts = pts.copy()
-    new_pts[index] = moved
-    # Unique convex weights with the original barycenter.
-    A = np.vstack([new_pts.T, np.ones((1, k))])
-    b = np.concatenate([rho.barycenter.coords, [1.0]])
-    w, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if np.max(np.abs(A @ w - b)) > 1e-8:
-        raise InfeasibleWeights("barycenter left the affine hull of the new support")
-    if np.min(w) < 1e-12:
-        raise InfeasibleWeights(
-            f"no strictly positive weights preserve the barycenter (min {np.min(w):.3e})"
-        )
-    if w[index] < rho.probs[index] + 1e-9:
-        raise InfeasibleWeights("moved point's probability did not strictly increase")
-    return PosteriorDistribution(new_pts, w)

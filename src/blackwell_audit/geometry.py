@@ -203,23 +203,6 @@ def on_segment(x, y, z, tol: float = TOL_GEO) -> SegmentLocation:
     return SegmentLocation(resid <= tol, lam)
 
 
-def affinely_independent(points: Sequence) -> bool:
-    """True when the difference vectors {p_i - p_0} have full rank.
-
-    Rank is judged by the smallest singular value exceeding TOL_GEO; a
-    single point is trivially independent.
-    """
-    arr = _coerce_many(points)
-    k = arr.shape[0]
-    if k == 1:
-        return True
-    if k > arr.shape[1]:
-        return False
-    diffs = arr[1:] - arr[0]
-    sv = np.linalg.svd(diffs, compute_uv=False)
-    return bool(sv[-1] > TOL_GEO)
-
-
 def dedupe_points(points: np.ndarray) -> np.ndarray:
     """Drop near-duplicate rows (sup-norm within TOL_GEO), keeping first occurrences."""
     kept: list = []

@@ -20,12 +20,8 @@ from blackwell_audit.experiments import (
     BarycenterMismatch,
     Experiment,
     GarblingMatrix,
-    InfeasibleWeights,
-    NotAffinelyIndependent,
     PosteriorDistribution,
-    TargetOutsideOppositeHull,
     bayes,
-    bring_point_in,
     experiment_from_posteriors,
     garble,
 )
@@ -525,14 +521,10 @@ class TestRandomSearchScreen:
 # before its image was looked at; kept verbatim as the reference order.
 
 
-def _moved_point(rho: PosteriorDistribution, x0: np.ndarray, gamma: float, target: np.ndarray):
-    """bring_point_in, with the moved point's coordinates returned alongside."""
+def _moved_point(rho: PosteriorDistribution, x0: np.ndarray, gamma: float, lam: np.ndarray, target: np.ndarray):
+    """auditor._moved, with the moved point's coordinates returned alongside."""
     moved = gamma * x0 + (1.0 - gamma) * target
-    try:
-        rho_new = bring_point_in(rho, 0, gamma, target)
-    except (InfeasibleWeights, NotAffinelyIndependent, TargetOutsideOppositeHull, ValueError):
-        return None, moved
-    return rho_new, moved
+    return auditor._moved(rho, gamma, lam, moved), moved
 
 
 def _weights_first_expansive(search: _Search, x0: np.ndarray) -> Optional[ViolationCertificate]:
@@ -546,9 +538,10 @@ def _weights_first_expansive(search: _Search, x0: np.ndarray) -> Optional[Violat
         if in_convex_hull(img0, rho.support, tol=1e-7):
             continue  # image not banished at this scaffold width
         imgs_others = evaluate_batch(d, mu, others)
+        even = np.full(others.shape[0], 1.0 / others.shape[0])
         target = others.mean(axis=0)
         for gamma in (0.6, 0.35, 0.15):
-            rho_p, x0p = _moved_point(rho, x0, gamma, target)
+            rho_p, x0p = _moved_point(rho, x0, gamma, even, target)
             if rho_p is None:
                 continue
             img0p = evaluate_batch(d, mu, x0p[None, :])[0]
@@ -565,7 +558,7 @@ def _weights_first_expansive(search: _Search, x0: np.ndarray) -> Optional[Violat
                 except NoStrictSeparation:
                     pass
 
-            rho_pp, x0pp = _moved_point(rho, x0, gamma / 2.0, target)
+            rho_pp, x0pp = _moved_point(rho, x0, gamma / 2.0, even, target)
             if rho_pp is None:
                 continue
             img0pp = evaluate_batch(d, mu, x0pp[None, :])[0]
@@ -675,7 +668,7 @@ def _weights_first_many_states(search: _Search, x0: np.ndarray) -> Optional[Viol
         for s in range(1, rho.size):
             xs = rho.support[s]
             for frac in (0.8, 0.6):
-                rho_p, x0p = _moved_point(rho, x0, frac, xs)
+                rho_p, x0p = _moved_point(rho, x0, frac, np.eye(rho.size - 1)[s - 1], xs)
                 if rho_p is None:
                     continue
                 img0p = evaluate_batch(d, mu, x0p[None, :])[0]
@@ -756,15 +749,15 @@ class TestImagesBeforeWeights:
 
     def test_matches_the_weights_first_order(self, monkeypatch):
         failed_solves = []
+        moved = auditor._moved
 
-        def counted(*args, **kwargs):
-            try:
-                return bring_point_in(*args, **kwargs)
-            except Exception:
+        def counted(*args):
+            out = moved(*args)
+            if out is None:
                 failed_solves.append(args)
-                raise
+            return out
 
-        monkeypatch.setattr(auditor, "bring_point_in", counted)
+        monkeypatch.setattr(auditor, "_moved", counted)
         certs, exhausted, families = 0, 0, set()
         for i in range(84):
             rule, mu, points, sel, mode, tol, budget, seed = self._case(i)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blackwell_audit.auditor import audit_expansive
+from blackwell_audit.auditor import audit, audit_expansive
 from blackwell_audit.decision import Selector, SelectorPolicy
 from blackwell_audit.distortions import GretherRule
 from blackwell_audit.cli import (
@@ -348,6 +348,16 @@ def _valid_certificates() -> tuple:
     return json.dumps(two.to_json()), json.dumps(three.to_json())
 
 
+@functools.lru_cache(maxsize=None)
+def _unevaluable_certificate() -> str:
+    """A verified n = 3 grether(2,1) certificate with beta set to 800: the
+    prior's 800th power underflows, so the rule's images are NaN."""
+    rep = audit(GretherRule(2.0, 1.0, 3), (1 / 3, 1 / 3, 1 / 3), grid_size=41, budget=300)
+    doc = rep.certificate.to_json()
+    doc["rule"]["beta"] = 800.0
+    return json.dumps(doc)
+
+
 def _paths(doc, prefix=()):
     """Every path into a JSON document, the root included."""
     yield prefix
@@ -367,8 +377,9 @@ class TestVerifyFuzz:
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(data=st.data())
     def test_any_document_ends_in_a_documented_exit_code(self, data):
-        # Random JSON (a mutation at the root) and single-field mutations of valid certificates.
-        doc = json.loads(data.draw(st.sampled_from(_valid_certificates())))
+        # Random JSON (a mutation at the root) and single-field mutations of valid
+        # certificates and of one whose rule cannot be evaluated.
+        doc = json.loads(data.draw(st.sampled_from(_valid_certificates() + (_unevaluable_certificate(),))))
         path = data.draw(st.sampled_from(list(_paths(doc))))
         if path:
             parent = doc
@@ -386,3 +397,9 @@ class TestVerifyFuzz:
             target = Path(tmp) / "certificate.json"
             target.write_text(json.dumps(doc))
             assert main(["verify", str(target)]) in (EXIT_OK, EXIT_CONFIG, EXIT_INVALID_CERT)
+
+    def test_unevaluable_certificate_exits_config(self, tmp_path):
+        # The fuzz pool's certificate whose rule cannot be evaluated, unmutated.
+        target = tmp_path / "certificate.json"
+        target.write_text(_unevaluable_certificate())
+        assert main(["verify", str(target)]) == EXIT_CONFIG

@@ -3,20 +3,18 @@
 import numpy as np
 import pytest
 
+from blackwell_audit.auditor import _moved
+from blackwell_audit.geometry import TOL_GEO, Belief
 from blackwell_audit.experiments import (
     BarycenterMismatch,
     DimensionMismatch,
     Experiment,
     GarblingMatrix,
-    InfeasibleWeights,
-    NotAffinelyIndependent,
     PosteriorDistribution,
     PriorNotInterior,
-    TargetOutsideOppositeHull,
     bayes,
     binary_symmetric,
     blackwell_dominates,
-    bring_point_in,
     experiment_from_posteriors,
     fully_informative,
     garble,
@@ -58,6 +56,45 @@ class TestConstruction:
         rho = PosteriorDistribution([(0.5, 0.5), (0.5, 0.5), (0.2, 0.8)], [0.3, 0.3, 0.4])
         assert rho.size == 2
         assert rho.probs[0] == pytest.approx(0.6)
+
+    def test_merge_matches_the_pairwise_loop(self):
+        # Reference: the merge as one sup-norm comparison per pair, each atom joining the first kept atom near it.
+        def merged(support, probs):
+            pts, pr = np.asarray(support, dtype=np.float64), np.asarray(probs, dtype=np.float64)
+            kept, kept_pr = [], []
+            for row, p in zip(pts, pr):
+                if p <= 0.0:
+                    continue
+                for i, k in enumerate(kept):
+                    if np.max(np.abs(row - k)) <= TOL_GEO:
+                        kept_pr[i] += p
+                        break
+                else:
+                    kept.append(row.copy())
+                    kept_pr.append(p)
+            sup, pra = np.asarray(kept), np.asarray(kept_pr)
+            pra = pra / pra.sum()
+            return sup, pra, Belief(pra @ sup).coords
+
+        rng = np.random.default_rng(16)
+        chains = 0
+        for _ in range(3000):
+            n, k = int(rng.integers(2, 6)), int(rng.integers(1, 9))
+            pts = rng.dirichlet(np.ones(n), size=k)
+            for j in range(k):
+                if rng.random() < 0.3:  # a near copy of another atom: within, or just beyond, TOL_GEO
+                    copy = np.abs(pts[int(rng.integers(k))] + rng.uniform(-2 * TOL_GEO, 2 * TOL_GEO, n))
+                    pts[j] = copy / copy.sum()
+            w = rng.dirichlet(np.ones(k))
+            if k > 1 and rng.random() < 0.2:
+                w[int(rng.integers(k))] = 0.0
+                w /= w.sum()
+            rho = PosteriorDistribution(pts, w)
+            sup, pra, bary = merged(pts, w)
+            assert np.array_equal(rho.support, sup) and np.array_equal(rho.probs, pra)
+            assert np.array_equal(rho.barycenter.coords, bary)
+            chains += rho.size < np.count_nonzero(w)
+        assert chains >= 300
 
     def test_posteriors_drop_zero_mass(self):
         rho = PosteriorDistribution([(1, 0), (0, 1), (0.5, 0.5)], [0.5, 0.5, 0.0])
@@ -280,63 +317,80 @@ class TestIsMpc:
             assert is_mpc(rho_g, rho, tol=1e-8)
 
 
+def move_point(rho, gamma, lam):
+    """auditor._moved on support point 0, toward lam @ (the other support points)."""
+    lam = np.asarray(lam, dtype=float)
+    moved = gamma * rho.support[0] + (1.0 - gamma) * (lam @ rho.support[1:])
+    return _moved(rho, gamma, lam, moved)
+
+
 class TestBringPointIn:
+    """Moving support point 0 toward the others' hull with closed-form weights."""
+
     def test_infeasible_at_barycenter_crossing(self):
         rho = PosteriorDistribution([(1, 0), (0, 1)], [0.5, 0.5])
-        with pytest.raises(InfeasibleWeights):
-            bring_point_in(rho, 0, 0.5, (0, 1))
+        assert move_point(rho, 0.5, [1.0]) is None
 
     def test_two_state_weights(self):
         rho = PosteriorDistribution([(1, 0), (0, 1)], [0.5, 0.5])
-        out = bring_point_in(rho, 0, 0.6, (0, 1))
+        out = move_point(rho, 0.6, [1.0])
         assert out.support[0] == pytest.approx([0.6, 0.4])
         assert out.probs == pytest.approx([5 / 6, 1 / 6])
         assert is_mpc(out, rho)
 
     def test_continuity_near_identity(self):
         rho = PosteriorDistribution([(0.9, 0.1), (0.1, 0.9)], [0.5, 0.5])
-        out = bring_point_in(rho, 0, 0.999, (0.1, 0.9))
+        out = move_point(rho, 0.999, [1.0])
         assert np.max(np.abs(out.support[0] - rho.support[0])) < 1e-2
         assert abs(out.probs[0] - 0.5) < 1e-2
 
     def test_ternary_linear_solve(self):
         rho = PosteriorDistribution(np.eye(3), [1 / 3, 1 / 3, 1 / 3])
-        target = np.array([0.0, 0.5, 0.5])
-        out = bring_point_in(rho, 0, 0.5, target)
-        # Unique weights come from the 3x3 system; verify against it.
+        out = move_point(rho, 0.5, [0.5, 0.5])
+        assert out.support[0] == pytest.approx([0.5, 0.25, 0.25])
+        # On an affinely independent support the weights are the unique solution of the 4x3 system.
         A = np.vstack([out.support.T, np.ones(3)])
         assert np.allclose(A @ out.probs, [1 / 3, 1 / 3, 1 / 3, 1.0])
+        assert out.probs == pytest.approx([2 / 3, 1 / 6, 1 / 6])
         assert is_mpc(out, rho)
-        assert out.probs[0] > 1 / 3
 
-    def test_requires_affinely_independent_support(self):
+    def test_affinely_dependent_support(self):
+        # Three collinear points on the two-state simplex: the weights are not unique, the closed form still holds.
         rho = PosteriorDistribution([(0.9, 0.1), (0.5, 0.5), (0.1, 0.9)], [0.25, 0.5, 0.25])
-        with pytest.raises(NotAffinelyIndependent):
-            bring_point_in(rho, 0, 0.5, (0.5, 0.5))
-
-    def test_target_must_lie_opposite(self):
-        rho = PosteriorDistribution(np.eye(3), [1 / 3, 1 / 3, 1 / 3])
-        with pytest.raises(TargetOutsideOppositeHull):
-            bring_point_in(rho, 0, 0.5, (0.9, 0.05, 0.05))
+        for lam in ([0.5, 0.5], [1.0, 0.0], [0.0, 1.0]):
+            out = move_point(rho, 0.7, lam)
+            assert out is not None and out.probs[0] == pytest.approx(0.25 / 0.7)
+            assert is_mpc(out, rho, tol=1e-9)
+            experiment_from_posteriors(out, rho.barycenter)  # barycentre within TOL_BARY
 
     def test_random_contractions_are_mpcs(self):
+        # Targets of both kinds the recipes use (even weights, one other point) and Dirichlet weights,
+        # on supports up to two points larger than affinely independent ones can be.
         rng = np.random.default_rng(14)
-        done = 0
+        done, dependent, kinds = 0, 0, set()
         while done < 50:
             n = int(rng.integers(2, 5))
-            k = int(rng.integers(2, n + 1))
+            k = int(rng.integers(2, n + 3))
             pts = rng.dirichlet(np.ones(n), size=k)
             w = rng.dirichlet(np.ones(k))
-            try:
-                rho = PosteriorDistribution(pts, w)
-                others = np.delete(rho.support, 0, axis=0)
-                lam = rng.dirichlet(np.ones(others.shape[0]))
-                out = bring_point_in(rho, 0, float(rng.uniform(0.5, 0.95)), lam @ others)
-            except (InfeasibleWeights, NotAffinelyIndependent, ValueError):
+            rho = PosteriorDistribution(pts, w)
+            kind = int(rng.integers(3))
+            if kind == 0:
+                lam = np.full(rho.size - 1, 1.0 / (rho.size - 1))
+            elif kind == 1:
+                lam = np.eye(rho.size - 1)[int(rng.integers(rho.size - 1))]
+            else:
+                lam = rng.dirichlet(np.ones(rho.size - 1))
+            out = move_point(rho, float(rng.uniform(0.5, 0.95)), lam)
+            if out is None:
                 continue
             assert out.barycenter.allclose(rho.barycenter, tol=1e-9)
             assert is_mpc(out, rho, tol=1e-8)
+            experiment_from_posteriors(out, rho.barycenter)
             done += 1
+            dependent += rho.size > n
+            kinds.add(kind)
+        assert dependent >= 10 and kinds == {0, 1, 2}
 
 
 class TestDominanceMpcEquivalence:

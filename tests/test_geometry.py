@@ -26,10 +26,8 @@ from blackwell_audit.experiments import (
 from blackwell_audit.geometry import (
     Belief,
     DimensionMismatch,
-    EmptyInput,
     Face,
     NoStrictSeparation,
-    affinely_independent,
     enumerate_faces,
     face_samples,
     _in_hull_barycentric,
@@ -107,38 +105,20 @@ class TestOnSegment:
         assert at_y.on and at_y.lam == pytest.approx(0.0, abs=1e-9)
 
 
-class TestAffinelyIndependent:
-    def test_simplex_vertices(self):
-        assert affinely_independent([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-
-    def test_exceeds_dimension(self):
-        assert not affinely_independent([(1, 0), (0, 1), (0.5, 0.5)])
-
-    def test_midpoint_dependency(self):
-        assert not affinely_independent([(0.2, 0.2, 0.6), (0.4, 0.4, 0.2), (0.3, 0.3, 0.4)])
-
-    def test_single_point(self):
-        assert affinely_independent([(0.5, 0.5)])
-
-    def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            affinely_independent([])
-
-
 def hull_membership_bruteforce(p, hull, steps=64, tol=1e-9):
-    """Grid search over convex weights; independent of the LP route."""
+    """Grid search over convex weights; independent of the LP route.
+
+    Every weight vector whose first k - 1 entries are multiples of 1/steps
+    is tried at once; returns the verdict and the grid's least sup-norm
+    residual.
+    """
     hull = np.asarray(hull, dtype=float)
     k = hull.shape[0]
-    best = np.inf
-    fractions = [i / steps for i in range(steps + 1)]
-    for combo in itertools.product(fractions, repeat=k - 1):
-        tail = sum(combo)
-        if tail > 1 + 1e-12:
-            continue
-        w = np.array(list(combo) + [1.0 - tail])
-        best = min(best, float(np.max(np.abs(w @ hull - p))))
-        if best <= tol:
-            return True, best
+    axes = np.meshgrid(*[np.arange(steps + 1) / steps] * (k - 1), indexing="ij")
+    head = np.stack([a.ravel() for a in axes], axis=1)
+    head = head[head.sum(axis=1) <= 1 + 1e-12]
+    w = np.hstack([head, 1.0 - head.sum(axis=1, keepdims=True)])
+    best = float(np.min(np.max(np.abs(w @ hull - p), axis=1)))
     return best <= tol, best
 
 
