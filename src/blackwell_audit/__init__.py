@@ -17,7 +17,6 @@ from .geometry import (
     face_samples,
     in_convex_hull,
     on_segment,
-    separating_hyperplane,
     separating_hyperplane_sets,
     simplex_lattice,
     uniform_belief,

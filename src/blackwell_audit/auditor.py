@@ -338,44 +338,47 @@ def _spread_directions(u: np.ndarray, n: int) -> np.ndarray:
     return u[None, :] + _SPREAD * (_simplex_vertices(n - 1) @ P)
 
 
-def _fit_inside(mu: np.ndarray, dirs: np.ndarray, eps: float) -> Optional[np.ndarray]:
-    """Scale the step down until every mu + step * dir stays inside the simplex; None if it never does."""
+def _fit_inside(mu: np.ndarray, dirs: np.ndarray, eps: float) -> Optional[float]:
+    """The first of eps, eps/2, eps/4, ... (40 tries) keeping every mu + step * dir in the simplex, else None."""
     step = eps
     for _ in range(40):
-        pts = mu[None, :] + step * dirs
-        if np.min(pts) > 1e-9:
-            return pts
+        if np.min(mu[None, :] + step * dirs) > 1e-9:
+            return step
         step *= 0.5
     return None
 
 
-def _plausible(support: np.ndarray, mu: np.ndarray) -> Optional[PosteriorDistribution]:
-    """Unique positive weights giving the support barycenter mu, if any."""
-    A = np.vstack([support.T, np.ones((1, support.shape[0]))])
-    b = np.concatenate([mu, [1.0]])
-    w, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if np.max(np.abs(A @ w - b)) > 1e-9 or np.min(w) < 1e-9:
+def _distribution(support: np.ndarray, probs, floor: float = 1e-9) -> Optional[PosteriorDistribution]:
+    """The distribution with these weights; None when one is NaN or below ``floor``, or it cannot be built."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if not np.min(probs) >= floor:
         return None
     try:
-        return PosteriorDistribution(support, w)
+        return PosteriorDistribution(support, probs)
     except ValueError:
         return None
 
 
 def _scaffolds(mu: np.ndarray, x0: np.ndarray) -> Iterator[PosteriorDistribution]:
-    """Distributions on {x0} + (n-1) points near the prior, mean = prior, at three
-    widths from the widest; a width with no such distribution is skipped."""
+    """Distributions on {x0} + (n-1) points mu + s * dir near the prior, mean = prior, at
+    three widths from the widest; a width with no such distribution is skipped.  The
+    directions average to u = (mu - x0) / |mu - x0|, so x0 takes w0 = s / (|mu - x0| + s)
+    and each other point (1 - w0) / (n - 1)."""
     u = mu - x0
     nrm = float(np.linalg.norm(u))
     if nrm < 1e-9:
         return
-    dirs = _spread_directions(u / nrm, mu.shape[0])  # the same at every width
+    n = mu.shape[0]
+    dirs = _spread_directions(u / nrm, n)  # the same at every width
     eps0 = 0.05 * np.sqrt(2.0)  # nearness in simplex-diameter units
     for eps in (eps0, eps0 / 2.0, eps0 / 4.0):
-        pts = _fit_inside(mu, dirs, eps)
-        if pts is None:
+        step = _fit_inside(mu, dirs, eps)
+        if step is None:
             continue
-        rho = _plausible(np.vstack([x0[None, :], pts]), mu)
+        w0 = step / (nrm + step)
+        rho = _distribution(
+            np.vstack([x0[None, :], mu[None, :] + step * dirs]), np.append(w0, np.full(n - 1, (1.0 - w0) / (n - 1)))
+        )
         if rho is not None:
             yield rho
 
@@ -383,16 +386,22 @@ def _scaffolds(mu: np.ndarray, x0: np.ndarray) -> Iterator[PosteriorDistribution
 def _vertex_pulled_scaffold(
     mu: np.ndarray, x0: np.ndarray, pull: float
 ) -> Optional[PosteriorDistribution]:
-    """Distribution on {x0} + pulled-in vertices, mean = prior.
+    """Distribution on {x0} + pulled-in vertices (1 - pull) e_i + pull * mu, i != d, mean = prior.
 
     Wide scaffold for the contraction recipes, where the moved edge point
-    must sit well off the line through the prior and the error.
+    must sit well off the line through the prior and the error.  Coordinate
+    d gives x0 the weight w0 = (1 - pull) mu_d / (x0_d - pull mu_d) and coordinate i
+    vertex i (mu_i (1 - pull (1 - w0)) - w0 x0_i) / (1 - pull); d runs from the
+    coordinate farthest from the prior.
     """
     n = mu.shape[0]
     for drop in np.argsort(-np.abs(x0 - mu), kind="stable"):
         idx = [i for i in range(n) if i != drop]
         verts = (1.0 - pull) * np.eye(n)[idx] + pull * mu[None, :]
-        rho = _plausible(np.vstack([x0[None, :], verts]), mu)
+        with np.errstate(divide="ignore", invalid="ignore"):  # x0_d = pull * mu_d: NaN or inf weights, skipped
+            w0 = (1.0 - pull) * mu[drop] / (x0[drop] - pull * mu[drop])
+            w = (mu[idx] * (1.0 - pull * (1.0 - w0)) - w0 * x0[idx]) / (1.0 - pull)
+        rho = _distribution(np.vstack([x0[None, :], verts]), np.append(w0, w))
         if rho is not None and rho.size == n:
             return rho
     return None
@@ -413,12 +422,7 @@ def _moved(
     """
     p0 = float(rho.probs[0])
     probs = np.concatenate([[p0 / gamma], rho.probs[1:] - lam * (p0 * (1.0 - gamma) / gamma)])
-    if np.min(probs) < 1e-12:
-        return None
-    try:
-        return PosteriorDistribution(np.vstack([moved[None, :], rho.support[1:]]), probs)
-    except ValueError:
-        return None
+    return _distribution(np.vstack([moved[None, :], rho.support[1:]]), probs, floor=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +482,8 @@ def _audit_expansive(search: _Search, x0: np.ndarray) -> Optional[ViolationCerti
             q = float(rho_p.probs[0])
             mix_support = np.vstack([x0[None, :], x0pp[None, :], rho_p.support[1:]])
             mix_probs = np.concatenate([[q * lam, q * (1.0 - lam)], rho_p.probs[1:]])
-            try:
-                rho_mix = PosteriorDistribution(mix_support, mix_probs)
-            except ValueError:
+            rho_mix = _distribution(mix_support, mix_probs, floor=0.0)
+            if rho_mix is None:
                 continue
             cert = search.try_pair(rho_mix, rho_p, problem, "claim3-mixture")
             if cert is not None:
@@ -525,6 +528,14 @@ def _threshold_problem(direction: float, cutoff: float) -> DecisionProblem:
     return hyperplane_problem(Hyperplane(normal, direction * cutoff))
 
 
+def _binary(m: float, far: float, t: float) -> Optional[PosteriorDistribution]:
+    """Two-state beliefs {far, t}, given by first coordinates, with mean m: t takes (m - far) / (t - far)."""
+    if t == far:
+        return None
+    w = (m - far) / (t - far)
+    return _distribution(np.array([[far, 1.0 - far], [t, 1.0 - t]]), [1.0 - w, w])
+
+
 def _audit_contractive_two_state(search: _Search, x0: np.ndarray) -> Optional[ViolationCertificate]:
     """Lemma 3 from the contractive error x0: its 8 rungs, and each rung's
     5 sub-rungs, are evaluated in one call each; a rule's map is pure, so
@@ -535,24 +546,21 @@ def _audit_contractive_two_state(search: _Search, x0: np.ndarray) -> Optional[Vi
     direction = 1.0 if z > m else -1.0
     far = 0.0 if direction > 0 else 1.0  # scalar coordinate of the opposite vertex
 
-    def belief(t: float) -> np.ndarray:
-        return np.array([t, 1.0 - t])
-
     def phi(t: np.ndarray) -> list:
         return evaluate_batch(d, mu, np.stack([t, 1.0 - t], axis=1))[:, 0].tolist()
 
     (zhat,) = phi(np.array([z]))
+    rho_z = _binary(m, far, z)
     rungs = zhat + (z - zhat) * np.arange(1, 9) / 9.0
     for zp, zp_hat in zip(rungs.tolist(), phi(rungs)):
+        rho_zp = _binary(m, far, zp)
         if direction * (zp_hat - zhat) > tol:
             # A less extreme posterior lands on a more extreme belief.
             cutoff = 0.5 * (zp_hat + zhat)
-            rho_hi = _plausible(np.vstack([belief(far), belief(z)]), mu)
-            rho_lo = _plausible(np.vstack([belief(far), belief(zp)]), mu)
-            if rho_hi is None or rho_lo is None:
+            if rho_z is None or rho_zp is None:
                 continue
             search.charge()
-            cert = search.try_pair(rho_hi, rho_lo, _threshold_problem(direction, cutoff), "lemma3-threshold")
+            cert = search.try_pair(rho_z, rho_zp, _threshold_problem(direction, cutoff), "lemma3-threshold")
             if cert is not None:
                 return cert
             continue
@@ -562,24 +570,18 @@ def _audit_contractive_two_state(search: _Search, x0: np.ndarray) -> Optional[Vi
                 continue
             # Ternary comparison: {far, zpp, z} against the binary {far, zp}.
             cutoff = 0.5 * (zp_hat + zpp_hat)
-            rho_lo = _plausible(np.vstack([belief(far), belief(zp)]), mu)
-            if rho_lo is None:
+            if rho_zp is None:
                 continue
-            p = float(rho_lo.probs[1])
+            p = float(rho_zp.probs[1])
             if abs(z - zpp) < 1e-12:
                 continue
             q_z = p * (zp - zpp) / (z - zpp)
-            q_zpp = p - q_z
-            if min(q_z, q_zpp) < 1e-9:
-                continue
-            try:
-                rho_hi = PosteriorDistribution(
-                    np.vstack([belief(far), belief(zpp), belief(z)]), [1.0 - p, q_zpp, q_z]
-                )
-            except ValueError:
+            support = np.array([[far, 1.0 - far], [zpp, 1.0 - zpp], [z, 1.0 - z]])
+            rho_hi = _distribution(support, [1.0 - p, p - q_z, q_z])
+            if rho_hi is None:
                 continue
             search.charge()
-            cert = search.try_pair(rho_hi, rho_lo, _threshold_problem(direction, cutoff), "lemma3-ternary")
+            cert = search.try_pair(rho_hi, rho_zp, _threshold_problem(direction, cutoff), "lemma3-ternary")
             if cert is not None:
                 return cert
     return None
@@ -719,8 +721,8 @@ def _vertex_condition_certificate(search: _Search, x_star: np.ndarray) -> Option
             if np.min(y) <= 1e-9:
                 continue
             rho_hi = PosteriorDistribution(np.vstack([e, y]), [p, 1.0 - p])
-            z = 0.9 * e + 0.1 * y
-            rho_lo = _plausible(np.vstack([z, y]), mu)
+            z = 0.9 * e + 0.1 * y  # so mu = p e + (1 - p) y = (p / 0.9) z + (1 - p / 0.9) y
+            rho_lo = _distribution(np.vstack([z, y]), [p / 0.9, 1.0 - p / 0.9])
             if rho_lo is None:
                 continue
             cert = search.try_pair(rho_hi, rho_lo, problem, "vertexprop-separation")

@@ -328,31 +328,18 @@ def solve_lp(c, A_ub, b_ub, A_eq, b_eq, lb, ub, what: str) -> tuple:
     return x, fun
 
 
-def separating_hyperplane(p, hull_points: Sequence, margin: float = TOL_GEO) -> Hyperplane:
-    """Strictly separate p from the convex hull of hull_points.
-
-    Maximizes the two-sided margin m subject to normal . p >= offset + m
-    and normal . h <= offset - m for every hull point, with the normal
-    boxed to [-1, 1]; the witness is then rescaled so its sup norm is 1.
-    Raises NoStrictSeparation when the achievable margin is <= ``margin``.
-    """
-    return separating_hyperplane_sets([p], hull_points, margin)
-
-
 def separating_hyperplane_sets(above: Sequence, below: Sequence, margin: float = TOL_GEO) -> Hyperplane:
     """Strictly separate two point sets: hull(above) strictly above, hull(below) strictly below.
 
-    Same maximized-margin program as :func:`separating_hyperplane` with
-    several points on the upper side.  Raises NoStrictSeparation when the
-    hulls are closer than ``margin``.
+    Maximizes the two-sided margin m subject to normal . a >= offset + m for
+    every point a above and normal . b <= offset - m for every point b
+    below, with the normal boxed to [-1, 1]; the witness is then rescaled
+    so its sup norm is 1.  Raises NoStrictSeparation when the achievable
+    margin is <= ``margin``.
     """
     A = _coerce_many(above)
     A = dedupe_points(A) if len(A) > 1 else A  # one point needs no dedupe
     B = dedupe_points(_coerce_many(below))
-    return _max_margin_separation(A, B, margin)
-
-
-def _max_margin_separation(A: np.ndarray, B: np.ndarray, margin: float) -> Hyperplane:
     n = A.shape[1]
     # Variables: normal (n), offset, margin m; maximize m.
     c = np.zeros(n + 2)

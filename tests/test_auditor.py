@@ -12,7 +12,6 @@ from blackwell_audit.geometry import (
     Hyperplane,
     NoStrictSeparation,
     in_convex_hull,
-    separating_hyperplane,
     separating_hyperplane_sets,
     simplex_lattice,
 )
@@ -53,17 +52,19 @@ from blackwell_audit.auditor import (
     _audit_contractive_two_state,
     _audit_expansive,
     _audit_prior_error,
+    _binary,
     _block_posteriors,
     _block_trial,
     _draw_block,
     _gap_cut,
-    _plausible,
     _random_search,
     _scaffolds,
     _screen,
     _simplex_vertices,
+    _spread_directions,
     _tangent_basis,
     _threshold_problem,
+    _vertex_condition_certificate,
     _vertex_pulled_scaffold,
     audit,
     audit_contractive,
@@ -518,7 +519,8 @@ class TestRandomSearchScreen:
 
 
 # The recipes as they were when every moved point's weights were solved
-# before its image was looked at; kept verbatim as the reference order.
+# before its image was looked at; kept verbatim as the reference order,
+# except that their distributions take the closed-form weights the recipes do.
 
 
 def _moved_point(rho: PosteriorDistribution, x0: np.ndarray, gamma: float, lam: np.ndarray, target: np.ndarray):
@@ -551,7 +553,7 @@ def _weights_first_expansive(search: _Search, x0: np.ndarray) -> Optional[Violat
                 search.charge()
                 hull_set = np.vstack([rho.support, imgs_others, img0p[None, :]])
                 try:
-                    h = separating_hyperplane(img0, hull_set, margin=SEP_MARGIN)
+                    h = separating_hyperplane_sets([img0], hull_set, margin=SEP_MARGIN)
                     cert = search.try_pair(rho, rho_p, hyperplane_problem(h), "claim1-hyperplane")
                     if cert is not None:
                         return cert
@@ -568,7 +570,7 @@ def _weights_first_expansive(search: _Search, x0: np.ndarray) -> Optional[Violat
             search.charge()
             kite = np.vstack([rho_p.support, imgs_others, img0pp[None, :]])
             try:
-                h = separating_hyperplane(img0p, kite, margin=SEP_MARGIN)
+                h = separating_hyperplane_sets([img0p], kite, margin=SEP_MARGIN)
                 cert = search.try_pair(rho_p, rho_pp, hyperplane_problem(h), "claim2-separation")
                 if cert is not None:
                     return cert
@@ -578,7 +580,7 @@ def _weights_first_expansive(search: _Search, x0: np.ndarray) -> Optional[Violat
             search.charge()
             base = np.vstack([rho_p.support, imgs_others, img0p[None, :]])
             try:
-                h = separating_hyperplane(img0pp, base, margin=SEP_MARGIN)
+                h = separating_hyperplane_sets([img0pp], base, margin=SEP_MARGIN)
             except NoStrictSeparation:
                 continue
             # Mixture on {x0, x0pp, others}: collapsing the first two onto
@@ -618,8 +620,8 @@ def _weights_first_two_state(search: _Search, x0: np.ndarray) -> Optional[Violat
         if direction * (zp_hat - zhat) > tol:
             # A less extreme posterior lands on a more extreme belief.
             cutoff = 0.5 * (zp_hat + zhat)
-            rho_hi = _plausible(np.vstack([belief(far), belief(z)]), mu)
-            rho_lo = _plausible(np.vstack([belief(far), belief(zp)]), mu)
+            rho_hi = _binary(m, far, z)
+            rho_lo = _binary(m, far, zp)
             if rho_hi is None or rho_lo is None:
                 continue
             search.charge()
@@ -634,7 +636,7 @@ def _weights_first_two_state(search: _Search, x0: np.ndarray) -> Optional[Violat
                 continue
             # Ternary comparison: {far, zpp, z} against the binary {far, zp}.
             cutoff = 0.5 * (zp_hat + zpp_hat)
-            rho_lo = _plausible(np.vstack([belief(far), belief(zp)]), mu)
+            rho_lo = _binary(m, far, zp)
             if rho_lo is None:
                 continue
             p = float(rho_lo.probs[1])
@@ -779,6 +781,165 @@ class TestImagesBeforeWeights:
         assert certs >= 50 and exhausted >= 20
         assert len(failed_solves) >= 20
         assert len(families) == 5 * 3 + 3, sorted(families)  # occ-coarse at n = 2, occ-stubborn at n = 3 and 4
+
+
+# Before the recipes took their weights in closed form, every scaffold, the
+# two-state pairs and the vertex recipe's contraction solved them with this
+# least-squares fit; kept verbatim, with the scaffold builders that used it,
+# as the reference.
+
+
+def _plausible(support: np.ndarray, mu: np.ndarray) -> Optional[PosteriorDistribution]:
+    """Unique positive weights giving the support barycenter mu, if any."""
+    A = np.vstack([support.T, np.ones((1, support.shape[0]))])
+    b = np.concatenate([mu, [1.0]])
+    w, *_ = np.linalg.lstsq(A, b, rcond=None)
+    if np.max(np.abs(A @ w - b)) > 1e-9 or np.min(w) < 1e-9:
+        return None
+    try:
+        return PosteriorDistribution(support, w)
+    except ValueError:
+        return None
+
+
+def _fit_inside_points(mu: np.ndarray, dirs: np.ndarray, eps: float) -> Optional[np.ndarray]:
+    """Scale the step down until every mu + step * dir stays inside the simplex; None if it never does."""
+    step = eps
+    for _ in range(40):
+        pts = mu[None, :] + step * dirs
+        if np.min(pts) > 1e-9:
+            return pts
+        step *= 0.5
+    return None
+
+
+def _solved_scaffolds(mu: np.ndarray, x0: np.ndarray):
+    u = mu - x0
+    nrm = float(np.linalg.norm(u))
+    if nrm < 1e-9:
+        return
+    dirs = _spread_directions(u / nrm, mu.shape[0])  # the same at every width
+    eps0 = 0.05 * np.sqrt(2.0)  # nearness in simplex-diameter units
+    for eps in (eps0, eps0 / 2.0, eps0 / 4.0):
+        pts = _fit_inside_points(mu, dirs, eps)
+        if pts is None:
+            continue
+        rho = _plausible(np.vstack([x0[None, :], pts]), mu)
+        if rho is not None:
+            yield rho
+
+
+def _solved_vertex_pulled_scaffold(mu: np.ndarray, x0: np.ndarray, pull: float) -> Optional[PosteriorDistribution]:
+    n = mu.shape[0]
+    for drop in np.argsort(-np.abs(x0 - mu), kind="stable"):
+        idx = [i for i in range(n) if i != drop]
+        verts = (1.0 - pull) * np.eye(n)[idx] + pull * mu[None, :]
+        rho = _plausible(np.vstack([x0[None, :], verts]), mu)
+        if rho is not None and rho.size == n:
+            return rho
+    return None
+
+
+class TestClosedFormWeights:
+    """Each recipe distribution's closed-form weights against the least-squares fit.
+
+    On priors with every coordinate at least 1e-6, a builder must skip
+    exactly the candidates the fit skipped, keep bitwise-equal supports,
+    give weights within 1e-9 of the fit's, and have the prior as its
+    barycentre within 1e-15.
+    """
+
+    @staticmethod
+    def _prior(rng, n):
+        while True:
+            mu = rng.dirichlet(np.full(n, (0.3, 1.0, 4.0)[int(rng.integers(3))]))
+            if np.min(mu) >= 1e-6:
+                return mu
+
+    @staticmethod
+    def _points(rng, n):
+        """A random belief, a lattice point and a vertex."""
+        grid = simplex_lattice(n, 11)
+        return [rng.dirichlet(np.ones(n)), grid[int(rng.integers(grid.shape[0]))], np.eye(n)[int(rng.integers(n))]]
+
+    @staticmethod
+    def _assert_same(got, want, mu):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.support.shape == want.support.shape and got.support.tobytes() == want.support.tobytes()
+            assert np.max(np.abs(got.probs - want.probs)) <= 1e-9
+            assert np.max(np.abs(got.probs @ got.support - mu)) <= 1e-15
+
+    def test_scaffolds(self):
+        # At x0 = mu there is no scaffold, and every drop of the vertex-pulled one gives x0 all the weight.
+        built, later_drop, none = 0, 0, 0
+        for i in range(300):
+            rng = np.random.default_rng(9000 + i)
+            n = 2 + i % 4
+            mu = self._prior(rng, n)
+            for x0 in self._points(rng, n) + [mu.copy()]:
+                got, want = list(_scaffolds(mu, x0)), list(_solved_scaffolds(mu, x0))
+                assert len(got) == len(want), (i, x0.tolist())
+                for g, w in zip(got, want):
+                    self._assert_same(g, w, mu)
+                built += len(got)
+                first = int(np.argmax(np.abs(x0 - mu)))  # the first coordinate dropped
+                for pull in (0.25, 0.45):
+                    got = _vertex_pulled_scaffold(mu, x0, pull)
+                    self._assert_same(got, _solved_vertex_pulled_scaffold(mu, x0, pull), mu)
+                    none += got is None
+                    later_drop += got is not None and bool(np.any(got.support[1:, first] != pull * mu[first]))
+        assert built >= 2500 and later_drop >= 500 and none >= 500, (built, later_drop, none)
+
+    def test_two_state_ladder(self):
+        # z, the 8 rungs toward its image and each rung's 5 sub-rungs, as the lemma-3 recipe walks them.
+        pairs, skipped = 0, 0
+        for i in range(60):
+            rng = np.random.default_rng(9700 + i)
+            mu = self._prior(rng, 2)
+            rule = random_rule(("grether", "shrinkage", "occ-coarse")[i % 3], 2, rng)
+            m = float(mu[0])
+            for x0 in self._points(rng, 2):
+                z = float(x0[0])
+                far = 0.0 if z > m else 1.0
+                zhat = float(evaluate_batch(rule, mu, x0[None, :])[0, 0])
+                rungs = zhat + (z - zhat) * np.arange(1, 9) / 9.0
+                ts = [z] + rungs.tolist()
+                for zp, zp_hat in zip(rungs, evaluate_batch(rule, mu, np.stack([rungs, 1.0 - rungs], axis=1))[:, 0]):
+                    ts += (zp_hat + (zp - zp_hat) * np.arange(1, 6) / 6.0).tolist()
+                for t in ts:
+                    got = _binary(m, far, t)
+                    self._assert_same(got, _plausible(np.vstack([np.array([far, 1.0 - far]), np.array([t, 1.0 - t])]), mu), mu)
+                    pairs += got is not None
+                    skipped += got is None
+        assert pairs >= 8000 and skipped >= 100, (pairs, skipped)
+
+    def test_vertex_recipe(self):
+        # Every vertex of a shrinkage rule errs; a random collapse point is
+        # off every vertex's segment, and every cut is granted, so the recipe
+        # builds its contraction at both values of p for every vertex.
+        pairs = 0
+        for i in range(150):
+            rng = np.random.default_rng(9900 + i)
+            n = 3 + i % 3
+            mu = self._prior(rng, n)
+            search = _Search(ShrinkageRule(0.5, n), mu, Selector(), WelfareMode.SINGLE, 1e-9, 0, 1000)
+            tried = []
+            search.cut = lambda above, below: hyperplane_problem(Hyperplane(np.ones(n), 0.5))
+            search.try_pair = lambda rho_hi, rho_lo, problem, recipe: tried.append(rho_lo)
+            assert _vertex_condition_certificate(search, rng.dirichlet(np.ones(n))) is None
+            want = []
+            for k in range(n):
+                e = np.eye(n)[k]
+                for p in (0.5 * float(mu[k]), 0.25 * float(mu[k])):
+                    y = (mu - p * e) / (1.0 - p)
+                    if np.min(y) > 1e-9:
+                        want.append(_plausible(np.vstack([0.9 * e + 0.1 * y, y]), mu))
+            assert len(tried) == len(want) == 2 * n
+            for got, ref in zip(tried, want):
+                self._assert_same(got, ref, mu)
+            pairs += len(tried)
+        assert pairs == 2 * sum(3 + i % 3 for i in range(150))
 
 
 class TestCachedBases:

@@ -154,6 +154,62 @@ class TestEvaluate:
             evaluate(rule, MU2, (0.5, 0.5))
 
 
+def _row_loop_lookup(rule: TabulatedRule, X: np.ndarray) -> np.ndarray:
+    """TabulatedRule.apply_batch as it was, one row at a time; kept as the reference."""
+    X = np.atleast_2d(X)
+    out = np.empty_like(X)
+    for r, x in enumerate(X):
+        dist = np.max(np.abs(rule.nodes - x), axis=1)
+        j = int(np.argmin(dist))
+        if dist[j] > rule.tol:
+            raise GridMiss(f"tabulated rule queried off its nodes: {x} is {dist[j]:.3e} from the nearest")
+        out[r] = rule.images[j]
+    return out
+
+
+class TestTabulatedLookup:
+    """The chunked nearest-node search picks the row loop's node, bitwise, and
+    raises the loop's GridMiss at the first off-node row, whatever the chunk size."""
+
+    @staticmethod
+    def _queries(rng, nodes, tol):
+        """Nodes, points near nodes, midpoints of node pairs (ties) and random
+        beliefs, split into those within tol of a node and those beyond."""
+        n = nodes.shape[1]
+        i, j = rng.integers(len(nodes), size=(2, 300))
+        near = nodes[i] + rng.uniform(-0.5, 0.5, size=(300, n)) * tol
+        pool = np.vstack([nodes[i], near, 0.5 * (nodes[i] + nodes[j]), rng.dirichlet(np.ones(n), size=300)])
+        dist = np.max(np.abs(pool[:, None, :] - nodes[None, :, :]), axis=2)
+        nearest = dist.min(axis=1)
+        ties = np.sum(dist == nearest[:, None], axis=1) > 1
+        return pool[nearest <= tol], pool[nearest > tol], int(np.sum(ties & (nearest <= tol)))
+
+    def test_matches_the_row_loop(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        for n in (2, 3, 4):
+            lattice = simplex_lattice(n, 9)
+            nodes = lattice[rng.random(len(lattice)) < 0.7]  # the gaps leave beliefs off every node
+            tol = 0.6 / 8  # a midpoint of two neighbouring nodes is 0.5 / 8 from both
+            rule = TabulatedRule(nodes, rng.dirichlet(np.ones(n), size=len(nodes)), tol)
+            on, off, ties = self._queries(rng, nodes, tol)
+            assert len(on) >= 1000 and len(off) >= 100 and ties >= 50, (n, len(on), len(off), ties)
+            for cells in (distortions._LOOKUP_CELLS, 7 * len(nodes), 1):
+                monkeypatch.setattr(distortions, "_LOOKUP_CELLS", cells)
+                assert rule.apply_batch(None, on).tobytes() == _row_loop_lookup(rule, on).tobytes()
+                with_nan = np.vstack([on[:5], np.full(n, np.nan), on[5:10]])  # NaN is no miss: the first node's image
+                assert rule.apply_batch(None, with_nan).tobytes() == _row_loop_lookup(rule, with_nan).tobytes()
+                for _ in range(10):
+                    batch = np.vstack([on[rng.integers(len(on), size=40)], off[rng.integers(len(off), size=3)]])
+                    batch = batch[rng.permutation(len(batch))]
+                    with pytest.raises(GridMiss) as want:
+                        _row_loop_lookup(rule, batch)
+                    with pytest.raises(GridMiss) as got:
+                        rule.apply_batch(None, batch)
+                    assert str(got.value) == str(want.value)
+            with pytest.raises(ValueError):
+                rule.apply_batch(None, np.full((2, n + 1), 1.0 / (n + 1)))
+
+
 class TestStubbornFamily:
     def test_example_a_pointwise(self):
         rule = stubborn_example_a()

@@ -34,7 +34,6 @@ from blackwell_audit.geometry import (
     _in_hull_lp,
     in_convex_hull,
     on_segment,
-    separating_hyperplane,
     separating_hyperplane_sets,
     simplex_lattice,
     solve_lp,
@@ -235,10 +234,7 @@ class TestSolveLP:
     @staticmethod
     def separate(A, B):
         try:
-            if A.shape[0] == 1:
-                separating_hyperplane(A[0], B)
-            else:
-                separating_hyperplane_sets(A, B)
+            separating_hyperplane_sets(A, B)
         except NoStrictSeparation:
             pass
 
@@ -351,7 +347,7 @@ class TestHostileInput:
         import sys
         import numpy as np
         from blackwell_audit.geometry import (
-            Belief, in_convex_hull, separating_hyperplane, separating_hyperplane_sets)
+            Belief, in_convex_hull, separating_hyperplane_sets)
         from blackwell_audit.experiments import PosteriorDistribution, is_mpc
 
         def hand_built(support, probs, barycenter):
@@ -370,8 +366,7 @@ class TestHostileInput:
         cases = {
             "in_convex_hull query": lambda: in_convex_hull(q, vertices),
             "in_convex_hull hull point": lambda: in_convex_hull(centre, [q] + vertices[1:]),
-            "separating_hyperplane point": lambda: separating_hyperplane(q, vertices),
-            "separating_hyperplane hull point": lambda: separating_hyperplane(centre, [q] + vertices[1:]),
+            "separating_hyperplane_sets single point above": lambda: separating_hyperplane_sets([q], vertices),
             "separating_hyperplane_sets above": lambda: separating_hyperplane_sets([q, centre], vertices[:2]),
             "separating_hyperplane_sets below": lambda: separating_hyperplane_sets([centre], [q] + vertices[1:]),
             "is_mpc contraction": lambda: is_mpc(hand_built([q, centre], [0.5, 0.5], centre), spread),
@@ -394,7 +389,7 @@ class TestHostileInput:
         done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
-        assert len(lines) == 8, done.stdout
+        assert len(lines) == 7, done.stdout
         assert all(line.endswith(" ValueError") for line in lines), done.stdout
 
 
@@ -402,19 +397,19 @@ class TestSeparatingHyperplane:
     def test_witness_contract_three_states(self):
         p = (0.9, 0.05, 0.05)
         hull = [(0.2, 0.2, 0.6), (0.6, 0.2, 0.2), (0.2, 0.6, 0.2)]
-        h = separating_hyperplane(p, hull)
+        h = separating_hyperplane_sets([p], hull)
         assert np.max(np.abs(h.normal)) == pytest.approx(1.0)
         assert h.value(p) > 0
         assert all(h.value(q) < 0 for q in hull)
 
     def test_two_state_direction(self):
-        h = separating_hyperplane((1, 0), [(0.5, 0.5)])
+        h = separating_hyperplane_sets([(1, 0)], [(0.5, 0.5)])
         assert h.value((1, 0)) > 0
         assert h.value((0.5, 0.5)) < 0
 
     def test_interior_point_has_no_witness(self):
         with pytest.raises(NoStrictSeparation):
-            separating_hyperplane((1 / 3, 1 / 3, 1 / 3), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+            separating_hyperplane_sets([(1 / 3, 1 / 3, 1 / 3)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
     def test_set_separation(self):
         h = separating_hyperplane_sets([(0.8, 0.1, 0.1), (0.7, 0.2, 0.1)], [(0.2, 0.4, 0.4)])
@@ -437,9 +432,9 @@ class TestSeparatingHyperplane:
             p = random_belief(rng, n)
             if in_convex_hull(p, hull, tol=1e-9):
                 with pytest.raises(NoStrictSeparation):
-                    separating_hyperplane(p, hull, margin=1e-9)
+                    separating_hyperplane_sets([p], hull, margin=1e-9)
             else:
-                h = separating_hyperplane(p, hull, margin=1e-9)
+                h = separating_hyperplane_sets([p], hull, margin=1e-9)
                 assert h.value(p) > 0
                 assert max(h.value(q) for q in hull) < 0
 
