@@ -25,11 +25,11 @@ Construction recipes, cheapest first
 * ``vertexprop-separation`` - a vertex image off the segment toward the
   common collapse point.
 * ``random-search``       - randomized experiment pairs and threshold
-  problems for the remaining budget.  Trials are drawn in blocks from
-  one seeded stream and screened in one numpy pass on the posteriors the
-  certificate would carry; only the trials the conservative screen flags
-  are emitted, one at a time and in trial order, so the result is that
-  of emitting every trial.
+  problems for the remaining budget.  Blocks of 8, 16, ..., 256, 256, ...
+  trials, whatever the budget, come from one seeded stream in six
+  generator calls each and are screened in one numpy pass on the
+  posteriors the certificate would carry; only the flagged trials are
+  emitted, in trial order, so the result is that of emitting every trial.
 
 One search object (``_Search``) holds an audit's fixed inputs and its
 construction budget.  Every recipe cuts through ``_Search.cut`` (charge
@@ -751,36 +751,33 @@ def _unit_rows(e: np.ndarray) -> np.ndarray:
     return e * (1.0 / acc)[..., None]
 
 
-def _draw_block(rng: np.random.Generator, n: int, size: int):
-    """The next ``size`` trials of the search stream, grouped by shape.
+def _draw_block(rng: np.random.Generator, n: int, size: int, take: int):
+    """Draw the next ``size`` trials of the search stream; the first ``take``, grouped by shape.
 
-    Each trial draws its numbers in the one-trial-at-a-time order: signal
-    count k, lik as n Dirichlet(1^k) rows, channel count kp, channel as k
-    Dirichlet(1^kp) rows, point as one Dirichlet(1^n) row, then n standard
-    normals z.  A Dirichlet(1^m) row is m standard exponentials scaled to
-    sum 1, and the channel's and the point's exponentials are adjacent, so
-    they come from one call.  Returns (groups, points, z): one (trial
-    indices, lik stack, channel stack) per (k, kp), and (size, n) arrays.
+    The block is six generator calls, whatever its size: signal counts
+    k = integers(2, 5, size), channel counts kp = integers(1, k + 1),
+    then standard exponentials (size, n, 4) for lik, (size, 4, 4) for the
+    channel and (size, n) for the point, then standard normals z (size, n).
+    Trial t's lik rows are the first k columns of its exponentials, its
+    channel the k x kp corner, each row scaled to sum 1 (``_unit_rows``),
+    so every row is Dirichlet(1).  The whole block is drawn even when fewer
+    trials are taken, so trial t depends on (seed, n, t) alone.  Returns
+    (groups, points, z): one (trial indices, lik stack, channel stack) per
+    (k, kp), and (take, n) arrays.
     """
-    shapes, e_lik, e_rest, z = [], [], [], []
-    for _ in range(size):
-        k = int(rng.integers(2, 5))
-        e_lik.append(rng.standard_exponential((n, k)))
-        kp = int(rng.integers(1, k + 1))
-        e_rest.append(rng.standard_exponential(k * kp + n))
-        z.append(rng.standard_normal(n))
-        shapes.append((k, kp))
-    members: dict = {}
-    for t, shape in enumerate(shapes):
-        members.setdefault(shape, []).append(t)
+    k = rng.integers(2, 5, size)
+    kp = rng.integers(1, k + 1)
+    e_lik = rng.standard_exponential((size, n, 4))
+    e_channel = rng.standard_exponential((size, 4, 4))
+    e_point = rng.standard_exponential((size, n))
+    z = rng.standard_normal((size, n))
+    shapes, inverse = np.unique(8 * k[:take] + kp[:take], return_inverse=True)
     groups = []
-    points = np.empty((size, n))
-    for (k, kp), idx in sorted(members.items()):
-        rest = np.array([e_rest[t] for t in idx])
-        channel = _unit_rows(rest[:, : k * kp].reshape(len(idx), k, kp))
-        points[idx] = _unit_rows(rest[:, k * kp :])
-        groups.append((idx, _unit_rows(np.array([e_lik[t] for t in idx])), channel))
-    return groups, points, np.array(z)
+    for g, shape in enumerate(shapes.tolist()):
+        idx = np.flatnonzero(inverse == g)
+        gk, gkp = divmod(shape, 8)
+        groups.append((idx, _unit_rows(e_lik[idx, :, :gk]), _unit_rows(e_channel[idx, :gk, :gkp])))
+    return groups, _unit_rows(e_point[:take]), z[:take]
 
 
 def _block_posteriors(mu: np.ndarray, block):
@@ -799,7 +796,6 @@ def _block_posteriors(mu: np.ndarray, block):
     M = np.zeros((size, 8))
     for idx, lik, channel in groups:
         k, kp = channel.shape[1:]
-        idx = np.array(idx)
         lik = lik / lik.sum(axis=-1, keepdims=True)
         lik_p = lik @ (channel / channel.sum(axis=-1, keepdims=True))
         lik_p /= lik_p.sum(axis=-1, keepdims=True)
@@ -864,9 +860,9 @@ def _block_trial(block, t: int):
     """Trial t's (lik, channel, point, z), each as a fresh array."""
     groups, points, z = block
     for idx, lik, channel in groups:
-        if t in idx:
-            j = idx.index(t)
-            return lik[j].copy(), channel[j].copy(), points[t].copy(), z[t].copy()
+        j = np.flatnonzero(idx == t)
+        if j.size:
+            return lik[j[0]].copy(), channel[j[0]].copy(), points[t].copy(), z[t].copy()
     raise IndexError(t)
 
 
@@ -891,24 +887,25 @@ def _random_search(search: _Search) -> Optional[ViolationCertificate]:
     """Randomized fallback: random garbled pairs against threshold problems.
 
     One budget unit buys one trial, drawn from a stream seeded by the
-    search's seed.  Trials come in blocks (``_draw_block``), and one numpy
-    pass screens a block's gaps conservatively (``_screen``).  Only the
-    flagged trials are emitted one at a time (``_search_trial``, then
-    ``_Search.emit``), in trial order, so the certificate and the budget
-    charged are those of emitting every trial.  A trial whose rule raises
-    ValueError is skipped.
+    search's seed in blocks of a fixed schedule (``_draw_block``); the
+    budget only decides how many of the last block's trials are taken.
+    One numpy pass screens a block's gaps conservatively (``_screen``).
+    Only the flagged trials are emitted one at a time (``_search_trial``,
+    then ``_Search.emit``), in trial order, so the certificate and the
+    budget charged are those of emitting every trial.  A trial whose rule
+    raises ValueError is skipped.
     """
     rng = np.random.default_rng(search.seed)
     size = _BLOCK_FIRST
     while search.remaining > 0:
-        size = min(size, search.remaining)
-        block = _draw_block(rng, search.mu.shape[0], size)
+        take = min(size, search.remaining)
+        block = _draw_block(rng, search.mu.shape[0], size, take)
         for t in np.flatnonzero(_screen(search, block)):
             cert = _search_trial(search, *_block_trial(block, int(t)))
             if cert is not None:
                 search.charge(int(t) + 1)
                 return cert
-        search.charge(size)
+        search.charge(take)
         size = min(2 * size, _BLOCK_MAX)
     return None
 
@@ -940,7 +937,7 @@ def audit(
     """
     mua = _coerce(mu)
     n = mua.shape[0]
-    if np.min(mua) <= 0.0:
+    if not (mua.min() > 0.0 and mua.max() < math.inf):
         raise ValueError("audit requires a full-support prior")
     sel = sel or Selector()
     mode = WelfareMode(mode)

@@ -358,7 +358,7 @@ class TabulatedRule(Distortion):
 
     Lookup is nearest-node within ``tol`` in the sup norm (the first
     node on a tie), with no interpolation; the first query farther than
-    ``tol`` from every node raises GridMiss.
+    ``tol`` from every node, or holding NaN, raises GridMiss.
     """
 
     nodes: np.ndarray
@@ -394,7 +394,7 @@ class TabulatedRule(Distortion):
             dist = functools.reduce(np.maximum, (np.abs(x[:, None] - node) for x, node in columns))
             j = np.argmin(dist, axis=1)
             nearest = dist[np.arange(j.size), j]
-            miss = np.flatnonzero(nearest > self.tol)
+            miss = np.flatnonzero(~(nearest <= self.tol))  # a NaN query is a miss
             if miss.size:
                 r = int(miss[0])
                 x, gap = X[lo + r], nearest[r]
@@ -443,13 +443,13 @@ def evaluate(d: Distortion, mu, x) -> Belief:
 def evaluate_batch(d: Distortion, mu, X) -> np.ndarray:
     """The rule's images of the rows of X at prior mu: the one gate to ``Distortion.apply_batch``.
 
-    mu and X are coerced to float64 once; a prior off the interior raises
-    PriorNotInterior before the rule runs, and an image holding NaN or an
-    infinite coordinate raises NonFiniteImage, so every caller gets finite
-    images or an error.
+    mu and X are coerced to float64 once; a prior off the interior, or one
+    with a NaN or infinite coordinate, raises PriorNotInterior before the
+    rule runs, and an image holding NaN or an infinite coordinate raises
+    NonFiniteImage, so every caller gets finite images or an error.
     """
     mua = _coerce(mu)
-    if np.min(mua) <= 0.0:
+    if not (mua.min() > 0.0 and mua.max() < math.inf):
         raise PriorNotInterior("rule evaluation requires a full-support prior")
     imgs = d.apply_batch(mua, np.asarray(X, dtype=np.float64))
     if not np.isfinite(imgs).all():

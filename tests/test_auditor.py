@@ -193,6 +193,11 @@ class TestFullAudit:
         with pytest.raises(GridMiss):
             audit(TabulatedRule(nodes, nodes, tol=1e-9), MU3, grid_size=11)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prior_is_refused_before_the_census(self, bad):
+        with pytest.raises(ValueError, match="full-support prior"):
+            audit(BayesRule(3), (bad, 0.5, 0.5), grid_size=11)
+
     def test_misread_prior_is_caught(self):
         # Identity except the prior itself drifts: the two-stage
         # contraction recipe must produce a certificate.
@@ -342,47 +347,64 @@ class TestDeterminism:
         assert a.certificate.dumps() == b.certificate.dumps()
 
 
+def _dirichlet_rows(e: np.ndarray) -> np.ndarray:
+    """Rows of standard exponentials scaled to sum 1 as numpy's Dirichlet sampler
+    does it: a left-to-right sum, then a product with its inverse."""
+    acc = e[..., 0].copy()
+    for j in range(1, e.shape[-1]):
+        acc += e[..., j]
+    return e * (1.0 / acc)[..., None]
+
+
+def _stream_block(rng: np.random.Generator, n: int, size: int) -> list:
+    """One block of the documented search stream, six generator calls, as each
+    trial's (lik, channel, point, z): the first k columns of its likelihood
+    exponentials, the k x kp corner of its channel exponentials."""
+    k = rng.integers(2, 5, size)
+    kp = rng.integers(1, k + 1)
+    e_lik = rng.standard_exponential((size, n, 4))
+    e_channel = rng.standard_exponential((size, 4, 4))
+    e_point = rng.standard_exponential((size, n))
+    z = rng.standard_normal((size, n))
+    lik = {m: _dirichlet_rows(e_lik[:, :, :m]) for m in (2, 3, 4)}
+    channel = {(m, mp): _dirichlet_rows(e_channel[:, :m, :mp]) for m in (2, 3, 4) for mp in range(1, m + 1)}
+    points = _dirichlet_rows(e_point)
+    return [(lik[k[t]][t], channel[k[t], kp[t]][t], points[t], z[t]) for t in range(size)]
+
+
 def _reference_random_search(d, mu, budget, sel, mode, seed):
-    """The one-trial-at-a-time random search that block screening replaced."""
+    """Random search scored one trial at a time on the documented stream: blocks
+    of 8, 16, ..., 256, 256, ... whatever the budget, the trials taken in order."""
     n = mu.shape[0]
     rng = np.random.default_rng(seed)
+    size = 8
     while budget.remaining > 0:
-        budget.charge()
-        k = int(rng.integers(2, 5))
-        lik = rng.dirichlet(np.ones(k), size=n)
-        kp = int(rng.integers(1, k + 1))
-        channel = rng.dirichlet(np.ones(kp), size=k)
-        lik_p = lik @ channel
-        point = rng.dirichlet(np.ones(n))
-        normal = rng.normal(size=n)
-        normal -= normal.mean()
-        scale = float(np.max(np.abs(normal)))
-        if scale < 1e-9:
-            continue
-        normal /= scale
-        problem = hyperplane_problem(Hyperplane(normal, float(normal @ point)))
-        try:
-            gap = expected_payoff(problem, d, mu, sel, mode, bayes(mu, Experiment(lik))) - expected_payoff(
-                problem, d, mu, sel, mode, bayes(mu, Experiment(lik_p))
+        trials = _stream_block(rng, n, size)
+        for lik, channel, point, z in trials[: budget.remaining]:
+            budget.charge()
+            normal = z - z.mean()
+            scale = float(np.max(np.abs(normal)))
+            if scale < 1e-9:
+                continue
+            normal /= scale
+            problem = hyperplane_problem(Hyperplane(normal, float(normal @ point)))
+            try:
+                pi = Experiment(lik)
+                pi_p = garble(pi, GarblingMatrix(channel))
+                gap = expected_payoff(problem, d, mu, sel, mode, bayes(mu, pi)) - expected_payoff(
+                    problem, d, mu, sel, mode, bayes(mu, pi_p)
+                )
+            except (ValueError, BarycenterMismatch):
+                continue
+            if gap > -GAP_TOL:
+                continue
+            cert = ViolationCertificate(
+                prior=Belief(mu), rule=d, pi=pi, pi_prime=pi_p, problem=problem,
+                selector=sel, mode=mode, gap=float(gap), recipe="random-search", seed=seed,
             )
-        except (ValueError, BarycenterMismatch):
-            continue
-        if gap > -GAP_TOL:
-            continue
-        pi = Experiment(lik)
-        pi_p = garble(pi, GarblingMatrix(channel))
-        gap = expected_payoff(problem, d, mu, sel, mode, bayes(mu, pi)) - expected_payoff(
-            problem, d, mu, sel, mode, bayes(mu, pi_p)
-        )
-        if gap > -GAP_TOL:
-            continue
-        cert = ViolationCertificate(
-            prior=Belief(mu), rule=d, pi=pi, pi_prime=pi_p, problem=problem,
-            selector=sel, mode=mode, gap=float(gap), recipe="random-search", seed=seed,
-        )
-        ok, _ = verify_certificate(cert)
-        if ok:
-            return cert
+            if verify_certificate(cert)[0]:
+                return cert
+        size = min(2 * size, 256)
     return None
 
 
@@ -436,24 +458,59 @@ class TestRandomSearchBlocks:
     def test_block_draws_and_posteriors_are_bitwise_the_per_trial_ones(self):
         for n in (2, 3, 4, 5):
             mu = np.random.default_rng(n).dirichlet(np.full(n, 4.0))
-            block = _draw_block(np.random.default_rng(100 + n), n, 200)
-            stream = np.random.default_rng(100 + n)
+            block = _draw_block(np.random.default_rng(100 + n), n, 200, 200)
+            head = _draw_block(np.random.default_rng(100 + n), n, 200, 137)
+            trials = _stream_block(np.random.default_rng(100 + n), n, 200)
             M, X = _block_posteriors(mu, block)
             for t in range(200):
                 lik, channel, point, z = _block_trial(block, t)
-                # Replay the one-trial-at-a-time draws.
-                k = int(stream.integers(2, 5))
-                assert np.array_equal(lik, stream.dirichlet(np.ones(k), size=n))
-                kp = int(stream.integers(1, k + 1))
-                assert np.array_equal(channel, stream.dirichlet(np.ones(kp), size=k))
-                assert np.array_equal(point, stream.dirichlet(np.ones(n)))
-                assert np.array_equal(z, stream.normal(size=n))
+                # Replay the six documented calls, one trial at a time.
+                want = trials[t]
+                for got, expected in zip((lik, channel, point, z), want):
+                    assert np.array_equal(got, expected), (n, t)
+                if t < 137:  # a block taken in part holds the same trials
+                    for got, expected in zip(_block_trial(head, t), want):
+                        assert np.array_equal(got, expected), (n, t)
                 pi = Experiment(lik)
                 pi_p = garble(pi, GarblingMatrix(channel))
                 for slots, L in ((slice(0, 4), pi.likelihoods), (slice(4, 8), pi_p.likelihoods)):
                     m = mu @ L
                     assert np.array_equal(M[t, slots], np.pad(m, (0, 4 - m.size)))
                     assert np.array_equal(X[t, slots][: m.size], ((mu[:, None] * L) / m[None, :]).T)
+            with pytest.raises(IndexError):
+                _block_trial(head, 137)
+
+    def test_prefix_stable_in_the_budget(self):
+        # Budgets ending inside the first, second, third and fifth block (8, 16, 32, 64, 128),
+        # each with the number of trials before that block.
+        before_last = {3: 0, 13: 8, 40: 24, 130: 120}
+        budgets = tuple(before_last)
+        families = ("grether", "shrinkage", "occ-coarse", "occ-stubborn", "trivial", "bayes")
+        shared = in_last = 0
+        for i in range(96):
+            rng = np.random.default_rng(9000 + i)
+            family = families[i % 6]
+            n = 2 if family == "occ-coarse" else int(rng.integers(3, 5)) if family == "occ-stubborn" else int(rng.integers(2, 5))
+            rule = BayesRule(n) if family == "bayes" else random_rule(family, n, rng)
+            mu = rng.dirichlet(np.full(n, 4.0))
+            mode = (WelfareMode.SINGLE, WelfareMode.DOUBLE)[i // 6 % 2]
+            seed = int(rng.integers(1 << 30))
+            runs = {}
+            for b in budgets:
+                search = _Search(rule, mu, Selector(), mode, 1e-9, seed, b)
+                cert = _random_search(search)
+                runs[b] = (None if cert is None else cert.dumps(), search.used)
+            for j, b in enumerate(budgets):
+                for b_long in budgets[j + 1 :]:
+                    cert, used = runs[b_long]
+                    case = (i, family, n, mode.value, b, b_long)
+                    if cert is not None and used <= b:
+                        assert runs[b] == runs[b_long], case
+                        shared += 1
+                        in_last += used > before_last[b]
+                    else:
+                        assert runs[b][0] is None, case
+        assert shared >= 60 and in_last >= 25, (shared, in_last)
 
 
 class TestRandomSearchScreen:
@@ -468,7 +525,7 @@ class TestRandomSearchScreen:
     Z = np.array([1.0, -1.0])
 
     def _flagged(self, rule, sel, mode, lik, channel, p0):
-        block = ([([0], lik[None], channel[None])], np.array([[p0, 1.0 - p0]]), self.Z[None, :])
+        block = ([(np.array([0]), lik[None], channel[None])], np.array([[p0, 1.0 - p0]]), self.Z[None, :])
         return bool(_screen(_Search(rule, self.MU, sel, mode, 1e-9, 0, 1), block)[0])
 
     def test_act_score_near_tie_threshold(self):

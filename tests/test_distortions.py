@@ -91,6 +91,9 @@ class TestEvaluate:
     def test_requires_interior_prior(self):
         with pytest.raises(PriorNotInterior):
             evaluate(BayesRule(2), (1.0, 0.0), (0.5, 0.5))
+        for bad in (np.nan, np.inf, -np.inf):  # the Bayes map would hand the query back
+            with pytest.raises(PriorNotInterior):
+                evaluate_batch(BayesRule(3), [bad, 0.5, 0.5], [[0.2, 0.3, 0.5]])
 
     def test_grether_rejects_non_finite_parameters(self):
         for alpha, beta in ((float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0), (2.0, float("inf"))):
@@ -169,7 +172,9 @@ def _row_loop_lookup(rule: TabulatedRule, X: np.ndarray) -> np.ndarray:
 
 class TestTabulatedLookup:
     """The chunked nearest-node search picks the row loop's node, bitwise, and
-    raises the loop's GridMiss at the first off-node row, whatever the chunk size."""
+    raises the loop's GridMiss at the first off-node row, whatever the chunk size.
+    A row holding NaN, which the loop answered with the first node's image,
+    raises GridMiss naming that row."""
 
     @staticmethod
     def _queries(rng, nodes, tol):
@@ -196,8 +201,10 @@ class TestTabulatedLookup:
             for cells in (distortions._LOOKUP_CELLS, 7 * len(nodes), 1):
                 monkeypatch.setattr(distortions, "_LOOKUP_CELLS", cells)
                 assert rule.apply_batch(None, on).tobytes() == _row_loop_lookup(rule, on).tobytes()
-                with_nan = np.vstack([on[:5], np.full(n, np.nan), on[5:10]])  # NaN is no miss: the first node's image
-                assert rule.apply_batch(None, with_nan).tobytes() == _row_loop_lookup(rule, with_nan).tobytes()
+                with_nan = np.vstack([on[:5], np.full(n, np.nan), on[5:10]])  # a NaN query is near no node
+                with pytest.raises(GridMiss) as got:
+                    rule.apply_batch(None, with_nan)
+                assert str(got.value) == f"tabulated rule queried off its nodes: {with_nan[5]} is nan from the nearest"
                 for _ in range(10):
                     batch = np.vstack([on[rng.integers(len(on), size=40)], off[rng.integers(len(off), size=3)]])
                     batch = batch[rng.permutation(len(batch))]

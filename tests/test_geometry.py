@@ -348,6 +348,8 @@ class TestHostileInput:
         import numpy as np
         from blackwell_audit.geometry import (
             Belief, in_convex_hull, separating_hyperplane_sets)
+        from blackwell_audit.auditor import audit
+        from blackwell_audit.distortions import BayesRule, TabulatedRule, evaluate_batch
         from blackwell_audit.experiments import PosteriorDistribution, is_mpc
 
         def hand_built(support, probs, barycenter):
@@ -371,6 +373,9 @@ class TestHostileInput:
             "separating_hyperplane_sets below": lambda: separating_hyperplane_sets([centre], [q] + vertices[1:]),
             "is_mpc contraction": lambda: is_mpc(hand_built([q, centre], [0.5, 0.5], centre), spread),
             "is_mpc dilation": lambda: is_mpc(spread, hand_built([q, centre], [0.5, 0.5], centre)),
+            "evaluate_batch prior": lambda: evaluate_batch(BayesRule(3), q, [centre]),
+            "audit prior": lambda: audit(BayesRule(3), q, grid_size=11),
+            "tabulated rule query": lambda: evaluate_batch(TabulatedRule([centre], [centre], 0.1), centre, [q]),
         }
         for name, call in cases.items():
             try:
@@ -389,7 +394,7 @@ class TestHostileInput:
         done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
-        assert len(lines) == 7, done.stdout
+        assert len(lines) == 10, done.stdout
         assert all(line.endswith(" ValueError") for line in lines), done.stdout
 
 
