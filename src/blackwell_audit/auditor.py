@@ -61,7 +61,6 @@ from .geometry import (
     NoStrictSeparation,
     _coerce,
     in_convex_hull,
-    on_segment,
     separating_hyperplane_sets,
     simplex_lattice,
 )
@@ -74,6 +73,7 @@ from .experiments import (
     blackwell_dominates,
     experiment_from_posteriors,
     garble,
+    interior_prior,
 )
 from .distortions import (
     Distortion,
@@ -87,6 +87,7 @@ from .distortions import (
     is_occasionally_stubborn,
     is_trivial_on_interior,
     rule_from_json,
+    vertex_image_ok,
 )
 from .decision import (
     DecisionProblem,
@@ -700,17 +701,12 @@ class AuditReport:
 
 
 def _vertex_condition_certificate(search: _Search, x_star: np.ndarray) -> Optional[ViolationCertificate]:
-    """Erring vertex whose image leaves the segment toward the collapse point."""
+    """Vertex whose image fails the collapse family's vertex condition (``vertex_image_ok``)."""
     d, mu, tol = search.d, search.mu, search.tol
-    n = mu.shape[0]
-    verts = np.eye(n)
+    verts = np.eye(mu.shape[0])
     vert_imgs = evaluate_batch(d, mu, verts)
-    for i in range(n):
-        e = verts[i]
-        img = vert_imgs[i]
-        if np.max(np.abs(img - e)) <= tol:
-            continue
-        if on_segment(x_star, e, img, tol=max(tol, 1e-9)).on:
+    for i, (e, img) in enumerate(zip(verts, vert_imgs)):
+        if vertex_image_ok(x_star, i, img, tol):
             continue
         problem = search.cut([img], np.vstack([e[None, :], x_star[None, :], mu[None, :]]))
         if problem is None:
@@ -927,18 +923,17 @@ def audit(
     """Scan a rule for order violations at one prior.
 
     Classifies every lattice belief, dispatches the ``_MAX_DISPATCH``
-    largest errors of each kind to the constructive recipes, checks
-    erring vertices against the collapse-point segment condition, and
-    spends any budget left on randomized search.  One budget unit buys
-    one recipe cut, one lemma-3 pair or one random-search trial.  Absence of a certificate is a pass
-    (with structural checker verdicts attached), never an error.  An error
-    of the rule's evaluation propagates, such as NonFiniteImage or an
-    off-node GridMiss.
+    largest errors of each kind to the constructive recipes, checks the
+    vertices against ``vertex_image_ok`` at the collapse checker's x*, and
+    spends any budget left on randomized search.  One budget unit buys one
+    recipe cut, one lemma-3 pair or one random-search trial.  Absence of a
+    certificate is a pass, never an error.  The report carries the checker
+    verdicts that characterize harmlessness in its mode (DOUBLE: ``affine``
+    alone).  An error of the rule's evaluation propagates, such as
+    NonFiniteImage or an off-node GridMiss.
     """
-    mua = _coerce(mu)
+    mua = interior_prior(mu, "audit")
     n = mua.shape[0]
-    if not (mua.min() > 0.0 and mua.max() < math.inf):
-        raise ValueError("audit requires a full-support prior")
     sel = sel or Selector()
     mode = WelfareMode(mode)
 
@@ -956,14 +951,17 @@ def audit(
     }
 
     checker_verdicts: dict = {}
-    if n == 2:
-        checker_verdicts["occasionally_coarse"] = is_occasionally_coarse(
-            d, mua, grid_size=max(grid_size, 100), tol=max(tol, 1e-9)
-        ).to_json()
-    else:
-        stubborn = is_occasionally_stubborn(d, mua, tol=max(tol, 1e-9))
-        checker_verdicts["occasionally_stubborn"] = stubborn.to_json()
-    checker_verdicts["trivial_on_interior"] = is_trivial_on_interior(d, mua, tol=max(tol, 1e-9))
+    star: Optional[Belief] = None  # the collapse point x* of the vertex recipe
+    if mode is WelfareMode.SINGLE:
+        if n == 2:
+            checker_verdicts["occasionally_coarse"] = is_occasionally_coarse(
+                d, mua, grid_size=max(grid_size, 100), tol=max(tol, 1e-9)
+            ).to_json()
+        else:
+            stubborn = is_occasionally_stubborn(d, mua, tol=max(tol, 1e-9))
+            checker_verdicts["occasionally_stubborn"] = stubborn.to_json()
+            star = stubborn.x_star
+        checker_verdicts["trivial_on_interior"] = is_trivial_on_interior(d, mua, tol=max(tol, 1e-9))
     checker_verdicts["affine"] = is_affine(d, mua)
 
     search = _Search(d, mua, sel, mode, tol, seed, int(budget))
@@ -999,15 +997,10 @@ def audit(
                 if certificate is not None:
                     return report(certificate)
 
-        # Vertex images must stay on the segment toward the collapse point.
-        if n >= 3:
-            star = stubborn.x_star.coords if stubborn.x_star is not None else None
-            if star is None and checker_verdicts["trivial_on_interior"]:
-                star = evaluate_batch(d, mua, mua[None, :])[0]
-            if star is not None:
-                certificate = _vertex_condition_certificate(search, star)
-                if certificate is not None:
-                    return report(certificate)
+        if star is not None:
+            certificate = _vertex_condition_certificate(search, star.coords)
+            if certificate is not None:
+                return report(certificate)
 
         certificate = _random_search(search)
     except BudgetExhausted:

@@ -36,7 +36,7 @@ from .geometry import (
     on_segment,
     vertex_belief,
 )
-from .experiments import PosteriorDistribution, PriorNotInterior
+from .experiments import PosteriorDistribution, interior_prior
 
 # Coordinates above this threshold count toward a belief's support.
 SUPPORT_TOL = 1e-9
@@ -161,8 +161,8 @@ class StubbornSpec:
     optionally names one edge containing ``x_star`` in its relative
     interior together with the vertex whose side of the edge collapses;
     the rest of that edge is the identity.  ``vertex_images`` assigns
-    images to erring vertices; each must put at least as much weight on
-    its vertex state as ``x_star`` does.
+    images to erring vertices; vertex i's must lie on the segment from
+    ``x_star`` to vertex i (``vertex_image_ok``).
     """
 
     x_star: np.ndarray
@@ -216,10 +216,8 @@ class StubbornSpec:
             arr = Belief(img).coords
             if (i,) in closure and np.max(np.abs(arr - vertex_belief(n, i).coords)) > TOL_GEO:
                 raise ValueError(f"vertex {i} belongs to an identity face; it cannot err")
-            if arr[i] < xs[i] - TOL_GEO:
-                raise ValueError(
-                    f"vertex {i} image must weight state {i} at least as much as the common image"
-                )
+            if not vertex_image_ok(xs, i, arr):
+                raise ValueError(f"vertex {i} image must lie on the segment from the common image to vertex {i}")
             imgs[i] = arr
 
         object.__setattr__(self, "x_star", xs)
@@ -448,9 +446,7 @@ def evaluate_batch(d: Distortion, mu, X) -> np.ndarray:
     rule runs, and an image holding NaN or an infinite coordinate raises
     NonFiniteImage, so every caller gets finite images or an error.
     """
-    mua = _coerce(mu)
-    if not (mua.min() > 0.0 and mua.max() < math.inf):
-        raise PriorNotInterior("rule evaluation requires a full-support prior")
+    mua = interior_prior(mu, "rule evaluation")
     imgs = d.apply_batch(mua, np.asarray(X, dtype=np.float64))
     if not np.isfinite(imgs).all():
         raise NonFiniteImage(f"the rule's map returned a non-finite image at prior {mua.tolist()}")
@@ -648,6 +644,14 @@ class StubbornVerdict:
         return doc
 
 
+def vertex_image_ok(x_star, i: int, image, tol: float = TOL_GEO) -> bool:
+    """The collapse family's vertex condition: vertex i's image lies on the
+    segment from ``x_star`` to vertex i within max(tol, 1e-9).  A correct
+    vertex, whose image is the vertex itself, meets it."""
+    xs = _coerce(x_star)
+    return on_segment(xs, vertex_belief(xs.shape[0], i).coords, image, tol=max(tol, 1e-9)).on
+
+
 @functools.lru_cache(maxsize=16)
 def _face_stack(n: int, count: int) -> tuple:
     """(faces, samples): every face of dimension >= 1 and its ``face_samples``, stacked
@@ -664,12 +668,11 @@ def is_occasionally_stubborn(
     """Structure test for three or more states.
 
     Samples the relative interior of every face (deterministically, keyed
-    by the face), plus all vertices.  With any error present, every face
-    of dimension >= 2 whose closure errs must collapse its interior to
-    one common point; erring edges collapse too, except possibly one edge
-    through the common point that may keep its far side correct; erring
-    vertices must stay at least as extreme (toward their own state) as
-    the common point.
+    by the face), plus all vertices.  With any error present, x* is the
+    image the full simplex's samples share (named even in a refutation):
+    every face of dimension >= 2 whose closure errs collapses to x*; so do
+    erring edges, except possibly one edge through x* that keeps its far
+    side correct; erring vertices meet ``vertex_image_ok`` at x*.
     """
     n = d.n
     if n < 3:
@@ -695,24 +698,18 @@ def is_occasionally_stubborn(
     def closure_errs(face: Face) -> bool:
         return any(set(sup) <= set(face.support) for sup in error_supports)
 
-    # Item 1: erring faces of dimension >= 2 collapse to one common image.
-    x_star: Optional[np.ndarray] = None
+    # x*: the full simplex is the last face, and its closure carries every error.
+    interior_imgs = face_data[-1][2]
+    x_star = interior_imgs[0]
+    star = Belief(x_star) if np.max(np.abs(interior_imgs - x_star)) <= tol else None
+
+    # Item 1: erring faces of dimension >= 2 collapse to x*.
     for face, S, imgs, errs in face_data:
         if face.dim < 2 or not closure_errs(face):
             continue
-        for k in range(S.shape[0]):
-            if not errs[k]:
-                return StubbornVerdict(False, None, (S[k], "item1-common-image"))
-            if x_star is None:
-                x_star = imgs[k]
-            elif np.max(np.abs(imgs[k] - x_star)) > tol:
-                return StubbornVerdict(False, None, (S[k], "item1-common-image"))
-    if x_star is None:
-        # Errors exist but no face of dim >= 2 contains one in its closure;
-        # impossible since the full simplex contains everything.
-        raise AssertionError("unreachable: full simplex must carry the error")
-
-    star = Belief(x_star)
+        bad = ~errs | (np.max(np.abs(imgs - x_star), axis=1) > tol)
+        if bad.any():
+            return StubbornVerdict(False, star, (S[int(np.argmax(bad))], "item1-common-image"))
 
     def star_in_edge_interior(face: Face) -> bool:
         i, j = face.support
@@ -720,37 +717,28 @@ def is_occasionally_stubborn(
         off = np.delete(x_star, [i, j])
         return inside and (off.size == 0 or np.max(off) <= SUPPORT_TOL)
 
+    def split_reads(S: np.ndarray, imgs: np.ndarray, extreme: int) -> bool:
+        """Samples strictly between x* and vertex ``extreme`` read as x*, the rest correctly."""
+        for x, img in zip(S, imgs):
+            loc = on_segment(verts[extreme], x_star, x, tol=tol)
+            want = x_star if loc.on and 1e-9 < loc.lam < 1.0 - 1e-9 else x
+            if np.max(np.abs(img - want)) > tol:
+                return False
+        return True
+
     # Item 2: erring edges collapse, except possibly the split edge through x*.
     for face, S, imgs, errs in face_data:
         if face.dim != 1 or not closure_errs(face):
             continue
-        all_star = bool(np.all(np.max(np.abs(imgs - x_star), axis=1) <= tol))
-        if all_star:
+        dist = np.max(np.abs(imgs - x_star), axis=1)
+        if np.all(dist <= tol):
             continue
-        if not star_in_edge_interior(face):
-            bad = int(np.argmax(np.max(np.abs(imgs - x_star), axis=1)))
-            return StubbornVerdict(False, star, (S[bad], "item2-edge"))
-        matched = False
-        for extreme in face.support:
-            ok = True
-            e = verts[extreme]
-            for k in range(S.shape[0]):
-                loc = on_segment(e, x_star, S[k], tol=tol)
-                between = loc.on and 1e-9 < loc.lam < 1.0 - 1e-9
-                want = x_star if between else S[k]
-                if np.max(np.abs(imgs[k] - want)) > tol:
-                    ok = False
-                    break
-            if ok:
-                matched = True
-                break
-        if not matched:
-            bad = int(np.argmax(np.max(np.abs(imgs - x_star), axis=1)))
-            return StubbornVerdict(False, star, (S[bad], "item2-edge"))
+        if not (star_in_edge_interior(face) and any(split_reads(S, imgs, extreme) for extreme in face.support)):
+            return StubbornVerdict(False, star, (S[int(np.argmax(dist))], "item2-edge"))
 
-    # Item 3: erring vertices stay at least as extreme as x* toward their state.
+    # Item 3: erring vertices map onto their segment toward x*.
     for i in np.nonzero(vert_err)[0]:
-        if vert_imgs[i][i] < x_star[i] - tol:
+        if not vertex_image_ok(x_star, i, vert_imgs[i], tol):
             return StubbornVerdict(False, star, (verts[i], "item3-vertex"))
 
     return StubbornVerdict(True, star)
@@ -864,15 +852,15 @@ def _full3(x1: float, x2: float) -> list:
 def stubborn_example_a() -> StubbornRule:
     """Reference three-state collapse rule, trivial on every edge.
 
-    All non-vertex beliefs are read as (1/5, 1/3, 7/15); one vertex is
-    correct and the other two carry fixed images that stay more extreme
-    toward their own state than the common point.
+    All non-vertex beliefs are read as x* = (1/5, 1/3, 7/15); vertex 0 is
+    correct, and vertices 1 and 2 map a quarter of the way from x* to
+    themselves, to (3/20, 1/2, 7/20) and (3/20, 1/4, 3/5).
     """
     spec = StubbornSpec(
         _full3(1 / 5, 1 / 3),
         vertex_images={
-            2: _full3(1 / 5, 1 / 6),
-            1: _full3(3 / 10, 1 / 2),
+            2: _full3(3 / 20, 1 / 4),
+            1: _full3(3 / 20, 1 / 2),
         },
     )
     return StubbornRule(spec)
@@ -925,7 +913,7 @@ def random_rule(family: str, n: int, rng: np.random.Generator) -> Distortion:
             if r < 0.4:
                 continue  # correct vertex
             t = float(rng.uniform(0.0, 1.0))
-            vertex_images[i] = t * np.eye(n)[i] + (1.0 - t) * xs
+            vertex_images[i] = t * np.eye(n)[i] + (1.0 - t) * xs  # on its segment: ``vertex_image_ok``
         identity = []
         if spec_edge is None and rng.random() < 0.4:
             # One entirely-correct edge (its vertices become correct too).

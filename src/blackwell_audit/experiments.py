@@ -42,6 +42,15 @@ class BarycenterMismatch(ValueError):
     """Posterior distribution's mean disagrees with the stated prior."""
 
 
+def interior_prior(prior, what: str) -> np.ndarray:
+    """The prior as a float64 array; PriorNotInterior unless every coordinate
+    is positive and finite (a NaN coordinate fails both tests)."""
+    mu = _coerce(prior)
+    if not (mu.min() > 0.0 and mu.max() < np.inf):
+        raise PriorNotInterior(f"{what} requires a full-support prior")
+    return mu
+
+
 def _check_rows_stochastic(matrix: np.ndarray, what: str) -> np.ndarray:
     if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
         raise ValueError(f"{what} must be a non-empty 2-d matrix")
@@ -190,9 +199,7 @@ def bayes(prior, experiment: Experiment) -> PosteriorDistribution:
     likelihood[theta, s]; zero-probability signals are dropped and
     coincident posteriors merged.  The barycenter equals the prior.
     """
-    mu = _coerce(prior)
-    if np.min(mu) <= 0.0:
-        raise PriorNotInterior("bayes requires a full-support prior")
+    mu = interior_prior(prior, "bayes")
     if mu.shape[0] != experiment.n_states:
         raise DimensionMismatch("prior length must match the experiment's state count")
     marginal = mu @ experiment.likelihoods
@@ -208,9 +215,7 @@ def experiment_from_posteriors(rho: PosteriorDistribution, prior) -> Experiment:
     support[j, theta] / prior[theta].  Requires the barycenter to match
     the (interior) prior, which is exactly what makes the rows stochastic.
     """
-    mu = _coerce(prior)
-    if np.min(mu) <= 0.0:
-        raise PriorNotInterior("reconstruction requires a full-support prior")
+    mu = interior_prior(prior, "reconstruction")
     if np.max(np.abs(rho.barycenter.coords - mu)) > TOL_BARY:
         raise BarycenterMismatch(
             f"barycenter {rho.barycenter.coords} != prior {mu}"

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from blackwell_audit.geometry import Belief, uniform_belief
+from blackwell_audit.geometry import Belief, Hyperplane, uniform_belief
 from blackwell_audit.experiments import (
     Experiment,
     GarblingMatrix,
@@ -142,6 +142,24 @@ class TestCriterion2TwoStateSufficiency:
         )
 
 
+def _random_threshold_problem(rng, n):
+    point = rng.dirichlet(np.ones(n))
+    normal = rng.normal(size=n)
+    normal -= normal.mean()
+    normal /= np.max(np.abs(normal))
+    return hyperplane_problem(Hyperplane(normal, float(normal @ point)))
+
+
+def _vertex_revealing_experiment(rng, n):
+    """A random experiment whose first signal only state i sends, so one posterior is vertex i."""
+    i = int(rng.integers(n))
+    k = int(rng.integers(2, 6))
+    q = float(rng.uniform(0.1, 0.9))
+    rest = rng.dirichlet(np.ones(k - 1), size=n)
+    rest[i] *= 1.0 - q
+    return Experiment(np.column_stack([np.eye(n)[i] * q, rest]))
+
+
 class TestCriterion3ThreeStateSufficiency:
     def test_reference_collapse_rules_survive_sweeps(self):
         t0 = time.time()
@@ -150,31 +168,32 @@ class TestCriterion3ThreeStateSufficiency:
         checker_ok = all(
             is_occasionally_stubborn(rule, MU3, samples_per_face=24).ok for rule in rules.values()
         )
+
+        def gap(rule, pi, pi_p, problem):
+            return expected_payoff(problem, rule, MU3, SEL, WelfareMode.SINGLE, bayes(MU3, pi)) - \
+                expected_payoff(problem, rule, MU3, SEL, WelfareMode.SINGLE, bayes(MU3, pi_p))
+
         worst_gap = 0.0
         for rule in rules.values():
             for _ in range(500):
                 k = int(rng.integers(2, 6))
                 pi = Experiment(rng.dirichlet(np.ones(k), size=3))
                 m = GarblingMatrix(rng.dirichlet(np.ones(int(rng.integers(1, k + 1))), size=k))
-                pi_p = garble(pi, m)
-                point = rng.dirichlet(np.ones(3))
-                normal = rng.normal(size=3)
-                normal -= normal.mean()
-                normal /= np.max(np.abs(normal))
-                problem = hyperplane_problem(
-                    __import__("blackwell_audit.geometry", fromlist=["Hyperplane"]).Hyperplane(
-                        normal, float(normal @ point)
-                    )
-                )
-                gap = expected_payoff(problem, rule, MU3, SEL, WelfareMode.SINGLE, bayes(MU3, pi)) - \
-                    expected_payoff(problem, rule, MU3, SEL, WelfareMode.SINGLE, bayes(MU3, pi_p))
-                worst_gap = min(worst_gap, gap)
+                worst_gap = min(worst_gap, gap(rule, pi, garble(pi, m), _random_threshold_problem(rng, 3)))
+        # Dirichlet likelihoods never put a posterior on a vertex; these pairs do.
+        for rule in rules.values():
+            for _ in range(300):
+                pi = _vertex_revealing_experiment(rng, 3)
+                k = pi.n_signals
+                m = GarblingMatrix(rng.dirichlet(np.ones(int(rng.integers(1, k + 1))), size=k))
+                worst_gap = min(worst_gap, gap(rule, pi, garble(pi, m), _random_threshold_problem(rng, 3)))
         elapsed = time.time() - t0
         ok = checker_ok and worst_gap >= -1e-6 and elapsed <= 120.0
         _report(
             3, ok,
             f"both reference rules pass the structure check, worst sweep gap "
-            f"{worst_gap:.2e} over 2x500 contraction pairs, {elapsed:.1f}s (limit 120s)",
+            f"{worst_gap:.2e} over 2x500 contraction pairs and 2x300 vertex-revealing pairs, "
+            f"{elapsed:.1f}s (limit 120s)",
         )
 
 

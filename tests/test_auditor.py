@@ -5,6 +5,8 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blackwell_audit import auditor
 from blackwell_audit.geometry import (
@@ -32,13 +34,17 @@ from blackwell_audit.distortions import (
     GretherRule,
     GridMiss,
     ShrinkageRule,
+    StubbornRule,
+    StubbornSpec,
     TabulatedRule,
     TrivialRule,
     classify_batch,
     evaluate_batch,
+    is_occasionally_stubborn,
     random_rule,
     stubborn_example_a,
     stubborn_example_b,
+    vertex_image_ok,
 )
 from blackwell_audit.auditor import (
     GAP_TOL,
@@ -145,6 +151,36 @@ class TestAuditContractive:
             audit_contractive(BayesRule(2), MU2, (0.7, 0.3), budget=10)
 
 
+class _OffSegmentVertices(TrivialRule):
+    """Every belief read as x* = (1/5, 1/3, 7/15), except that vertex 0 is
+    read correctly and vertices 1 and 2 carry the images (3/10, 1/2, 1/5)
+    and (1/5, 1/6, 19/30): more extreme than x* toward their own state, off
+    their segments toward x*."""
+
+    IMAGES = {0: (1.0, 0.0, 0.0), 1: (0.3, 0.5, 0.2), 2: (0.2, 1 / 6, 1 - 0.2 - 1 / 6)}
+
+    def __init__(self):
+        super().__init__((0.2, 1 / 3, 1 - 0.2 - 1 / 3))
+
+    def apply_batch(self, mu, X):
+        out = super().apply_batch(mu, X)
+        for i, img in self.IMAGES.items():
+            out[X[:, i] > 1.0 - 1e-12] = img
+        return out
+
+
+def _with_vertex_image(x_star, i, image):
+    """The trivial rule at x_star, except that vertex i maps to image."""
+
+    class OneVertex(TrivialRule):
+        def apply_batch(self, mu, X):
+            out = super().apply_batch(mu, X)
+            out[X[:, i] > 1.0 - 1e-12] = image
+            return out
+
+    return OneVertex(x_star)
+
+
 class TestFullAudit:
     def test_bayes_passes_with_empty_census(self):
         rep = audit(BayesRule(3), MU3, grid_size=41, budget=300, seed=1)
@@ -231,11 +267,11 @@ class TestFullAudit:
         assert rep.verdict == "violation"
         assert verify_certificate(rep.certificate)[0]
 
-    def test_collapse_point_falls_back_to_the_prior_image(self, monkeypatch):
+    def test_refuting_checker_names_the_collapse_point(self, monkeypatch):
         # Constant on the open simplex, the identity on its boundary, except that face
-        # {0, 1, 2} reads beliefs with x0 > 1/2 as one point: checker item 1 fails
-        # without naming x*, yet the rule is trivial on the interior, so the vertex
-        # stage must take x* = phi(mu).
+        # {0, 1, 2} reads beliefs with x0 > 1/2 as one point: checker item 1 fails, yet
+        # it names x* = (0.1, 0.2, 0.3, 0.4), the image the open simplex shares, and the
+        # vertex stage takes that x*.
         class InteriorConstant(Distortion):
             n = 4
 
@@ -256,19 +292,18 @@ class TestFullAudit:
         monkeypatch.setattr(auditor, "_vertex_condition_certificate", spy)
         rep = audit(InteriorConstant(), np.full(4, 0.25), grid_size=21, budget=400, seed=1)
         stubborn = rep.checker_verdicts["occasionally_stubborn"]
-        assert not stubborn["ok"] and stubborn["x_star"] is None
+        assert not stubborn["ok"] and stubborn["x_star"] == [0.1, 0.2, 0.3, 0.4]
         assert stubborn["refutation"]["item"] == "item1-common-image"
         assert rep.checker_verdicts["trivial_on_interior"]
         assert rep.verdict == "pass"
         assert len(stars) == 1 and stars[0].tolist() == [0.1, 0.2, 0.3, 0.4]
 
     def test_vertex_construction_directly(self):
-        # The reference trivial-on-edges rule carries vertex images that
-        # are more extreme than the collapse point but off its segment;
-        # the dedicated vertex construction turns that into a certificate.
-        from blackwell_audit.auditor import _Search, _vertex_condition_certificate
-
-        rule = stubborn_example_a()
+        # Vertex images more extreme than the collapse point toward their
+        # state, but off their segments (the reference trivial-on-edges rule
+        # once had these); the dedicated vertex construction turns that into
+        # a certificate.
+        rule = _OffSegmentVertices()
         star = np.array([0.2, 1 / 3, 1 - 0.2 - 1 / 3])
         cert = _vertex_condition_certificate(
             _Search(rule, np.asarray(MU3), Selector(), WelfareMode.SINGLE, 1e-9, 0, 50), star
@@ -276,6 +311,102 @@ class TestFullAudit:
         assert cert is not None
         assert cert.recipe == "vertexprop-separation"
         assert verify_certificate(cert)[0]
+
+
+class TestCollapseCharacterization:
+    """A rule the checker characterizes as harmless never gets a verified certificate."""
+
+    @staticmethod
+    def _single_cases():
+        rng = np.random.default_rng(1500)
+        for family, n in (("occ-stubborn", 3), ("occ-stubborn", 4), ("occ-coarse", 2), ("trivial", 3), ("trivial", 4)):
+            for _ in range(10):
+                yield random_rule(family, n, rng), rng.dirichlet(np.full(n, 4.0)), int(rng.integers(1 << 30))
+        for k in range(10):
+            rule = (stubborn_example_a, stubborn_example_b)[k % 2]()
+            yield rule, rng.dirichlet(np.full(3, 4.0)), k
+
+    def test_single_mode(self):
+        for rule, mu, seed in self._single_cases():
+            rep = audit(rule, mu, grid_size=101 if rule.n == 2 else 41, budget=300, seed=seed)
+            verdicts = rep.checker_verdicts
+            structure = verdicts["occasionally_coarse" if rule.n == 2 else "occasionally_stubborn"]
+            assert structure["ok"] or verdicts["trivial_on_interior"], (rule.to_json(), verdicts)
+            assert rep.verdict == "pass" and rep.certificate is None, (rule.to_json(), rep.certificate.recipe)
+
+    def test_double_mode_reports_affine_only(self):
+        rng = np.random.default_rng(1501)
+        for k in range(18):
+            n = 2 + k % 3
+            family = ("shrinkage", "trivial", "bayes")[k // 3 % 3]
+            rule = BayesRule(n) if family == "bayes" else random_rule(family, n, rng)
+            rep = audit(rule, rng.dirichlet(np.full(n, 4.0)), grid_size=41, budget=300, mode=WelfareMode.DOUBLE, seed=k)
+            assert rep.checker_verdicts == {"affine": True} and rep.certificate is None, (k, rule.to_json())
+
+    def test_double_mode_runs_no_single_mode_checker(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a SINGLE-mode characterization ran in DOUBLE mode")
+
+        for name in ("is_occasionally_coarse", "is_occasionally_stubborn", "is_trivial_on_interior", "_vertex_condition_certificate"):
+            monkeypatch.setattr(auditor, name, refuse)
+        for rule in (CoarseRule(0.3, 0.7, 0.2, 0.8), stubborn_example_a(), TrivialRule((0.1, 0.2, 0.3, 0.4))):
+            mu = np.full(rule.n, 1.0 / rule.n)
+            rep = audit(rule, mu, grid_size=41, budget=50, mode=WelfareMode.DOUBLE)
+            assert rep.checker_verdicts == {"affine": rule.family == "trivial"}
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(data=st.data())
+    def test_specs_the_vertex_condition_accepts(self, data):
+        # Collapse rules drawn from the vertex condition's accepted set: a
+        # common point x*, each vertex correct or at t e_i + (1 - t) x*, and
+        # optionally one identity edge.
+        n = data.draw(st.integers(3, 4))
+        weights = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        x_star = weights / weights.sum()
+        images = {}
+        for i in range(n):
+            t = data.draw(st.none() | st.floats(0.0, 1.0))
+            if t is not None:
+                images[i] = t * np.eye(n)[i] + (1.0 - t) * x_star
+        edge = data.draw(st.none() | st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)]))
+        if edge is not None:
+            images = {i: img for i, img in images.items() if i not in edge}
+        assert all(vertex_image_ok(x_star, i, img) for i, img in images.items())
+        rule = StubbornRule(StubbornSpec(x_star, vertex_images=images, identity_faces=[edge] if edge else None))
+        mu = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+        mu /= mu.sum()
+        v = is_occasionally_stubborn(rule, mu, tol=1e-9)
+        assert v.ok and np.allclose(v.x_star.coords, x_star, atol=1e-12), v.to_json()
+        rep = audit(rule, mu, grid_size=31, budget=150, seed=data.draw(st.integers(0, 1000)))
+        assert rep.verdict == "pass" and rep.certificate is None, rep.certificate.to_json()
+
+    def test_off_segment_vertex_is_refuted_and_certified(self):
+        # Vertex i's image leaves its segment [x*, e_i] along v, which is
+        # orthogonal to e_i - x* and points away from the prior, so a
+        # hyperplane cuts the image from e_i, x* and the prior.
+        rng = np.random.default_rng(1502)
+        cases = [(_OffSegmentVertices(), np.asarray(MU3))]
+        for k in range(12):
+            n = 3 + k % 2
+            x_star = rng.dirichlet(np.full(n, 3.0))
+            mu = rng.dirichlet(np.full(n, 4.0))
+            i = int(rng.integers(n))
+            e = np.eye(n)[i]
+            t = float(rng.uniform(0.2, 0.8))
+            s = t * e + (1.0 - t) * x_star
+            v = x_star - mu
+            v -= (v @ (e - x_star)) / ((e - x_star) @ (e - x_star)) * (e - x_star)
+            v /= np.max(np.abs(v))
+            cases.append((_with_vertex_image(x_star, i, s + 0.5 * np.min(s) * v), mu))
+        recipes = set()
+        for rule, mu in cases:
+            v = is_occasionally_stubborn(rule, mu, tol=1e-9)
+            assert not v.ok and v.refutation[1] == "item3-vertex"
+            assert np.array_equal(v.x_star.coords, rule.x_star)
+            rep = audit(rule, mu, grid_size=41, budget=300, seed=3)
+            assert rep.verdict == "violation" and verify_certificate(rep.certificate) == (True, None)
+            recipes.add(rep.certificate.recipe)
+        assert "vertexprop-separation" in recipes, recipes
 
 
 class TestVerifyCertificate:

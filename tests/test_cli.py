@@ -32,6 +32,11 @@ def _table(nodes, images, tol=0.006):
     return {"family": "tabulated", "nodes": nodes.tolist(), "images": images.tolist(), "tol": tol}
 
 
+#: A collapse rule whose vertex 1 image weights state 1 more than x* does, off the segment to vertex 1.
+_OFF_SEGMENT = {"family": "occ-stubborn", "x_star": [0.2, 1 / 3, 1 - 0.2 - 1 / 3], "vertex_images": {"1": [0.3, 0.5, 0.2]}}
+_OFF_SEGMENT_ERROR = "vertex 1 image must lie on the segment from the common image to vertex 1"
+
+
 class TestAuditCommand:
     def test_bayes_sweep_passes(self, tmp_path):
         out = tmp_path / "report.json"
@@ -110,6 +115,16 @@ class TestAuditCommand:
         assert "configuration error: tabulated rule queried off its nodes" in captured.err
         assert "Traceback" not in captured.out + captured.err
         assert not out.exists()
+
+    def test_off_segment_vertex_image(self, tmp_path, capsys):
+        rule_file = tmp_path / "rule.json"
+        rule_file.write_text(json.dumps(_OFF_SEGMENT))
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run(["audit", "--states", "3", "--rule", str(rule_file), "--grid", "11", "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"configuration error: cannot parse rule: {_OFF_SEGMENT_ERROR}"]
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("rule", ["grether(2,800)", "grether(1000,1)"])
     def test_non_finite_images(self, tmp_path, capsys, rule):
@@ -331,6 +346,18 @@ class TestVerifyCommand:
         assert captured.err.startswith("configuration error:") and expected in captured.err
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert "Traceback" not in captured.out + captured.err
+
+    def test_off_segment_vertex_image(self, cert_path, tmp_path, capsys):
+        doc = json.loads(cert_path.read_text())
+        doc["prior"] = [1 / 3] * 3
+        doc["rule"] = _OFF_SEGMENT
+        bad = tmp_path / "off-segment.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", str(bad)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"cannot parse certificate: {_OFF_SEGMENT_ERROR}"]
+        assert captured.out == ""
 
     def test_unreadable_file(self, tmp_path):
         bad = tmp_path / "junk.json"

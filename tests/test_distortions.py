@@ -222,8 +222,9 @@ class TestStubbornFamily:
         rule = stubborn_example_a()
         assert evaluate(rule, MU3, (0.4, 0.4, 0.2)).allclose((0.2, 1 / 3, 1 - 0.2 - 1 / 3))
         assert evaluate(rule, MU3, (1, 0, 0)).allclose((1, 0, 0))
-        assert evaluate(rule, MU3, (0, 1, 0)).allclose((0.3, 0.5, 0.2))
-        assert evaluate(rule, MU3, (0, 0, 1)).allclose((0.2, 1 / 6, 1 - 0.2 - 1 / 6))
+        # Erring vertices sit a quarter of the way from x* to themselves.
+        assert evaluate(rule, MU3, (0, 1, 0)).allclose((3 / 20, 1 / 2, 7 / 20))
+        assert evaluate(rule, MU3, (0, 0, 1)).allclose((3 / 20, 1 / 4, 3 / 5))
         # Edges collapse too.
         assert evaluate(rule, MU3, (0.5, 0.5, 0)).allclose((0.2, 1 / 3, 1 - 0.2 - 1 / 3))
 
@@ -253,6 +254,11 @@ class TestStubbornFamily:
         with pytest.raises(ValueError):
             # Vertex image less extreme than the common point.
             StubbornSpec((0.6, 0.2, 0.2), vertex_images={0: (0.4, 0.3, 0.3)})
+        with pytest.raises(ValueError, match="must lie on the segment"):
+            # More extreme than the common point toward state 1, but off the segment to vertex 1.
+            StubbornSpec((0.2, 1 / 3, 1 - 0.2 - 1 / 3), vertex_images={1: (0.3, 0.5, 0.2)})
+        # On the segment, endpoints included.
+        StubbornSpec((0.2, 0.3, 0.5), vertex_images={0: (1.0, 0.0, 0.0), 1: (0.2, 0.3, 0.5), 2: (0.1, 0.15, 0.75)})
         with pytest.raises(ValueError):
             # Split edge must contain the common point.
             StubbornSpec((0.2, 0.3, 0.5), edge_case=((0, 1), 0))

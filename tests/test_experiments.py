@@ -128,6 +128,24 @@ class TestBayes:
         with pytest.raises(PriorNotInterior):
             bayes((1.0, 0.0), binary_symmetric(0.8))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prior_meets_one_gate(self, bad):
+        # Every entry point refuses the prior before any arithmetic on it.
+        from blackwell_audit.auditor import audit
+        from blackwell_audit.distortions import BayesRule, evaluate_batch
+
+        prior = (bad, 0.5, 0.5)
+        rho = PosteriorDistribution(np.eye(3), [1 / 3] * 3)
+        calls = {
+            "bayes": lambda: bayes(prior, fully_informative(3)),
+            "reconstruction": lambda: experiment_from_posteriors(rho, prior),
+            "rule evaluation": lambda: evaluate_batch(BayesRule(3), prior, np.eye(3)),
+            "audit": lambda: audit(BayesRule(3), prior, grid_size=11),
+        }
+        for what, call in calls.items():
+            with pytest.raises(PriorNotInterior, match=f"^{what} requires a full-support prior$"):
+                call()
+
     def test_martingale_property(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
