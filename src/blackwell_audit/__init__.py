@@ -55,6 +55,7 @@ from .distortions import (
     TabulatedRule,
     TrivialRule,
     WrongDimension,
+    affine_chords,
     classify_batch,
     classify_error,
     evaluate,
@@ -90,8 +91,6 @@ from .auditor import (
     BudgetExhausted,
     ViolationCertificate,
     audit,
-    audit_contractive,
-    audit_expansive,
     hyperplane_problem,
     verify_certificate,
 )

@@ -3,11 +3,15 @@
 The auditor scans a belief grid for distortion errors and, for each one,
 tries a short list of constructions that convert the error into a
 machine-checkable certificate: a pair of experiments ordered by
-informativeness, plus a two-action decision problem, under which the
+informativeness, plus a decision problem, under which the
 rule strictly prefers the less informative experiment.
 
 Construction recipes, cheapest first
 ------------------------------------
+SINGLE mode runs those down to ``vertexprop-separation``, DOUBLE mode the
+chord; random search runs in both, only on a rule that the mode's checker
+(the collapse checker, or ``is_affine``) does not accept.
+
 * ``claim1-hyperplane``   - an off-hull image is cut from the support
   hull (and the contraction's image) by a strict hyperplane; the induced
   threshold problem makes the rule act on news it should ignore.
@@ -24,6 +28,9 @@ Construction recipes, cheapest first
   contraction pair exposes it.
 * ``vertexprop-separation`` - a vertex image off the segment toward the
   common collapse point.
+* ``chord``               - a lattice chord whose midpoint image misses the
+  mean of its ends' images (``affine_chords``, which decides ``is_affine``):
+  splitting the midpoint into the ends loses welfare under one action.
 * ``random-search``       - randomized experiment pairs and threshold
   problems for the remaining budget.  Blocks of 8, 16, ..., 256, 256, ...
   trials, whatever the budget, come from one seeded stream in six
@@ -59,7 +66,6 @@ from .geometry import (
     Belief,
     Hyperplane,
     NoStrictSeparation,
-    _coerce,
     in_convex_hull,
     separating_hyperplane_sets,
     simplex_lattice,
@@ -79,8 +85,8 @@ from .distortions import (
     Distortion,
     GridMiss,
     NonFiniteImage,
+    affine_chords,
     classify_batch,
-    classify_error,
     evaluate_batch,
     is_affine,
     is_occasionally_coarse,
@@ -623,50 +629,6 @@ def _audit_contractive(search: _Search, x0: np.ndarray) -> Optional[ViolationCer
     return recipes(search, x0)
 
 
-def _audit_one_error(kind: str, d: Distortion, mu, x0, budget: int, sel, mode, tol: float, seed: int):
-    """Check that x0 carries a ``kind`` error, then run that kind's recipes under ``budget``."""
-    search = _Search(d, _coerce(mu), sel or Selector(), WelfareMode(mode), tol, seed, int(budget))
-    x0a = _coerce(x0)
-    if classify_error(d, search.mu, x0a, tol).kind != kind:
-        raise ValueError(f"x0 must carry an error of kind {kind!r}")
-    recipes = _audit_expansive if kind == "expansive" else _audit_contractive
-    try:
-        cert = recipes(search, x0a)
-    except BudgetExhausted:
-        cert = None
-    if cert is None:
-        raise BudgetExhausted("no construction produced a verified certificate")
-    return cert
-
-
-def audit_expansive(
-    d: Distortion,
-    mu,
-    x0,
-    budget: int = 200,
-    sel: Optional[Selector] = None,
-    mode: WelfareMode = WelfareMode.SINGLE,
-    tol: float = TOL_GEO,
-    seed: int = 0,
-) -> ViolationCertificate:
-    """Certificate synthesis from one expansive error; raises BudgetExhausted."""
-    return _audit_one_error("expansive", d, mu, x0, budget, sel, mode, tol, seed)
-
-
-def audit_contractive(
-    d: Distortion,
-    mu,
-    x0,
-    budget: int = 200,
-    sel: Optional[Selector] = None,
-    mode: WelfareMode = WelfareMode.SINGLE,
-    tol: float = TOL_GEO,
-    seed: int = 0,
-) -> ViolationCertificate:
-    """Certificate synthesis from one contractive error; raises BudgetExhausted."""
-    return _audit_one_error("contractive", d, mu, x0, budget, sel, mode, tol, seed)
-
-
 # ---------------------------------------------------------------------------
 # Full audit
 # ---------------------------------------------------------------------------
@@ -724,6 +686,31 @@ def _vertex_condition_certificate(search: _Search, x_star: np.ndarray) -> Option
             cert = search.try_pair(rho_hi, rho_lo, problem, "vertexprop-separation")
             if cert is not None:
                 return cert
+    return None
+
+
+def _chord_certificate(search: _Search, z, x, y, h) -> Optional[ViolationCertificate]:
+    """DOUBLE mode, one unit: split the midpoint z of the best chord into its ends x, y.
+
+    With payoff g = h / max|h| for the one action, p <= min(1, min_i mu_i / z_i)
+    and w = (mu - p z) / (1 - p), rho = {x: p/2, y: p/2, w: 1 - p} spreads
+    rho' = {z: p, w: 1 - p} and loses exactly p (h . h) / max|h| of welfare.
+    The chord that loses most is tried at 0.999 times its largest p, then half.
+    """
+    mu = search.mu
+    size = np.max(np.abs(h), axis=1)
+    p = np.minimum(1.0, np.min(np.divide(mu, z, out=np.full_like(z, np.inf), where=z > 0.0), axis=1))
+    score = np.where(size > 0.0, p * np.sum(h * h, axis=1) / np.where(size > 0.0, size, 1.0), 0.0)
+    c = int(np.argmax(score))
+    search.charge()
+    problem = DecisionProblem((h[c] / size[c])[None, :], ["act"])
+    for q in (0.999 * p[c], 0.5 * p[c]):
+        w = (mu - q * z[c]) / (1.0 - q)
+        rho = _distribution(np.vstack([x[c], y[c], w]), [0.5 * q, 0.5 * q, 1.0 - q])
+        rho_p = _distribution(np.vstack([z[c], w]), [q, 1.0 - q])
+        cert = rho and rho_p and search.try_pair(rho, rho_p, problem, "chord")
+        if cert is not None:
+            return cert
     return None
 
 
@@ -910,6 +897,20 @@ def _random_search(search: _Search) -> Optional[ViolationCertificate]:
 _MAX_DISPATCH = 16
 
 
+def _single_mode_recipes(search: _Search, grid, kinds, mags, star) -> Optional[ViolationCertificate]:
+    """The misread prior, the ``_MAX_DISPATCH`` largest errors of each kind, then the vertex condition at x*."""
+    cert = _audit_prior_error(search)
+    if cert is not None:
+        return cert
+    for kind_code, handler in ((1, _audit_expansive), (2, _audit_contractive)):
+        idx = np.nonzero(kinds == kind_code)[0]
+        for gi in idx[np.lexsort((idx, -mags[idx]))][:_MAX_DISPATCH]:
+            cert = handler(search, grid[gi])
+            if cert is not None:
+                return cert
+    return None if star is None else _vertex_condition_certificate(search, star.coords)
+
+
 def audit(
     d: Distortion,
     mu,
@@ -922,15 +923,17 @@ def audit(
 ) -> AuditReport:
     """Scan a rule for order violations at one prior.
 
-    Classifies every lattice belief, dispatches the ``_MAX_DISPATCH``
-    largest errors of each kind to the constructive recipes, checks the
-    vertices against ``vertex_image_ok`` at the collapse checker's x*, and
-    spends any budget left on randomized search.  One budget unit buys one
-    recipe cut, one lemma-3 pair or one random-search trial.  Absence of a
-    certificate is a pass, never an error.  The report carries the checker
-    verdicts that characterize harmlessness in its mode (DOUBLE: ``affine``
-    alone).  An error of the rule's evaluation propagates, such as
-    NonFiniteImage or an off-node GridMiss.
+    Classifies every lattice belief and reports the verdicts of the
+    checkers that characterize harmlessness in the mode.  SINGLE mode
+    (``occasionally_coarse`` or ``occasionally_stubborn``, and
+    ``trivial_on_interior``) runs the misread-prior recipe, the recipes for
+    the ``_MAX_DISPATCH`` largest errors of each kind and the vertex recipe
+    at the collapse checker's x*; DOUBLE mode (``affine``, from the chords
+    at ``grid_size``) runs the chord recipe on those chords.  Random search
+    spends the rest of the budget only on a rule the mode's checker refutes.
+    Absence of a certificate is a pass, never an error.  An error of the
+    rule's evaluation propagates, such as NonFiniteImage or an off-node
+    GridMiss.
     """
     mua = interior_prior(mu, "audit")
     n = mua.shape[0]
@@ -952,57 +955,39 @@ def audit(
 
     checker_verdicts: dict = {}
     star: Optional[Belief] = None  # the collapse point x* of the vertex recipe
-    if mode is WelfareMode.SINGLE:
+    if mode is WelfareMode.DOUBLE:
+        chords = affine_chords(d, mua, grid_size)
+        characterized = checker_verdicts["affine"] = is_affine(d, mua, chords)
+    else:
         if n == 2:
-            checker_verdicts["occasionally_coarse"] = is_occasionally_coarse(
-                d, mua, grid_size=max(grid_size, 100), tol=max(tol, 1e-9)
-            ).to_json()
+            structure = is_occasionally_coarse(d, mua, grid_size=max(grid_size, 100), tol=max(tol, 1e-9))
+            checker_verdicts["occasionally_coarse"] = structure.to_json()
         else:
-            stubborn = is_occasionally_stubborn(d, mua, tol=max(tol, 1e-9))
-            checker_verdicts["occasionally_stubborn"] = stubborn.to_json()
-            star = stubborn.x_star
+            structure = is_occasionally_stubborn(d, mua, tol=max(tol, 1e-9))
+            checker_verdicts["occasionally_stubborn"] = structure.to_json()
+            star = structure.x_star
         checker_verdicts["trivial_on_interior"] = is_trivial_on_interior(d, mua, tol=max(tol, 1e-9))
-    checker_verdicts["affine"] = is_affine(d, mua)
+        characterized = structure.ok
 
     search = _Search(d, mua, sel, mode, tol, seed, int(budget))
-    certificate: Optional[ViolationCertificate] = None
-
-    def report(cert: Optional[ViolationCertificate]) -> AuditReport:
-        return AuditReport(
-            verdict="violation" if cert else "pass",
-            certificate=cert,
-            checker_verdicts=checker_verdicts,
-            error_census=census,
-            budget_used=search.used,
-            grid_points=grid.shape[0],
-            states=n,
-            prior=Belief(mua),
-            mode=mode,
-            seed=seed,
-        )
-
     try:
-        # A misread prior is the degenerate starting point.
-        certificate = _audit_prior_error(search)
-        if certificate is not None:
-            return report(certificate)
-
-        for kind_code, handler in ((1, _audit_expansive), (2, _audit_contractive)):
-            idx = np.nonzero(kinds_all == kind_code)[0]
-            if idx.size == 0:
-                continue
-            order = idx[np.lexsort((idx, -mags_all[idx]))][:_MAX_DISPATCH]
-            for gi in order:
-                certificate = handler(search, grid[gi])
-                if certificate is not None:
-                    return report(certificate)
-
-        if star is not None:
-            certificate = _vertex_condition_certificate(search, star.coords)
-            if certificate is not None:
-                return report(certificate)
-
-        certificate = _random_search(search)
+        if mode is WelfareMode.DOUBLE:
+            certificate = None if characterized else _chord_certificate(search, *chords)
+        else:
+            certificate = _single_mode_recipes(search, grid, kinds_all, mags_all, star)
+        if certificate is None and not characterized:
+            certificate = _random_search(search)
     except BudgetExhausted:
         certificate = None
-    return report(certificate)
+    return AuditReport(
+        verdict="violation" if certificate else "pass",
+        certificate=certificate,
+        checker_verdicts=checker_verdicts,
+        error_census=census,
+        budget_used=search.used,
+        grid_points=grid.shape[0],
+        states=n,
+        prior=Belief(mua),
+        mode=mode,
+        seed=seed,
+    )

@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--grid", type=int, default=101, help="belief lattice resolution (>= 11)")
     p_audit.add_argument(
         "--budget", type=int, default=5000,
-        help="construction budget: one unit per recipe cut, lemma-3 pair or random-search trial",
+        help="construction budget: one unit per recipe cut, lemma-3 pair, DOUBLE-mode chord or random-search trial",
     )
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--tol", type=float, default=1e-9, help="error-detection tolerance")

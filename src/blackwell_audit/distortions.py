@@ -31,6 +31,7 @@ from .geometry import (
     Belief,
     Face,
     _coerce,
+    _lattice,
     enumerate_faces,
     face_samples,
     on_segment,
@@ -752,30 +753,45 @@ def is_trivial_on_interior(d: Distortion, mu, tol: float = TOL_GEO) -> bool:
     return bool(np.max(np.abs(imgs - imgs[0])) <= tol)
 
 
-def is_affine(d: Distortion, mu) -> bool:
-    """True when the rule's map is affine on the whole simplex.
+#: The chord scan's lattice has at most this many points, but never fewer
+#: than the 3-level one, whose chords join two vertices.
+_CHORD_POINTS = 2000
+#: A map is affine when no chord's midpoint defect exceeds this (sup norm).
+AFFINE_TOL = 1e-8
 
-    Fits x -> Ax + b on n + 1 affinely independent samples, then verifies
-    the fit, to within 1e-8, on 128 deterministic interior samples plus
-    every vertex.
+
+def affine_chords(d: Distortion, mu, grid_size: int = 21) -> tuple:
+    """The rule's midpoint defects along lattice chords: (z, x, y, h), one row per chord.
+
+    z runs over the finest lattice of at most ``grid_size`` levels and at
+    most ``_CHORD_POINTS`` points, but never coarser than levels 0, 1/2, 1.
+    For each pair i < j with s = min(z_i, z_j) > 0, the chord's ends are
+    x, y = z +- s (e_i - e_j), and h = phi(z) - (phi(x) + phi(y)) / 2.  An
+    affine map has h = 0 on every chord.
     """
     n = d.n
-    centroid = np.full(n, 1.0 / n)
-    fit_pts = [centroid] + [0.8 * np.eye(n)[i] + 0.2 * centroid for i in range(n)]
-    fit_pts = np.asarray(fit_pts)
-    fit_imgs = evaluate_batch(d, mu, fit_pts)
-    design = np.hstack([fit_pts, np.ones((n + 1, 1))])
-    coefs, *_ = np.linalg.lstsq(design, fit_imgs, rcond=None)
+    res = max(2, grid_size - 1)
+    while res > 2 and math.comb(res + n - 1, n - 1) > _CHORD_POINTS:
+        res -= 1
+    Z = _lattice(n, res)
+    parts = []
+    for i, j in itertools.combinations(range(n), 2):
+        z = Z[(Z[:, i] > 0.0) & (Z[:, j] > 0.0)]
+        s = np.minimum(z[:, i], z[:, j])
+        step = np.zeros_like(z)
+        step[:, i], step[:, j] = s, -s
+        parts.append((z, step))
+    z, step = (np.concatenate(c) for c in zip(*parts))
+    x, y = z + step, z - step
+    m = z.shape[0]
+    imgs = evaluate_batch(d, mu, np.concatenate([z, x, y]))
+    return z, x, y, imgs[:m] - 0.5 * (imgs[m : 2 * m] + imgs[2 * m :])
 
-    check = np.vstack(
-        [
-            face_samples(Face(tuple(range(n))), n, 128),
-            np.eye(n),
-        ]
-    )
-    predicted = np.hstack([check, np.ones((check.shape[0], 1))]) @ coefs
-    actual = evaluate_batch(d, mu, check)
-    return bool(np.max(np.abs(predicted - actual)) <= 1e-8)
+
+def is_affine(d: Distortion, mu, chords: Optional[tuple] = None) -> bool:
+    """True when no defect h of ``chords`` (default: the 21-level ``affine_chords``) exceeds ``AFFINE_TOL``."""
+    h = (affine_chords(d, mu) if chords is None else chords)[3]
+    return bool(np.max(np.abs(h)) <= AFFINE_TOL)
 
 
 # ---------------------------------------------------------------------------

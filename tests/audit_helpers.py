@@ -1,0 +1,39 @@
+"""Direct entry points into the auditor's recipes and random search, shared by the tests."""
+
+from typing import Optional
+
+import numpy as np
+
+from blackwell_audit.auditor import (
+    BudgetExhausted,
+    ViolationCertificate,
+    _audit_contractive,
+    _audit_expansive,
+    _random_search,
+    _Search,
+)
+from blackwell_audit.decision import Selector, WelfareMode
+from blackwell_audit.distortions import classify_error
+from blackwell_audit.geometry import TOL_GEO
+
+
+def one_error(kind, d, mu, x0, budget, sel=None, tol=TOL_GEO, seed=0) -> ViolationCertificate:
+    """SINGLE mode's recipes for the ``kind`` error at x0; raises BudgetExhausted when none certifies."""
+    search = _Search(d, np.asarray(mu, dtype=np.float64), sel or Selector(), WelfareMode.SINGLE, tol, seed, budget)
+    x0 = np.asarray(x0, dtype=np.float64)
+    if classify_error(d, search.mu, x0, tol).kind != kind:
+        raise ValueError(f"x0 must carry an error of kind {kind!r}")
+    cert = (_audit_expansive if kind == "expansive" else _audit_contractive)(search, x0)
+    if cert is None:
+        raise BudgetExhausted("no construction produced a verified certificate")
+    return cert
+
+
+def adversary(d, mu, budget, sel=None, mode=WelfareMode.SINGLE, seed=0) -> Optional[ViolationCertificate]:
+    """Random search run directly on a rule with a whole budget, whether or not an audit would run it.
+
+    An audit skips random search on a rule its mode's checker accepts, so a
+    soundness test calls this with the rule, prior, seed and budget the audit got.
+    """
+    search = _Search(d, np.asarray(mu, dtype=np.float64), sel or Selector(), WelfareMode(mode), TOL_GEO, seed, budget)
+    return _random_search(search)

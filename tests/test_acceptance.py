@@ -48,6 +48,7 @@ from blackwell_audit.auditor import (
     hyperplane_problem,
     verify_certificate,
 )
+from audit_helpers import adversary
 from blackwell_audit.cli import EXIT_INVALID_CERT, EXIT_OK, main as cli_main
 
 SEL = Selector()
@@ -74,11 +75,13 @@ class TestCriterion1BayesSoundness:
             rule = BayesRule(n)
             for _ in range(5):
                 prior = random_interior_prior(rng, n)
-                rep = audit(rule, prior, grid_size=201, budget=5000, seed=int(rng.integers(1 << 30)))
-                if rep.certificate is not None:
-                    certificates += 1
+                seed = int(rng.integers(1 << 30))
+                rep = audit(rule, prior, grid_size=201, budget=5000, seed=seed)
+                certificates += rep.certificate is not None
+                certificates += adversary(rule, prior.coords, 5000, SEL, seed=seed) is not None
                 assert rep.error_census["expansive"] == 0
                 assert rep.error_census["contractive"] == 0
+                assert rep.budget_used == 0  # accepted by the checker: no search in the audit
                 for _ in range(20):
                     payoff = rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 7)), n))
                     problem = DecisionProblem(payoff)
@@ -91,7 +94,7 @@ class TestCriterion1BayesSoundness:
         ok = certificates == 0 and convexity_hits == 0 and elapsed <= 60.0
         _report(
             1, ok,
-            f"audit(Bayes) n=2,3,4 x5 priors: {certificates} certificates, "
+            f"audit(Bayes) and 5000 random-search trials, n=2,3,4 x5 priors: {certificates} certificates, "
             f"{convexity_hits} convexity violations, {elapsed:.1f}s (limit 60s)",
         )
 
@@ -134,11 +137,14 @@ class TestCriterion2TwoStateSufficiency:
             problem, rule, MU2, SEL, WelfareMode.SINGLE, grid_size=1000, tol=1e-9
         )
         rep = audit(rule, MU2, grid_size=201, budget=5000, seed=2)
-        ok = shape_ok and not hits and rep.verdict == "pass"
+        # The checker accepts the rule, so the audit spends nothing; the adversary runs apart.
+        searched = adversary(rule, MU2, 5000, SEL, seed=2)
+        ok = shape_ok and not hits and rep.verdict == "pass" and rep.budget_used == 0 and searched is None
         _report(
             2, ok,
             f"five-piece welfare match (worst dev {worst:.2e} <= 1e-9), "
-            f"{len(hits)} convexity violations, audit {rep.verdict}",
+            f"{len(hits)} convexity violations, audit {rep.verdict}, "
+            f"5000 random-search trials {'certify' if searched else 'pass'}",
         )
 
 
@@ -320,13 +326,11 @@ class TestCriterion6CheckerAuditorAlignment:
                     refuted = not is_occasionally_coarse(rule, mu, grid_size=150, tol=1e-9).ok
                 else:
                     refuted = not is_occasionally_stubborn(rule, mu, samples_per_face=16, tol=1e-9).ok
-                rep = audit(
-                    rule, mu,
-                    grid_size=101 if n == 2 else 41,
-                    budget=250,
-                    seed=int(rng.integers(1 << 30)),
-                )
+                seed = int(rng.integers(1 << 30))
+                rep = audit(rule, mu, grid_size=101 if n == 2 else 41, budget=250, seed=seed)
                 found = rep.verdict == "violation"
+                if not refuted and adversary(rule, mu.coords, 250, SEL, seed=seed) is not None:
+                    disagreements.append((family, n, k, refuted, "random-search"))
                 counts[family] = counts.get(family, 0) + int(found)
                 if found != refuted:
                     disagreements.append((family, n, k, refuted, found))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from audit_helpers import adversary, one_error
 from blackwell_audit import auditor
 from blackwell_audit.geometry import (
     Belief,
@@ -40,6 +41,7 @@ from blackwell_audit.distortions import (
     TrivialRule,
     classify_batch,
     evaluate_batch,
+    is_affine,
     is_occasionally_stubborn,
     random_rule,
     stubborn_example_a,
@@ -73,8 +75,6 @@ from blackwell_audit.auditor import (
     _vertex_condition_certificate,
     _vertex_pulled_scaffold,
     audit,
-    audit_contractive,
-    audit_expansive,
     hyperplane_problem,
     verify_certificate,
 )
@@ -101,42 +101,42 @@ class TestHyperplaneProblem:
 
 class TestAuditExpansive:
     def test_grether_two_states(self):
-        cert = audit_expansive(GretherRule(2.0, 1.0, 2), MU2, (0.7, 0.3), budget=100)
+        cert = one_error("expansive", GretherRule(2.0, 1.0, 2), MU2, (0.7, 0.3), budget=100)
         assert cert.recipe == "claim1-hyperplane"
         assert cert.gap <= -1e-6
         ok, reason = verify_certificate(cert)
         assert ok, reason
 
     def test_grether_three_states(self):
-        cert = audit_expansive(GretherRule(2.0, 1.0, 3), MU3, (0.6, 0.2, 0.2), budget=100)
+        cert = one_error("expansive", GretherRule(2.0, 1.0, 3), MU3, (0.6, 0.2, 0.2), budget=100)
         assert cert.gap <= -1e-6
         assert verify_certificate(cert)[0]
 
     def test_collapse_rule_exhausts_budget(self):
         rule = stubborn_example_a()
         with pytest.raises(BudgetExhausted):
-            audit_expansive(rule, MU3, (0.25, 0.4, 0.35), budget=60)
+            one_error("expansive", rule, MU3, (0.25, 0.4, 0.35), budget=60)
 
     def test_rejects_non_expansive_point(self):
         with pytest.raises(ValueError):
-            audit_expansive(GretherRule(2.0, 1.0, 2), MU2, (0.5, 0.5), budget=10)
+            one_error("expansive", GretherRule(2.0, 1.0, 2), MU2, (0.5, 0.5), budget=10)
 
 
 class TestAuditContractive:
     def test_shrinkage_two_states(self):
-        cert = audit_contractive(ShrinkageRule(0.5, 2), MU2, (0.9, 0.1), budget=100)
+        cert = one_error("contractive", ShrinkageRule(0.5, 2), MU2, (0.9, 0.1), budget=100)
         assert cert.recipe in ("lemma3-threshold", "lemma3-ternary")
         assert cert.gap <= -1e-6
         assert verify_certificate(cert)[0]
 
     def test_shrinkage_three_states(self):
-        cert = audit_contractive(ShrinkageRule(0.5, 3), MU3, (0.6, 0.3, 0.1), budget=100)
+        cert = one_error("contractive", ShrinkageRule(0.5, 3), MU3, (0.6, 0.3, 0.1), budget=100)
         assert cert.recipe == "contagion1-separation"
         assert cert.gap <= -1e-6
         assert verify_certificate(cert)[0]
 
     def test_mirrored_side(self):
-        cert = audit_contractive(ShrinkageRule(0.5, 2), MU2, (0.1, 0.9), budget=100)
+        cert = one_error("contractive", ShrinkageRule(0.5, 2), MU2, (0.1, 0.9), budget=100)
         assert cert.gap <= -1e-6
 
     def test_surviving_fixed_point_family(self):
@@ -144,11 +144,11 @@ class TestAuditContractive:
         # contraction recipes cannot (and must not) refute.
         rule = CoarseRule(0.0, 0.6, 0.0, 0.6)
         with pytest.raises(BudgetExhausted):
-            audit_contractive(rule, MU2, (0.8, 0.2), budget=60)
+            one_error("contractive", rule, MU2, (0.8, 0.2), budget=60)
 
     def test_rejects_non_contractive_point(self):
         with pytest.raises(ValueError):
-            audit_contractive(BayesRule(2), MU2, (0.7, 0.3), budget=10)
+            one_error("contractive", BayesRule(2), MU2, (0.7, 0.3), budget=10)
 
 
 class _OffSegmentVertices(TrivialRule):
@@ -181,6 +181,13 @@ def _with_vertex_image(x_star, i, image):
     return OneVertex(x_star)
 
 
+def _no_search(monkeypatch):
+    def refuse(search):
+        raise AssertionError("random search ran on a rule the checker accepts")
+
+    monkeypatch.setattr(auditor, "_random_search", refuse)
+
+
 class TestFullAudit:
     def test_bayes_passes_with_empty_census(self):
         rep = audit(BayesRule(3), MU3, grid_size=41, budget=300, seed=1)
@@ -188,17 +195,21 @@ class TestFullAudit:
         assert rep.error_census["expansive"] == 0
         assert rep.error_census["contractive"] == 0
         assert rep.certificate is None
+        # The checker accepts Bayes, so the audit spends nothing; the adversary runs apart.
+        assert rep.budget_used == 0 and adversary(BayesRule(3), MU3, 300, seed=1) is None
 
     @pytest.mark.parametrize("policy", [SelectorPolicy.LEX_FIRST, SelectorPolicy.LEX_LAST])
     def test_bayes_passes_whatever_the_tie_tolerance(self, policy):
         # Any action within tie_tol of the best may be taken, so a gap of
         # -tie_tol is no violation; random search must not accuse Bayes.
+        # The checker accepts Bayes, so the audit spends nothing; the adversary runs apart.
         sel = Selector(policy, tie_tol=0.05)
         for n in (2, 3):
             for seed in range(6):
                 mu = np.random.default_rng(seed).dirichlet(np.full(n, 4.0))
                 rep = audit(BayesRule(n), mu, grid_size=41, budget=300, seed=seed, sel=sel)
-                assert rep.verdict == "pass", (n, seed)
+                assert rep.verdict == "pass" and rep.budget_used == 0, (n, seed)
+                assert adversary(BayesRule(n), mu, 300, sel, seed=seed) is None, (n, seed)
 
     def test_grether_three_states_violates(self):
         # Continuous, non-trivial, non-Bayesian: must fail at any interior prior.
@@ -208,20 +219,29 @@ class TestFullAudit:
         assert not rep.checker_verdicts["occasionally_stubborn"]["ok"]
 
     def test_coarse_rule_passes_and_checker_confirms(self):
-        rep = audit(CoarseRule(0.3, 0.7, 0.2, 0.8), MU2, grid_size=101, budget=300, seed=1)
+        rule = CoarseRule(0.3, 0.7, 0.2, 0.8)
+        rep = audit(rule, MU2, grid_size=101, budget=300, seed=1)
         assert rep.verdict == "pass"
         cv = rep.checker_verdicts["occasionally_coarse"]
         assert cv["ok"] and cv["a"] == pytest.approx(0.3) and cv["b"] == pytest.approx(0.7)
+        assert rep.budget_used == 0 and adversary(rule, MU2, 300, seed=1) is None
 
-    def test_split_edge_rule_passes(self):
+    def test_split_edge_rule_passes(self, monkeypatch):
+        # The census-driven recipes spend a unit here; random search spends none.
+        _no_search(monkeypatch)
         rep = audit(stubborn_example_b(), MU3, grid_size=41, budget=300, seed=1)
         assert rep.verdict == "pass"
         assert rep.checker_verdicts["occasionally_stubborn"]["ok"]
+        assert adversary(stubborn_example_b(), MU3, 300, seed=1) is None
 
-    def test_trivial_rule_passes(self):
-        rep = audit(TrivialRule((0.5, 0.2, 0.3)), MU3, grid_size=41, budget=300, seed=1)
+    def test_trivial_rule_passes(self, monkeypatch):
+        _no_search(monkeypatch)
+        rule = TrivialRule((0.5, 0.2, 0.3))
+        rep = audit(rule, MU3, grid_size=41, budget=300, seed=1)
         assert rep.verdict == "pass"
         assert rep.checker_verdicts["trivial_on_interior"]
+        assert rep.checker_verdicts["occasionally_stubborn"]["ok"]  # x* is the constant image
+        assert adversary(rule, MU3, 300, seed=1) is None
 
     def test_tabulated_rule_queried_off_its_nodes_raises(self):
         # Identity on the 11-level lattice; the checkers' face samples fall off its nodes.
@@ -326,33 +346,46 @@ class TestCollapseCharacterization:
             rule = (stubborn_example_a, stubborn_example_b)[k % 2]()
             yield rule, rng.dirichlet(np.full(3, 4.0)), k
 
-    def test_single_mode(self):
+    def test_single_mode(self, monkeypatch):
+        # The audit skips random search on an accepted rule; the adversary
+        # runs apart, with the audit's whole budget.
+        _no_search(monkeypatch)
         for rule, mu, seed in self._single_cases():
             rep = audit(rule, mu, grid_size=101 if rule.n == 2 else 41, budget=300, seed=seed)
             verdicts = rep.checker_verdicts
             structure = verdicts["occasionally_coarse" if rule.n == 2 else "occasionally_stubborn"]
             assert structure["ok"] or verdicts["trivial_on_interior"], (rule.to_json(), verdicts)
+            assert "affine" not in verdicts
             assert rep.verdict == "pass" and rep.certificate is None, (rule.to_json(), rep.certificate.recipe)
+            assert adversary(rule, mu, 300, seed=seed) is None, rule.to_json()
 
-    def test_double_mode_reports_affine_only(self):
+    def test_double_mode_reports_affine_only(self, monkeypatch):
+        _no_search(monkeypatch)
         rng = np.random.default_rng(1501)
         for k in range(18):
             n = 2 + k % 3
             family = ("shrinkage", "trivial", "bayes")[k // 3 % 3]
             rule = BayesRule(n) if family == "bayes" else random_rule(family, n, rng)
-            rep = audit(rule, rng.dirichlet(np.full(n, 4.0)), grid_size=41, budget=300, mode=WelfareMode.DOUBLE, seed=k)
+            mu = rng.dirichlet(np.full(n, 4.0))
+            rep = audit(rule, mu, grid_size=41, budget=300, mode=WelfareMode.DOUBLE, seed=k)
             assert rep.checker_verdicts == {"affine": True} and rep.certificate is None, (k, rule.to_json())
+            assert rep.budget_used == 0, (k, rule.to_json())
+            assert adversary(rule, mu, 300, mode=WelfareMode.DOUBLE, seed=k) is None, (k, rule.to_json())
 
     def test_double_mode_runs_no_single_mode_checker(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a SINGLE-mode characterization ran in DOUBLE mode")
+            raise AssertionError("a SINGLE-mode characterization or recipe ran in DOUBLE mode")
 
-        for name in ("is_occasionally_coarse", "is_occasionally_stubborn", "is_trivial_on_interior", "_vertex_condition_certificate"):
+        for name in (
+            "is_occasionally_coarse", "is_occasionally_stubborn", "is_trivial_on_interior", "_vertex_condition_certificate",
+            "_audit_prior_error", "_audit_expansive", "_audit_contractive",
+        ):
             monkeypatch.setattr(auditor, name, refuse)
         for rule in (CoarseRule(0.3, 0.7, 0.2, 0.8), stubborn_example_a(), TrivialRule((0.1, 0.2, 0.3, 0.4))):
             mu = np.full(rule.n, 1.0 / rule.n)
             rep = audit(rule, mu, grid_size=41, budget=50, mode=WelfareMode.DOUBLE)
             assert rep.checker_verdicts == {"affine": rule.family == "trivial"}
+            assert (rep.certificate is None) == (rule.family == "trivial")
 
     @settings(derandomize=True, max_examples=30, deadline=None, database=None)
     @given(data=st.data())
@@ -377,8 +410,12 @@ class TestCollapseCharacterization:
         mu /= mu.sum()
         v = is_occasionally_stubborn(rule, mu, tol=1e-9)
         assert v.ok and np.allclose(v.x_star.coords, x_star, atol=1e-12), v.to_json()
-        rep = audit(rule, mu, grid_size=31, budget=150, seed=data.draw(st.integers(0, 1000)))
+        seed = data.draw(st.integers(0, 1000))
+        with pytest.MonkeyPatch.context() as mp:
+            _no_search(mp)
+            rep = audit(rule, mu, grid_size=31, budget=150, seed=seed)
         assert rep.verdict == "pass" and rep.certificate is None, rep.certificate.to_json()
+        assert adversary(rule, mu, 150, seed=seed) is None, rule.to_json()
 
     def test_off_segment_vertex_is_refuted_and_certified(self):
         # Vertex i's image leaves its segment [x*, e_i] along v, which is
@@ -408,11 +445,72 @@ class TestCollapseCharacterization:
             recipes.add(rep.certificate.recipe)
         assert "vertexprop-separation" in recipes, recipes
 
+    def test_trivial_interior_does_not_spare_random_search(self, monkeypatch):
+        # trivial_on_interior ignores the vertices, so a rule it accepts but
+        # the collapse checker refutes gets random search when the recipes miss.
+        reached = []
+        monkeypatch.setattr(auditor, "_vertex_condition_certificate", lambda search, x_star: None)
+        monkeypatch.setattr(auditor, "_random_search", lambda search: reached.append(search.used))
+        rep = audit(_OffSegmentVertices(), MU3, grid_size=41, budget=300, seed=3)
+        assert rep.checker_verdicts["trivial_on_interior"]
+        assert not rep.checker_verdicts["occasionally_stubborn"]["ok"]
+        assert reached == [rep.budget_used], reached
+
+
+class TestDoubleMode:
+    """DOUBLE mode: a rule is harmless exactly when its map is affine, and
+    the chords that decide ``affine`` give a non-affine rule its certificate."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(1600)
+        for family, n in (("grether", 2), ("grether", 3), ("grether", 4), ("occ-coarse", 2), ("occ-stubborn", 3), ("occ-stubborn", 4)):
+            for _ in range(6):
+                yield random_rule(family, n, rng), rng.dirichlet(np.full(n, 4.0))
+        for k in range(6):
+            yield (stubborn_example_a, stubborn_example_b)[k % 2](), rng.dirichlet(np.full(3, 4.0))
+
+    def test_every_non_affine_rule_gets_a_chord_certificate_in_one_unit(self):
+        certified = 0
+        for rule, mu in self._cases():
+            rep = audit(rule, mu, grid_size=41, budget=1, mode=WelfareMode.DOUBLE)
+            if rep.checker_verdicts["affine"]:
+                assert rep.certificate is None and rep.budget_used == 0, rule.to_json()
+                continue
+            cert = rep.certificate
+            assert cert is not None and cert.recipe == "chord" and rep.budget_used == 1, rule.to_json()
+            assert verify_certificate(cert) == (True, None)
+            assert verify_certificate(ViolationCertificate.from_json(json.loads(cert.dumps()))) == (True, None)
+            # The gap is -q (h . h) / max|h| at q = 0.999 p or p / 2 of the best chord.
+            z, _, _, h = auditor.affine_chords(rule, mu, 41)
+            p = np.minimum(1.0, np.min(np.divide(mu, z, out=np.full_like(z, np.inf), where=z > 0.0), axis=1))
+            size = np.max(np.abs(h), axis=1)
+            best = np.max(p * np.sum(h * h, axis=1) / np.where(size > 0.0, size, np.inf))
+            assert min(abs(cert.gap + 0.999 * best), abs(cert.gap + 0.5 * best)) <= 1e-12, (cert.gap, best)
+            certified += 1
+        assert certified >= 40, certified
+
+    def test_kink_between_the_21_levels_is_found_at_the_audit_grid(self):
+        # The rule clips (0, 0.02) to 0.02 and (0.98, 1) to 0.98: affine on
+        # every chord of the 21-level lattice, not on the audit's 101 levels.
+        rule = CoarseRule(0.02, 0.98, 0.0, 1.0)
+        assert is_affine(rule, MU2)
+        rep = audit(rule, MU2, grid_size=101, budget=1, mode=WelfareMode.DOUBLE)
+        assert rep.checker_verdicts == {"affine": False}
+        assert rep.certificate.recipe == "chord" and verify_certificate(rep.certificate) == (True, None)
+
+    def test_grether_at_a_small_budget_is_a_violation(self):
+        # The SINGLE recipes once spent 348 units here without a certificate.
+        rep = audit(GretherRule(2.0, 1.0, 2), MU2, grid_size=51, budget=200, mode=WelfareMode.DOUBLE)
+        assert rep.checker_verdicts == {"affine": False}
+        assert rep.verdict == "violation" and rep.certificate.recipe == "chord" and rep.budget_used == 1
+        assert verify_certificate(rep.certificate) == (True, None)
+
 
 class TestVerifyCertificate:
     @pytest.fixture()
     def cert(self):
-        return audit_expansive(GretherRule(2.0, 1.0, 2), MU2, (0.7, 0.3), budget=100)
+        return one_error("expansive", GretherRule(2.0, 1.0, 2), MU2, (0.7, 0.3), budget=100)
 
     def test_emitted_certificates_verify(self, cert):
         assert verify_certificate(cert) == (True, None)
@@ -469,13 +567,14 @@ class TestDeterminism:
         assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
 
     def test_random_search_respects_seed(self):
-        # A rule only the randomized fallback can catch here: welfare jump
-        # far from the coarse grid's dispatch points.
-        rule = ShrinkageRule(0.5, 2)
-        a = audit(rule, MU2, grid_size=101, budget=400, seed=3)
-        b = audit(rule, MU2, grid_size=101, budget=400, seed=3)
+        # At tie_tol 0.05 no recipe clears the cut for this rule; random search does.
+        rule, sel = GretherRule(2.0, 1.0, 2), Selector(tie_tol=0.05)
+        a = audit(rule, MU2, grid_size=101, budget=1000, seed=0, sel=sel)
+        b = audit(rule, MU2, grid_size=101, budget=1000, seed=0, sel=sel)
         assert a.verdict == b.verdict == "violation"
+        assert a.certificate.recipe == "random-search"
         assert a.certificate.dumps() == b.certificate.dumps()
+        assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
 
 
 def _dirichlet_rows(e: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blackwell_audit.auditor import audit, audit_expansive
+from audit_helpers import one_error
+from blackwell_audit.auditor import audit
 from blackwell_audit.decision import Selector, SelectorPolicy
 from blackwell_audit.distortions import GretherRule
 from blackwell_audit.cli import (
@@ -171,10 +172,26 @@ class TestAuditCommand:
         assert c1.read_bytes() == c2.read_bytes()
 
 
+    def test_double_mode(self, tmp_path, capsys):
+        # A non-affine rule gets a chord certificate; Bayes passes without spending budget.
+        out = tmp_path / "g.json"
+        assert run(["audit", "--mode", "double", "--rule", "grether(2,1)", "--states", "3", "--out", str(out)]) == EXIT_VIOLATION
+        capsys.readouterr()
+        assert run(["verify", str(tmp_path / "g.certificate.json")]) == EXIT_OK
+        assert "via chord" in capsys.readouterr().out
+        out = tmp_path / "b.json"
+        assert run(["audit", "--mode", "double", "--rule", "bayes", "--states", "3", "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["runs"][0]["budget_used"] == 0
+
+    def test_budget_help_names_every_unit(self, capsys):
+        assert run(["audit", "--help"]) == EXIT_OK
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "recipe cut, lemma-3 pair, DOUBLE-mode chord or random-search trial" in help_text
+
     def test_flags_do_not_carry_over_between_calls(self, tmp_path):
         # One process, one parser: a flag given to one call must not stick to the next.
         args = ["audit", "--states", "2", "--rule", "grether(2,1)", "--grid", "51", "--budget", "200"]
-        assert run(args + ["--mode", "double", "--out", str(tmp_path / "a.json")]) in (EXIT_OK, EXIT_VIOLATION)
+        assert run(args + ["--mode", "double", "--out", str(tmp_path / "a.json")]) == EXIT_VIOLATION
         assert run(args + ["--out", str(tmp_path / "b.json")]) == EXIT_VIOLATION
         assert run(["verify", str(tmp_path / "b.certificate.json")]) == EXIT_OK
         modes = [json.loads((tmp_path / f"{stem}.json").read_text())["config"]["mode"] for stem in "ab"]
@@ -369,9 +386,9 @@ class TestVerifyCommand:
 @functools.lru_cache(maxsize=None)
 def _valid_certificates() -> tuple:
     """Two verified certificates: two states, lex-first; three states, with a pin."""
-    two = audit_expansive(GretherRule(2.0, 1.0, 2), (0.5, 0.5), (0.7, 0.3), budget=100)
+    two = one_error("expansive", GretherRule(2.0, 1.0, 2), (0.5, 0.5), (0.7, 0.3), budget=100)
     pinned = Selector(SelectorPolicy.PINNED, pins=(((0.6, 0.2, 0.2), 1),))
-    three = audit_expansive(GretherRule(2.0, 1.0, 3), (1 / 3, 1 / 3, 1 / 3), (0.6, 0.2, 0.2), budget=100, sel=pinned)
+    three = one_error("expansive", GretherRule(2.0, 1.0, 3), (1 / 3, 1 / 3, 1 / 3), (0.6, 0.2, 0.2), budget=100, sel=pinned)
     return json.dumps(two.to_json()), json.dumps(three.to_json())
 
 

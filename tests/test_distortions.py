@@ -1,5 +1,6 @@
 """Rule families, error classification, and the structural checkers."""
 
+import itertools
 import json
 
 import numpy as np
@@ -23,6 +24,7 @@ from blackwell_audit.distortions import (
     classify_error,
     evaluate,
     evaluate_batch,
+    affine_chords,
     is_affine,
     is_occasionally_coarse,
     is_occasionally_stubborn,
@@ -529,6 +531,31 @@ class TestTrivialAndAffine:
         assert is_affine(TrivialRule((0.2, 0.3, 0.5)), MU3)
         assert not is_affine(GretherRule(2.0, 1.0, 3), MU3)
         assert not is_affine(CoarseRule(0.3, 0.7, 0.2, 0.8), MU2)
+
+    def test_chord_count_is_bounded_and_never_empty(self):
+        # One evaluation of 3 rows per chord: midpoint and both ends, at
+        # is_affine's 21 levels and at an audit's finest grid alike.
+        for n, grid_size in itertools.product((2, 3, 4, 5, 6, 7, 8, 70), (21, 201)):
+            rows = []
+
+            class Spy(BayesRule):
+                def apply_batch(self, mu, X):
+                    rows.append(X.shape[0])
+                    return super().apply_batch(mu, X)
+
+            z, x, y, h = affine_chords(Spy(n), np.full(n, 1.0 / n), grid_size)
+            assert len(rows) == 1 and rows[0] == 3 * z.shape[0], (n, rows)
+            assert n * (n - 1) // 2 <= z.shape[0] <= 12_000, (n, grid_size, z.shape[0])
+            assert np.max(np.abs(x + y - 2.0 * z)) <= 1e-15 and np.max(np.abs(h)) <= 1e-15
+            assert np.all(x >= 0.0) and np.all(y >= 0.0) and np.any(x != z, axis=1).all()
+
+    def test_near_bayes_grether_is_not_affine(self):
+        # alpha = 1 leaves only the prior's extra power 1e-7, which moves a
+        # chord's midpoint by 1.4e-8; the least-squares fit once called it affine.
+        rule, mu = GretherRule(1.0, 1.0 + 1e-7, 4), np.array([0.206, 0.342, 0.26, 0.192])
+        assert 1e-8 < np.max(np.abs(affine_chords(rule, mu)[3])) < 2e-8
+        assert not is_affine(rule, mu)
+        assert is_affine(rule, np.full(4, 0.25))  # at the uniform prior it is Bayes
 
     def test_affine_rules_never_lose_from_double_mistakes(self):
         # Affinity makes the twice-mistaken welfare profile convex, so no
