@@ -904,6 +904,8 @@ def _single_mode_recipes(search: _Search, grid, kinds, mags, star) -> Optional[V
         return cert
     for kind_code, handler in ((1, _audit_expansive), (2, _audit_contractive)):
         idx = np.nonzero(kinds == kind_code)[0]
+        if idx.size > _MAX_DISPATCH:  # only rows at least as large as the _MAX_DISPATCH-th largest can be dispatched
+            idx = idx[mags[idx] >= np.partition(mags[idx], -_MAX_DISPATCH)[-_MAX_DISPATCH]]
         for gi in idx[np.lexsort((idx, -mags[idx]))][:_MAX_DISPATCH]:
             cert = handler(search, grid[gi])
             if cert is not None:
@@ -941,16 +943,11 @@ def audit(
     mode = WelfareMode(mode)
 
     grid = simplex_lattice(n, grid_size)
-    kinds_all = np.empty(grid.shape[0], dtype=np.int8)
-    mags_all = np.empty(grid.shape[0])
-    chunk = 500_000
-    for lo in range(0, grid.shape[0], chunk):
-        part = slice(lo, lo + chunk)
-        kinds_all[part], mags_all[part] = classify_batch(d, mua, grid[part], tol)
+    kinds_all, mags_all = classify_batch(d, mua, grid, tol)
     census = {
-        "none": int(np.sum(kinds_all == 0)),
-        "expansive": int(np.sum(kinds_all == 1)),
-        "contractive": int(np.sum(kinds_all == 2)),
+        "none": int(np.count_nonzero(kinds_all == 0)),
+        "expansive": int(np.count_nonzero(kinds_all == 1)),
+        "contractive": int(np.count_nonzero(kinds_all == 2)),
     }
 
     checker_verdicts: dict = {}

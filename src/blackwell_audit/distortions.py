@@ -489,34 +489,44 @@ def classify_error(d: Distortion, mu, x, tol: float = TOL_GEO) -> ErrorClass:
 #: Census rows whose column-wise residual lies this close to tol are decided row-wise.
 _REDECIDE = 1e-12
 
+#: The census walks its rows in blocks of this many float64 elements (256 KB per array),
+#: so every pass over a block's images, differences and residuals stays in cache.
+_CENSUS_BLOCK = 1 << 15
+
 
 def classify_batch(d: Distortion, mu, X, tol: float = TOL_GEO):
     """Vectorized error census: returns (kinds, magnitudes).
 
     magnitudes is max|image - x| per row; a row errs when it exceeds tol.
-    kinds is int8 with 0 = none, 1 = expansive, 2 = contractive.  Only the
-    erring rows are located against the posterior-prior segment, column by
-    column (``_segment_residual``); a row whose residual lands within
-    ``_REDECIDE`` of tol is decided again by the row-wise formulas
+    kinds is int8 with 0 = none, 1 = expansive, 2 = contractive.  The rows
+    go through ``evaluate_batch`` in blocks of ``_CENSUS_BLOCK`` elements.
+    Only the erring rows are located against the posterior-prior segment,
+    column by column (``_segment_residual``); a row whose residual lands
+    within ``_REDECIDE`` of tol is decided again by the row-wise formulas
     (``_segment_residual_rows``), so kinds never depend on the rounding of
-    the column-wise sums.
+    the column-wise sums.  Every formula is per row, so blocking changes no bit.
     """
-    mua = _coerce(mu)
+    mua = interior_prior(mu, "rule evaluation")  # also when X has no rows, so no block is evaluated
     X = np.asarray(X, dtype=np.float64)
-    imgs = evaluate_batch(d, mua, X)
-    # Row maxima column by column: np.max(axis=1) is several times slower on few columns.
-    mags = functools.reduce(np.maximum, np.abs(imgs - X).T)
-    err = mags > tol
-    rows = slice(None)
-    if not err.all():  # on many rules every row errs, and then a gather only costs time
-        rows = np.flatnonzero(err)
-        X, imgs = X.take(rows, axis=0), imgs.take(rows, axis=0)  # take: far faster than X[rows]
-    resid = _segment_residual(X, imgs, mua)
-    near = np.flatnonzero(~(np.abs(resid - tol) > _REDECIDE))
-    if near.size:
-        resid[near] = _segment_residual_rows(X.take(near, axis=0), imgs.take(near, axis=0), mua)
-    kinds = np.zeros(mags.shape[0], dtype=np.int8)
-    kinds[rows] = 2 * (resid <= tol) + (resid > tol)  # a NaN residual stays 0
+    kinds = np.zeros(X.shape[0], dtype=np.int8)
+    mags = np.empty(X.shape[0])
+    step = max(1, _CENSUS_BLOCK // X.shape[1])
+    for lo in range(0, X.shape[0], step):
+        block = slice(lo, lo + step)
+        Xb = X[block]
+        imgs = evaluate_batch(d, mua, Xb)
+        # Row maxima column by column: np.max(axis=1) is several times slower on few columns.
+        mags[block] = functools.reduce(np.maximum, np.abs(imgs - Xb).T)
+        err = mags[block] > tol
+        rows = slice(None)
+        if not err.all():  # on many rules every row errs, and then a gather only costs time
+            rows = np.flatnonzero(err)
+            Xb, imgs = Xb.take(rows, axis=0), imgs.take(rows, axis=0)  # take: far faster than X[rows]
+        resid = _segment_residual(Xb, imgs, mua)
+        near = np.flatnonzero(~(np.abs(resid - tol) > _REDECIDE))
+        if near.size:
+            resid[near] = _segment_residual_rows(Xb.take(near, axis=0), imgs.take(near, axis=0), mua)
+        kinds[block][rows] = 2 * (resid <= tol) + (resid > tol)  # a NaN residual stays 0
     return kinds, mags
 
 

@@ -386,14 +386,17 @@ def _lattice(n: int, res: int) -> np.ndarray:
         t = np.arange(res + 1, dtype=np.float64) / res
         grid = np.column_stack([t, 1.0 - t])
     else:
-        cols: list = []
-        left = np.array([res])
+        cols: list = []  # int32 counts: max_points (2 M by default) keeps row offsets far below 2**31
+        left = np.array([res], dtype=np.int32)
         for _ in range(n - 1):
             counts = left + 1
-            value = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            starts = np.cumsum(counts, dtype=np.int32) - counts
+            value = np.arange(counts.sum(), dtype=np.int32) - np.repeat(starts, counts)
             cols = [np.repeat(c, counts) for c in cols] + [value]
             left = np.repeat(left, counts) - value
-        grid = np.column_stack(cols + [left]) / res
+        grid = np.empty((left.shape[0], n))
+        for j, col in enumerate(cols + [left]):
+            np.divide(col, res, out=grid[:, j])
     grid.setflags(write=False)
     return grid
 

@@ -51,6 +51,7 @@ from blackwell_audit.distortions import (
 from blackwell_audit.auditor import (
     GAP_TOL,
     SEP_MARGIN,
+    _MAX_DISPATCH,
     AuditReport,
     BudgetExhausted,
     ViolationCertificate,
@@ -69,6 +70,7 @@ from blackwell_audit.auditor import (
     _scaffolds,
     _screen,
     _simplex_vertices,
+    _single_mode_recipes,
     _spread_directions,
     _tangent_basis,
     _threshold_problem,
@@ -1242,3 +1244,29 @@ class TestCachedBases:
                 assert cached is not None and cached.tobytes() == fresh.tobytes() and cached.shape == fresh.shape
                 with pytest.raises(ValueError):
                     cached[0, 0] = 1.0
+
+
+class TestDispatchSelection:
+    @pytest.mark.parametrize("family", ["grether", "shrinkage", "occ-stubborn"])
+    def test_same_rows_and_order_as_the_full_sort(self, monkeypatch, family):
+        # Magnitudes rounded to two decimals tie across many rows; the partition must keep every tied row.
+        rng = np.random.default_rng(17)
+        dispatched = []
+        monkeypatch.setattr(auditor, "_audit_prior_error", lambda search: None)
+        for code, name in ((1, "_audit_expansive"), (2, "_audit_contractive")):
+            monkeypatch.setattr(auditor, name, lambda search, x, code=code: dispatched.append((code, int(x[0]))))
+        for n, grid_size in ((3, 7), (3, 41), (4, 41), (4, 101)):
+            grid = simplex_lattice(n, grid_size)
+            rows = np.arange(grid.shape[0], dtype=np.float64)[:, None]  # the handlers see row numbers
+            for decimals in (2, 17):
+                d, mu = random_rule(family, n, rng), rng.dirichlet(np.ones(n) * 4.0)
+                kinds, mags = classify_batch(d, mu, grid)
+                mags = np.round(mags, decimals)
+                dispatched.clear()
+                assert _single_mode_recipes(None, rows, kinds, mags, None) is None
+                expected = []
+                for code in (1, 2):
+                    idx = np.flatnonzero(kinds == code)
+                    expected += [(code, int(i)) for i in idx[np.lexsort((idx, -mags[idx]))][:_MAX_DISPATCH]]
+                assert dispatched == expected
+                assert len(expected) == min(_MAX_DISPATCH, np.count_nonzero(kinds == 1)) + min(_MAX_DISPATCH, np.count_nonzero(kinds == 2))

@@ -395,15 +395,20 @@ class TestClassifyBatch:
     @pytest.mark.parametrize("shift", [-5e-13, 0.0, 5e-13])
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_tolerance_at_a_row_residual_is_decided_row_wise(self, monkeypatch, n, shift):
-        # tol is one erring row's exact row-wise residual, so that row is contractive.  The
-        # column-wise residual, also when shifted by a rounding-sized amount, must not decide it.
-        X = simplex_lattice(n, {3: 41, 4: 21, 5: 11}[n])
+        self._decide_at_a_row_residual(monkeypatch, simplex_lattice(n, {3: 41, 4: 21, 5: 11}[n]), shift, 0)
+
+    @staticmethod
+    def _decide_at_a_row_residual(monkeypatch, X, shift, which):
+        """Census X with tol at the exact row-wise residual of erring row number ``which``, so
+        that row is contractive; the column-wise residual, also when shifted by a
+        rounding-sized amount, must not decide it.  Returns the row."""
+        n = X.shape[1]
         mu = np.arange(1.0, n + 1.0) / (n * (n + 1) / 2)
         rule = GretherRule(0.6, 1.3, n)  # under-reacts: images fall short of x, off the segment
         _, imgs, lam = _reference_classify_batch(rule, mu, X, 0.0)
         resid = np.max(np.abs(lam[:, None] * X + (1.0 - lam[:, None]) * mu - imgs), axis=1)
         mags = np.max(np.abs(imgs - X), axis=1)
-        row = int(np.flatnonzero((resid > 1e-6) & (mags > 2.0 * resid))[0])
+        row = int(np.flatnonzero((resid > 1e-6) & (mags > 2.0 * resid))[which])
         tol = float(resid[row])
         real_columns = distortions._segment_residual
         monkeypatch.setattr(distortions, "_segment_residual", lambda *a: real_columns(*a) + shift)
@@ -414,6 +419,65 @@ class TestClassifyBatch:
         ref_kinds, _, _ = _reference_classify_batch(rule, mu, X, tol)
         assert kinds[row] == 2 and redecided
         assert kinds.tobytes() == ref_kinds.tobytes()
+        return row
+
+    # Lattices of 3, 5 and 8 census blocks (n = 3 at grid 201 is only 20,301 rows: two blocks).
+    BLOCKED = [(3, 301), (4, 61), (5, 31)]
+
+    @staticmethod
+    def _blocks(n, rows):
+        """The census's block length and count on ``rows`` lattice rows of n states."""
+        step = distortions._CENSUS_BLOCK // n
+        return step, -(-rows // step)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    @pytest.mark.parametrize("family", ["grether", "shrinkage", "occ-stubborn"])
+    @pytest.mark.parametrize("n,grid_size", BLOCKED)
+    def test_several_blocks_bitwise_equal_to_reference(self, n, grid_size, family, tol):
+        X = simplex_lattice(n, grid_size)
+        step, blocks = self._blocks(n, X.shape[0])
+        assert blocks >= 3
+        rng = np.random.default_rng(grid_size)
+        for _ in range(2):
+            d, mu = random_rule(family, n, rng), rng.dirichlet(np.ones(n) * 4.0)
+            kinds, mags = classify_batch(d, mu, X, tol)
+            ref_kinds, imgs, _ = _reference_classify_batch(d, mu, X, tol)
+            assert all(np.any(kinds[lo : lo + step]) for lo in range(0, X.shape[0], step))
+            assert kinds.tobytes() == ref_kinds.tobytes()
+            assert mags.tobytes() == np.max(np.abs(imgs - X), axis=1).tobytes()
+
+    @pytest.mark.parametrize("shift", [-5e-13, 0.0, 5e-13])
+    @pytest.mark.parametrize("n,grid_size", BLOCKED)
+    def test_tolerance_at_a_row_residual_in_the_last_block(self, monkeypatch, n, grid_size, shift):
+        X = simplex_lattice(n, grid_size)
+        step, blocks = self._blocks(n, X.shape[0])
+        assert blocks >= 3 and self._decide_at_a_row_residual(monkeypatch, X, shift, -1) >= (blocks - 1) * step
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("n,grid_size", BLOCKED)
+    def test_non_finite_image_in_the_last_block_raises(self, n, grid_size, bad):
+        X = simplex_lattice(n, grid_size)
+        _, blocks = self._blocks(n, X.shape[0])
+        last = X[-1].copy()
+        calls = []
+
+        class LastRowBad(Distortion):  # shrinks toward the prior; only the lattice's last row is non-finite
+            def apply_batch(self, mu, X):
+                calls.append(len(X))
+                out = 0.5 * X + 0.5 * mu
+                out[np.all(X == last, axis=1), 0] = bad
+                return out
+
+        with pytest.raises(NonFiniteImage):
+            classify_batch(LastRowBad(), np.ones(n) / n, X)
+        assert len(calls) == blocks >= 3
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0])
+    def test_prior_checked_on_an_empty_census(self, bad):
+        kinds, mags = classify_batch(BayesRule(3), MU3, np.empty((0, 3)))
+        assert kinds.shape == mags.shape == (0,)
+        with pytest.raises(PriorNotInterior):
+            classify_batch(BayesRule(3), [bad, 0.5, 0.5], np.empty((0, 3)))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_images_match_reference(self, bad):

@@ -1,6 +1,7 @@
 """Simplex geometry: segments, rank tests, hull membership, separation."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -517,6 +518,33 @@ class TestLattice:
         if n <= 4:
             for grid_size in (41, 201):
                 assert simplex_lattice(n, grid_size).tobytes() == self._reference(n, grid_size).tobytes()
+
+    @staticmethod
+    def _stars_and_bars(n, res):
+        """The int64 stars-and-bars builder that divided one stacked array by res."""
+        if n == 2:
+            t = np.arange(res + 1, dtype=np.float64) / res
+            return np.column_stack([t, 1.0 - t])
+        cols: list = []
+        left = np.array([res])
+        for _ in range(n - 1):
+            counts = left + 1
+            value = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            cols = [np.repeat(c, counts) for c in cols] + [value]
+            left = np.repeat(left, counts) - value
+        return np.column_stack(cols + [left]) / res
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bitwise_equal_to_stars_and_bars(self, n):
+        # A cap of 100,000 points leaves grid 201 at resolution 200 for n = 3 and halves it to 12 for n = 6 to 8.
+        for grid_size in (2, 3, 8, 11, 21, 201):
+            res = grid_size - 1
+            while math.comb(res + n - 1, n - 1) > 100_000 and res > 1:
+                res = max(1, res // 2)
+            grid = simplex_lattice(n, grid_size, max_points=100_000)
+            ref = self._stars_and_bars(n, res)
+            assert grid.dtype == ref.dtype and grid.shape == ref.shape
+            assert grid.tobytes() == ref.tobytes(), (n, grid_size)
 
     def test_read_only_and_shared(self):
         grid = simplex_lattice(3, 41)
