@@ -897,12 +897,14 @@ def _random_search(search: _Search) -> Optional[ViolationCertificate]:
 _MAX_DISPATCH = 16
 
 
-def _single_mode_recipes(search: _Search, grid, kinds, mags, star) -> Optional[ViolationCertificate]:
+def _single_mode_recipes(search: _Search, grid, kinds, mags, census, star) -> Optional[ViolationCertificate]:
     """The misread prior, the ``_MAX_DISPATCH`` largest errors of each kind, then the vertex condition at x*."""
     cert = _audit_prior_error(search)
     if cert is not None:
         return cert
-    for kind_code, handler in ((1, _audit_expansive), (2, _audit_contractive)):
+    for kind, kind_code, handler in (("expansive", 1, _audit_expansive), ("contractive", 2, _audit_contractive)):
+        if not census[kind]:  # no row of this kind: skip the gather over the whole census
+            continue
         idx = np.nonzero(kinds == kind_code)[0]
         if idx.size > _MAX_DISPATCH:  # only rows at least as large as the _MAX_DISPATCH-th largest can be dispatched
             idx = idx[mags[idx] >= np.partition(mags[idx], -_MAX_DISPATCH)[-_MAX_DISPATCH]]
@@ -933,22 +935,24 @@ def audit(
     at the collapse checker's x*; DOUBLE mode (``affine``, from the chords
     at ``grid_size``) runs the chord recipe on those chords.  Random search
     spends the rest of the budget only on a rule the mode's checker refutes.
-    Absence of a certificate is a pass, never an error.  An error of the
-    rule's evaluation propagates, such as NonFiniteImage or an off-node
-    GridMiss.
+    Absence of a certificate is a pass, never an error.  A tol that is
+    negative, infinite or NaN raises ValueError before the census; an error
+    of the rule's evaluation propagates, such as NonFiniteImage or an
+    off-node GridMiss.
     """
     mua = interior_prior(mu, "audit")
+    # A NaN or infinite tol would count every point as error-free, a negative one every point as erring.
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     n = mua.shape[0]
     sel = sel or Selector()
     mode = WelfareMode(mode)
 
     grid = simplex_lattice(n, grid_size)
     kinds_all, mags_all = classify_batch(d, mua, grid, tol)
-    census = {
-        "none": int(np.count_nonzero(kinds_all == 0)),
-        "expansive": int(np.count_nonzero(kinds_all == 1)),
-        "contractive": int(np.count_nonzero(kinds_all == 2)),
-    }
+    erring = int(np.count_nonzero(kinds_all))  # kinds are 0, 1 or 2: one pass reads an error-free census
+    expansive = int(np.count_nonzero(kinds_all == 1)) if erring else 0
+    census = {"none": grid.shape[0] - erring, "expansive": expansive, "contractive": erring - expansive}
 
     checker_verdicts: dict = {}
     star: Optional[Belief] = None  # the collapse point x* of the vertex recipe
@@ -971,7 +975,7 @@ def audit(
         if mode is WelfareMode.DOUBLE:
             certificate = None if characterized else _chord_certificate(search, *chords)
         else:
-            certificate = _single_mode_recipes(search, grid, kinds_all, mags_all, star)
+            certificate = _single_mode_recipes(search, grid, kinds_all, mags_all, census, star)
         if certificate is None and not characterized:
             certificate = _random_search(search)
     except BudgetExhausted:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -122,6 +123,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
         raise ConfigError("--grid must be at least 11")
     if args.budget < 1:
         raise ConfigError("--budget must be positive")
+    if not 0.0 <= args.tol < math.inf:
+        raise ConfigError("--tol must be finite and non-negative")
     rule = _resolve_rule(args)
     runs = []
     first_cert: Optional[ViolationCertificate] = None

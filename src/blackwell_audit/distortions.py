@@ -500,11 +500,11 @@ def classify_batch(d: Distortion, mu, X, tol: float = TOL_GEO):
     magnitudes is max|image - x| per row; a row errs when it exceeds tol.
     kinds is int8 with 0 = none, 1 = expansive, 2 = contractive.  The rows
     go through ``evaluate_batch`` in blocks of ``_CENSUS_BLOCK`` elements.
-    Only the erring rows are located against the posterior-prior segment,
-    column by column (``_segment_residual``); a row whose residual lands
-    within ``_REDECIDE`` of tol is decided again by the row-wise formulas
-    (``_segment_residual_rows``), so kinds never depend on the rounding of
-    the column-wise sums.  Every formula is per row, so blocking changes no bit.
+    Only a block's erring rows, if it has any, are located against the
+    posterior-prior segment, column by column (``_segment_residual``); a row
+    whose residual lands within ``_REDECIDE`` of tol is decided again by the
+    row-wise formulas (``_segment_residual_rows``), so kinds never depend on
+    the rounding of the column-wise sums.  Every formula is per row, so blocking changes no bit.
     """
     mua = interior_prior(mu, "rule evaluation")  # also when X has no rows, so no block is evaluated
     X = np.asarray(X, dtype=np.float64)
@@ -518,6 +518,8 @@ def classify_batch(d: Distortion, mu, X, tol: float = TOL_GEO):
         # Row maxima column by column: np.max(axis=1) is several times slower on few columns.
         mags[block] = functools.reduce(np.maximum, np.abs(imgs - Xb).T)
         err = mags[block] > tol
+        if not err.any():  # an error-free block: its kinds stay 0
+            continue
         rows = slice(None)
         if not err.all():  # on many rules every row errs, and then a gather only costs time
             rows = np.flatnonzero(err)

@@ -200,6 +200,17 @@ class TestFullAudit:
         # The checker accepts Bayes, so the audit spends nothing; the adversary runs apart.
         assert rep.budget_used == 0 and adversary(BayesRule(3), MU3, 300, seed=1) is None
 
+    def test_error_free_census_dispatches_no_error(self, monkeypatch):
+        # Bayes on a 1.37-million-row lattice: no row errs, so no error handler runs.
+        def refuse(search, x0):
+            raise AssertionError("an error recipe ran on an error-free census")
+
+        monkeypatch.setattr(auditor, "_audit_expansive", refuse)
+        monkeypatch.setattr(auditor, "_audit_contractive", refuse)
+        rep = audit(BayesRule(4), (0.1, 0.2, 0.3, 0.4), grid_size=201, budget=5000)
+        assert rep.verdict == "pass" and rep.budget_used == 0
+        assert rep.error_census == {"none": rep.grid_points, "expansive": 0, "contractive": 0}
+
     @pytest.mark.parametrize("policy", [SelectorPolicy.LEX_FIRST, SelectorPolicy.LEX_LAST])
     def test_bayes_passes_whatever_the_tie_tolerance(self, policy):
         # Any action within tie_tol of the best may be taken, so a gap of
@@ -1263,7 +1274,8 @@ class TestDispatchSelection:
                 kinds, mags = classify_batch(d, mu, grid)
                 mags = np.round(mags, decimals)
                 dispatched.clear()
-                assert _single_mode_recipes(None, rows, kinds, mags, None) is None
+                census = {"expansive": np.count_nonzero(kinds == 1), "contractive": np.count_nonzero(kinds == 2)}
+                assert _single_mode_recipes(None, rows, kinds, mags, census, None) is None
                 expected = []
                 for code in (1, 2):
                     idx = np.flatnonzero(kinds == code)

@@ -127,6 +127,18 @@ class TestAuditCommand:
         assert captured.err.splitlines() == [f"configuration error: cannot parse rule: {_OFF_SEGMENT_ERROR}"]
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_hostile_tolerance(self, tmp_path, capsys, tol):
+        # At tol nan or inf this harmful rule used to pass with an all-none census.
+        out = tmp_path / "r.json"
+        argv = ["audit", "--states", "3", "--rule", "grether(2,1)", "--grid", "41", "--budget", "200", "--out", str(out)]
+        capsys.readouterr()
+        assert run(argv + [f"--tol={tol}"]) == EXIT_CONFIG  # "=": argparse reads a lone -inf as an option
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["configuration error: --tol must be finite and non-negative"]
+        assert captured.out == "" and not out.exists()
+        assert run(argv + ["--tol", "0"]) == EXIT_VIOLATION
+
     @pytest.mark.parametrize("rule", ["grether(2,800)", "grether(1000,1)"])
     def test_non_finite_images(self, tmp_path, capsys, rule):
         # mu**800 underflows to 0/0 on every lattice row; (x/mu)**1000 overflows on some.

@@ -38,6 +38,7 @@ from blackwell_audit.distortions import (
 )
 from blackwell_audit.geometry import TOL_GEO, _coerce, simplex_lattice
 from blackwell_audit.experiments import PosteriorDistribution, PriorNotInterior, is_mpc
+from blackwell_audit.auditor import audit
 from blackwell_audit.decision import (
     DecisionProblem,
     Selector,
@@ -355,11 +356,14 @@ class TestClassifyBatch:
         ("occ-coarse", 2, "some"), ("occ-stubborn", 3, "some"), ("occ-stubborn", 4, "some"),
     ]
 
+    # One census block per state count.
+    GRIDS = {2: 201, 3: 61, 4: 31, 5: 11}
+
     @staticmethod
     def _draws(family, n, share, tol, seed, count=3):
         """``count`` (rule, prior) pairs at Dirichlet(4) priors whose lattice rows err as ``share`` says."""
         rng = np.random.default_rng(seed)
-        X = simplex_lattice(n, {2: 201, 3: 61, 4: 31, 5: 11}[n])
+        X = simplex_lattice(n, TestClassifyBatch.GRIDS[n])
         out = []
         while len(out) < count:
             d = BayesRule(n) if family == "bayes" else random_rule(family, n, rng)
@@ -378,6 +382,14 @@ class TestClassifyBatch:
             assert kinds.dtype == np.int8
             assert kinds.tobytes() == ref_kinds.tobytes()
             assert mags.tobytes() == np.max(np.abs(imgs - X), axis=1).tobytes()
+
+    @pytest.mark.parametrize("family,n,share", CASES)
+    def test_audit_census_counts_the_reference_kinds(self, family, n, share):
+        # The census is taken before any recipe runs; at budget 1 the recipes stop at once.
+        [(d, mu, X)] = self._draws(family, n, share, TOL_GEO, seed=self.CASES.index((family, n, share)), count=1)
+        census = audit(d, mu, grid_size=self.GRIDS[n], budget=1).error_census
+        ref_kinds, _, _ = _reference_classify_batch(d, mu, X)
+        assert census == {kind: int(np.count_nonzero(ref_kinds == k)) for k, kind in enumerate(("none", "expansive", "contractive"))}
 
     def test_residuals_near_tolerance_match_reference(self):
         # Contractive images pushed off their segment by 0.3 to 3 times tol.
@@ -466,6 +478,74 @@ class TestClassifyBatch:
                 calls.append(len(X))
                 out = 0.5 * X + 0.5 * mu
                 out[np.all(X == last, axis=1), 0] = bad
+                return out
+
+        with pytest.raises(NonFiniteImage):
+            classify_batch(LastRowBad(), np.ones(n) / n, X)
+        assert len(calls) == blocks >= 3
+
+    @staticmethod
+    def _census_counting_segments(monkeypatch, d, mu, X, tol):
+        """Census X against the reference; returns the reference kinds and the
+        number of ``_segment_residual`` calls, which must be one per block that
+        holds an erring row."""
+        calls = []
+        real = distortions._segment_residual
+        monkeypatch.setattr(distortions, "_segment_residual", lambda *a: calls.append(len(a[0])) or real(*a))
+        kinds, mags = classify_batch(d, mu, X, tol)
+        ref_kinds, imgs, _ = _reference_classify_batch(d, mu, X, tol)
+        assert kinds.tobytes() == ref_kinds.tobytes()
+        assert mags.tobytes() == np.max(np.abs(imgs - X), axis=1).tobytes()
+        step, _ = TestClassifyBatch._blocks(X.shape[1], X.shape[0])
+        erring_blocks = sum(bool(np.any(ref_kinds[lo : lo + step])) for lo in range(0, X.shape[0], step))
+        assert len(calls) == erring_blocks
+        return ref_kinds, len(calls)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    @pytest.mark.parametrize("n,grid_size", BLOCKED)
+    def test_bayes_on_several_blocks_locates_no_row(self, monkeypatch, n, grid_size, tol):
+        X = simplex_lattice(n, grid_size)
+        assert self._blocks(n, X.shape[0])[1] >= 3
+        mu = np.random.default_rng(grid_size).dirichlet(np.ones(n) * 4.0)
+        kinds, calls = self._census_counting_segments(monkeypatch, BayesRule(n), mu, X, tol)
+        assert calls == 0 and not kinds.any()
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    @pytest.mark.parametrize("n,grid_size", BLOCKED)
+    def test_error_free_blocks_between_erring_ones(self, monkeypatch, n, grid_size, tol):
+        # The lattice is sorted by its first coordinate, so these rows lie in the first and in the last block.
+        X = simplex_lattice(n, grid_size)
+        step, blocks = self._blocks(n, X.shape[0])
+        low, high = X[step - 1, 0], X[(blocks - 1) * step, 0]
+
+        class EndsErr(Distortion):  # shrinks the low rows toward the prior, rolls the high ones, keeps the rest
+            def apply_batch(self, mu, X):
+                out = X.copy()
+                lo, hi = X[:, 0] < low, X[:, 0] > high
+                out[lo] = 0.5 * X[lo] + 0.5 * mu
+                out[hi] = np.roll(X[hi], 1, axis=1)
+                return out
+
+        mu = np.random.default_rng(grid_size).dirichlet(np.ones(n) * 4.0)
+        kinds, calls = self._census_counting_segments(monkeypatch, EndsErr(), mu, X, tol)
+        assert calls == 2 and blocks >= 3
+        assert kinds[:step].any() and kinds[(blocks - 1) * step :].any()
+        assert not kinds[step : (blocks - 1) * step].any()
+        assert np.count_nonzero(kinds == 1) and np.count_nonzero(kinds == 2)
+
+    @pytest.mark.parametrize("n,grid_size", BLOCKED)
+    def test_non_finite_image_after_error_free_blocks_raises(self, n, grid_size):
+        # Every row but the last is its own image, so each block is error-free: the gate must run before the skip.
+        X = simplex_lattice(n, grid_size)
+        _, blocks = self._blocks(n, X.shape[0])
+        calls = []
+
+        class LastRowBad(Distortion):
+            def apply_batch(self, mu, X):
+                calls.append(len(X))
+                out = X.copy()
+                if len(calls) == blocks:  # the last block ends with the lattice's last row
+                    out[-1, 0] = np.nan
                 return out
 
         with pytest.raises(NonFiniteImage):

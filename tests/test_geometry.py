@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import blackwell_audit
-from blackwell_audit import geometry
+from blackwell_audit import auditor, geometry
+from blackwell_audit.distortions import GretherRule
 from blackwell_audit.experiments import (
     Experiment,
     GarblingMatrix,
@@ -338,10 +339,11 @@ class TestSolveLP:
 
 
 class TestHostileInput:
-    """NaN and infinite coordinates end in ValueError, never a crashed process.
+    """NaN and infinite coordinates, and an audit tolerance outside [0, inf), end
+    in ValueError, never a crashed process or a wrong verdict.
 
-    The calls run in a child interpreter, so a crash inside the solver fails
-    this test instead of killing the test run.  The child turns a
+    The coordinate calls run in a child interpreter, so a crash inside the
+    solver fails this test instead of killing the test run.  The child turns a
     RuntimeWarning into an error, as the pytest configuration does."""
 
     SCRIPT = textwrap.dedent("""
@@ -399,6 +401,20 @@ class TestHostileInput:
         lines = done.stdout.splitlines()
         assert len(lines) == 12, done.stdout
         assert all(line.endswith(" ValueError") for line in lines), done.stdout
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    def test_hostile_audit_tolerance_raises_value_error(self, monkeypatch, tol):
+        # With a NaN or infinite tol no point errs and a harmful rule passes; with a negative one every point errs.
+        def refuse(*args):
+            raise AssertionError("the census ran under a hostile tol")
+
+        monkeypatch.setattr(auditor, "classify_batch", refuse)
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            auditor.audit(GretherRule(2, 1, 3), (1 / 3, 1 / 3, 1 / 3), grid_size=41, budget=200, tol=tol)
+
+    def test_zero_audit_tolerance_still_audits(self):
+        rep = auditor.audit(GretherRule(2, 1, 3), (1 / 3, 1 / 3, 1 / 3), grid_size=41, budget=200, tol=0.0)
+        assert rep.verdict == "violation" and auditor.verify_certificate(rep.certificate)[0]
 
 
 class TestSeparatingHyperplane:
