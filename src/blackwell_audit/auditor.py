@@ -437,10 +437,18 @@ def _moved(
 # ---------------------------------------------------------------------------
 
 
+#: The moved points of the expansive recipe: x0p at each gamma, then x0pp at gamma / 2.
+_GAMMAS = np.array([0.6, 0.35, 0.15])
+_MOVES = np.concatenate([_GAMMAS, _GAMMAS / 2.0])
+
+
 def _audit_expansive(search: _Search, x0: np.ndarray) -> Optional[ViolationCertificate]:
-    """Claims 1-3 from the expansive error x0.  Images decide before weights: when
-    x0's image is that of both moved points of a gamma, every branch would skip
-    uncharged, so the weights go unsolved and the outcome is unchanged."""
+    """Claims 1-3 from the expansive error x0.  Images decide before hulls and
+    weights: each scaffold width evaluates its other points and the moved points
+    of its three gammas in one call.  A gamma where x0's image is that of both
+    its moved points would skip uncharged in every branch, so it is not tried,
+    and a width where every gamma is such skips its hull test too; the outcome
+    is unchanged."""
     d, mu, tol = search.d, search.mu, search.tol
     img0 = evaluate_batch(d, mu, x0[None, :])[0]
     if np.max(np.abs(x0 - mu)) <= tol:
@@ -448,28 +456,32 @@ def _audit_expansive(search: _Search, x0: np.ndarray) -> Optional[ViolationCerti
 
     for rho in _scaffolds(mu, x0):
         others = rho.support[1:]
-        if in_convex_hull(img0, rho.support, tol=1e-7):
-            continue  # image not banished at this scaffold width
-        imgs_others = evaluate_batch(d, mu, others)
-        even = np.full(others.shape[0], 1.0 / others.shape[0])  # target's weights over others
+        k = others.shape[0]
         target = others.mean(axis=0)
-        for gamma in (0.6, 0.35, 0.15):
-            x0p, x0pp = (g * x0 + (1.0 - g) * target for g in (gamma, gamma / 2.0))
-            img0p, img0pp = evaluate_batch(d, mu, np.vstack([x0p, x0pp]))
-            if np.max(np.abs(img0p - img0)) <= tol and np.max(np.abs(img0pp - img0p)) <= tol:
-                continue  # one destination for all three: each branch below would skip uncharged
+        moved = _MOVES[:, None] * x0 + (1.0 - _MOVES)[:, None] * target
+        imgs = evaluate_batch(d, mu, np.vstack([others, moved]))
+        imgs_others, imgs_p, imgs_pp = imgs[:k], imgs[k : k + 3], imgs[k + 3 :]
+        off_p = np.max(np.abs(imgs_p - img0), axis=1) > tol  # x0p leaves x0's destination
+        off_pp = np.max(np.abs(imgs_pp - imgs_p), axis=1) > tol  # x0pp leaves x0p's
+        live = off_p | off_pp  # else one destination for all three: each branch below would skip uncharged
+        if not live.any() or in_convex_hull(img0, rho.support, tol=1e-7):
+            continue  # nothing to try, or the image is not banished at this scaffold width
+        even = np.full(k, 1.0 / k)  # target's weights over others
+        for j in np.flatnonzero(live).tolist():
+            gamma = float(_GAMMAS[j])
+            x0p, x0pp, img0p, img0pp = moved[j], moved[j + 3], imgs_p[j], imgs_pp[j]
             rho_p = _moved(rho, gamma, even, x0p)
             if rho_p is None:
                 continue
 
-            if np.max(np.abs(img0p - img0)) > tol:
+            if off_p[j]:
                 # A shared destination would sit on both sides: skip the cut.
                 problem = search.cut([img0], np.vstack([rho.support, imgs_others, img0p[None, :]]))
                 cert = problem and search.try_pair(rho, rho_p, problem, "claim1-hyperplane")
                 if cert is not None:
                     return cert
 
-            if np.max(np.abs(img0pp - img0p)) <= tol:
+            if not off_pp[j]:
                 continue  # same destination: consistent with a collapse rule
             rho_pp = _moved(rho, gamma / 2.0, even, x0pp)
             if rho_pp is None:
@@ -544,26 +556,32 @@ def _binary(m: float, far: float, t: float) -> Optional[PosteriorDistribution]:
 
 
 def _audit_contractive_two_state(search: _Search, x0: np.ndarray) -> Optional[ViolationCertificate]:
-    """Lemma 3 from the contractive error x0: its 8 rungs, and each rung's
-    5 sub-rungs, are evaluated in one call each; a rule's map is pure, so
-    the certificate and the budget charged are those of rung-by-rung calls."""
+    """Lemma 3 from the contractive error x0: its 8 rungs are evaluated in one
+    call, then the 5 sub-rungs of every rung that is no threshold step in
+    another, and a two-state distribution is built only at a step that would
+    charge.  A rule's map is pure, so the certificate and the budget charged
+    are those of rung-by-rung calls."""
     d, mu, tol = search.d, search.mu, search.tol
     m = float(mu[0])
     z = float(x0[0])
     direction = 1.0 if z > m else -1.0
     far = 0.0 if direction > 0 else 1.0  # scalar coordinate of the opposite vertex
+    binary = functools.lru_cache(maxsize=None)(functools.partial(_binary, m, far))
 
-    def phi(t: np.ndarray) -> list:
-        return evaluate_batch(d, mu, np.stack([t, 1.0 - t], axis=1))[:, 0].tolist()
+    def phi(t: np.ndarray) -> np.ndarray:
+        return evaluate_batch(d, mu, np.stack([t, 1.0 - t], axis=1))[:, 0]
 
-    (zhat,) = phi(np.array([z]))
-    rho_z = _binary(m, far, z)
+    zhat = float(phi(np.array([z]))[0])
     rungs = zhat + (z - zhat) * np.arange(1, 9) / 9.0
-    for zp, zp_hat in zip(rungs.tolist(), phi(rungs)):
-        rho_zp = _binary(m, far, zp)
-        if direction * (zp_hat - zhat) > tol:
-            # A less extreme posterior lands on a more extreme belief.
+    rung_hats = phi(rungs)
+    steps = direction * (rung_hats - zhat) > tol  # a less extreme posterior lands on a more extreme belief
+    sub_rungs = (rung_hats[:, None] + (rungs - rung_hats)[:, None] * np.arange(1, 6) / 6.0)[~steps]
+    sub_hats = phi(sub_rungs.ravel()).reshape(sub_rungs.shape) if sub_rungs.size else sub_rungs
+    ternary = iter(zip(sub_rungs.tolist(), sub_hats.tolist()))
+    for zp, zp_hat, step in zip(rungs.tolist(), rung_hats.tolist(), steps.tolist()):
+        if step:
             cutoff = 0.5 * (zp_hat + zhat)
+            rho_z, rho_zp = binary(z), binary(zp)
             if rho_z is None or rho_zp is None:
                 continue
             search.charge()
@@ -571,12 +589,12 @@ def _audit_contractive_two_state(search: _Search, x0: np.ndarray) -> Optional[Vi
             if cert is not None:
                 return cert
             continue
-        sub_rungs = zp_hat + (zp - zp_hat) * np.arange(1, 6) / 6.0
-        for zpp, zpp_hat in zip(sub_rungs.tolist(), phi(sub_rungs)):
+        for zpp, zpp_hat in zip(*next(ternary)):
             if direction * (zp_hat - zpp_hat) <= tol:
                 continue
             # Ternary comparison: {far, zpp, z} against the binary {far, zp}.
             cutoff = 0.5 * (zp_hat + zpp_hat)
+            rho_zp = binary(zp)
             if rho_zp is None:
                 continue
             p = float(rho_zp.probs[1])
@@ -594,32 +612,38 @@ def _audit_contractive_two_state(search: _Search, x0: np.ndarray) -> Optional[Vi
     return None
 
 
+#: The contagion recipe moves x0 toward each other support point, keeping these shares of x0.
+_PULL_FRACS = np.array([0.8, 0.6])
+
+
 def _audit_contractive_many_states(search: _Search, x0: np.ndarray) -> Optional[ViolationCertificate]:
-    """Contagion from the contractive error x0.  A moved point's image is
-    tested against the prior and img0 before its weights are solved: both
-    skips are uncharged, so the outcome is that of solving them first."""
+    """Contagion from the contractive error x0.  A pull's moved points are
+    evaluated in one call and tested against the prior and img0 before their
+    weights are solved: both skips are uncharged, so the outcome is that of
+    solving them first, one point at a time."""
     d, mu, tol = search.d, search.mu, search.tol
     img0 = evaluate_batch(d, mu, x0[None, :])[0]
     for pull in (0.25, 0.45):
         rho = _vertex_pulled_scaffold(mu, x0, pull)
         if rho is None:
             continue
-        for s in range(1, rho.size):
-            xs = rho.support[s]
-            for frac in (0.8, 0.6):
-                x0p = frac * x0 + (1.0 - frac) * xs
-                img0p = evaluate_batch(d, mu, x0p[None, :])[0]
-                if np.max(np.abs(img0p - mu)) <= tol:
-                    continue  # edge point mapped to the prior: consistent
-                if np.max(np.abs(img0p - img0)) <= tol:
-                    continue  # shared destination would sit on both sides
-                rho_p = _moved(rho, frac, np.eye(rho.size - 1)[s - 1], x0p)
-                if rho_p is None:
-                    continue
-                problem = search.cut([img0p, x0p, x0], [img0, mu])
-                cert = problem and search.try_pair(rho, rho_p, problem, "contagion1-separation")
-                if cert is not None:
-                    return cert
+        # x0p = frac * x0 + (1 - frac) * xs for each other support point xs, at frac 0.8 then 0.6.
+        moved = _PULL_FRACS[:, None] * x0 + (1.0 - _PULL_FRACS)[:, None] * rho.support[1:, None, :]
+        moved = moved.reshape(-1, mu.shape[0])
+        imgs = evaluate_batch(d, mu, moved)
+        # Skipped: an edge point mapped to the prior (consistent), or to img0
+        # (a shared destination would sit on both sides).
+        live = (np.max(np.abs(imgs - mu), axis=1) > tol) & (np.max(np.abs(imgs - img0), axis=1) > tol)
+        for j in np.flatnonzero(live).tolist():
+            s, f = divmod(j, _PULL_FRACS.shape[0])
+            x0p, img0p = moved[j], imgs[j]
+            rho_p = _moved(rho, float(_PULL_FRACS[f]), np.eye(rho.size - 1)[s], x0p)
+            if rho_p is None:
+                continue
+            problem = search.cut([img0p, x0p, x0], [img0, mu])
+            cert = problem and search.try_pair(rho, rho_p, problem, "contagion1-separation")
+            if cert is not None:
+                return cert
     return None
 
 

@@ -169,7 +169,10 @@ def _write_csv(path: Path, header: List[str], rows) -> None:
 def cmd_reproduce(example_id: str, outdir: str, a: float, b: float, u: float, v: float) -> int:
     out = Path(outdir)
     if example_id == "occ-coarse-figure":
-        rule = CoarseRule(a, b, u, v)
+        try:
+            rule = CoarseRule(a, b, u, v)
+        except ValueError as err:  # also NaN, which fails every bound
+            raise ConfigError(f"occ-coarse-figure: {err}") from err
         problem = quadratic_loss_problem()
         mu = (0.5, 0.5)
         sel = Selector()

@@ -121,10 +121,12 @@ def binary_symmetric(accuracy: float) -> Experiment:
 class PosteriorDistribution:
     """Finite-support distribution over posterior beliefs.
 
-    Each support point within TOL_GEO (sup norm) of an earlier kept point
-    is merged into the first such point on construction (probabilities
-    summed), so the support is always pairwise distinct; zero-probability
-    atoms are dropped.  The barycenter is cached.
+    The support is an (atoms, states) array, taken as it is, or a sequence
+    of Beliefs or coordinate arrays.  Each support point within TOL_GEO
+    (sup norm) of an earlier kept point is merged into the first such point
+    on construction (probabilities summed), so the support is always
+    pairwise distinct; zero-probability atoms are dropped.  The barycenter
+    is cached.
     """
 
     support: np.ndarray
@@ -132,9 +134,11 @@ class PosteriorDistribution:
     barycenter: Belief
 
     def __init__(self, support, probs) -> None:
-        pts = np.asarray([_coerce(p) for p in support], dtype=np.float64)
+        if not isinstance(support, np.ndarray):
+            support = [_coerce(p) for p in support]
+        pts = np.asarray(support, dtype=np.float64)
         pr = np.asarray(probs, dtype=np.float64).ravel()
-        if pts.ndim != 2 or pts.shape[0] != pr.shape[0]:
+        if pts.ndim != 2 or pts.shape[0] != pr.shape[0] or pr.size == 0:
             raise DimensionMismatch("one probability per support point required")
         if np.min(pr) < -TOL_SUM:
             raise ValueError(f"negative probability: {np.min(pr)}")
@@ -146,19 +150,23 @@ class PosteriorDistribution:
             raise ValueError("distribution needs at least one positive-probability atom")
         # Each atom joins the first kept atom within TOL_GEO (sup norm), else is kept.
         with np.errstate(invalid="ignore"):  # inf - inf: NaN, never near; Belief rejects the point below
-            near = (np.max(np.abs(pts[rows, None, :] - pts[None, rows, :]), axis=2) <= TOL_GEO).tolist()
-        kept: list = []  # positions in rows
-        merged_pr: list = []
-        for a, i in enumerate(rows.tolist()):
-            for slot, b in enumerate(kept):
-                if near[a][b]:
-                    merged_pr[slot] += pr[i]
-                    break
-            else:
-                kept.append(a)
-                merged_pr.append(pr[i])
-        sup = pts[rows[kept]]
-        pra = np.asarray(merged_pr)
+            near = np.max(np.abs(pts[rows, None, :] - pts[None, rows, :]), axis=2) <= TOL_GEO
+        np.fill_diagonal(near, False)
+        if near.any():
+            kept: list = []  # positions in rows
+            merged_pr: list = []
+            for a, i in enumerate(rows.tolist()):
+                for slot, b in enumerate(kept):
+                    if near[a, b]:
+                        merged_pr[slot] += pr[i]
+                        break
+                else:
+                    kept.append(a)
+                    merged_pr.append(pr[i])
+            sup = pts[rows[kept]]
+            pra = np.asarray(merged_pr)
+        else:  # pairwise distinct already: every atom is kept
+            sup, pra = pts[rows], pr[rows]
         pra = pra / pra.sum()
         sup.flags.writeable = False
         pra.flags.writeable = False

@@ -1059,8 +1059,23 @@ class TestImagesBeforeWeights:
                 failed_solves.append(args)
             return out
 
+        # Hull verdicts of the recipe under test ("got") and of the reference ("want").
+        hulls = {"got": [], "want": []}
+        hull = in_convex_hull
+
+        def hull_spy(side):
+            def spy(*args, **kwargs):
+                inside = hull(*args, **kwargs)
+                hulls[side].append(inside)
+                return inside
+
+            return spy
+
         monkeypatch.setattr(auditor, "_moved", counted)
+        monkeypatch.setattr(auditor, "in_convex_hull", hull_spy("got"))
+        monkeypatch.setitem(globals(), "in_convex_hull", hull_spy("want"))
         certs, exhausted, families = 0, 0, set()
+        live_hull_skips, dead_hull_passes = 0, 0
         for i in range(84):
             rule, mu, points, sel, mode, tol, budget, seed = self._case(i)
             pairs = [(_audit_expansive, _weights_first_expansive)]
@@ -1070,17 +1085,54 @@ class TestImagesBeforeWeights:
                 pairs.append((_audit_contractive_many_states, _weights_first_many_states))
             for x0 in points:
                 for recipe, reference in pairs:
+                    hulls["got"].clear()
+                    hulls["want"].clear()
                     got = self._outcome(recipe, rule, mu, x0, budget, sel, mode, tol, seed)
                     want = self._outcome(reference, rule, mu, x0, budget, sel, mode, tol, seed)
                     assert got == want, (i, rule.family, mu.shape[0], recipe.__name__, x0.tolist())
                     certs += isinstance(want[0], str)
                     exhausted += want[0] is BudgetExhausted
                     families.add((rule.family, mu.shape[0]))
+                    # Both orders stop at the same width, and the recipe tests the hull
+                    # only at a width with a live gamma: a width with none that the
+                    # reference's hull test let through is one verdict fewer.
+                    live_hull_skips += hulls["got"].count(True)
+                    dead_hull_passes += hulls["want"].count(False) - hulls["got"].count(False)
         # The mix reaches certificates, spent budgets, weight solves that
         # fail after the images differ, and every family at each state count.
         assert certs >= 50 and exhausted >= 20
         assert len(failed_solves) >= 20
         assert len(families) == 5 * 3 + 3, sorted(families)  # occ-coarse at n = 2, occ-stubborn at n = 3 and 4
+        # Widths with a live gamma that the hull test skips, and widths with
+        # none that it would have let through.
+        assert live_hull_skips >= 20 and dead_hull_passes >= 20, (live_hull_skips, dead_hull_passes)
+
+    def test_characterized_passes_decide_every_skip_from_images(self, monkeypatch):
+        # A collapse rule with correct vertices sends every erring point and
+        # every moved point to x*, and an interval rule's contractive rungs
+        # and sub-rungs all land on its interval's end: no hull test, no
+        # two-state distribution.
+        hulls, binaries = [], []
+        monkeypatch.setattr(auditor, "in_convex_hull", lambda *a, **k: hulls.append(a) or in_convex_hull(*a, **k))
+        monkeypatch.setattr(auditor, "_binary", lambda *a: binaries.append(a) or _binary(*a))
+        rng = np.random.default_rng(31)
+        expansive = contractive = 0
+        for n in (3, 4):
+            for _ in range(3):
+                rules = (TrivialRule(rng.dirichlet(np.full(n, 2.0))), StubbornRule(StubbornSpec(rng.dirichlet(np.full(n, 3.0)))))
+                for rule in rules:
+                    for mu in (np.full(n, 1.0 / n), rng.dirichlet(np.full(n, 4.0))):
+                        rep = audit(rule, mu, grid_size=41, budget=250)
+                        assert rep.verdict == "pass" and rep.checker_verdicts["occasionally_stubborn"]["ok"]
+                        expansive += rep.error_census["expansive"] > 0
+        for _ in range(12):
+            rule = random_rule("occ-coarse", 2, rng)
+            for mu in (np.full(2, 0.5), rng.dirichlet(np.full(2, 4.0))):
+                rep = audit(rule, mu, grid_size=101, budget=250)
+                assert rep.verdict == "pass" and rep.checker_verdicts["occasionally_coarse"]["ok"]
+                contractive += rep.error_census["contractive"] > 0
+        assert not hulls and not binaries
+        assert expansive == 24 and contractive >= 12, (expansive, contractive)
 
 
 # Before the recipes took their weights in closed form, every scaffold, the

@@ -238,6 +238,21 @@ class TestReproduceCommand:
         assert float(rows["0.1"][1]) == pytest.approx(0.4)
         assert float(rows["0"][1]) == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--a", "0.7", "--b", "0.3"], "need 0 <= a <= b <= 1"),
+        (["--a", "nan"], "need 0 <= a <= b <= 1"),
+        (["--b", "inf"], "need 0 <= a <= b <= 1"),
+        (["--u", "0.9"], "vertex image u must satisfy 0 <= u <= a"),
+        (["--v", "0.1"], "vertex image v must satisfy b <= v <= 1"),
+        (["--v", "nan"], "vertex image v must satisfy b <= v <= 1"),
+    ])
+    def test_coarse_figure_refuses_an_invalid_rule(self, tmp_path, capsys, flags, message):
+        capsys.readouterr()
+        assert run(["reproduce", "occ-coarse-figure", "--out", str(tmp_path)] + flags) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"configuration error: occ-coarse-figure: {message}"]
+        assert not (tmp_path / "occ_coarse_figure.csv").exists()
+
     def test_stubborn_tables(self, tmp_path):
         assert run(["reproduce", "occ-stubborn-a", "--out", str(tmp_path)]) == EXIT_OK
         lines = (tmp_path / "occ_stubborn_a.csv").read_text().strip().splitlines()

@@ -96,6 +96,35 @@ class TestConstruction:
             chains += rho.size < np.count_nonzero(w)
         assert chains >= 300
 
+    def test_array_support_matches_a_list_of_beliefs(self):
+        # An (atoms, states) array is taken as it is; the same points as Beliefs go one by one.
+        rng = np.random.default_rng(19)
+        merges, dropped = 0, 0
+        for _ in range(2000):
+            n, k = int(rng.integers(2, 6)), int(rng.integers(1, 9))
+            beliefs = [Belief(p) for p in rng.dirichlet(np.ones(n), size=k)]
+            for j in range(k):
+                if rng.random() < 0.3:  # a near copy of another atom: within, or just beyond, TOL_GEO
+                    copy = np.abs(beliefs[int(rng.integers(k))].coords + rng.uniform(-2 * TOL_GEO, 2 * TOL_GEO, n))
+                    beliefs[j] = Belief(copy / copy.sum())
+            w = rng.dirichlet(np.ones(k))
+            if k > 1 and rng.random() < 0.2:
+                w[int(rng.integers(k))] = 0.0
+                w /= w.sum()
+            pts = np.array([b.coords for b in beliefs])
+            got, want = PosteriorDistribution(pts, w), PosteriorDistribution(beliefs, w)
+            for a, b in ((got.support, want.support), (got.probs, want.probs), (got.barycenter.coords, want.barycenter.coords)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert pts.flags.writeable and not got.support.flags.writeable  # the caller's array is not kept
+            merges += got.size < np.count_nonzero(w)
+            dropped += np.count_nonzero(w) < k
+        assert merges >= 200 and dropped >= 200, (merges, dropped)
+        for flat in (np.array([0.5, 0.5]), [0.5, 0.5]):  # 1-D: one coordinate per atom
+            with pytest.raises(DimensionMismatch):
+                PosteriorDistribution(flat, [0.5, 0.5])
+        with pytest.raises(DimensionMismatch):
+            PosteriorDistribution(np.empty((0, 2)), [])
+
     def test_posteriors_drop_zero_mass(self):
         rho = PosteriorDistribution([(1, 0), (0, 1), (0.5, 0.5)], [0.5, 0.5, 0.0])
         assert rho.size == 2
