@@ -57,7 +57,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -329,32 +329,6 @@ def _simplex_vertices(m: int) -> np.ndarray:
     return flat
 
 
-#: How far ``_spread_directions`` fans its directions out around u.
-_SPREAD = 0.9
-
-
-def _spread_directions(u: np.ndarray, n: int) -> np.ndarray:
-    """n-1 tangent directions averaging to u, fanned symmetrically around it."""
-    if n == 2:
-        return u[None, :]
-    basis = _tangent_basis(n)
-    coords = basis @ u
-    perp = basis.T - np.outer(u, coords) / max(float(coords @ coords), 1e-300)
-    pu, ps, _ = np.linalg.svd(perp, full_matrices=False)
-    P = pu[:, ps > 1e-9].T[: n - 2]  # (n-2, n) orthonormal, perpendicular to u
-    return u[None, :] + _SPREAD * (_simplex_vertices(n - 1) @ P)
-
-
-def _fit_inside(mu: np.ndarray, dirs: np.ndarray, eps: float) -> Optional[float]:
-    """The first of eps, eps/2, eps/4, ... (40 tries) keeping every mu + step * dir in the simplex, else None."""
-    step = eps
-    for _ in range(40):
-        if np.min(mu[None, :] + step * dirs) > 1e-9:
-            return step
-        step *= 0.5
-    return None
-
-
 def _distribution(support: np.ndarray, probs, floor: float = 1e-9) -> Optional[PosteriorDistribution]:
     """The distribution with these weights; None when one is NaN or below ``floor``, or it cannot be built."""
     probs = np.asarray(probs, dtype=np.float64)
@@ -366,28 +340,43 @@ def _distribution(support: np.ndarray, probs, floor: float = 1e-9) -> Optional[P
         return None
 
 
-def _scaffolds(mu: np.ndarray, x0: np.ndarray) -> Iterator[PosteriorDistribution]:
-    """Distributions on {x0} + (n-1) points mu + s * dir near the prior, mean = prior, at
-    three widths from the widest; a width with no such distribution is skipped.  The
-    directions average to u = (mu - x0) / |mu - x0|, so x0 takes w0 = s / (|mu - x0| + s)
-    and each other point (1 - w0) / (n - 1)."""
-    u = mu - x0
-    nrm = float(np.linalg.norm(u))
-    if nrm < 1e-9:
-        return
-    n = mu.shape[0]
-    dirs = _spread_directions(u / nrm, n)  # the same at every width
-    eps0 = 0.05 * np.sqrt(2.0)  # nearness in simplex-diameter units
-    for eps in (eps0, eps0 / 2.0, eps0 / 4.0):
-        step = _fit_inside(mu, dirs, eps)
-        if step is None:
-            continue
-        w0 = step / (nrm + step)
-        rho = _distribution(
-            np.vstack([x0[None, :], mu[None, :] + step * dirs]), np.append(w0, np.full(n - 1, (1.0 - w0) / (n - 1)))
-        )
-        if rho is not None:
-            yield rho
+#: How far ``_scaffolds`` fans an error's directions out around u.
+_SPREAD = 0.9
+#: Scaffold width w (eps0, eps0 / 2, eps0 / 4) halves until its points fit inside the simplex: _STEPS[w : w + 40].
+_STEPS = 0.05 * np.sqrt(2.0) * 0.5 ** np.arange(42)
+
+
+def _scaffolds(mu: np.ndarray, X0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Supports (E, 3, n, n) and weights (E, 3, n) of the scaffolds of the errors X0 at three widths.
+
+    x0's support is x0 and n-1 points mu + s * dir, whose directions average to u = (mu - x0) / |mu - x0|;
+    x0 takes w0 = s / (|mu - x0| + s) and each other point (1 - w0) / (n - 1), so the mean is the prior.
+    Weights are NaN where |mu - x0| < 1e-9, no step fits, or one is below ``_distribution``'s floor.  Each
+    stacked product and SVD runs the routine one error's own takes, so every value is bitwise its own.
+    """
+    E, n = X0.shape
+    U = mu - X0
+    nrm = np.sqrt(np.matmul(U[:, None, :], U[:, :, None])[:, 0, 0])  # np.linalg.norm of each row
+    u = U / np.where(nrm < 1e-9, 1.0, nrm)[:, None]
+    dirs = u[:, None, :]
+    if n > 2:
+        basis = _tangent_basis(n)
+        coords = np.matmul(basis, u[:, :, None])
+        sq = np.maximum(np.matmul(coords.transpose(0, 2, 1), coords), 1e-300)
+        perp = basis.T - u[:, :, None] * coords.transpose(0, 2, 1) / sq
+        P = np.linalg.svd(perp, full_matrices=False)[0][:, :, : n - 2]  # orthonormal columns perpendicular to u
+        dirs = dirs + _SPREAD * (_simplex_vertices(n - 1) @ P.transpose(0, 2, 1))
+    ladder = mu + _STEPS[:, None, None] * dirs[:, None]  # (E, 42, n - 1, n)
+    fits = ladder.min(axis=(2, 3)) > 1e-9
+    tries = np.stack([fits[:, :40], fits[:, 1:41], fits[:, 2:]], axis=1)  # (E, 3, 40)
+    first = tries.argmax(axis=2) + np.arange(3)  # (E, 3): the first step of each width that fits
+    w0 = _STEPS[first] / (nrm[:, None] + _STEPS[first])
+    w0[~(tries.any(axis=2) & (nrm[:, None] >= 1e-9) & (w0 >= 1e-9) & ((1.0 - w0) / (n - 1) >= 1e-9))] = np.nan
+    support = np.empty((E, 3, n, n))
+    support[:, :, 0], support[:, :, 1:] = X0[:, None], ladder[np.arange(E)[:, None], first]
+    probs = np.empty((E, 3, n))
+    probs[:, :, 0], probs[:, :, 1:] = w0, ((1.0 - w0) / (n - 1))[:, :, None]
+    return support, probs
 
 
 def _vertex_pulled_scaffold(
@@ -442,46 +431,71 @@ _GAMMAS = np.array([0.6, 0.35, 0.15])
 _MOVES = np.concatenate([_GAMMAS, _GAMMAS / 2.0])
 
 
-def _audit_expansive(search: _Search, x0: np.ndarray) -> Optional[ViolationCertificate]:
-    """Claims 1-3 from the expansive error x0.  Images decide before hulls and
-    weights: each scaffold width evaluates its other points and the moved points
-    of its three gammas in one call.  A gamma where x0's image is that of both
-    its moved points would skip uncharged in every branch, so it is not tried,
-    and a width where every gamma is such skips its hull test too; the outcome
-    is unchanged."""
-    d, mu, tol = search.d, search.mu, search.tol
-    img0 = evaluate_batch(d, mu, x0[None, :])[0]
-    if np.max(np.abs(x0 - mu)) <= tol:
-        return _audit_prior_error(search)
+def _audit_expansive(search: _Search, X0: np.ndarray) -> Optional[ViolationCertificate]:
+    """Claims 1-3 from a block of expansive errors X0 (rows, in dispatch order), planned as one array program.
 
-    for rho in _scaffolds(mu, x0):
-        others = rho.support[1:]
-        k = others.shape[0]
-        target = others.mean(axis=0)
-        moved = _MOVES[:, None] * x0 + (1.0 - _MOVES)[:, None] * target
-        imgs = evaluate_batch(d, mu, np.vstack([others, moved]))
-        imgs_others, imgs_p, imgs_pp = imgs[:k], imgs[k : k + 3], imgs[k + 3 :]
-        off_p = np.max(np.abs(imgs_p - img0), axis=1) > tol  # x0p leaves x0's destination
-        off_pp = np.max(np.abs(imgs_pp - imgs_p), axis=1) > tol  # x0pp leaves x0p's
-        live = off_p | off_pp  # else one destination for all three: each branch below would skip uncharged
-        if not live.any() or in_convex_hull(img0, rho.support, tol=1e-7):
-            continue  # nothing to try, or the image is not banished at this scaffold width
-        even = np.full(k, 1.0 / k)  # target's weights over others
-        for j in np.flatnonzero(live).tolist():
+    One evaluation takes every x0, scaffold point and moved point (x0p at each gamma, x0pp at gamma / 2) and
+    marks the live gammas: where x0's image is that of both moved points, every branch would skip uncharged.
+    Then, one error and width at a time, a width with a live gamma builds its scaffold and runs the hull test
+    and the charged branches, so the outcome, a raised error included (``_images``), is unchanged.  A scaffold
+    whose atoms ``PosteriorDistribution`` merges is built first; its moved points come from what it keeps.
+    """
+    d, mu, tol = search.d, search.mu, search.tol
+    E, n = X0.shape
+    prior = np.abs(X0 - mu).max(axis=1) <= tol  # a misread prior: _audit_prior_error at its place
+    support, probs = _scaffolds(mu, X0)
+    usable = ~np.isnan(probs[:, :, 0]) & ~prior[:, None]
+    near = np.abs(support[:, :, :, None] - support[:, :, None]).max(axis=4) <= TOL_GEO
+    targets, built = support[:, :, 1:].mean(axis=2), {}
+    for e, w in np.argwhere(usable & (near.sum(axis=(2, 3)) > n)).tolist():
+        rho = built[e, w] = _distribution(support[e, w], probs[e, w])
+        usable[e, w] = rho is not None
+        if rho is not None:
+            targets[e, w] = rho.support[1:].mean(axis=0)
+    moved = _MOVES[:, None] * X0[:, None, None, :] + (1.0 - _MOVES)[:, None] * targets[:, :, None, :]
+    # Rows: every x0, then each usable width's other points and moved points.
+    keys = np.argwhere(usable).tolist()
+    parts = [X0] + [p for e, w in keys
+                    for p in (built[e, w].support[1:] if (e, w) in built else support[e, w, 1:], moved[e, w])]
+    ends = np.cumsum([p.shape[0] for p in parts])
+    order = sorted([(e, -1, e, e + 1) for e in range(E)]  # each x0, then its widths: one error at a time
+                   + [(e, w, ends[2 * s], ends[2 * s + 2]) for s, (e, w) in enumerate(keys)])
+    imgs, stop, failure = _images(d, mu, np.concatenate(parts), order)
+    imgs_moved = np.full((E, 3, 6, n), np.nan)  # NaN, never live, where no width is used
+    imgs_moved[usable] = imgs[ends[1::2, None] + np.arange(6)]
+    off_p = np.abs(imgs_moved[:, :, :3] - imgs[:E, None, None]).max(axis=3) > tol  # x0p leaves x0's destination
+    off_pp = np.abs(imgs_moved[:, :, 3:] - imgs_moved[:, :, :3]).max(axis=3) > tol  # x0pp leaves x0p's
+    live = off_p | off_pp  # else one destination for all three: each branch below would skip uncharged
+
+    for e, w, lo, _ in order:
+        if (e, w) == stop:
+            raise failure
+        cert = _audit_prior_error(search) if w < 0 and prior[e] else None
+        if cert is not None:
+            return cert
+        if w < 0 or not live[e, w].any():
+            continue
+        x0, img0 = X0[e], imgs[e]
+        rho = built[e, w] if (e, w) in built else _distribution(support[e, w], probs[e, w])
+        if rho is None or in_convex_hull(img0, rho.support, tol=1e-7):
+            continue  # no scaffold, or the image is not banished at this scaffold width
+        imgs_others = imgs[lo : lo + rho.size - 1]
+        even = np.full(rho.size - 1, 1.0 / (rho.size - 1))  # the target's weights over the other points
+        for j in np.flatnonzero(live[e, w]).tolist():
             gamma = float(_GAMMAS[j])
-            x0p, x0pp, img0p, img0pp = moved[j], moved[j + 3], imgs_p[j], imgs_pp[j]
+            x0p, x0pp, img0p, img0pp = *moved[e, w, [j, j + 3]], *imgs_moved[e, w, [j, j + 3]]
             rho_p = _moved(rho, gamma, even, x0p)
             if rho_p is None:
                 continue
 
-            if off_p[j]:
+            if off_p[e, w, j]:
                 # A shared destination would sit on both sides: skip the cut.
                 problem = search.cut([img0], np.vstack([rho.support, imgs_others, img0p[None, :]]))
                 cert = problem and search.try_pair(rho, rho_p, problem, "claim1-hyperplane")
                 if cert is not None:
                     return cert
 
-            if not off_pp[j]:
+            if not off_pp[e, w, j]:
                 continue  # same destination: consistent with a collapse rule
             rho_pp = _moved(rho, gamma / 2.0, even, x0pp)
             if rho_pp is None:
@@ -508,6 +522,21 @@ def _audit_expansive(search: _Search, x0: np.ndarray) -> Optional[ViolationCerti
             if cert is not None:
                 return cert
     return None
+
+
+def _images(d: Distortion, mu: np.ndarray, pts: np.ndarray, segments):
+    """The images of pts from one call: (images, None, None).  If it raises, the segments (error, width, lo, hi)
+    are evaluated in turn up to the first that raises: (images, NaN from there, (error, width), its error)."""
+    try:
+        return evaluate_batch(d, mu, pts), None, None
+    except Exception:
+        imgs = np.full_like(pts, np.nan)
+    for e, w, lo, hi in segments:
+        try:
+            imgs[lo:hi] = evaluate_batch(d, mu, pts[lo:hi])
+        except Exception as exc:
+            return imgs, (e, w), exc
+    return imgs, None, None
 
 
 def _audit_prior_error(search: _Search) -> Optional[ViolationCertificate]:
@@ -555,8 +584,8 @@ def _binary(m: float, far: float, t: float) -> Optional[PosteriorDistribution]:
     return _distribution(np.array([[far, 1.0 - far], [t, 1.0 - t]]), [1.0 - w, w])
 
 
-def _audit_contractive_two_state(search: _Search, x0: np.ndarray) -> Optional[ViolationCertificate]:
-    """Lemma 3 from the contractive error x0: its 8 rungs are evaluated in one
+def _audit_contractive_two_state(search: _Search, x0: np.ndarray, img0) -> Optional[ViolationCertificate]:
+    """Lemma 3 from the contractive error x0 with image img0: its 8 rungs are evaluated in one
     call, then the 5 sub-rungs of every rung that is no threshold step in
     another, and a two-state distribution is built only at a step that would
     charge.  A rule's map is pure, so the certificate and the budget charged
@@ -571,7 +600,7 @@ def _audit_contractive_two_state(search: _Search, x0: np.ndarray) -> Optional[Vi
     def phi(t: np.ndarray) -> np.ndarray:
         return evaluate_batch(d, mu, np.stack([t, 1.0 - t], axis=1))[:, 0]
 
-    zhat = float(phi(np.array([z]))[0])
+    zhat = float(img0[0])
     rungs = zhat + (z - zhat) * np.arange(1, 9) / 9.0
     rung_hats = phi(rungs)
     steps = direction * (rung_hats - zhat) > tol  # a less extreme posterior lands on a more extreme belief
@@ -616,13 +645,12 @@ def _audit_contractive_two_state(search: _Search, x0: np.ndarray) -> Optional[Vi
 _PULL_FRACS = np.array([0.8, 0.6])
 
 
-def _audit_contractive_many_states(search: _Search, x0: np.ndarray) -> Optional[ViolationCertificate]:
-    """Contagion from the contractive error x0.  A pull's moved points are
+def _audit_contractive_many_states(search: _Search, x0: np.ndarray, img0) -> Optional[ViolationCertificate]:
+    """Contagion from the contractive error x0 with image img0.  A pull's moved points are
     evaluated in one call and tested against the prior and img0 before their
     weights are solved: both skips are uncharged, so the outcome is that of
     solving them first, one point at a time."""
     d, mu, tol = search.d, search.mu, search.tol
-    img0 = evaluate_batch(d, mu, x0[None, :])[0]
     for pull in (0.25, 0.45):
         rho = _vertex_pulled_scaffold(mu, x0, pull)
         if rho is None:
@@ -647,10 +675,15 @@ def _audit_contractive_many_states(search: _Search, x0: np.ndarray) -> Optional[
     return None
 
 
-def _audit_contractive(search: _Search, x0: np.ndarray) -> Optional[ViolationCertificate]:
-    """The contraction recipes for the prior's state count."""
+def _audit_contractive(search: _Search, X0: np.ndarray) -> Optional[ViolationCertificate]:
+    """The contraction recipes for the prior's state count on contractive errors X0 (rows), one at a time.  Their
+    images come from one call; in an audit it cannot raise, since the census has evaluated these rows."""
     recipes = _audit_contractive_two_state if search.mu.shape[0] == 2 else _audit_contractive_many_states
-    return recipes(search, x0)
+    for x0, img0 in zip(X0, evaluate_batch(search.d, search.mu, X0)):
+        cert = recipes(search, x0, img0)
+        if cert is not None:
+            return cert
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -922,7 +955,11 @@ _MAX_DISPATCH = 16
 
 
 def _single_mode_recipes(search: _Search, grid, kinds, mags, census, star) -> Optional[ViolationCertificate]:
-    """The misread prior, the ``_MAX_DISPATCH`` largest errors of each kind, then the vertex condition at x*."""
+    """The misread prior, the ``_MAX_DISPATCH`` largest errors of each kind, then the vertex condition at x*.
+
+    The largest expansive error, which certifies most harmful rules, goes alone, then the other expansive
+    errors as one block (``_audit_expansive``); the contractive errors go as one block.
+    """
     cert = _audit_prior_error(search)
     if cert is not None:
         return cert
@@ -932,8 +969,9 @@ def _single_mode_recipes(search: _Search, grid, kinds, mags, census, star) -> Op
         idx = np.nonzero(kinds == kind_code)[0]
         if idx.size > _MAX_DISPATCH:  # only rows at least as large as the _MAX_DISPATCH-th largest can be dispatched
             idx = idx[mags[idx] >= np.partition(mags[idx], -_MAX_DISPATCH)[-_MAX_DISPATCH]]
-        for gi in idx[np.lexsort((idx, -mags[idx]))][:_MAX_DISPATCH]:
-            cert = handler(search, grid[gi])
+        rows = grid[idx[np.lexsort((idx, -mags[idx]))][:_MAX_DISPATCH]]
+        for block in (rows[:1], rows[1:]) if kind_code == 1 else (rows,):
+            cert = handler(search, block) if block.shape[0] else None
             if cert is not None:
                 return cert
     return None if star is None else _vertex_condition_certificate(search, star.coords)
@@ -951,23 +989,22 @@ def audit(
 ) -> AuditReport:
     """Scan a rule for order violations at one prior.
 
-    Classifies every lattice belief and reports the verdicts of the
-    checkers that characterize harmlessness in the mode.  SINGLE mode
-    (``occasionally_coarse`` or ``occasionally_stubborn``, and
-    ``trivial_on_interior``) runs the misread-prior recipe, the recipes for
-    the ``_MAX_DISPATCH`` largest errors of each kind and the vertex recipe
-    at the collapse checker's x*; DOUBLE mode (``affine``, from the chords
-    at ``grid_size``) runs the chord recipe on those chords.  Random search
-    spends the rest of the budget only on a rule the mode's checker refutes.
-    Absence of a certificate is a pass, never an error.  A tol that is
-    negative, infinite or NaN raises ValueError before the census; an error
-    of the rule's evaluation propagates, such as NonFiniteImage or an
-    off-node GridMiss.
+    Classifies every lattice belief and reports the verdicts of the checkers that characterize
+    harmlessness in the mode.  SINGLE mode (``occasionally_coarse`` or ``occasionally_stubborn``, and
+    ``trivial_on_interior``) runs the misread-prior recipe, the recipes for the ``_MAX_DISPATCH`` largest
+    errors of each kind (the largest expansive one alone, then the others as one block planned as one
+    array program) and the vertex recipe at the collapse checker's x*; DOUBLE mode (``affine``, from the
+    chords at ``grid_size``) runs the chord recipe on those chords.  Random search spends the rest of the
+    budget only on a rule the mode's checker refutes.  Absence of a certificate is a pass, never an
+    error.  A tol that is negative, infinite or NaN, or a negative seed, raises ValueError before the
+    census; an error of the rule's evaluation propagates, such as NonFiniteImage or an off-node GridMiss.
     """
     mua = interior_prior(mu, "audit")
     # A NaN or infinite tol would count every point as error-free, a negative one every point as erring.
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    if seed < 0:  # numpy's generators take no negative seed; refused whether or not random search runs
+        raise ValueError(f"seed must be non-negative, got {seed}")
     n = mua.shape[0]
     sel = sel or Selector()
     mode = WelfareMode(mode)

@@ -125,6 +125,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
         raise ConfigError("--budget must be positive")
     if not 0.0 <= args.tol < math.inf:
         raise ConfigError("--tol must be finite and non-negative")
+    if args.seed < 0:
+        raise ConfigError("--seed must be non-negative")
     rule = _resolve_rule(args)
     runs = []
     first_cert: Optional[ViolationCertificate] = None

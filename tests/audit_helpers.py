@@ -23,7 +23,7 @@ def one_error(kind, d, mu, x0, budget, sel=None, tol=TOL_GEO, seed=0) -> Violati
     x0 = np.asarray(x0, dtype=np.float64)
     if classify_error(d, search.mu, x0, tol).kind != kind:
         raise ValueError(f"x0 must carry an error of kind {kind!r}")
-    cert = (_audit_expansive if kind == "expansive" else _audit_contractive)(search, x0)
+    cert = (_audit_expansive if kind == "expansive" else _audit_contractive)(search, x0[None, :])
     if cert is None:
         raise BudgetExhausted("no construction produced a verified certificate")
     return cert

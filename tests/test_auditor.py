@@ -1,5 +1,6 @@
 """Auditor: recipe constructions, certificates, verification, determinism."""
 
+import functools
 import json
 from typing import Optional
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from audit_helpers import adversary, one_error
 from blackwell_audit import auditor
 from blackwell_audit.geometry import (
+    TOL_GEO,
     Belief,
     Hyperplane,
     NoStrictSeparation,
@@ -33,6 +35,7 @@ from blackwell_audit.distortions import (
     CoarseRule,
     Distortion,
     GretherRule,
+    NonFiniteImage,
     GridMiss,
     ShrinkageRule,
     StubbornRule,
@@ -52,13 +55,14 @@ from blackwell_audit.auditor import (
     GAP_TOL,
     SEP_MARGIN,
     _MAX_DISPATCH,
+    _MOVES,
     AuditReport,
     BudgetExhausted,
     ViolationCertificate,
     _SCREEN_SLACK,
     _Search,
-    _audit_contractive_many_states,
-    _audit_contractive_two_state,
+    _SPREAD,
+    _audit_contractive,
     _audit_expansive,
     _audit_prior_error,
     _binary,
@@ -71,7 +75,6 @@ from blackwell_audit.auditor import (
     _screen,
     _simplex_vertices,
     _single_mode_recipes,
-    _spread_directions,
     _tangent_basis,
     _threshold_problem,
     _vertex_condition_certificate,
@@ -266,6 +269,17 @@ class TestFullAudit:
     def test_non_finite_prior_is_refused_before_the_census(self, bad):
         with pytest.raises(ValueError, match="full-support prior"):
             audit(BayesRule(3), (bad, 0.5, 0.5), grid_size=11)
+
+    @pytest.mark.parametrize(
+        "rule, mu, sel",
+        [(GretherRule(2.0, 1.0, 2), MU2, Selector(tie_tol=0.05)), (GretherRule(2.0, 1.0, 3), MU3, Selector())],
+    )
+    def test_negative_seed_is_refused_before_the_census(self, monkeypatch, rule, mu, sel):
+        # Only random search draws from the seed: the first audit reached it and raised
+        # numpy's error, while claim1-hyperplane certified the second with seed -1.
+        monkeypatch.setattr(auditor, "classify_batch", lambda *args: pytest.fail("the census ran"))
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            audit(rule, mu, grid_size=101, budget=1000, seed=-1, sel=sel)
 
     def test_misread_prior_is_caught(self):
         # Identity except the prior itself drifts: the two-stage
@@ -821,6 +835,54 @@ class TestRandomSearchScreen:
 # The recipes as they were when every moved point's weights were solved
 # before its image was looked at; kept verbatim as the reference order,
 # except that their distributions take the closed-form weights the recipes do.
+# Their scaffolds are built one error at a time, with the closed-form weights,
+# as the auditor built them before it planned a block of errors as arrays.
+
+
+def _spread_directions(u: np.ndarray, n: int) -> np.ndarray:
+    """n-1 tangent directions averaging to u, fanned symmetrically around it."""
+    if n == 2:
+        return u[None, :]
+    basis = _tangent_basis(n)
+    coords = basis @ u
+    perp = basis.T - np.outer(u, coords) / max(float(coords @ coords), 1e-300)
+    pu, ps, _ = np.linalg.svd(perp, full_matrices=False)
+    P = pu[:, ps > 1e-9].T[: n - 2]  # (n-2, n) orthonormal, perpendicular to u
+    return u[None, :] + _SPREAD * (_simplex_vertices(n - 1) @ P)
+
+
+def _fit_inside(mu: np.ndarray, dirs: np.ndarray, eps: float) -> Optional[float]:
+    """The first of eps, eps/2, eps/4, ... (40 tries) keeping every mu + step * dir in the simplex, else None."""
+    step = eps
+    for _ in range(40):
+        if np.min(mu[None, :] + step * dirs) > 1e-9:
+            return step
+        step *= 0.5
+    return None
+
+
+def _one_error_scaffolds(mu: np.ndarray, x0: np.ndarray):
+    """Distributions on {x0} + (n-1) points mu + s * dir near the prior, mean = prior, at
+    three widths from the widest; a width with no such distribution is skipped.  The
+    directions average to u = (mu - x0) / |mu - x0|, so x0 takes w0 = s / (|mu - x0| + s)
+    and each other point (1 - w0) / (n - 1)."""
+    u = mu - x0
+    nrm = float(np.linalg.norm(u))
+    if nrm < 1e-9:
+        return
+    n = mu.shape[0]
+    dirs = _spread_directions(u / nrm, n)  # the same at every width
+    eps0 = 0.05 * np.sqrt(2.0)  # nearness in simplex-diameter units
+    for eps in (eps0, eps0 / 2.0, eps0 / 4.0):
+        step = _fit_inside(mu, dirs, eps)
+        if step is None:
+            continue
+        w0 = step / (nrm + step)
+        rho = auditor._distribution(
+            np.vstack([x0[None, :], mu[None, :] + step * dirs]), np.append(w0, np.full(n - 1, (1.0 - w0) / (n - 1)))
+        )
+        if rho is not None:
+            yield rho
 
 
 def _moved_point(rho: PosteriorDistribution, x0: np.ndarray, gamma: float, lam: np.ndarray, target: np.ndarray):
@@ -835,7 +897,7 @@ def _weights_first_expansive(search: _Search, x0: np.ndarray) -> Optional[Violat
     if np.max(np.abs(x0 - mu)) <= tol:
         return _audit_prior_error(search)
 
-    for rho in _scaffolds(mu, x0):
+    for rho in _one_error_scaffolds(mu, x0):
         others = rho.support[1:]
         if in_convex_hull(img0, rho.support, tol=1e-7):
             continue  # image not banished at this scaffold width
@@ -1078,16 +1140,13 @@ class TestImagesBeforeWeights:
         live_hull_skips, dead_hull_passes = 0, 0
         for i in range(84):
             rule, mu, points, sel, mode, tol, budget, seed = self._case(i)
-            pairs = [(_audit_expansive, _weights_first_expansive)]
-            if mu.shape[0] == 2:
-                pairs.append((_audit_contractive_two_state, _weights_first_two_state))
-            else:
-                pairs.append((_audit_contractive_many_states, _weights_first_many_states))
+            contractive = _weights_first_two_state if mu.shape[0] == 2 else _weights_first_many_states
+            pairs = [(_audit_expansive, _weights_first_expansive), (_audit_contractive, contractive)]
             for x0 in points:
                 for recipe, reference in pairs:
                     hulls["got"].clear()
                     hulls["want"].clear()
-                    got = self._outcome(recipe, rule, mu, x0, budget, sel, mode, tol, seed)
+                    got = self._outcome(recipe, rule, mu, x0[None, :], budget, sel, mode, tol, seed)
                     want = self._outcome(reference, rule, mu, x0, budget, sel, mode, tol, seed)
                     assert got == want, (i, rule.family, mu.shape[0], recipe.__name__, x0.tolist())
                     certs += isinstance(want[0], str)
@@ -1229,8 +1288,10 @@ class TestClosedFormWeights:
             rng = np.random.default_rng(9000 + i)
             n = 2 + i % 4
             mu = self._prior(rng, n)
-            for x0 in self._points(rng, n) + [mu.copy()]:
-                got, want = list(_scaffolds(mu, x0)), list(_solved_scaffolds(mu, x0))
+            X0 = np.array(self._points(rng, n) + [mu.copy()])
+            for x0, supports, weights in zip(X0, *_scaffolds(mu, X0)):  # the four errors as one block
+                got = [auditor._distribution(support, probs) for support, probs in zip(supports, weights)]
+                got, want = [rho for rho in got if rho is not None], list(_solved_scaffolds(mu, x0))
                 assert len(got) == len(want), (i, x0.tolist())
                 for g, w in zip(got, want):
                     self._assert_same(g, w, mu)
@@ -1316,8 +1377,12 @@ class TestDispatchSelection:
         rng = np.random.default_rng(17)
         dispatched = []
         monkeypatch.setattr(auditor, "_audit_prior_error", lambda search: None)
+
+        def spy(search, block, code):
+            dispatched.extend((code, int(x[0])) for x in block)  # the rows of each block, in order
+
         for code, name in ((1, "_audit_expansive"), (2, "_audit_contractive")):
-            monkeypatch.setattr(auditor, name, lambda search, x, code=code: dispatched.append((code, int(x[0]))))
+            monkeypatch.setattr(auditor, name, functools.partial(spy, code=code))
         for n, grid_size in ((3, 7), (3, 41), (4, 41), (4, 101)):
             grid = simplex_lattice(n, grid_size)
             rows = np.arange(grid.shape[0], dtype=np.float64)[:, None]  # the handlers see row numbers
@@ -1334,3 +1399,192 @@ class TestDispatchSelection:
                     expected += [(code, int(i)) for i in idx[np.lexsort((idx, -mags[idx]))][:_MAX_DISPATCH]]
                 assert dispatched == expected
                 assert len(expected) == min(_MAX_DISPATCH, np.count_nonzero(kinds == 1)) + min(_MAX_DISPATCH, np.count_nonzero(kinds == 2))
+
+    def test_two_state_rows_are_the_rows_phi_builds(self):
+        # The two-state recipe's phi reads the rule at (t, 1 - t), and _audit_contractive
+        # hands it the image of the lattice row instead: the two rows must be one.
+        for grid_size in (2, 3, 11, 41, 100, 101, 201, 1001, 4097):
+            grid = simplex_lattice(2, grid_size)
+            t = grid[:, 0]
+            assert grid.tobytes() == np.stack([t, 1.0 - t], axis=1).tobytes()
+
+
+def _error_by_error(search: _Search, grid, kinds, mags, census, star, trail: list) -> Optional[ViolationCertificate]:
+    """``_single_mode_recipes`` handing over one error at a time to the weights-first references
+    above; ``trail`` gets the (kind code, dispatch position) of every error handed over."""
+    cert = _audit_prior_error(search)
+    if cert is not None:
+        return cert
+    contractive = _weights_first_two_state if search.mu.shape[0] == 2 else _weights_first_many_states
+    for code, recipe in ((1, _weights_first_expansive), (2, contractive)):
+        idx = np.flatnonzero(kinds == code)
+        for k, gi in enumerate(idx[np.lexsort((idx, -mags[idx]))][:_MAX_DISPATCH]):
+            trail.append((code, k))
+            cert = recipe(search, grid[gi])
+            if cert is not None:
+                return cert
+    return None if star is None else _vertex_condition_certificate(search, star.coords)
+
+
+class _NonFiniteAt(Distortion):
+    """The inner rule, except that its image of each of the given points is NaN."""
+
+    def __init__(self, inner: Distortion, points: np.ndarray) -> None:
+        self.inner, self.points, self.n, self.family = inner, points, inner.n, inner.family
+
+    def apply_batch(self, mu, X):
+        imgs = self.inner.apply_batch(mu, X)
+        imgs[np.any(np.all(X[:, None, :] == self.points[None, :, :], axis=2), axis=1)] = np.nan
+        return imgs
+
+    def to_json(self):
+        return self.inner.to_json()
+
+
+class TestWholeDispatch:
+    """``_single_mode_recipes`` hands the first expansive error over alone and
+    plans the others as one block; it must return the certificate bytes,
+    charge the budget and raise the error of handing every error over alone
+    to the weights-first references."""
+
+    @staticmethod
+    def _outcome(run, rule, mu, sel, tol, budget, *args):
+        search = _Search(rule, mu, sel, WelfareMode.SINGLE, tol, 0, budget)
+        try:
+            cert = run(search, *args)
+        except Exception as exc:  # the error's type is part of the outcome
+            return type(exc), search.used
+        return (cert.dumps() if cert is not None else None), search.used
+
+    def _compare(self, rule, mu, sel, tol, budget):
+        """The outcome, which both orders must share; the last error the reference handed over;
+        the expansive errors in dispatch order."""
+        n = mu.shape[0]
+        grid = simplex_lattice(n, 101 if n == 2 else 41)
+        kinds, mags = classify_batch(rule, mu, grid, tol)
+        census = {"expansive": int(np.count_nonzero(kinds == 1)), "contractive": int(np.count_nonzero(kinds == 2))}
+        star = None if n == 2 else is_occasionally_stubborn(rule, mu, tol=max(tol, 1e-9)).x_star
+        trail = []
+        got = self._outcome(_single_mode_recipes, rule, mu, sel, tol, budget, grid, kinds, mags, census, star)
+        want = self._outcome(_error_by_error, rule, mu, sel, tol, budget, grid, kinds, mags, census, star, trail)
+        assert got == want, (rule.to_json(), mu.tolist(), sel, tol, budget, trail[-1:])
+        expansive = np.flatnonzero(kinds == 1)
+        return want, (trail or [None])[-1], grid[expansive[np.lexsort((expansive, -mags[expansive]))]]
+
+    @staticmethod
+    def _from_block(result, last) -> bool:
+        """A certificate that an expansive error after the first one made."""
+        from_expansive = isinstance(result, str) and json.loads(result)["recipe"].startswith("claim")
+        return from_expansive and last[0] == 1 and last[1] >= 1
+
+    @staticmethod
+    def _count_failures(monkeypatch) -> list:
+        """The auditor's evaluations that raise, as they happen."""
+        failures = []
+
+        def spy(*args):
+            try:
+                return evaluate_batch(*args)
+            except NonFiniteImage:
+                failures.append(args[2].shape[0])
+                raise
+
+        monkeypatch.setattr(auditor, "evaluate_batch", spy)
+        return failures
+
+    def test_matches_the_error_by_error_order(self, monkeypatch):
+        failures = self._count_failures(monkeypatch)
+        later, failed_later, exhausted, certs, passes = 0, 0, 0, 0, 0
+        for i in range(120):
+            rng = np.random.default_rng(12000 + i)
+            n = (2, 2, 3, 4)[i % 4]
+            # Two-state Grether rules under LEX_LAST are often certified by a later expansive error.
+            family = ("grether", "shrinkage", "occ-coarse" if n == 2 else "occ-stubborn")[0 if i % 4 == 0 else i // 4 % 3]
+            rule, mu = random_rule(family, n, rng), rng.dirichlet(np.full(n, 4.0))
+            policy = (SelectorPolicy.LEX_FIRST, SelectorPolicy.LEX_LAST)[1 if i % 4 == 0 else int(rng.integers(2))]
+            sel = Selector(policy, tie_tol=(1e-10, 0.01, 0.05)[int(rng.integers(3))])
+            tol = (1e-9, 1e-6)[int(rng.integers(2))]
+            budget = (3, 10, 40)[int(rng.integers(3))]  # each can run out inside the block
+            (result, _), last, rows = self._compare(rule, mu, sel, tol, budget)
+            certs += isinstance(result, str)
+            passes += result is None
+            exhausted += result is BudgetExhausted and last is not None and last[0] == 1 and last[1] >= 2
+            if self._from_block(result, last):
+                later += 1
+                # The same rule failing at the scaffold points of the last dispatched
+                # error that no error up to the certifying one has: the block's one
+                # evaluation raises, and the certificate must still come.
+                tried = [rho.support[1:] for x0 in rows[: last[1] + 1] for rho in _one_error_scaffolds(mu, x0)]
+                last_x0 = rows[min(rows.shape[0], _MAX_DISPATCH) - 1]
+                failing = [p for rho in _one_error_scaffolds(mu, last_x0) for p in rho.support[1:]]
+                failing = [p for p in failing if not any(np.any(np.all(t == p, axis=1)) for t in tried)]
+                if failing:
+                    failures.clear()
+                    kept = self._compare(_NonFiniteAt(rule, np.array(failing)), mu, sel, tol, budget)[0][0] == result
+                    failed_later += kept and len(failures) == 2  # the block's one evaluation, then that error's
+        assert later >= 2 and failed_later >= 2 and exhausted >= 5 and certs >= 30 and passes >= 20, (
+            later, failed_later, exhausted, certs, passes
+        )
+
+    def test_an_image_that_fails_at_a_later_error(self, monkeypatch):
+        failures = self._count_failures(monkeypatch)
+        # The block's one evaluation raises NonFiniteImage at the points of the last
+        # scaffold width of the third dispatched error, after its wider ones ran their
+        # recipes; the reference reaches them when x0's image is off that scaffold, and
+        # a tie tolerance of 10 lets nothing certify.
+        raised = 0
+        for i in range(12):
+            rng = np.random.default_rng(12500 + i)
+            n = 2 + i % 3
+            inner, mu = random_rule("grether", n, rng), rng.dirichlet(np.full(n, 4.0))
+            rows = self._compare(inner, mu, Selector(), 1e-9, 1)[2]
+            scaffolds = list(_one_error_scaffolds(mu, rows[2])) if rows.shape[0] >= 3 else []
+            img = evaluate_batch(inner, mu, rows[2:3])[0]
+            if len(scaffolds) < 2 or in_convex_hull(img, scaffolds[-1].support, tol=1e-7):
+                continue
+            failures.clear()
+            rule = _NonFiniteAt(inner, scaffolds[-1].support[1:])
+            (result, _), last, _ = self._compare(rule, mu, Selector(tie_tol=10.0), 1e-9, 10_000)
+            raised += result is NonFiniteImage and last == (1, 2) and len(failures) == 2
+        assert raised >= 8, raised
+
+    def test_a_block_with_scaffolds_that_merge_atoms(self, monkeypatch):
+        # A prior coordinate near 1e-9 fits the scaffold points only at steps so small
+        # that PosteriorDistribution merges atoms within TOL_GEO.  The block's one
+        # evaluation must take, bitwise, the rows each error's own scaffolds give: every
+        # x0, then per width the points the support keeps and the moved points they make.
+        evaluated = []
+
+        def spy(d, mu, X):
+            evaluated.append(np.array(X))
+            return evaluate_batch(d, mu, X)
+
+        monkeypatch.setattr(auditor, "evaluate_batch", spy)
+        merged = 0
+        for i in range(30):
+            rng = np.random.default_rng(13000 + i)
+            n = 3 + i % 2
+            mu = rng.dirichlet(np.full(n, 4.0))
+            mu[i % n] = 10 ** rng.uniform(-9.5, -8)
+            mu /= mu.sum()
+            rule = random_rule(("grether", "shrinkage", "occ-stubborn")[i % 3], n, rng)
+            grid = simplex_lattice(n, 11)
+            support, probs = _scaffolds(mu, grid)
+            near = np.max(np.abs(support[:, :, :, None] - support[:, :, None]), axis=4) <= TOL_GEO
+            merging = np.flatnonzero((~np.isnan(probs[:, :, 0]) & (np.count_nonzero(near, axis=(2, 3)) > n)).any(axis=1))
+            block = grid[np.concatenate([merging[:8], rng.choice(grid.shape[0], 8, replace=False)])]
+            want = [block]
+            for x0 in block:
+                for rho in _one_error_scaffolds(mu, x0):
+                    target = rho.support[1:].mean(axis=0)
+                    want += [rho.support[1:], _MOVES[:, None] * x0 + (1.0 - _MOVES)[:, None] * target]
+                    merged += rho.size < n
+
+            def one_at_a_time(search, X0):
+                return next((c for c in (_weights_first_expansive(search, x0) for x0 in X0) if c is not None), None)
+
+            evaluated.clear()
+            got = self._outcome(_audit_expansive, rule, mu, Selector(), 1e-9, 60, block)
+            assert evaluated[0].tobytes() == np.concatenate(want).tobytes(), i
+            assert got == self._outcome(one_at_a_time, rule, mu, Selector(), 1e-9, 60, block), i
+        assert merged >= 100, merged

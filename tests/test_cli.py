@@ -139,6 +139,17 @@ class TestAuditCommand:
         assert captured.out == "" and not out.exists()
         assert run(argv + ["--tol", "0"]) == EXIT_VIOLATION
 
+    def test_negative_seed(self, tmp_path, capsys):
+        # The sweep prior's generator used to raise numpy's "expected non-negative integer".
+        out = tmp_path / "r.json"
+        argv = ["audit", "--rule", "bayes", "--states", "3", "--grid", "11", "--prior", "sweep:2", "--out", str(out)]
+        capsys.readouterr()
+        assert run(argv + ["--seed", "-3"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["configuration error: --seed must be non-negative"]
+        assert captured.out == "" and not out.exists()
+        assert run(argv + ["--seed", "0"]) == EXIT_OK
+
     @pytest.mark.parametrize("rule", ["grether(2,800)", "grether(1000,1)"])
     def test_non_finite_images(self, tmp_path, capsys, rule):
         # mu**800 underflows to 0/0 on every lattice row; (x/mu)**1000 overflows on some.
