@@ -15,7 +15,6 @@ role of the right endpoint 1.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import json
@@ -400,22 +399,6 @@ class TabulatedRule(Distortion):
                 raise GridMiss(f"tabulated rule queried off its nodes: {x} is {gap:.3e} from the nearest")
             out[lo : lo + rows] = self.images[j]
         return out
-
-    @staticmethod
-    def from_csv(path, n: int, tol: float) -> "TabulatedRule":
-        """Load rows of 2n floats: node coordinates then image coordinates."""
-        nodes = []
-        images = []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                vals = [float(v) for v in row]
-                if len(vals) != 2 * n:
-                    raise ValueError(f"expected {2 * n} columns, got {len(vals)}")
-                nodes.append(vals[:n])
-                images.append(vals[n:])
-        return TabulatedRule(nodes, images, tol)
 
     def to_json(self):
         return {

@@ -8,8 +8,10 @@ index is privileged.
 
 Hull membership is decided by barycentric coordinates when the hull
 points are affinely independent and those coordinates settle the
-question; otherwise it, like strict separation, reduces to a small linear
-program.  Every LP goes through :func:`solve_lp`, which hands HiGHS what
+question; otherwise it reduces to a small linear program.  Strict
+separation is refused by a convex-weight witness when the two hulls
+provably meet, and decided by a linear program otherwise.  Every LP goes
+through :func:`solve_lp`, which hands HiGHS what
 ``linprog(method="highs")`` would, so its optima are linprog's, bit for bit;
 HiGHS is deterministic for fixed inputs, so every witness is reproducible.
 """
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
+from scipy.optimize import nnls
 # The private HiGHS binding under linprog, given linprog's options (_HIGHS_OPTIONS).  TestSolveLP
 # in tests/test_geometry.py fails for a scipy release that moves it or changes what linprog passes.
 from scipy.optimize._highspy import _core as _highs
@@ -336,11 +339,27 @@ def separating_hyperplane_sets(above: Sequence, below: Sequence, margin: float =
     below, with the normal boxed to [-1, 1]; the witness is then rescaled
     so its sup norm is 1.  Raises NoStrictSeparation when the achievable
     margin is <= ``margin``.
+
+    Refusal is tried first, from convex weights u above and v below solved
+    by nonnegative least squares and renormalized.  Every feasible m has
+    2 m <= normal . (u A - v B) <= n |u A - v B|_inf, so a sup-norm gap
+    <= 2 margin / n proves the refusal without the LP.  Otherwise, and
+    whenever the least-squares solve fails, the LP decides.
     """
-    A = _coerce_many(above)
+    A, B = _coerce_many(above), _coerce_many(below)
+    k, n = A.shape
+    try:
+        w, _ = nnls(np.vstack([np.hstack([A.T, -B.T]), np.repeat(np.eye(2), (k, len(B)), axis=1)]),
+                    np.append(np.zeros(n), [1.0, 1.0]))
+    except (ValueError, RuntimeError):  # non-finite input, mismatched lengths, or no convergence
+        w = np.zeros(k + len(B))
+    u, v = w[:k], w[k:]
+    if u.sum() > 0.0 and v.sum() > 0.0:
+        gap = float(np.max(np.abs(u @ A / u.sum() - v @ B / v.sum())))
+        if gap <= 2.0 * margin / n:
+            raise NoStrictSeparation(f"the hulls meet within {gap:.3e}: no margin exceeds {margin:.3e}")
     A = dedupe_points(A) if len(A) > 1 else A  # one point needs no dedupe
-    B = dedupe_points(_coerce_many(below))
-    n = A.shape[1]
+    B = dedupe_points(B)
     # Variables: normal (n), offset, margin m; maximize m.
     c = np.zeros(n + 2)
     c[-1] = -1.0
@@ -352,9 +371,7 @@ def separating_hyperplane_sets(above: Sequence, below: Sequence, margin: float =
     x, _ = solve_lp(c, A_ub, b_ub, np.zeros((0, n + 2)), np.zeros(0), lb, ub, "separation")
     m = float(x[-1])
     if m <= margin:
-        raise NoStrictSeparation(
-            f"achievable margin {m:.3e} does not exceed required {margin:.3e}"
-        )
+        raise NoStrictSeparation(f"achievable margin {m:.3e} does not exceed required {margin:.3e}")
     alpha = x[:n]
     beta = float(x[n])
     scale = float(np.max(np.abs(alpha)))

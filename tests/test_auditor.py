@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audit_helpers import adversary, one_error
-from blackwell_audit import auditor
+from blackwell_audit import auditor, geometry
 from blackwell_audit.geometry import (
     TOL_GEO,
     Belief,
@@ -1193,6 +1193,29 @@ class TestImagesBeforeWeights:
         assert not hulls and not binaries
         assert expansive == 24 and contractive >= 12, (expansive, contractive)
 
+
+
+class TestHarmlessLPTraffic:
+    """A harmless rule's recipe cuts cannot succeed, and the separation witness refuses
+    them without an LP: criterion 6's harmless families, at the benchmark's grids and
+    budget, solve none."""
+
+    @pytest.mark.parametrize("family, n", [("occ-coarse", 2), ("occ-stubborn", 3), ("occ-stubborn", 4),
+                                           ("trivial", 3), ("trivial", 4)])
+    def test_harmless_audit_solves_no_lp(self, monkeypatch, family, n):
+        lps, cuts = [], []
+        real_lp, real_cut = geometry.solve_lp, auditor.separating_hyperplane_sets
+        monkeypatch.setattr(geometry, "solve_lp", lambda *a: lps.append(a[-1]) or real_lp(*a))
+        monkeypatch.setattr(auditor, "separating_hyperplane_sets", lambda *a, **k: cuts.append(1) or real_cut(*a, **k))
+        rng = np.random.default_rng(21)
+        for k in range(12):
+            rule = random_rule(family, n, rng)
+            sel = Selector(SelectorPolicy.LEX_LAST) if k % 2 else Selector()
+            mu = np.full(n, 1.0 / n) if k < 8 else rng.dirichlet(np.full(n, 4.0))
+            rep = audit(rule, mu, grid_size=101 if n == 2 else 41, budget=250, seed=int(rng.integers(1 << 30)), sel=sel)
+            assert rep.verdict == "pass", (family, n, k)
+        assert not lps, lps
+        assert n == 2 or len(cuts) >= 12, len(cuts)
 
 # Before the recipes took their weights in closed form, every scaffold, the
 # two-state pairs and the vertex recipe's contraction solved them with this

@@ -463,6 +463,103 @@ class TestSeparatingHyperplane:
                 assert max(h.value(q) for q in hull) < 0
 
 
+
+class TestSeparationWitness:
+    """The convex-weight witness may refuse a separation; only the LP may grant one."""
+
+    MARGINS = (geometry.TOL_GEO, auditor.SEP_MARGIN)
+
+    @staticmethod
+    def _pairs(rng, count):
+        """(kind, above, below) draws with n = 2-5 and one or several points above: an above
+        point inside hull(below), a point shared and repeated, points 1e-9 to 1e-6 off
+        hull(below)'s extreme point along a direction in the simplex's plane, on either side,
+        and disjoint hulls."""
+        for _ in range(count):
+            n = int(rng.integers(2, 6))
+            below = rng.dirichlet(np.ones(n) * rng.choice([0.3, 1.0, 5.0]), size=int(rng.integers(1, n + 3)))
+            others = rng.dirichlet(np.ones(n), size=int(rng.integers(0, 3)))
+            inside = rng.dirichlet(np.ones(len(below))) @ below
+            yield "meet", np.vstack([others, inside]), below
+            j = int(rng.integers(len(below)))
+            yield "duplicate", np.vstack([below[j], others, below[j]]), np.vstack([below, below[j]])
+            d = rng.normal(size=n)
+            d -= d.mean()
+            shift = 10.0 ** rng.uniform(-9, -6) * rng.choice([-1.0, 1.0]) * d / np.max(np.abs(d))
+            edge = below[int(np.argmax(below @ d))]  # a point of hull(below) extreme along d
+            yield "near", edge + shift * np.arange(1, int(rng.integers(2, 4)))[:, None], below
+            # Coordinate i is at least 0.6 above and at most 0.5 below.
+            i = int(rng.integers(n))
+            rest = rng.dirichlet(np.ones(n), size=len(below))
+            rest[:, i] = 0.0
+            s = rng.uniform(0.0, 0.5, size=(len(below), 1))
+            far = s * np.eye(n)[i] + (1.0 - s) * rest / rest.sum(axis=1, keepdims=True)
+            t = rng.uniform(0.6, 1.0, size=(1 + len(others), 1))
+            top = t * np.eye(n)[i] + (1.0 - t) * rng.dirichlet(np.ones(n), size=len(t))
+            yield "disjoint", top, far
+
+    def test_witness_never_refuses_what_the_lp_separates(self, monkeypatch):
+        lp_calls = []
+        real_lp, real_nnls = geometry.solve_lp, geometry.nnls
+        monkeypatch.setattr(geometry, "solve_lp", lambda *a: lp_calls.append(a[-1]) or real_lp(*a))
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("no witness")
+
+        refused = dict.fromkeys(("meet", "duplicate", "near", "disjoint"), 0)
+        separated = dict(refused)
+        for kind, above, below in self._pairs(np.random.default_rng(2027), 150):
+            for margin in self.MARGINS:
+                del lp_calls[:]
+                try:
+                    separating_hyperplane_sets(above, below, margin)
+                except NoStrictSeparation:
+                    if lp_calls:
+                        continue
+                    refused[kind] += 1
+                    monkeypatch.setattr(geometry, "nnls", fail)
+                    with pytest.raises(NoStrictSeparation):
+                        separating_hyperplane_sets(above, below, margin)
+                    monkeypatch.setattr(geometry, "nnls", real_nnls)
+                    assert lp_calls == ["separation"], (kind, above, below, margin)
+                else:
+                    separated[kind] += 1
+        assert refused["meet"] == refused["duplicate"] == 300 and separated["disjoint"] == 300, (refused, separated)
+        assert refused["near"] >= 100 and separated["near"] >= 100, (refused, separated)
+
+    def test_a_point_inside_the_hull_below_is_refused_without_the_lp(self, monkeypatch):
+        def no_lp(*args):
+            raise AssertionError("the separation LP ran")
+
+        monkeypatch.setattr(geometry, "solve_lp", no_lp)
+        for kind, above, below in self._pairs(np.random.default_rng(77), 200):
+            if kind in ("meet", "duplicate"):
+                for margin in self.MARGINS:
+                    with pytest.raises(NoStrictSeparation):
+                        separating_hyperplane_sets(above, below, margin)
+        with pytest.raises(NoStrictSeparation):
+            separating_hyperplane_sets([(0.5, 0.5)], [(1, 0), (0, 1)])
+
+    def test_lp_decides_when_the_witness_fails(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(geometry, "nnls", fail)
+        with pytest.raises(NoStrictSeparation, match="^achievable margin"):
+            separating_hyperplane_sets([(1 / 3, 1 / 3, 1 / 3)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        h = separating_hyperplane_sets([(0.9, 0.05, 0.05)], [(0.2, 0.2, 0.6), (0.2, 0.6, 0.2)])
+        assert h.value((0.9, 0.05, 0.05)) > 0 > h.value((0.2, 0.6, 0.2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_raises_linprog_error(self, bad):
+        # The finite points meet, so a witness that dropped the bad point would refuse.
+        centre, vertices = np.full(3, 1 / 3), np.eye(3)
+        q = np.array([bad, 0.5, 0.5])
+        for above, below in (([q], vertices), ([centre, q], vertices), ([centre], np.vstack([vertices, q]))):
+            with pytest.raises(ValueError, match="must not contain values inf, nan") as err:
+                separating_hyperplane_sets(above, below)
+            assert not isinstance(err.value, NoStrictSeparation)
+
 class TestLattice:
     def test_two_state_grid(self):
         grid = simplex_lattice(2, 5)
