@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .geometry import (
     TOL_GEO,
@@ -28,6 +27,7 @@ from .geometry import (
     DimensionMismatch,
     _coerce,
     _min_sup_residual,
+    nnls,
 )
 
 # Barycenter agreement required of Bayes-plausible posterior distributions.

@@ -14,6 +14,8 @@ provably meet, and decided by a linear program otherwise.  Every LP goes
 through :func:`solve_lp`, which hands HiGHS what
 ``linprog(method="highs")`` would, so its optima are linprog's, bit for bit;
 HiGHS is deterministic for fixed inputs, so every witness is reproducible.
+The loader :func:`_optimize` is the one place scipy is reached, at the first
+LP or NNLS solve, so an audit that needs neither never imports scipy.optimize.
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
-# The private HiGHS binding under linprog, given linprog's options (_HIGHS_OPTIONS).  TestSolveLP
-# in tests/test_geometry.py fails for a scipy release that moves it or changes what linprog passes.
-from scipy.optimize._highspy import _core as _highs
 
 # Construction tolerance for probability vectors (sum and negativity).
 TOL_SUM = 1e-12
@@ -40,11 +38,25 @@ TOL_GEO = 1e-9
 # of tol to the LP, so both routes return the same verdict.
 _LP_SLACK = 1e-6
 
-_HIGHS_OPTIONS = _highs.HighsOptions()
-_HIGHS_OPTIONS.presolve = "on"
-_HIGHS_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-_HIGHS_OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
-_HIGHS_OPTIONS.output_flag = _HIGHS_OPTIONS.log_to_console = False
+
+@functools.lru_cache(maxsize=None)
+def _optimize() -> tuple:
+    """(scipy's nnls, the private HiGHS binding under linprog, linprog's options for it),
+    imported at the first solve, as scipy.optimize costs more than the rest of a cold Bayes
+    audit.  TestSolveLP fails for a scipy release that moves the binding or changes the options."""
+    from scipy.optimize import nnls
+    from scipy.optimize._highspy import _core as binding
+    options = binding.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = binding.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = binding.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = options.log_to_console = False
+    return nnls, binding, options
+
+
+def nnls(A, b) -> tuple:
+    """scipy.optimize.nnls(A, b), loaded at the first call."""
+    return _optimize()[0](A, b)
 
 
 class EmptyInput(ValueError):
@@ -307,20 +319,21 @@ def solve_lp(c, A_ub, b_ub, A_eq, b_eq, lb, ub, what: str) -> tuple:
     for name, arr in (("c", c), ("A_ub", A_ub), ("b_ub", b_ub), ("A_eq", A_eq), ("b_eq", b_eq)):
         if not np.isfinite(arr).all():
             raise ValueError(f"Invalid input for linprog: {name} must not contain values inf, nan, or None")
-    m, inf = len(b_ub), _highs.kHighsInf
+    _, binding, options = _optimize()
+    m, inf = len(b_ub), binding.kHighsInf
     At = np.vstack([A_ub, A_eq]).T  # rows A_ub then A_eq; column-major nonzeros, as csc_array keeps
-    lp = _highs.HighsLp()
+    lp = binding.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
     lp.num_row_ = lp.a_matrix_.num_row_ = m + len(b_eq)
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.format_ = binding.MatrixFormat.kColwise
     lp.a_matrix_.start_ = np.append(0, np.cumsum(np.count_nonzero(At, axis=1)))
     lp.a_matrix_.index_, lp.a_matrix_.value_ = np.nonzero(At)[1], At[At != 0.0]
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, np.clip(lb, -inf, inf), np.clip(ub, -inf, inf)
     lp.row_lower_, lp.row_upper_ = np.append(np.full(m, -inf), b_eq), np.append(b_ub, b_eq)
-    highs = _highs._Highs()  # fresh per solve: a reused one carries state from solve to solve
-    highs.passOptions(_HIGHS_OPTIONS)
-    ran = highs.passModel(lp) != _highs.HighsStatus.kError and highs.run() != _highs.HighsStatus.kError
-    if not ran or highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
+    highs = binding._Highs()  # fresh per solve: a reused one carries state from solve to solve
+    highs.passOptions(options)
+    ran = highs.passModel(lp) != binding.HighsStatus.kError and highs.run() != binding.HighsStatus.kError
+    if not ran or highs.getModelStatus() != binding.HighsModelStatus.kOptimal:
         raise RuntimeError(f"{what} LP failed: {highs.modelStatusToString(highs.getModelStatus())}")
     sol, fun = highs.getSolution(), highs.getInfo().objective_function_value
     x, rows = np.array(sol.col_value), np.array(sol.row_value)
@@ -348,10 +361,12 @@ def separating_hyperplane_sets(above: Sequence, below: Sequence, margin: float =
     """
     A, B = _coerce_many(above), _coerce_many(below)
     k, n = A.shape
+    if B.shape[1:] != (n,):
+        raise DimensionMismatch(f"points above of length {n} against points below of shape {B.shape[1:]}")
     try:
         w, _ = nnls(np.vstack([np.hstack([A.T, -B.T]), np.repeat(np.eye(2), (k, len(B)), axis=1)]),
                     np.append(np.zeros(n), [1.0, 1.0]))
-    except (ValueError, RuntimeError):  # non-finite input, mismatched lengths, or no convergence
+    except (ValueError, RuntimeError):  # non-finite input, or no convergence
         w = np.zeros(k + len(B))
     u, v = w[:k], w[k:]
     if u.sum() > 0.0 and v.sum() > 0.0:

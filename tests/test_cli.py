@@ -2,7 +2,11 @@
 
 import functools
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blackwell_audit
 from audit_helpers import one_error
 from blackwell_audit.auditor import audit
 from blackwell_audit.decision import Selector, SelectorPolicy
@@ -485,3 +490,66 @@ class TestVerifyFuzz:
         target = tmp_path / "certificate.json"
         target.write_text(_unevaluable_certificate())
         assert main(["verify", str(target)]) == EXIT_CONFIG
+
+
+class TestColdStart:
+    """scipy.optimize loads at the first LP or NNLS solve, not at import: a cold
+    run that needs neither never pays for it, and one that does prints and
+    writes what an in-process run with scipy.optimize already loaded does."""
+
+    CHILD = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import blackwell_audit.cli
+        steps = [("import", None, "scipy.optimize" in sys.modules, "")]
+        for argv in json.loads(sys.argv[1]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = blackwell_audit.cli.main(argv)
+            steps.append((argv, code, "scipy.optimize" in sys.modules, out.getvalue()))
+        print(json.dumps(steps))
+    """)
+
+    BAYES = [
+        ["audit", "--rule", "bayes", "--states", "4", "--grid", "201", "--prior", "sweep:3", "--budget", "5000"],
+        ["audit", "--rule", "bayes", "--states", "3", "--grid", "201", "--prior", "sweep:3", "--mode", "double"],
+        ["audit", "--rule", "bayes", "--states", "3", "--grid", "41", "--prior", "sweep:3", "--budget", "200"],
+    ]
+    GRETHER = ["audit", "--rule", "grether(2,1)", "--states", "3", "--grid", "41", "--out", "report.json"]
+    VERIFY = ["verify", "report.certificate.json"]
+
+    def cold(self, cwd, *argvs):
+        """Run ``argvs`` through cli.main in one fresh interpreter: per step,
+        (argv, exit code, whether scipy.optimize is loaded, standard output)."""
+        src = os.path.dirname(os.path.dirname(blackwell_audit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = [sys.executable, "-c", self.CHILD, json.dumps(argvs)]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=cwd, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return [tuple(step) for step in json.loads(done.stdout)]
+
+    def test_lp_free_runs_never_load_scipy_optimize(self, tmp_path):
+        config_error = ["audit", "--states", "1", "--rule", "bayes"]
+        bayes = [argv + ["--out", f"bayes-{k}.json"] for k, argv in enumerate(self.BAYES)]
+        steps = self.cold(tmp_path, ["--help"], config_error, *bayes)
+        expected = [(None, False), (EXIT_OK, False), (EXIT_CONFIG, False)] + [(EXIT_OK, False)] * len(bayes)
+        assert [(code, loaded) for _, code, loaded, _ in steps] == expected
+
+    def test_runs_that_solve_load_it_and_match_a_warm_run(self, tmp_path, monkeypatch, capsys):
+        import scipy.optimize  # noqa: F401  (the warm run's interpreter has it loaded)
+
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        cold.mkdir()
+        warm.mkdir()
+        (_, _, before, _), audited = self.cold(cold, self.GRETHER)
+        (_, _, before_verify, _), verified = self.cold(cold, self.VERIFY)
+        assert not before and not before_verify
+        assert audited[1:3] == (EXIT_VIOLATION, True) and verified[1:3] == (EXIT_OK, True)
+        monkeypatch.chdir(warm)
+        outputs = []
+        for argv in (self.GRETHER, self.VERIFY):
+            capsys.readouterr()
+            code = main(argv)
+            outputs.append((argv, code, True, capsys.readouterr().out))
+        assert outputs == [audited, verified]
+        for name in ("report.json", "report.certificate.json"):
+            assert (cold / name).read_bytes() == (warm / name).read_bytes(), name

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs_binding
 
 import blackwell_audit
 from blackwell_audit import auditor, geometry
@@ -310,7 +311,7 @@ class TestSolveLP:
     def test_optimum_off_its_constraints_is_refused(self, monkeypatch, field, shift):
         """linprog's check after the solve refuses HiGHS's solution moved by
         ``shift``: off a bound of w = (1, 0) or of the error t, or off its rows."""
-        real = geometry._highs._Highs
+        real = highs_binding._Highs
 
         class Moved:
             def __init__(self):
@@ -324,7 +325,7 @@ class TestSolveLP:
                 setattr(sol, field, [v + shift for v in getattr(sol, field)])
                 return sol
 
-        monkeypatch.setattr(geometry._highs, "_Highs", Moved)
+        monkeypatch.setattr(highs_binding, "_Highs", Moved)
         with pytest.raises(RuntimeError, match="^hull membership LP failed: the optimum breaks"):
             _in_hull_lp(np.array([1.0, 0.0]), np.eye(2), 1e-9)
 
@@ -439,6 +440,12 @@ class TestSeparatingHyperplane:
         h = separating_hyperplane_sets([(0.8, 0.1, 0.1), (0.7, 0.2, 0.1)], [(0.2, 0.4, 0.4)])
         assert h.value((0.8, 0.1, 0.1)) > 0 and h.value((0.7, 0.2, 0.1)) > 0
         assert h.value((0.2, 0.4, 0.4)) < 0
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            separating_hyperplane_sets([(0.5, 0.5)], [(1, 0, 0), (0, 1, 0)])
+        with pytest.raises(DimensionMismatch):
+            separating_hyperplane_sets([(1, 0, 0), (0.5, 0.5, 0)], [(0.5, 0.5)])
 
     def test_shared_point_inseparable(self):
         shared = (0.4, 0.3, 0.3)
