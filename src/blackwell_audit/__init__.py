@@ -33,18 +33,13 @@ from .experiments import (
     binary_symmetric,
     blackwell_dominates,
     experiment_from_posteriors,
-    fully_informative,
     garble,
-    is_mpc,
-    point_mass,
-    uninformative,
 )
 from .distortions import (
     BayesRule,
     CoarseRule,
     CoarseVerdict,
     Distortion,
-    ErrorClass,
     GretherRule,
     GridMiss,
     NonFiniteImage,
@@ -57,33 +52,23 @@ from .distortions import (
     WrongDimension,
     affine_chords,
     classify_batch,
-    classify_error,
-    evaluate,
     evaluate_batch,
     is_affine,
     is_occasionally_coarse,
     is_occasionally_stubborn,
-    is_trivial_on_interior,
     parse_rule,
-    pushforward,
     random_rule,
     rule_from_json,
     stubborn_example_a,
     stubborn_example_b,
 )
 from .decision import (
-    ConvexityViolation,
     DecisionProblem,
     Selector,
     SelectorPolicy,
-    ValueResult,
     WelfareMode,
-    convexity_violations,
     expected_payoff,
     quadratic_loss_problem,
-    select_action,
-    value_function,
-    welfare,
     welfare_batch,
 )
 from .auditor import (

@@ -91,7 +91,7 @@ from .distortions import (
     is_affine,
     is_occasionally_coarse,
     is_occasionally_stubborn,
-    is_trivial_on_interior,
+    refuse_face_stack,
     rule_from_json,
     vertex_image_ok,
 )
@@ -989,15 +989,16 @@ def audit(
 ) -> AuditReport:
     """Scan a rule for order violations at one prior.
 
-    Classifies every lattice belief and reports the verdicts of the checkers that characterize
-    harmlessness in the mode.  SINGLE mode (``occasionally_coarse`` or ``occasionally_stubborn``, and
-    ``trivial_on_interior``) runs the misread-prior recipe, the recipes for the ``_MAX_DISPATCH`` largest
+    Classifies every lattice belief and reports the verdict of the checker that characterizes
+    harmlessness in the mode.  SINGLE mode (``occasionally_coarse`` on max(100, lattice rows) levels, or
+    ``occasionally_stubborn``) runs the misread-prior recipe, the recipes for the ``_MAX_DISPATCH`` largest
     errors of each kind (the largest expansive one alone, then the others as one block planned as one
     array program) and the vertex recipe at the collapse checker's x*; DOUBLE mode (``affine``, from the
     chords at ``grid_size``) runs the chord recipe on those chords.  Random search spends the rest of the
     budget only on a rule the mode's checker refutes.  Absence of a certificate is a pass, never an
     error.  A tol that is negative, infinite or NaN, or a negative seed, raises ValueError before the
-    census; an error of the rule's evaluation propagates, such as NonFiniteImage or an off-node GridMiss.
+    census, and so does WrongDimension for a SINGLE audit with too many states (``refuse_face_stack``);
+    an error of the rule's evaluation propagates, such as NonFiniteImage or an off-node GridMiss.
     """
     mua = interior_prior(mu, "audit")
     # A NaN or infinite tol would count every point as error-free, a negative one every point as erring.
@@ -1008,6 +1009,8 @@ def audit(
     n = mua.shape[0]
     sel = sel or Selector()
     mode = WelfareMode(mode)
+    if mode is WelfareMode.SINGLE and n > 2:
+        refuse_face_stack(n)
 
     grid = simplex_lattice(n, grid_size)
     kinds_all, mags_all = classify_batch(d, mua, grid, tol)
@@ -1022,13 +1025,12 @@ def audit(
         characterized = checker_verdicts["affine"] = is_affine(d, mua, chords)
     else:
         if n == 2:
-            structure = is_occasionally_coarse(d, mua, grid_size=max(grid_size, 100), tol=max(tol, 1e-9))
+            structure = is_occasionally_coarse(d, mua, grid_size=max(grid.shape[0], 100), tol=max(tol, 1e-9))
             checker_verdicts["occasionally_coarse"] = structure.to_json()
         else:
             structure = is_occasionally_stubborn(d, mua, tol=max(tol, 1e-9))
             checker_verdicts["occasionally_stubborn"] = structure.to_json()
             star = structure.x_star
-        checker_verdicts["trivial_on_interior"] = is_trivial_on_interior(d, mua, tol=max(tol, 1e-9))
         characterized = structure.ok
 
     search = _Search(d, mua, sel, mode, tol, seed, int(budget))

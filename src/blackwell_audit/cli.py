@@ -31,14 +31,8 @@ import numpy as np
 
 from .geometry import Belief, Face, face_samples, uniform_belief
 from .experiments import PriorNotInterior
-from .distortions import CoarseRule, Distortion, GridMiss, NonFiniteImage, evaluate_batch, parse_rule
-from .decision import (
-    Selector,
-    WelfareMode,
-    quadratic_loss_problem,
-    value_function,
-    welfare,
-)
+from .distortions import CoarseRule, Distortion, GridMiss, NonFiniteImage, WrongDimension, evaluate_batch, parse_rule
+from .decision import Selector, WelfareMode, quadratic_loss_problem, value_batch, welfare_batch
 from .auditor import ViolationCertificate, audit, verify_certificate
 
 EXIT_OK = 0
@@ -176,16 +170,11 @@ def cmd_reproduce(example_id: str, outdir: str, a: float, b: float, u: float, v:
         except ValueError as err:  # also NaN, which fails every bound
             raise ConfigError(f"occ-coarse-figure: {err}") from err
         problem = quadratic_loss_problem()
-        mu = (0.5, 0.5)
-        sel = Selector()
-        rows = []
-        for k in range(1001):
-            x = k / 1000.0
-            belief = np.array([x, 1.0 - x])
-            phi = float(rule.apply_scalar(np.array([x]))[0])
-            V = value_function(problem, belief).payoff
-            W = welfare(problem, rule, mu, sel, WelfareMode.SINGLE, belief)
-            rows.append([float(x), phi, float(V), float(W)])
+        x = np.arange(1001) / 1000.0
+        beliefs = np.column_stack([x, 1.0 - x])
+        V = value_batch(problem, beliefs)
+        W = welfare_batch(problem, rule, (0.5, 0.5), Selector(), WelfareMode.SINGLE, beliefs)
+        rows = np.column_stack([x, rule.apply_scalar(x), V, W]).tolist()
         _write_csv(out / "occ_coarse_figure.csv", ["x", "phi", "V", "W"], rows)
         print(f"wrote {out / 'occ_coarse_figure.csv'}")
         return EXIT_OK
@@ -294,7 +283,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "reproduce":
             return cmd_reproduce(args.example, args.out, args.a, args.b, args.u, args.v)
         return cmd_verify(args.certificate)  # the subparser is required: verify is all that is left
-    except (ConfigError, PriorNotInterior, GridMiss, NonFiniteImage) as err:
+    except (ConfigError, PriorNotInterior, GridMiss, NonFiniteImage, WrongDimension) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -7,8 +7,7 @@ actually picks: the action optimal at the held (distorted) posterior,
 scored either at the true Bayesian posterior (the single-mistake
 convention used throughout) or at the held posterior again
 (double-mistake).  Respecting the informativeness order is equivalent to
-convexity of the welfare profile, which is what the convexity scan
-probes.
+convexity of the welfare profile.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -134,26 +133,8 @@ class Selector:
         return Selector(SelectorPolicy(doc.get("policy", "lex-first")), doc.get("tie_tol", TIE_TOL), pins)
 
 
-class ValueResult(NamedTuple):
-    payoff: float
-    argmax: tuple
-
-
-def value_function(p: DecisionProblem, x) -> ValueResult:
-    """Best attainable expected payoff at belief x, with the actions within TIE_TOL of it."""
-    scores = p.payoff @ _coerce(x)
-    best = float(np.max(scores))
-    argmax = tuple(int(i) for i in np.nonzero(scores >= best - TIE_TOL)[0])
-    return ValueResult(best, argmax)
-
-
 def value_batch(p: DecisionProblem, X: np.ndarray) -> np.ndarray:
     return np.max(np.asarray(X) @ p.payoff.T, axis=-1)
-
-
-def select_action(p: DecisionProblem, sel: Selector, x_hat) -> int:
-    """The selector's choice among actions optimal at the held belief."""
-    return int(_select_batch(p, sel, _coerce(x_hat)[None, :])[0])
 
 
 def _select_batch(p: DecisionProblem, sel: Selector, X_hat: np.ndarray) -> np.ndarray:
@@ -178,23 +159,6 @@ def _select_batch(p: DecisionProblem, sel: Selector, X_hat: np.ndarray) -> np.nd
     return choice.astype(np.int64)
 
 
-def welfare(
-    p: DecisionProblem,
-    d: Distortion,
-    mu,
-    sel: Selector,
-    mode: WelfareMode,
-    x,
-) -> float:
-    """Expected payoff of the action chosen at the distorted belief.
-
-    Single-mistake scores that action at the true posterior x;
-    double-mistake re-uses the held belief and so equals the value
-    function evaluated at the image.
-    """
-    return float(welfare_batch(p, d, mu, sel, mode, _coerce(x)[None, :])[0])
-
-
 def welfare_batch(
     p: DecisionProblem,
     d: Distortion,
@@ -203,6 +167,8 @@ def welfare_batch(
     mode: WelfareMode,
     X,
 ) -> np.ndarray:
+    """Per row x of X, the payoff of the action chosen at the distorted belief: single-mistake
+    scores it at the true posterior x, double-mistake at the image (the value function there)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     imgs = evaluate_batch(d, mu, X)
     if WelfareMode(mode) is WelfareMode.DOUBLE:
@@ -225,63 +191,4 @@ def expected_payoff(
         raise BarycenterMismatch("posterior distribution is not plausible for this prior")
     w = welfare_batch(p, d, mu, sel, mode, rho_b.support)
     return float(rho_b.probs @ w)
-
-
-@dataclass(frozen=True)
-class ConvexityViolation:
-    x: np.ndarray
-    x_prime: np.ndarray
-    lam: float
-    lhs: float
-    rhs: float
-
-    @property
-    def gap(self) -> float:
-        return self.lhs - self.rhs
-
-
-MIX_WEIGHTS = (0.25, 0.5, 0.75)
-
-
-def convexity_violations(
-    p: DecisionProblem,
-    d: Distortion,
-    mu,
-    sel: Selector,
-    mode: WelfareMode,
-    grid_size: int = 200,
-    tol: float = 1e-9,
-    seed: int = 0,
-    n_pairs: Optional[int] = None,
-) -> list:
-    """Sampled convexity check of the welfare profile.
-
-    Two states: every pair of scalar grid nodes.  Three or more: random
-    interior pairs (seeded).  Each pair is tested at the mixing weights
-    0.25 / 0.5 / 0.75; a violation is a mixture whose welfare exceeds the
-    chord by more than ``tol``.
-    """
-    mua = _coerce(mu)
-    n = mua.shape[0]
-    if n == 2:
-        ts = np.arange(grid_size + 1, dtype=np.float64) / grid_size
-        nodes = np.column_stack([ts, 1.0 - ts])
-        ii, jj = np.triu_indices(len(ts), k=1)
-        A = nodes[ii]
-        B = nodes[jj]
-    else:
-        rng = np.random.default_rng(seed)
-        count = n_pairs if n_pairs is not None else 10 * grid_size
-        A = rng.dirichlet(np.ones(n), size=count)
-        B = rng.dirichlet(np.ones(n), size=count)
-    wA = welfare_batch(p, d, mu, sel, mode, A)
-    wB = welfare_batch(p, d, mu, sel, mode, B)
-
-    found: list = []
-    for lam in MIX_WEIGHTS:
-        lhs = welfare_batch(p, d, mu, sel, mode, lam * A + (1.0 - lam) * B)
-        rhs = lam * wA + (1.0 - lam) * wB
-        for k in np.nonzero(lhs > rhs + tol)[0]:
-            found.append(ConvexityViolation(A[k].copy(), B[k].copy(), lam, float(lhs[k]), float(rhs[k])))
-    return found
 

@@ -2,8 +2,8 @@
 
 A rule is represented by the map it induces from Bayesian posteriors to
 held posteriors, parameterized by the prior.  The module provides the
-classic parametric families, pointwise and pushforward evaluation, the
-expansive/contractive error classification, and the structural checkers
+classic parametric families, their one evaluation gate, the
+expansive/contractive error census, and the structural checkers
 that decide whether a rule has the shape required to never strictly
 prefer less information (interval-coarse for two states, collapse-to-a-
 common-point for three or more).
@@ -25,6 +25,7 @@ from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import (
+    MAX_POINTS,
     TOL_GEO,
     TOL_SUM,
     Belief,
@@ -36,7 +37,7 @@ from .geometry import (
     on_segment,
     vertex_belief,
 )
-from .experiments import PosteriorDistribution, interior_prior
+from .experiments import interior_prior
 
 # Coordinates above this threshold count toward a belief's support.
 SUPPORT_TOL = 1e-9
@@ -410,16 +411,8 @@ class TabulatedRule(Distortion):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation, pushforward, classification
+# Evaluation and the error census
 # ---------------------------------------------------------------------------
-
-
-def evaluate(d: Distortion, mu, x) -> Belief:
-    """Apply the rule's distortion map at prior mu to a single posterior."""
-    X = _coerce(x)[None, :]
-    out = evaluate_batch(d, mu, X)[0]
-    # Families built from exact data can drift by float rounding only.
-    return Belief(out)
 
 
 def evaluate_batch(d: Distortion, mu, X) -> np.ndarray:
@@ -435,38 +428,6 @@ def evaluate_batch(d: Distortion, mu, X) -> np.ndarray:
     if not np.isfinite(imgs).all():
         raise NonFiniteImage(f"the rule's map returned a non-finite image at prior {mua.tolist()}")
     return imgs
-
-
-def pushforward(d: Distortion, mu, rho_b: PosteriorDistribution) -> PosteriorDistribution:
-    """Image of a posterior distribution under the rule (coincident images merge)."""
-    imgs = evaluate_batch(d, mu, rho_b.support)
-    return PosteriorDistribution(imgs, rho_b.probs)
-
-
-@dataclass(frozen=True)
-class ErrorClass:
-    """Classification of a rule's mistake at one posterior.
-
-    ``kind`` is "none", "expansive" (image off the posterior-prior
-    segment) or "contractive" (image on the segment, not the posterior
-    itself); ``witness_lambda`` locates a contractive image on the
-    segment (1 at the posterior, 0 at the prior).
-    """
-
-    kind: str
-    witness_lambda: Optional[float] = None
-
-
-def classify_error(d: Distortion, mu, x, tol: float = TOL_GEO) -> ErrorClass:
-    mua = _coerce(mu)
-    xa = _coerce(x)
-    img = evaluate_batch(d, mua, xa[None, :])[0]
-    if np.max(np.abs(img - xa)) <= tol:
-        return ErrorClass("none")
-    hit, lam = on_segment(xa, mua, img, tol=tol)
-    if hit:
-        return ErrorClass("contractive", lam)
-    return ErrorClass("expansive")
 
 
 #: Census rows whose column-wise residual lies this close to tol are decided row-wise.
@@ -648,6 +609,19 @@ def vertex_image_ok(x_star, i: int, image, tol: float = TOL_GEO) -> bool:
     return on_segment(xs, vertex_belief(xs.shape[0], i).coords, image, tol=max(tol, 1e-9)).on
 
 
+#: The collapse checker samples this many points in each face of dimension >= 1.
+_FACE_SAMPLES = 24
+
+
+def refuse_face_stack(n: int, count: int = _FACE_SAMPLES) -> None:
+    """WrongDimension when ``count`` samples on each of the 2^n - n - 1 faces of dimension >= 1
+    exceed ``MAX_POINTS`` (from n = 17 at 24 per face); decided before any face is built."""
+    if count * (2 ** min(n, 64) - n - 1) > MAX_POINTS:  # past 64 states the cap is long exceeded
+        raise WrongDimension(
+            f"the collapse checker's {count} samples on each face of {n} states exceed {MAX_POINTS:,} points"
+        )
+
+
 @functools.lru_cache(maxsize=16)
 def _face_stack(n: int, count: int) -> tuple:
     """(faces, samples): every face of dimension >= 1 and its ``face_samples``, stacked
@@ -659,7 +633,7 @@ def _face_stack(n: int, count: int) -> tuple:
 
 
 def is_occasionally_stubborn(
-    d: Distortion, mu, samples_per_face: int = 24, tol: float = TOL_GEO
+    d: Distortion, mu, samples_per_face: int = _FACE_SAMPLES, tol: float = TOL_GEO
 ) -> StubbornVerdict:
     """Structure test for three or more states.
 
@@ -668,11 +642,13 @@ def is_occasionally_stubborn(
     image the full simplex's samples share (named even in a refutation):
     every face of dimension >= 2 whose closure errs collapses to x*; so do
     erring edges, except possibly one edge through x* that keeps its far
-    side correct; erring vertices meet ``vertex_image_ok`` at x*.
+    side correct; erring vertices meet ``vertex_image_ok`` at x*.  Raises
+    WrongDimension for fewer than three states, or too many (``refuse_face_stack``).
     """
     n = d.n
     if n < 3:
         raise WrongDimension("this structure test needs three or more states")
+    refuse_face_stack(n, samples_per_face)
 
     verts = np.eye(n)
     vert_imgs = evaluate_batch(d, mu, verts)
@@ -738,14 +714,6 @@ def is_occasionally_stubborn(
             return StubbornVerdict(False, star, (verts[i], "item3-vertex"))
 
     return StubbornVerdict(True, star)
-
-
-def is_trivial_on_interior(d: Distortion, mu, tol: float = TOL_GEO) -> bool:
-    """True when 64 sampled interior posteriors share one image."""
-    n = d.n
-    S = face_samples(Face(tuple(range(n))), n, 64)
-    imgs = evaluate_batch(d, mu, S)
-    return bool(np.max(np.abs(imgs - imgs[0])) <= tol)
 
 
 #: The chord scan's lattice has at most this many points, but never fewer

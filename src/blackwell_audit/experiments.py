@@ -3,14 +3,11 @@
 An experiment is a row-stochastic likelihood matrix (one row per state,
 one column per signal).  Updating it at an interior prior produces a
 finite-support distribution over posterior beliefs whose barycenter is
-the prior.  Informativeness comparisons run through two equivalent
-routes: garbling feasibility between likelihood matrices, and the
-mean-preserving-contraction (dilation) test between posterior
-distributions; both are small linear programs, and garbling feasibility
-first tries a least-squares witness that proves it without one.  The
-auditor builds its contractions itself: it moves one support point toward
-a known convex combination of the others, which fixes the new weights in
-closed form.
+the prior.  Informativeness is decided by garbling feasibility between
+likelihood matrices, a small linear program that a least-squares witness
+can settle without solving it.  The auditor builds its contractions
+itself: it moves one support point toward a known convex combination of
+the others, which fixes the new weights in closed form.
 """
 
 from __future__ import annotations
@@ -103,14 +100,6 @@ class Experiment:
         return Experiment(doc["likelihoods"], doc.get("signals"))
 
 
-def fully_informative(n: int) -> Experiment:
-    return Experiment(np.eye(n))
-
-
-def uninformative(n: int) -> Experiment:
-    return Experiment(np.ones((n, 1)))
-
-
 def binary_symmetric(accuracy: float) -> Experiment:
     """Two states, two signals, P(correct signal | state) = accuracy."""
     a = float(accuracy)
@@ -181,10 +170,6 @@ class PosteriorDistribution:
     @property
     def n_states(self) -> int:
         return self.support.shape[1]
-
-
-def point_mass(x) -> PosteriorDistribution:
-    return PosteriorDistribution([_coerce(x)], [1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,26 +256,3 @@ def blackwell_dominates(pi: Experiment, pi_prime: Experiment, tol: float = 1e-8)
         if np.all(sums > 0.0) and np.max(np.abs(A @ (M / sums) - B)) <= tol:
             return True
     return bool(_min_sup_residual([(G, B.ravel())], (k, kp), "garbling") <= tol)
-
-
-def is_mpc(rho_prime: PosteriorDistribution, rho: PosteriorDistribution, tol: float = 1e-8) -> bool:
-    """True when rho_prime is a mean-preserving contraction of rho.
-
-    Dilation (martingale-coupling) test: each support point of rho_prime
-    must split into a distribution over rho's support with matching
-    barycenter, and the splits must mix back to rho's probabilities.
-    Works uniformly in every dimension.
-    """
-    if rho.n_states != rho_prime.n_states:
-        raise DimensionMismatch("posterior distributions must share the state space")
-    if not (np.all(np.isfinite(rho.support)) and np.all(np.isfinite(rho_prime.support))):
-        raise ValueError("posterior supports must be finite")
-    if np.max(np.abs(rho.barycenter.coords - rho_prime.barycenter.coords)) > max(tol, TOL_BARY):
-        raise BarycenterMismatch("mean-preserving comparison requires equal barycenters")
-    I, J = rho_prime.size, rho.size
-    # The kernel's rows are probability vectors; row i's barycenter is
-    # rho_prime's i-th support point, and the rows mix back to rho's probabilities.
-    barycenters = (np.kron(np.eye(I), rho.support.T), rho_prime.support.ravel())
-    mixture = (np.kron(rho_prime.probs[None, :], np.eye(J)), rho.probs)
-    return bool(_min_sup_residual([barycenters, mixture], (I, J), "dilation") <= tol)
-

@@ -37,6 +37,8 @@ TOL_GEO = 1e-9
 # the hull a member.  Barycentric rejection leaves points within this slack
 # of tol to the LP, so both routes return the same verdict.
 _LP_SLACK = 1e-6
+# Most points a lattice, or the collapse checker's face samples, may hold.
+MAX_POINTS = 2_000_000
 
 
 @functools.lru_cache(maxsize=None)
@@ -122,14 +124,6 @@ class Belief:
     def is_interior(self, tol: float = 0.0) -> bool:
         return bool(np.all(self.coords > tol))
 
-    def face(self, tol: float = TOL_GEO) -> "Face":
-        """The face of the simplex this belief lies in: its positive support."""
-        support = tuple(int(i) for i in np.nonzero(self.coords > tol)[0])
-        return Face(support)
-
-    def allclose(self, other, tol: float = TOL_GEO) -> bool:
-        return bool(np.max(np.abs(self.coords - _coerce(other))) <= tol)
-
     def to_json(self) -> list:
         return [float(v) for v in self.coords]
 
@@ -188,10 +182,6 @@ class Hyperplane:
         arr.flags.writeable = False
         object.__setattr__(self, "normal", arr)
         object.__setattr__(self, "offset", float(offset))
-
-    def value(self, x) -> float:
-        """Signed evaluation normal . x - offset."""
-        return float(self.normal @ _coerce(x) - self.offset)
 
 
 class SegmentLocation(NamedTuple):
@@ -393,7 +383,7 @@ def separating_hyperplane_sets(above: Sequence, below: Sequence, margin: float =
     return Hyperplane(alpha / scale, beta / scale)
 
 
-def simplex_lattice(n: int, grid_size: int, max_points: int = 2_000_000) -> np.ndarray:
+def simplex_lattice(n: int, grid_size: int, max_points: int = MAX_POINTS) -> np.ndarray:
     """Barycentric lattice on the (n-1)-simplex with ``grid_size`` levels per axis.
 
     Coordinates are multiples of 1/(grid_size - 1), one row per point, rows
@@ -418,7 +408,7 @@ def _lattice(n: int, res: int) -> np.ndarray:
         t = np.arange(res + 1, dtype=np.float64) / res
         grid = np.column_stack([t, 1.0 - t])
     else:
-        cols: list = []  # int32 counts: max_points (2 M by default) keeps row offsets far below 2**31
+        cols: list = []  # int32 counts: max_points (MAX_POINTS by default) keeps row offsets far below 2**31
         left = np.array([res], dtype=np.int32)
         for _ in range(n - 1):
             counts = left + 1

@@ -13,7 +13,7 @@ from blackwell_audit.auditor import (
     _Search,
 )
 from blackwell_audit.decision import Selector, WelfareMode
-from blackwell_audit.distortions import classify_error
+from blackwell_audit.distortions import classify_batch
 from blackwell_audit.geometry import TOL_GEO
 
 
@@ -21,7 +21,8 @@ def one_error(kind, d, mu, x0, budget, sel=None, tol=TOL_GEO, seed=0) -> Violati
     """SINGLE mode's recipes for the ``kind`` error at x0; raises BudgetExhausted when none certifies."""
     search = _Search(d, np.asarray(mu, dtype=np.float64), sel or Selector(), WelfareMode.SINGLE, tol, seed, budget)
     x0 = np.asarray(x0, dtype=np.float64)
-    if classify_error(d, search.mu, x0, tol).kind != kind:
+    kinds, _ = classify_batch(d, search.mu, x0[None, :], tol)  # one row: 1 expansive, 2 contractive
+    if kinds[0] != {"expansive": 1, "contractive": 2}[kind]:
         raise ValueError(f"x0 must carry an error of kind {kind!r}")
     cert = (_audit_expansive if kind == "expansive" else _audit_contractive)(search, x0[None, :])
     if cert is None:

@@ -17,7 +17,6 @@ from blackwell_audit.experiments import (
     bayes,
     blackwell_dominates,
     garble,
-    is_mpc,
 )
 from blackwell_audit.distortions import (
     BayesRule,
@@ -36,11 +35,9 @@ from blackwell_audit.decision import (
     DecisionProblem,
     Selector,
     WelfareMode,
-    convexity_violations,
+    _select_batch,
     expected_payoff,
     quadratic_loss_problem,
-    select_action,
-    value_function,
     welfare_batch,
 )
 from blackwell_audit.auditor import (
@@ -49,6 +46,7 @@ from blackwell_audit.auditor import (
     verify_certificate,
 )
 from audit_helpers import adversary
+from oracles import convexity_violations, is_mpc, value_function
 from blackwell_audit.cli import EXIT_INVALID_CERT, EXIT_OK, main as cli_main
 
 SEL = Selector()
@@ -108,7 +106,7 @@ class TestCriterion2TwoStateSufficiency:
         w = welfare_batch(problem, rule, MU2, SEL, WelfareMode.SINGLE, grid)
 
         def action_line(anchor):
-            idx = select_action(problem, SEL, (anchor, 1.0 - anchor))
+            idx = _select_batch(problem, SEL, np.array([[anchor, 1.0 - anchor]]))[0]
             row = problem.payoff[idx]
             return lambda x: row[0] * x + row[1] * (1.0 - x)
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audit_helpers import adversary, one_error
+from oracles import value_function
 from blackwell_audit import auditor, geometry
 from blackwell_audit.geometry import (
     TOL_GEO,
@@ -29,10 +30,11 @@ from blackwell_audit.experiments import (
     experiment_from_posteriors,
     garble,
 )
-from blackwell_audit.decision import TIE_TOL, Selector, SelectorPolicy, WelfareMode, expected_payoff, value_function
+from blackwell_audit.decision import TIE_TOL, Selector, SelectorPolicy, WelfareMode, expected_payoff
 from blackwell_audit.distortions import (
     BayesRule,
     CoarseRule,
+    CoarseVerdict,
     Distortion,
     GretherRule,
     NonFiniteImage,
@@ -255,9 +257,26 @@ class TestFullAudit:
         rule = TrivialRule((0.5, 0.2, 0.3))
         rep = audit(rule, MU3, grid_size=41, budget=300, seed=1)
         assert rep.verdict == "pass"
-        assert rep.checker_verdicts["trivial_on_interior"]
+        assert set(rep.checker_verdicts) == {"occasionally_stubborn"}
         assert rep.checker_verdicts["occasionally_stubborn"]["ok"]  # x* is the constant image
         assert adversary(rule, MU3, 300, seed=1) is None
+
+    def test_two_state_checker_scans_at_most_the_lattice(self, monkeypatch):
+        # max(grid_size, 100) levels up to the lattice's 2,000,000-row cap, so reports there are unchanged;
+        # past it the lattice halves its resolution, and the scan takes the lattice's rows.
+        seen = []
+
+        def spy(d, mu, grid_size, tol):
+            seen.append(grid_size)
+            return CoarseVerdict(True, 0.0, 1.0, 0.0, 1.0)
+
+        monkeypatch.setattr(auditor, "is_occasionally_coarse", spy)
+        try:
+            for grid_size in (11, 101, 2_000_000, 10**8):
+                assert audit(BayesRule(2), MU2, grid_size=grid_size, budget=10).verdict == "pass"
+        finally:
+            geometry._lattice.cache_clear()  # release the two lattices of 1.5 M rows and more
+        assert seen == [100, 101, 2_000_000, 1_562_500]
 
     def test_tabulated_rule_queried_off_its_nodes_raises(self):
         # Identity on the 11-level lattice; the checkers' face samples fall off its nodes.
@@ -341,7 +360,6 @@ class TestFullAudit:
         stubborn = rep.checker_verdicts["occasionally_stubborn"]
         assert not stubborn["ok"] and stubborn["x_star"] == [0.1, 0.2, 0.3, 0.4]
         assert stubborn["refutation"]["item"] == "item1-common-image"
-        assert rep.checker_verdicts["trivial_on_interior"]
         assert rep.verdict == "pass"
         assert len(stars) == 1 and stars[0].tolist() == [0.1, 0.2, 0.3, 0.4]
 
@@ -381,7 +399,7 @@ class TestCollapseCharacterization:
             rep = audit(rule, mu, grid_size=101 if rule.n == 2 else 41, budget=300, seed=seed)
             verdicts = rep.checker_verdicts
             structure = verdicts["occasionally_coarse" if rule.n == 2 else "occasionally_stubborn"]
-            assert structure["ok"] or verdicts["trivial_on_interior"], (rule.to_json(), verdicts)
+            assert structure["ok"], (rule.to_json(), verdicts)
             assert "affine" not in verdicts
             assert rep.verdict == "pass" and rep.certificate is None, (rule.to_json(), rep.certificate.recipe)
             assert adversary(rule, mu, 300, seed=seed) is None, rule.to_json()
@@ -404,7 +422,7 @@ class TestCollapseCharacterization:
             raise AssertionError("a SINGLE-mode characterization or recipe ran in DOUBLE mode")
 
         for name in (
-            "is_occasionally_coarse", "is_occasionally_stubborn", "is_trivial_on_interior", "_vertex_condition_certificate",
+            "is_occasionally_coarse", "is_occasionally_stubborn", "_vertex_condition_certificate",
             "_audit_prior_error", "_audit_expansive", "_audit_contractive",
         ):
             monkeypatch.setattr(auditor, name, refuse)
@@ -473,13 +491,12 @@ class TestCollapseCharacterization:
         assert "vertexprop-separation" in recipes, recipes
 
     def test_trivial_interior_does_not_spare_random_search(self, monkeypatch):
-        # trivial_on_interior ignores the vertices, so a rule it accepts but
-        # the collapse checker refutes gets random search when the recipes miss.
+        # A rule constant on the interior whose vertex image leaves its segment is
+        # refuted by the collapse checker, so it gets random search when the recipes miss.
         reached = []
         monkeypatch.setattr(auditor, "_vertex_condition_certificate", lambda search, x_star: None)
         monkeypatch.setattr(auditor, "_random_search", lambda search: reached.append(search.used))
         rep = audit(_OffSegmentVertices(), MU3, grid_size=41, budget=300, seed=3)
-        assert rep.checker_verdicts["trivial_on_interior"]
         assert not rep.checker_verdicts["occasionally_stubborn"]["ok"]
         assert reached == [rep.budget_used], reached
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import blackwell_audit
 from audit_helpers import one_error
+from blackwell_audit import auditor, distortions, geometry
 from blackwell_audit.auditor import audit
 from blackwell_audit.decision import Selector, SelectorPolicy
 from blackwell_audit.distortions import GretherRule
@@ -154,6 +155,22 @@ class TestAuditCommand:
         assert captured.err.splitlines() == ["configuration error: --seed must be non-negative"]
         assert captured.out == "" and not out.exists()
         assert run(argv + ["--seed", "0"]) == EXIT_OK
+
+    def test_too_many_states_for_the_collapse_checker(self, tmp_path, capsys, monkeypatch):
+        # 24 samples on each of the 2^17 - 18 faces would be 3,145,296 points: refused before any face or lattice.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a face list or a lattice was built")
+
+        for module, name in ((distortions, "enumerate_faces"), (geometry, "enumerate_faces"),
+                             (auditor, "simplex_lattice"), (geometry, "simplex_lattice")):
+            monkeypatch.setattr(module, name, refuse)
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run(["audit", "--states", "17", "--rule", "bayes", "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        message = "the collapse checker's 24 samples on each face of 17 states exceed 2,000,000 points"
+        assert captured.err.splitlines() == [f"configuration error: {message}"]
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("rule", ["grether(2,800)", "grether(1000,1)"])
     def test_non_finite_images(self, tmp_path, capsys, rule):

@@ -9,12 +9,8 @@ from blackwell_audit.decision import (
     SelectorPolicy,
     WelfareMode,
     _select_batch,
-    convexity_violations,
     expected_payoff,
     quadratic_loss_problem,
-    select_action,
-    value_function,
-    welfare,
     welfare_batch,
 )
 from blackwell_audit.distortions import (
@@ -28,11 +24,21 @@ from blackwell_audit.experiments import (
     PosteriorDistribution,
     bayes,
     binary_symmetric,
-    point_mass,
 )
+from oracles import convexity_violations, value_function
 
 MU2 = (0.5, 0.5)
 SEL = Selector()
+
+
+def choose(p, sel, x_hat) -> int:
+    """The selector's choice at one held belief: ``_select_batch`` on one row."""
+    return int(_select_batch(p, sel, np.array([x_hat], dtype=np.float64))[0])
+
+
+def welfare_at(p, d, mu, sel, mode, x) -> float:
+    """Welfare at one posterior: ``welfare_batch`` on one row."""
+    return float(welfare_batch(p, d, mu, sel, mode, [x])[0])
 
 
 class TestValueFunction:
@@ -53,17 +59,17 @@ class TestValueFunction:
 
     def test_selector_policies_at_tie(self):
         p = DecisionProblem([[0.0, 0.0], [0.5, -0.5]])
-        assert select_action(p, Selector(SelectorPolicy.LEX_FIRST), (0.5, 0.5)) == 0
-        assert select_action(p, Selector(SelectorPolicy.LEX_LAST), (0.5, 0.5)) == 1
+        assert choose(p, Selector(SelectorPolicy.LEX_FIRST), (0.5, 0.5)) == 0
+        assert choose(p, Selector(SelectorPolicy.LEX_LAST), (0.5, 0.5)) == 1
         pinned = Selector(SelectorPolicy.PINNED, pins=(((0.5, 0.5), 1),))
-        assert select_action(p, pinned, (0.5, 0.5)) == 1
-        assert select_action(p, pinned, (0.9, 0.1)) == 1  # unique optimum anyway
+        assert choose(p, pinned, (0.5, 0.5)) == 1
+        assert choose(p, pinned, (0.9, 0.1)) == 1  # unique optimum anyway
 
     @pytest.mark.parametrize("action", [5, -1])
     def test_pin_naming_no_action_is_ignored(self, action):
         p = DecisionProblem([[0.0, 0.0], [0.5, -0.5]])
         pinned = Selector(SelectorPolicy.PINNED, pins=(((0.5, 0.5), action),))
-        assert select_action(p, pinned, (0.5, 0.5)) == 0  # lex-first, as without the pin
+        assert choose(p, pinned, (0.5, 0.5)) == 0  # lex-first, as without the pin
         X = np.array([[0.5, 0.5], [0.9, 0.1]])
         assert _select_batch(p, pinned, X).tolist() == _select_batch(p, Selector(), X).tolist() == [0, 1]
 
@@ -89,7 +95,7 @@ class TestWelfare:
             x = rng.dirichlet(np.ones(2))
             v = value_function(p, x).payoff
             for mode in (WelfareMode.SINGLE, WelfareMode.DOUBLE):
-                assert welfare(p, BayesRule(2), MU2, SEL, mode, x) == pytest.approx(v, abs=1e-12)
+                assert welfare_at(p, BayesRule(2), MU2, SEL, mode, x) == pytest.approx(v, abs=1e-12)
 
     def test_coarse_rule_hand_computed(self):
         p = quadratic_loss_problem()
@@ -97,9 +103,9 @@ class TestWelfare:
         x = (0.1, 0.9)
         # Held belief 0.3 picks action 0.3; scoring it at the true belief:
         # -(0.09 * 0.9 + 0.49 * 0.1) + 0.3 = 0.17.
-        assert welfare(p, rule, MU2, SEL, WelfareMode.SINGLE, x) == pytest.approx(0.17, abs=1e-12)
+        assert welfare_at(p, rule, MU2, SEL, WelfareMode.SINGLE, x) == pytest.approx(0.17, abs=1e-12)
         # Double mistake re-scores at the held belief: V(0.3) = 0.09.
-        assert welfare(p, rule, MU2, SEL, WelfareMode.DOUBLE, x) == pytest.approx(0.09, abs=1e-12)
+        assert welfare_at(p, rule, MU2, SEL, WelfareMode.DOUBLE, x) == pytest.approx(0.09, abs=1e-12)
 
     def test_single_mistake_never_beats_value(self):
         # A possibly suboptimal action scored at the true belief.
@@ -111,7 +117,7 @@ class TestWelfare:
             mu = rng.dirichlet(np.ones(3))
             x = rng.dirichlet(np.ones(3))
             rule = rules[count % len(rules)]
-            w = welfare(p, rule, mu, SEL, WelfareMode.SINGLE, x)
+            w = welfare_at(p, rule, mu, SEL, WelfareMode.SINGLE, x)
             assert w <= value_function(p, x).payoff + 1e-12
             count += 1
 
@@ -121,13 +127,14 @@ class TestWelfare:
         X = np.random.default_rng(3).dirichlet(np.ones(2), size=40)
         batch = welfare_batch(p, rule, MU2, SEL, WelfareMode.SINGLE, X)
         for k in range(40):
-            assert batch[k] == pytest.approx(welfare(p, rule, MU2, SEL, WelfareMode.SINGLE, X[k]))
+            assert batch[k] == pytest.approx(welfare_at(p, rule, MU2, SEL, WelfareMode.SINGLE, X[k]))
 
 
 class TestExpectedPayoff:
     def test_point_mass_at_prior(self):
         p = quadratic_loss_problem()
-        assert expected_payoff(p, BayesRule(2), MU2, SEL, WelfareMode.SINGLE, point_mass(MU2)) == pytest.approx(0.05)
+        point_mass = PosteriorDistribution([MU2], [1.0])
+        assert expected_payoff(p, BayesRule(2), MU2, SEL, WelfareMode.SINGLE, point_mass) == pytest.approx(0.05)
 
     def test_bayes_values_information(self):
         p = quadratic_loss_problem()
@@ -206,7 +213,7 @@ class TestFivePieceProfile:
         w = welfare_batch(p, rule, MU2, SEL, WelfareMode.SINGLE, grid)
 
         def action_line(anchor):
-            a_idx = select_action(p, SEL, (anchor, 1.0 - anchor))
+            a_idx = choose(p, SEL, (anchor, 1.0 - anchor))
             row = p.payoff[a_idx]
             return lambda x: row[0] * x + row[1] * (1.0 - x)
 

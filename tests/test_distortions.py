@@ -22,23 +22,19 @@ from blackwell_audit.distortions import (
     TrivialRule,
     WrongDimension,
     classify_batch,
-    classify_error,
-    evaluate,
     evaluate_batch,
     affine_chords,
     is_affine,
     is_occasionally_coarse,
     is_occasionally_stubborn,
-    is_trivial_on_interior,
     parse_rule,
-    pushforward,
     random_rule,
     rule_from_json,
     stubborn_example_a,
     stubborn_example_b,
 )
 from blackwell_audit.geometry import TOL_GEO, _coerce, simplex_lattice
-from blackwell_audit.experiments import PosteriorDistribution, PriorNotInterior, is_mpc
+from blackwell_audit.experiments import PosteriorDistribution, PriorNotInterior
 from blackwell_audit.auditor import audit
 from blackwell_audit.decision import (
     DecisionProblem,
@@ -46,6 +42,7 @@ from blackwell_audit.decision import (
     WelfareMode,
     expected_payoff,
 )
+from oracles import is_mpc, sup_close
 
 
 def tabulated_from_csv(path, n: int, tol: float) -> TabulatedRule:
@@ -68,6 +65,16 @@ MU2 = (0.5, 0.5)
 MU3 = (1 / 3, 1 / 3, 1 / 3)
 
 
+def image(d, mu, x) -> np.ndarray:
+    """The rule's image of one posterior x: ``evaluate_batch`` on one row."""
+    return evaluate_batch(d, mu, [x])[0]
+
+
+def kind(d, mu, x) -> int:
+    """The census's kind of one posterior x: ``classify_batch`` on one row (0 none, 1 expansive, 2 contractive)."""
+    return int(classify_batch(d, mu, [x])[0][0])
+
+
 class TestEvaluate:
     def test_bayes_identity(self):
         rng = np.random.default_rng(0)
@@ -75,9 +82,9 @@ class TestEvaluate:
         assert np.allclose(evaluate_batch(BayesRule(3), MU3, X), X)
 
     def test_grether_overreaction(self):
-        img = evaluate(GretherRule(2.0, 1.0, 2), MU2, (0.7, 0.3))
-        assert img.coords[0] == pytest.approx(0.49 / 0.58, abs=1e-12)
-        assert img.coords[1] == pytest.approx(0.09 / 0.58, abs=1e-12)
+        img = image(GretherRule(2.0, 1.0, 2), MU2, (0.7, 0.3))
+        assert img[0] == pytest.approx(0.49 / 0.58, abs=1e-12)
+        assert img[1] == pytest.approx(0.09 / 0.58, abs=1e-12)
 
     def test_grether_fixes_vertices(self):
         for n in (2, 3):
@@ -85,15 +92,15 @@ class TestEvaluate:
             mu = np.full(n, 1.0 / n)
             for i in range(n):
                 e = np.eye(n)[i]
-                assert evaluate(rule, mu, e).allclose(e)
+                assert sup_close(image(rule, mu, e), e)
 
     def test_coarse_piecewise_cases(self):
         rule = CoarseRule(0.3, 0.7, 0.2, 0.8)
-        assert evaluate(rule, MU2, (0.1, 0.9)).allclose((0.3, 0.7))
-        assert evaluate(rule, MU2, (0.5, 0.5)).allclose((0.5, 0.5))
-        assert evaluate(rule, MU2, (0.0, 1.0)).allclose((0.2, 0.8))
-        assert evaluate(rule, MU2, (1.0, 0.0)).allclose((0.8, 0.2))
-        assert evaluate(rule, MU2, (0.95, 0.05)).allclose((0.7, 0.3))
+        assert sup_close(image(rule, MU2, (0.1, 0.9)), (0.3, 0.7))
+        assert sup_close(image(rule, MU2, (0.5, 0.5)), (0.5, 0.5))
+        assert sup_close(image(rule, MU2, (0.0, 1.0)), (0.2, 0.8))
+        assert sup_close(image(rule, MU2, (1.0, 0.0)), (0.8, 0.2))
+        assert sup_close(image(rule, MU2, (0.95, 0.05)), (0.7, 0.3))
 
     def test_coarse_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -102,16 +109,15 @@ class TestEvaluate:
             CoarseRule(0.3, 0.7, 0.5, 0.8)
 
     def test_shrinkage_pull(self):
-        img = evaluate(ShrinkageRule(0.5, 2), MU2, (0.9, 0.1))
-        assert img.allclose((0.7, 0.3))
+        assert sup_close(image(ShrinkageRule(0.5, 2), MU2, (0.9, 0.1)), (0.7, 0.3))
 
     def test_trivial_constant(self):
         rule = TrivialRule((0.2, 0.3, 0.5))
-        assert evaluate(rule, MU3, (0.9, 0.05, 0.05)).allclose((0.2, 0.3, 0.5))
+        assert sup_close(image(rule, MU3, (0.9, 0.05, 0.05)), (0.2, 0.3, 0.5))
 
     def test_requires_interior_prior(self):
         with pytest.raises(PriorNotInterior):
-            evaluate(BayesRule(2), (1.0, 0.0), (0.5, 0.5))
+            image(BayesRule(2), (1.0, 0.0), (0.5, 0.5))
         for bad in (np.nan, np.inf, -np.inf):  # the Bayes map would hand the query back
             with pytest.raises(PriorNotInterior):
                 evaluate_batch(BayesRule(3), [bad, 0.5, 0.5], [[0.2, 0.3, 0.5]])
@@ -156,7 +162,7 @@ class TestEvaluate:
                 return X.copy()
 
         assert evaluate_batch(Spy(), [0.5, 0.5], [[1, 0], [0, 1]]).dtype == np.float64
-        assert evaluate(Spy(), (0.5, 0.5), (1, 0)).allclose((1.0, 0.0))
+        assert sup_close(image(Spy(), (0.5, 0.5), (1, 0)), (1.0, 0.0))
         assert seen == [(np.float64, np.float64)] * 2
         with pytest.raises(PriorNotInterior):
             evaluate_batch(Spy(), (1, 0), [[0.5, 0.5]])
@@ -173,9 +179,9 @@ class TestEvaluate:
 
     def test_tabulated_lookup_and_miss(self):
         rule = TabulatedRule([(0.25, 0.75), (0.75, 0.25)], [(0.3, 0.7), (0.7, 0.3)], tol=0.05)
-        assert evaluate(rule, MU2, (0.26, 0.74)).allclose((0.3, 0.7))
+        assert sup_close(image(rule, MU2, (0.26, 0.74)), (0.3, 0.7))
         with pytest.raises(GridMiss):
-            evaluate(rule, MU2, (0.5, 0.5))
+            image(rule, MU2, (0.5, 0.5))
 
 
 def _row_loop_lookup(rule: TabulatedRule, X: np.ndarray) -> np.ndarray:
@@ -241,26 +247,26 @@ class TestTabulatedLookup:
 class TestStubbornFamily:
     def test_example_a_pointwise(self):
         rule = stubborn_example_a()
-        assert evaluate(rule, MU3, (0.4, 0.4, 0.2)).allclose((0.2, 1 / 3, 1 - 0.2 - 1 / 3))
-        assert evaluate(rule, MU3, (1, 0, 0)).allclose((1, 0, 0))
+        assert sup_close(image(rule, MU3, (0.4, 0.4, 0.2)), (0.2, 1 / 3, 1 - 0.2 - 1 / 3))
+        assert sup_close(image(rule, MU3, (1, 0, 0)), (1, 0, 0))
         # Erring vertices sit a quarter of the way from x* to themselves.
-        assert evaluate(rule, MU3, (0, 1, 0)).allclose((3 / 20, 1 / 2, 7 / 20))
-        assert evaluate(rule, MU3, (0, 0, 1)).allclose((3 / 20, 1 / 4, 3 / 5))
+        assert sup_close(image(rule, MU3, (0, 1, 0)), (3 / 20, 1 / 2, 7 / 20))
+        assert sup_close(image(rule, MU3, (0, 0, 1)), (3 / 20, 1 / 4, 3 / 5))
         # Edges collapse too.
-        assert evaluate(rule, MU3, (0.5, 0.5, 0)).allclose((0.2, 1 / 3, 1 - 0.2 - 1 / 3))
+        assert sup_close(image(rule, MU3, (0.5, 0.5, 0)), (0.2, 1 / 3, 1 - 0.2 - 1 / 3))
 
     def test_example_b_pointwise(self):
         rule = stubborn_example_b()
         star = (0.5, 0.5, 0.0)
-        assert evaluate(rule, MU3, (0.2, 0.3, 0.5)).allclose(star)
+        assert sup_close(image(rule, MU3, (0.2, 0.3, 0.5)), star)
         # Split edge: collapse toward the second vertex, identity beyond.
-        assert evaluate(rule, MU3, (0.3, 0.7, 0.0)).allclose(star)
-        assert evaluate(rule, MU3, (0.7, 0.3, 0.0)).allclose((0.7, 0.3, 0.0))
+        assert sup_close(image(rule, MU3, (0.3, 0.7, 0.0)), star)
+        assert sup_close(image(rule, MU3, (0.7, 0.3, 0.0)), (0.7, 0.3, 0.0))
         # The fully-correct edge.
-        assert evaluate(rule, MU3, (0.4, 0.0, 0.6)).allclose((0.4, 0.0, 0.6))
+        assert sup_close(image(rule, MU3, (0.4, 0.0, 0.6)), (0.4, 0.0, 0.6))
         # Remaining edge collapses.
-        assert evaluate(rule, MU3, (0.0, 0.4, 0.6)).allclose(star)
-        assert evaluate(rule, MU3, (0, 1, 0)).allclose((0.3, 0.7, 0.0))
+        assert sup_close(image(rule, MU3, (0.0, 0.4, 0.6)), star)
+        assert sup_close(image(rule, MU3, (0, 1, 0)), (0.3, 0.7, 0.0))
 
     def test_spec_validation(self):
         with pytest.raises(WrongDimension):
@@ -283,6 +289,11 @@ class TestStubbornFamily:
         with pytest.raises(ValueError):
             # Split edge must contain the common point.
             StubbornSpec((0.2, 0.3, 0.5), edge_case=((0, 1), 0))
+
+
+def pushforward(d, mu, rho):
+    """Image of a posterior distribution under the rule (coincident images merge)."""
+    return PosteriorDistribution(evaluate_batch(d, mu, rho.support), rho.probs)
 
 
 class TestPushforward:
@@ -322,9 +333,9 @@ class TestClassifyError:
             n = int(rng.integers(2, 5))
             mu = rng.dirichlet(np.ones(n))
             x = rng.dirichlet(np.ones(n))
-            assert classify_error(BayesRule(n), mu, x).kind == "none"
+            assert kind(BayesRule(n), mu, x) == 0
 
-    def test_shrinkage_contractive_with_witness(self):
+    def test_shrinkage_contractive(self):
         rng = np.random.default_rng(7)
         rule = ShrinkageRule(0.5, 3)
         for _ in range(500):
@@ -332,18 +343,13 @@ class TestClassifyError:
             x = rng.dirichlet(np.ones(3))
             if np.max(np.abs(x - mu)) < 1e-6:
                 continue
-            err = classify_error(rule, mu, x)
-            assert err.kind == "contractive"
-            assert err.witness_lambda == pytest.approx(0.5, abs=1e-7)
+            assert kind(rule, mu, x) == 2
 
     def test_grether_expansive(self):
-        err = classify_error(GretherRule(2.0, 1.0, 2), MU2, (0.7, 0.3))
-        assert err.kind == "expansive"
+        assert kind(GretherRule(2.0, 1.0, 2), MU2, (0.7, 0.3)) == 1
 
     def test_image_at_prior_counts_as_contractive(self):
-        err = classify_error(TrivialRule((0.5, 0.5)), MU2, (0.9, 0.1))
-        assert err.kind == "contractive"
-        assert err.witness_lambda == pytest.approx(0.0, abs=1e-9)
+        assert kind(TrivialRule((0.5, 0.5)), MU2, (0.9, 0.1)) == 2
 
 
 def _reference_classify_batch(d, mu, X, tol=TOL_GEO):
@@ -639,12 +645,12 @@ class TestStubbornChecker:
     def test_reference_rule_a(self):
         v = is_occasionally_stubborn(stubborn_example_a(), MU3, samples_per_face=24)
         assert v.ok
-        assert v.x_star.allclose((0.2, 1 / 3, 1 - 0.2 - 1 / 3))
+        assert sup_close(v.x_star, (0.2, 1 / 3, 1 - 0.2 - 1 / 3))
 
     def test_reference_rule_b(self):
         v = is_occasionally_stubborn(stubborn_example_b(), MU3, samples_per_face=24)
         assert v.ok
-        assert v.x_star.allclose((0.5, 0.5, 0.0))
+        assert sup_close(v.x_star, (0.5, 0.5, 0.0))
 
     def test_bayes_vacuous(self):
         v = is_occasionally_stubborn(BayesRule(3), MU3)
@@ -657,6 +663,22 @@ class TestStubbornChecker:
     def test_wrong_dimension(self):
         with pytest.raises(WrongDimension):
             is_occasionally_stubborn(BayesRule(2), MU2)
+
+    def test_sample_count_past_the_cap_is_refused_before_any_face(self, monkeypatch):
+        # count * (2^n - n - 1) points: 1,572,456 at n = 16 and 24 per face, 3,145,296 at n = 17.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a face list was built")
+
+        monkeypatch.setattr(distortions, "enumerate_faces", refuse)
+        distortions.refuse_face_stack(16)
+        distortions.refuse_face_stack(17, count=12)
+        for n, count in ((17, 24), (16, 31), (10**9, 24)):
+            with pytest.raises(WrongDimension, match=f"{count} samples on each face of {n} states exceed 2,000,000"):
+                distortions.refuse_face_stack(n, count)
+        with pytest.raises(WrongDimension):
+            is_occasionally_stubborn(BayesRule(17), np.full(17, 1 / 17))
+        with pytest.raises(WrongDimension):
+            audit(BayesRule(17), np.full(17, 1 / 17), grid_size=11)
 
     def test_family_members_always_pass(self):
         rng = np.random.default_rng(9)
@@ -682,10 +704,16 @@ class TestStubbornChecker:
 
 
 class TestTrivialAndAffine:
-    def test_trivial_detection(self):
-        assert is_trivial_on_interior(TrivialRule((0.2, 0.3, 0.5)), MU3)
-        assert not is_trivial_on_interior(BayesRule(3), MU3)
-        assert is_trivial_on_interior(stubborn_example_a(), MU3)
+    def test_trivial_rules_meet_the_structure_checkers(self):
+        # Every trivial rule is a collapse rule (n >= 3) or an interval rule with a point interval (n = 2).
+        assert is_occasionally_stubborn(TrivialRule((0.2, 0.3, 0.5)), MU3).ok
+        assert is_occasionally_coarse(TrivialRule((0.4, 0.6)), MU2).ok
+        rng = np.random.default_rng(10)
+        for k in range(100):
+            n = 2 + k % 4
+            rule, mu = random_rule("trivial", n, rng), rng.dirichlet(np.full(n, 3.0))
+            check = is_occasionally_coarse if n == 2 else is_occasionally_stubborn
+            assert check(rule, mu).ok, rule.to_json()
 
     def test_affine_families(self):
         assert is_affine(ShrinkageRule(0.5, 3), MU3)
@@ -819,4 +847,4 @@ class TestSerialization:
         path = tmp_path / "rule.csv"
         path.write_text("# node, image\n0.25,0.75,0.3,0.7\n0.75,0.25,0.7,0.3\n")
         rule = tabulated_from_csv(path, n=2, tol=0.05)
-        assert evaluate(rule, MU2, (0.75, 0.25)).allclose((0.7, 0.3))
+        assert sup_close(image(rule, MU2, (0.75, 0.25)), (0.7, 0.3))

@@ -24,7 +24,6 @@ from blackwell_audit.experiments import (
     bayes,
     blackwell_dominates,
     garble,
-    is_mpc,
 )
 from blackwell_audit.geometry import (
     Belief,
@@ -41,12 +40,17 @@ from blackwell_audit.geometry import (
     simplex_lattice,
     solve_lp,
     uniform_belief,
-    vertex_belief,
 )
+from oracles import is_mpc
 
 
 def random_belief(rng, n):
     return rng.dirichlet(np.ones(n))
+
+
+def side(h, x) -> float:
+    """The hyperplane's signed evaluation normal . x - offset."""
+    return float(h.normal @ np.asarray(x, dtype=np.float64) - h.offset)
 
 
 class TestBelief:
@@ -66,10 +70,6 @@ class TestBelief:
     def test_rejects_real_negative(self):
         with pytest.raises(ValueError):
             Belief([1.1, -0.1])
-
-    def test_face_support(self):
-        assert Belief([0.5, 0.0, 0.5]).face().support == (0, 2)
-        assert vertex_belief(4, 2).face().support == (2,)
 
     def test_immutable(self):
         b = uniform_belief(3)
@@ -354,7 +354,8 @@ class TestHostileInput:
             Belief, in_convex_hull, separating_hyperplane_sets)
         from blackwell_audit.auditor import audit
         from blackwell_audit.distortions import BayesRule, TabulatedRule, evaluate_batch
-        from blackwell_audit.experiments import Experiment, PosteriorDistribution, bayes, experiment_from_posteriors, is_mpc
+        from blackwell_audit.experiments import Experiment, PosteriorDistribution, bayes, experiment_from_posteriors
+        from oracles import is_mpc
 
         def hand_built(support, probs, barycenter):
             # The constructor rejects a non-finite barycenter, so set the fields directly.
@@ -395,7 +396,8 @@ class TestHostileInput:
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_coordinates_raise_value_error(self, bad):
         src = os.path.dirname(os.path.dirname(blackwell_audit.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        paths = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")]  # the package, then oracles
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
         argv = [sys.executable, "-W", "error::RuntimeWarning", "-c", self.SCRIPT, bad]
         done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
@@ -424,13 +426,13 @@ class TestSeparatingHyperplane:
         hull = [(0.2, 0.2, 0.6), (0.6, 0.2, 0.2), (0.2, 0.6, 0.2)]
         h = separating_hyperplane_sets([p], hull)
         assert np.max(np.abs(h.normal)) == pytest.approx(1.0)
-        assert h.value(p) > 0
-        assert all(h.value(q) < 0 for q in hull)
+        assert side(h, p) > 0
+        assert all(side(h, q) < 0 for q in hull)
 
     def test_two_state_direction(self):
         h = separating_hyperplane_sets([(1, 0)], [(0.5, 0.5)])
-        assert h.value((1, 0)) > 0
-        assert h.value((0.5, 0.5)) < 0
+        assert side(h, (1, 0)) > 0
+        assert side(h, (0.5, 0.5)) < 0
 
     def test_interior_point_has_no_witness(self):
         with pytest.raises(NoStrictSeparation):
@@ -438,8 +440,8 @@ class TestSeparatingHyperplane:
 
     def test_set_separation(self):
         h = separating_hyperplane_sets([(0.8, 0.1, 0.1), (0.7, 0.2, 0.1)], [(0.2, 0.4, 0.4)])
-        assert h.value((0.8, 0.1, 0.1)) > 0 and h.value((0.7, 0.2, 0.1)) > 0
-        assert h.value((0.2, 0.4, 0.4)) < 0
+        assert side(h, (0.8, 0.1, 0.1)) > 0 and side(h, (0.7, 0.2, 0.1)) > 0
+        assert side(h, (0.2, 0.4, 0.4)) < 0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -466,8 +468,8 @@ class TestSeparatingHyperplane:
                     separating_hyperplane_sets([p], hull, margin=1e-9)
             else:
                 h = separating_hyperplane_sets([p], hull, margin=1e-9)
-                assert h.value(p) > 0
-                assert max(h.value(q) for q in hull) < 0
+                assert side(h, p) > 0
+                assert max(side(h, q) for q in hull) < 0
 
 
 
@@ -555,7 +557,7 @@ class TestSeparationWitness:
         with pytest.raises(NoStrictSeparation, match="^achievable margin"):
             separating_hyperplane_sets([(1 / 3, 1 / 3, 1 / 3)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         h = separating_hyperplane_sets([(0.9, 0.05, 0.05)], [(0.2, 0.2, 0.6), (0.2, 0.6, 0.2)])
-        assert h.value((0.9, 0.05, 0.05)) > 0 > h.value((0.2, 0.6, 0.2))
+        assert side(h, (0.9, 0.05, 0.05)) > 0 > side(h, (0.2, 0.6, 0.2))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_raises_linprog_error(self, bad):
