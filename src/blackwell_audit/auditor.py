@@ -67,6 +67,7 @@ from .geometry import (
     Hyperplane,
     NoStrictSeparation,
     in_convex_hull,
+    merge_owners,
     separating_hyperplane_sets,
     simplex_lattice,
 )
@@ -438,16 +439,16 @@ def _audit_expansive(search: _Search, X0: np.ndarray) -> Optional[ViolationCerti
     marks the live gammas: where x0's image is that of both moved points, every branch would skip uncharged.
     Then, one error and width at a time, a width with a live gamma builds its scaffold and runs the hull test
     and the charged branches, so the outcome, a raised error included (``_images``), is unchanged.  A scaffold
-    whose atoms ``PosteriorDistribution`` merges is built first; its moved points come from what it keeps.
+    whose atoms ``merge_owners`` merges is built first; its moved points come from what it keeps.  An error
+    within tol of the prior is skipped: ``_single_mode_recipes`` runs the misread-prior recipe once, first.
     """
     d, mu, tol = search.d, search.mu, search.tol
     E, n = X0.shape
-    prior = np.abs(X0 - mu).max(axis=1) <= tol  # a misread prior: _audit_prior_error at its place
     support, probs = _scaffolds(mu, X0)
-    usable = ~np.isnan(probs[:, :, 0]) & ~prior[:, None]
-    near = np.abs(support[:, :, :, None] - support[:, :, None]).max(axis=4) <= TOL_GEO
+    usable = ~np.isnan(probs[:, :, 0]) & (np.abs(X0 - mu).max(axis=1) > tol)[:, None]  # none at the prior
+    merges = (merge_owners(support) != np.arange(n)).any(axis=2)
     targets, built = support[:, :, 1:].mean(axis=2), {}
-    for e, w in np.argwhere(usable & (near.sum(axis=(2, 3)) > n)).tolist():
+    for e, w in np.argwhere(usable & merges).tolist():
         rho = built[e, w] = _distribution(support[e, w], probs[e, w])
         usable[e, w] = rho is not None
         if rho is not None:
@@ -470,9 +471,6 @@ def _audit_expansive(search: _Search, X0: np.ndarray) -> Optional[ViolationCerti
     for e, w, lo, _ in order:
         if (e, w) == stop:
             raise failure
-        cert = _audit_prior_error(search) if w < 0 and prior[e] else None
-        if cert is not None:
-            return cert
         if w < 0 or not live[e, w].any():
             continue
         x0, img0 = X0[e], imgs[e]
@@ -724,9 +722,8 @@ def _vertex_condition_certificate(search: _Search, x_star: np.ndarray) -> Option
     d, mu, tol = search.d, search.mu, search.tol
     verts = np.eye(mu.shape[0])
     vert_imgs = evaluate_batch(d, mu, verts)
-    for i, (e, img) in enumerate(zip(verts, vert_imgs)):
-        if vertex_image_ok(x_star, i, img, tol):
-            continue
+    bad = ~vertex_image_ok(x_star, np.arange(mu.shape[0]), vert_imgs, tol)
+    for i, e, img in zip(np.flatnonzero(bad).tolist(), verts[bad], vert_imgs[bad]):
         problem = search.cut([img], np.vstack([e[None, :], x_star[None, :], mu[None, :]]))
         if problem is None:
             continue

@@ -51,7 +51,11 @@ _CONFIG_KEYS = ("states", "prior", "rule", "grid", "budget", "seed", "tol", "mod
 
 def _resolve_rule(args: argparse.Namespace) -> Distortion:
     text = args.rule.strip()
-    if not text.startswith("{") and Path(text).is_file():
+    try:
+        is_file = not text.startswith("{") and Path(text).is_file()
+    except OSError:  # e.g. a rule longer than a file name may be: it is rule text
+        is_file = False
+    if is_file:
         text = Path(text).read_text()
     try:
         rule = parse_rule(text, n=args.states)

@@ -447,7 +447,7 @@ def classify_batch(d: Distortion, mu, X, tol: float = TOL_GEO):
     Only a block's erring rows, if it has any, are located against the
     posterior-prior segment, column by column (``_segment_residual``); a row
     whose residual lands within ``_REDECIDE`` of tol is decided again by the
-    row-wise formulas (``_segment_residual_rows``), so kinds never depend on
+    row-wise formulas (``on_segment``), so kinds never depend on
     the rounding of the column-wise sums.  Every formula is per row, so blocking changes no bit.
     """
     mua = interior_prior(mu, "rule evaluation")  # also when X has no rows, so no block is evaluated
@@ -471,7 +471,7 @@ def classify_batch(d: Distortion, mu, X, tol: float = TOL_GEO):
         resid = _segment_residual(Xb, imgs, mua)
         near = np.flatnonzero(~(np.abs(resid - tol) > _REDECIDE))
         if near.size:
-            resid[near] = _segment_residual_rows(Xb.take(near, axis=0), imgs.take(near, axis=0), mua)
+            resid[near] = on_segment(Xb.take(near, axis=0), mua, imgs.take(near, axis=0)).resid
         kinds[block][rows] = 2 * (resid <= tol) + (resid > tol)  # a NaN residual stays 0
     return kinds, mags
 
@@ -479,7 +479,7 @@ def classify_batch(d: Distortion, mu, X, tol: float = TOL_GEO):
 def _segment_residual(X: np.ndarray, imgs: np.ndarray, mua: np.ndarray) -> np.ndarray:
     """Per row, the sup-norm distance from the image to its nearest point
     lam x + (1 - lam) mu of the posterior-prior segment, lam clipped to
-    [0, 1]: the formulas of ``_segment_residual_rows``, evaluated in place
+    [0, 1]: the formulas of ``on_segment``, evaluated in place
     on whole columns rather than broadcast over rows of a few entries."""
     XT, IT = X.T, imgs.T
     dx, di = XT[0] - mua[0], IT[0] - mua[0]
@@ -500,17 +500,6 @@ def _segment_residual(X: np.ndarray, imgs: np.ndarray, mua: np.ndarray) -> np.nd
         dx -= IT[c]
         np.maximum(resid, np.abs(dx, out=dx), out=resid)
     return resid
-
-
-def _segment_residual_rows(X: np.ndarray, imgs: np.ndarray, mua: np.ndarray) -> np.ndarray:
-    """``_segment_residual`` with row sums: the census's reference formulas."""
-    dx = X - mua
-    di = imgs - mua
-    denom = np.sum(dx * dx, axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        lam = np.where(denom > 0.0, np.sum(di * dx, axis=1) / np.where(denom > 0, denom, 1.0), 0.0)
-    lam = np.clip(lam, 0.0, 1.0)
-    return np.max(np.abs(lam[:, None] * X + (1.0 - lam[:, None]) * mua - imgs), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -601,65 +590,65 @@ class StubbornVerdict:
         return doc
 
 
-def vertex_image_ok(x_star, i: int, image, tol: float = TOL_GEO) -> bool:
+def vertex_image_ok(x_star, i, image, tol: float = TOL_GEO):
     """The collapse family's vertex condition: vertex i's image lies on the
-    segment from ``x_star`` to vertex i within max(tol, 1e-9).  A correct
+    segment from ``x_star`` to vertex i within max(tol, 1e-9); for an array
+    of vertices i with one image row each, one verdict per row.  A correct
     vertex, whose image is the vertex itself, meets it."""
     xs = _coerce(x_star)
-    return on_segment(xs, vertex_belief(xs.shape[0], i).coords, image, tol=max(tol, 1e-9)).on
+    return on_segment(xs, np.eye(xs.shape[0])[i], image, tol=max(tol, 1e-9)).on
 
 
 #: The collapse checker samples this many points in each face of dimension >= 1.
 _FACE_SAMPLES = 24
 
 
-def refuse_face_stack(n: int, count: int = _FACE_SAMPLES) -> None:
-    """WrongDimension when ``count`` samples on each of the 2^n - n - 1 faces of dimension >= 1
-    exceed ``MAX_POINTS`` (from n = 17 at 24 per face); decided before any face is built."""
-    if count * (2 ** min(n, 64) - n - 1) > MAX_POINTS:  # past 64 states the cap is long exceeded
+def refuse_face_stack(n: int) -> None:
+    """WrongDimension when ``_FACE_SAMPLES`` samples on each of the 2^n - n - 1 faces of dimension >= 1
+    exceed ``MAX_POINTS`` (from n = 17); decided before any face is built."""
+    if _FACE_SAMPLES * (2 ** min(n, 64) - n - 1) > MAX_POINTS:  # past 64 states the cap is long exceeded
         raise WrongDimension(
-            f"the collapse checker's {count} samples on each face of {n} states exceed {MAX_POINTS:,} points"
+            f"the collapse checker's {_FACE_SAMPLES} samples on each face of {n} states exceed {MAX_POINTS:,} points"
         )
 
 
 @functools.lru_cache(maxsize=16)
-def _face_stack(n: int, count: int) -> tuple:
+def _face_stack(n: int) -> tuple:
     """(faces, samples): every face of dimension >= 1 and its ``face_samples``, stacked
-    in face order, ``count`` rows per face; cached, read-only."""
+    in face order, ``_FACE_SAMPLES`` rows per face; cached, read-only."""
     faces = tuple(enumerate_faces(n, min_dim=1))
-    stack = np.vstack([face_samples(face, n, count) for face in faces])
+    stack = np.vstack([face_samples(face, n, _FACE_SAMPLES) for face in faces])
     stack.setflags(write=False)
     return faces, stack
 
 
-def is_occasionally_stubborn(
-    d: Distortion, mu, samples_per_face: int = _FACE_SAMPLES, tol: float = TOL_GEO
-) -> StubbornVerdict:
+def is_occasionally_stubborn(d: Distortion, mu, tol: float = TOL_GEO) -> StubbornVerdict:
     """Structure test for three or more states.
 
     Samples the relative interior of every face (deterministically, keyed
     by the face), plus all vertices.  With any error present, x* is the
     image the full simplex's samples share (named even in a refutation):
     every face of dimension >= 2 whose closure errs collapses to x*; so do
-    erring edges, except possibly one edge through x* that keeps its far
-    side correct; erring vertices meet ``vertex_image_ok`` at x*.  Raises
-    WrongDimension for fewer than three states, or too many (``refuse_face_stack``).
+    erring edges, except possibly a split edge through x*, read as
+    ``StubbornRule`` reads its ``edge_case``; erring vertices meet
+    ``vertex_image_ok`` at x*.  Raises WrongDimension for fewer than three
+    states, or too many (``refuse_face_stack``).
     """
     n = d.n
     if n < 3:
         raise WrongDimension("this structure test needs three or more states")
-    refuse_face_stack(n, samples_per_face)
+    refuse_face_stack(n)
 
     verts = np.eye(n)
     vert_imgs = evaluate_batch(d, mu, verts)
     vert_err = np.max(np.abs(vert_imgs - verts), axis=1) > tol
 
-    faces, stack = _face_stack(n, samples_per_face)
+    faces, stack = _face_stack(n)
     stack_imgs = evaluate_batch(d, mu, stack)
     stack_errs = np.max(np.abs(stack_imgs - stack), axis=1) > tol
     face_data = []  # (face, samples, images, err mask)
     for j, face in enumerate(faces):
-        part = slice(j * samples_per_face, (j + 1) * samples_per_face)
+        part = slice(j * _FACE_SAMPLES, (j + 1) * _FACE_SAMPLES)
         face_data.append((face, stack[part], stack_imgs[part], stack_errs[part]))
 
     error_supports = [face.support for face, _, _, errs in face_data if bool(np.any(errs))]
@@ -683,35 +672,27 @@ def is_occasionally_stubborn(
         if bad.any():
             return StubbornVerdict(False, star, (S[int(np.argmax(bad))], "item1-common-image"))
 
-    def star_in_edge_interior(face: Face) -> bool:
-        i, j = face.support
-        inside = x_star[i] > SUPPORT_TOL and x_star[j] > SUPPORT_TOL
-        off = np.delete(x_star, [i, j])
-        return inside and (off.size == 0 or np.max(off) <= SUPPORT_TOL)
-
-    def split_reads(S: np.ndarray, imgs: np.ndarray, extreme: int) -> bool:
-        """Samples strictly between x* and vertex ``extreme`` read as x*, the rest correctly."""
-        for x, img in zip(S, imgs):
-            loc = on_segment(verts[extreme], x_star, x, tol=tol)
-            want = x_star if loc.on and 1e-9 < loc.lam < 1.0 - 1e-9 else x
-            if np.max(np.abs(img - want)) > tol:
-                return False
-        return True
+    def reads_as_split(edge: tuple, S: np.ndarray, imgs: np.ndarray) -> bool:
+        """The samples read as ``StubbornRule`` reads them with x* and this split edge, for one of its
+        vertices; never when ``StubbornSpec`` refuses x* inside this edge."""
+        try:
+            splits = [StubbornRule(StubbornSpec(x_star, edge_case=(edge, k))) for k in edge]
+        except ValueError:
+            return False
+        return any(np.max(np.abs(imgs - evaluate_batch(rule, mu, S))) <= tol for rule in splits)
 
     # Item 2: erring edges collapse, except possibly the split edge through x*.
     for face, S, imgs, errs in face_data:
         if face.dim != 1 or not closure_errs(face):
             continue
         dist = np.max(np.abs(imgs - x_star), axis=1)
-        if np.all(dist <= tol):
-            continue
-        if not (star_in_edge_interior(face) and any(split_reads(S, imgs, extreme) for extreme in face.support)):
+        if not (np.all(dist <= tol) or reads_as_split(face.support, S, imgs)):
             return StubbornVerdict(False, star, (S[int(np.argmax(dist))], "item2-edge"))
 
     # Item 3: erring vertices map onto their segment toward x*.
-    for i in np.nonzero(vert_err)[0]:
-        if not vertex_image_ok(x_star, i, vert_imgs[i], tol):
-            return StubbornVerdict(False, star, (verts[i], "item3-vertex"))
+    bad = vert_err & ~vertex_image_ok(x_star, np.arange(n), vert_imgs, tol)
+    if bad.any():
+        return StubbornVerdict(False, star, (verts[int(np.argmax(bad))], "item3-vertex"))
 
     return StubbornVerdict(True, star)
 
@@ -733,7 +714,7 @@ def affine_chords(d: Distortion, mu, grid_size: int = 21) -> tuple:
     affine map has h = 0 on every chord.
     """
     n = d.n
-    res = max(2, grid_size - 1)
+    res = max(2, min(grid_size - 1, _CHORD_POINTS))  # any finer lattice has more than _CHORD_POINTS points
     while res > 2 and math.comb(res + n - 1, n - 1) > _CHORD_POINTS:
         res -= 1
     Z = _lattice(n, res)

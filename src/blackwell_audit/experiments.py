@@ -18,12 +18,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import (
-    TOL_GEO,
     TOL_SUM,
     Belief,
     DimensionMismatch,
     _coerce,
     _min_sup_residual,
+    merge_owners,
     nnls,
 )
 
@@ -111,11 +111,11 @@ class PosteriorDistribution:
     """Finite-support distribution over posterior beliefs.
 
     The support is an (atoms, states) array, taken as it is, or a sequence
-    of Beliefs or coordinate arrays.  Each support point within TOL_GEO
-    (sup norm) of an earlier kept point is merged into the first such point
-    on construction (probabilities summed), so the support is always
-    pairwise distinct; zero-probability atoms are dropped.  The barycenter
-    is cached.
+    of Beliefs or coordinate arrays.  On construction, zero-probability
+    atoms are dropped and the rest merged by ``merge_owners`` (a point
+    within TOL_GEO, sup norm, of an earlier kept point joins the first such
+    point, probabilities summed), so the support is always pairwise
+    distinct.  The barycenter is cached.
     """
 
     support: np.ndarray
@@ -137,25 +137,9 @@ class PosteriorDistribution:
         rows = np.flatnonzero(pr > 0.0)
         if rows.size == 0:
             raise ValueError("distribution needs at least one positive-probability atom")
-        # Each atom joins the first kept atom within TOL_GEO (sup norm), else is kept.
-        with np.errstate(invalid="ignore"):  # inf - inf: NaN, never near; Belief rejects the point below
-            near = np.max(np.abs(pts[rows, None, :] - pts[None, rows, :]), axis=2) <= TOL_GEO
-        np.fill_diagonal(near, False)
-        if near.any():
-            kept: list = []  # positions in rows
-            merged_pr: list = []
-            for a, i in enumerate(rows.tolist()):
-                for slot, b in enumerate(kept):
-                    if near[a, b]:
-                        merged_pr[slot] += pr[i]
-                        break
-                else:
-                    kept.append(a)
-                    merged_pr.append(pr[i])
-            sup = pts[rows[kept]]
-            pra = np.asarray(merged_pr)
-        else:  # pairwise distinct already: every atom is kept
-            sup, pra = pts[rows], pr[rows]
+        owners = merge_owners(pts[rows])  # NaN rows stay apart; Belief rejects them below
+        kept = np.flatnonzero(owners == np.arange(rows.size))
+        sup, pra = pts[rows[kept]], np.bincount(owners, weights=pr[rows])[kept]
         pra = pra / pra.sum()
         sup.flags.writeable = False
         pra.flags.writeable = False

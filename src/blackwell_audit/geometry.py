@@ -185,36 +185,54 @@ class Hyperplane:
 
 
 class SegmentLocation(NamedTuple):
-    on: bool
-    lam: float
+    """``on_segment``'s verdicts, weights and residuals: one per row, scalars for single points."""
+
+    on: np.ndarray
+    lam: np.ndarray
+    resid: np.ndarray
 
 
 def on_segment(x, y, z, tol: float = TOL_GEO) -> SegmentLocation:
-    """Test whether z lies on the segment from x to y.
+    """Locate z against the segment from x to y, row by row.
 
-    Returns the least-squares mixing weight lam (clamped to [0, 1]) with
-    lam * x + (1 - lam) * y as the nearest segment point; ``on`` is true
-    when that point is within ``tol`` of z in the sup norm.  lam = 1 at x
-    and lam = 0 at y.
+    x, y and z are points or stacks of rows that broadcast together.  lam
+    is the least-squares mixing weight (clamped to [0, 1], 0 when x = y),
+    with lam * x + (1 - lam) * y the nearest segment point; resid is its
+    sup-norm distance from z, and ``on`` is resid <= tol.  lam = 1 at x and
+    lam = 0 at y.  These are the census's formulas: each row's values are
+    bitwise those of its own call.
     """
     xa, ya, za = _coerce(x), _coerce(y), _coerce(z)
-    d = xa - ya
-    denom = float(d @ d)
-    if denom == 0.0:
-        lam = 1.0
-    else:
-        lam = float(np.clip((za - ya) @ d / denom, 0.0, 1.0))
-    resid = float(np.max(np.abs(lam * xa + (1.0 - lam) * ya - za)))
-    return SegmentLocation(resid <= tol, lam)
+    dx, dz = xa - ya, za - ya
+    denom = np.sum(dx * dx, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lam = np.where(denom > 0.0, np.sum(dz * dx, axis=-1) / np.where(denom > 0, denom, 1.0), 0.0)
+    lam = np.clip(lam, 0.0, 1.0)
+    resid = np.max(np.abs(lam[..., None] * xa + (1.0 - lam[..., None]) * ya - za), axis=-1)
+    return SegmentLocation(resid <= tol, lam, resid)
 
 
-def dedupe_points(points: np.ndarray) -> np.ndarray:
-    """Drop near-duplicate rows (sup-norm within TOL_GEO), keeping first occurrences."""
-    kept: list = []
-    for row in points:
-        if not any(np.max(np.abs(row - k)) <= TOL_GEO for k in kept):
-            kept.append(row)
-    return np.asarray(kept)
+def merge_owners(points) -> np.ndarray:
+    """The merge rule: each row's owner, the first kept row within TOL_GEO (sup norm) of it.
+
+    Rows are taken in order over the last two axes of ``points`` (..., k, n);
+    a row with no kept row that near is kept and owns itself.  A row holding
+    NaN is near no other row.
+    """
+    P = np.asarray(points, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, never near
+        near = np.abs(P[..., :, None, :] - P[..., None, :, :]).max(axis=-1) <= TOL_GEO
+    near |= np.eye(P.shape[-2], dtype=bool)  # so a NaN row is near itself, and only pairs add to the count
+    owners = np.empty(P.shape[:-1], dtype=np.intp)
+    owners[...] = np.arange(P.shape[-2])
+    if np.count_nonzero(near) == owners.size:  # no row is near another
+        return owners
+    for *lead, i in np.argwhere(near.sum(axis=-1) > 1).tolist():  # rows near another row, in order
+        own, close = owners[tuple(lead)], near[tuple(lead)][i, :i]
+        kept = np.flatnonzero(close & (own[:i] == np.arange(i)))
+        if kept.size:
+            own[i] = kept[0]
+    return owners
 
 
 def in_convex_hull(p, hull_points: Sequence, tol: float = TOL_GEO) -> bool:
@@ -363,8 +381,7 @@ def separating_hyperplane_sets(above: Sequence, below: Sequence, margin: float =
         gap = float(np.max(np.abs(u @ A / u.sum() - v @ B / v.sum())))
         if gap <= 2.0 * margin / n:
             raise NoStrictSeparation(f"the hulls meet within {gap:.3e}: no margin exceeds {margin:.3e}")
-    A = dedupe_points(A) if len(A) > 1 else A  # one point needs no dedupe
-    B = dedupe_points(B)
+    A, B = (P[merge_owners(P) == np.arange(len(P))] for P in (A, B))  # the LP sees each merged point once
     # Variables: normal (n), offset, margin m; maximize m.
     c = np.zeros(n + 2)
     c[-1] = -1.0

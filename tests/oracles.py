@@ -3,7 +3,8 @@
 No audit or verification calls them, so they live with the tests:
 ``value_function`` (the upper envelope at one belief, with its tie set),
 ``convexity_violations`` (a sampled chord test of a welfare profile) and
-``is_mpc`` (the dilation LP, the second route to the Blackwell order).
+``is_mpc`` (the dilation LP, the second route to the Blackwell order)
+and ``dedupe_points`` (the merge rule as one sup-norm comparison per pair).
 ``sup_close`` compares beliefs in the sup norm.
 """
 
@@ -21,6 +22,15 @@ from blackwell_audit.geometry import TOL_GEO, _coerce, _min_sup_residual
 def sup_close(a, b) -> bool:
     """True when two beliefs (or coordinate arrays) differ by at most TOL_GEO (1e-9) in every coordinate."""
     return bool(np.max(np.abs(_coerce(a) - _coerce(b))) <= TOL_GEO)
+
+
+def dedupe_points(points: np.ndarray) -> np.ndarray:
+    """Drop near-duplicate rows (sup-norm within TOL_GEO), keeping first occurrences."""
+    kept: list = []
+    for row in points:
+        if not any(np.max(np.abs(row - k)) <= TOL_GEO for k in kept):
+            kept.append(row)
+    return np.asarray(kept)
 
 
 class ValueResult(NamedTuple):

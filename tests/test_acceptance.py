@@ -170,7 +170,7 @@ class TestCriterion3ThreeStateSufficiency:
         rng = np.random.default_rng(103)
         rules = {"trivial-on-edges": stubborn_example_a(), "split-edge": stubborn_example_b()}
         checker_ok = all(
-            is_occasionally_stubborn(rule, MU3, samples_per_face=24).ok for rule in rules.values()
+            is_occasionally_stubborn(rule, MU3).ok for rule in rules.values()
         )
 
         def gap(rule, pi, pi_p, problem):
@@ -323,7 +323,7 @@ class TestCriterion6CheckerAuditorAlignment:
                 if n == 2:
                     refuted = not is_occasionally_coarse(rule, mu, grid_size=150, tol=1e-9).ok
                 else:
-                    refuted = not is_occasionally_stubborn(rule, mu, samples_per_face=16, tol=1e-9).ok
+                    refuted = not is_occasionally_stubborn(rule, mu, tol=1e-9).ok
                 seed = int(rng.integers(1 << 30))
                 rep = audit(rule, mu, grid_size=101 if n == 2 else 41, budget=250, seed=seed)
                 found = rep.verdict == "violation"

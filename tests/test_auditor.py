@@ -188,6 +188,16 @@ def _with_vertex_image(x_star, i, image):
     return OneVertex(x_star)
 
 
+class _PriorDrift(BayesRule):
+    """Bayes, except that the prior itself is read as (0.6, 0.2, 0.2)."""
+
+    def apply_batch(self, mu, X):
+        out = super().apply_batch(mu, X)
+        at_prior = np.max(np.abs(np.asarray(X) - mu), axis=-1) < 1e-9
+        out[at_prior] = [0.6, 0.2, 0.2]
+        return out
+
+
 def _no_search(monkeypatch):
     def refuse(search):
         raise AssertionError("random search ran on a rule the checker accepts")
@@ -303,18 +313,19 @@ class TestFullAudit:
     def test_misread_prior_is_caught(self):
         # Identity except the prior itself drifts: the two-stage
         # contraction recipe must produce a certificate.
-        class PriorDrift(BayesRule):
-            def apply_batch(self, mu, X):
-                out = super().apply_batch(mu, X)
-                mua = np.asarray(mu, dtype=np.float64)
-                at_prior = np.max(np.abs(np.asarray(X) - mua), axis=-1) < 1e-9
-                out[at_prior] = [0.6, 0.2, 0.2]
-                return out
-
-        rep = audit(PriorDrift(3), MU3, grid_size=31, budget=300, seed=1)
+        rep = audit(_PriorDrift(3), MU3, grid_size=31, budget=300, seed=1)
         assert rep.verdict == "violation"
         assert rep.certificate.recipe == "degenerate-prior"
         assert verify_certificate(rep.certificate)[0]
+
+    def test_misread_prior_recipe_runs_once(self, monkeypatch):
+        # The prior is the census's one error, an expansive one, and is dispatched: the recipe,
+        # made to fail, must not run again there, where it could only charge its cut again.
+        calls = []
+        monkeypatch.setattr(auditor, "_audit_prior_error", lambda search: calls.append(search.used))
+        rep = audit(_PriorDrift(3), MU3, grid_size=31, budget=300, seed=1)
+        assert rep.error_census == {"none": 495, "expansive": 1, "contractive": 0}
+        assert calls == [0] and rep.certificate is None and rep.budget_used == 0
 
     def test_illegal_vertex_image_is_caught(self):
         # Collapse rule whose vertex image strays off the segment toward
@@ -912,7 +923,7 @@ def _weights_first_expansive(search: _Search, x0: np.ndarray) -> Optional[Violat
     d, mu, tol = search.d, search.mu, search.tol
     img0 = evaluate_batch(d, mu, x0[None, :])[0]
     if np.max(np.abs(x0 - mu)) <= tol:
-        return _audit_prior_error(search)
+        return None  # a misread prior: its recipe runs once, before any error is dispatched
 
     for rho in _one_error_scaffolds(mu, x0):
         others = rho.support[1:]

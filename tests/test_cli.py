@@ -93,6 +93,14 @@ class TestAuditCommand:
         ])
         assert code == EXIT_VIOLATION
 
+    def test_rule_text_longer_than_a_file_name(self, tmp_path):
+        # 60 coordinates make rule text far past the 255-byte limit on a file name, which
+        # the probe for a rule file must not turn into an error.
+        rule = "trivial(" + ",".join(["0.016666666666666666"] * 60) + ")"
+        out = tmp_path / "r.json"
+        code = run(["audit", "--states", "60", "--mode", "double", "--grid", "11", "--rule", rule, "--out", str(out)])
+        assert code == EXIT_OK and json.loads(out.read_text())["verdict"] == "pass"
+
     def test_config_errors(self, tmp_path):
         assert run(["audit", "--states", "1", "--rule", "bayes"]) == EXIT_CONFIG
         assert run(["audit", "--states", "2", "--rule", "nonsense(1)"]) == EXIT_CONFIG

@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -449,8 +450,8 @@ class TestClassifyBatch:
         real_columns = distortions._segment_residual
         monkeypatch.setattr(distortions, "_segment_residual", lambda *a: real_columns(*a) + shift)
         redecided = []
-        real_rows = distortions._segment_residual_rows
-        monkeypatch.setattr(distortions, "_segment_residual_rows", lambda *a: redecided.append(len(a[0])) or real_rows(*a))
+        real_rows = distortions.on_segment
+        monkeypatch.setattr(distortions, "on_segment", lambda *a: redecided.append(len(a[0])) or real_rows(*a))
         kinds, _ = classify_batch(rule, mu, X, tol)
         ref_kinds, _, _ = _reference_classify_batch(rule, mu, X, tol)
         assert kinds[row] == 2 and redecided
@@ -643,13 +644,34 @@ class TestCoarseChecker:
 
 class TestStubbornChecker:
     def test_reference_rule_a(self):
-        v = is_occasionally_stubborn(stubborn_example_a(), MU3, samples_per_face=24)
+        v = is_occasionally_stubborn(stubborn_example_a(), MU3)
         assert v.ok
         assert sup_close(v.x_star, (0.2, 1 / 3, 1 - 0.2 - 1 / 3))
 
     def test_reference_rule_b(self):
-        v = is_occasionally_stubborn(stubborn_example_b(), MU3, samples_per_face=24)
+        v = is_occasionally_stubborn(stubborn_example_b(), MU3)
         assert v.ok
+        assert sup_close(v.x_star, (0.5, 0.5, 0.0))
+
+    @pytest.mark.parametrize("edge", [(0, 1), (1, 2)])
+    def test_an_edge_no_split_rule_reads_is_refuted(self, edge):
+        # Example b splits edge (0, 1) at x* = (1/2, 1/2, 0): its side toward vertex 1 collapses.
+        # Reading that edge's points with 0.5 < x_1 < 0.7 correctly moves the split; reading
+        # edge (1, 2)'s points with 0.3 < x_1 < 0.5 correctly splits an edge x* is not inside.
+        base, other = stubborn_example_b(), 3 - sum(edge)
+        lo, hi = (0.5, 0.7) if edge == (0, 1) else (0.3, 0.5)
+
+        class MovedSplit(Distortion):
+            n = 3
+
+            def apply_batch(self, mu, X):
+                out = base.apply_batch(mu, X)
+                band = (X[:, other] == 0.0) & (X[:, 1] > lo) & (X[:, 1] < hi)
+                out[band] = X[band]
+                return out
+
+        v = is_occasionally_stubborn(MovedSplit(), MU3)
+        assert not v.ok and v.refutation[1] == "item2-edge" and v.refutation[0][other] == 0.0
         assert sup_close(v.x_star, (0.5, 0.5, 0.0))
 
     def test_bayes_vacuous(self):
@@ -671,10 +693,9 @@ class TestStubbornChecker:
 
         monkeypatch.setattr(distortions, "enumerate_faces", refuse)
         distortions.refuse_face_stack(16)
-        distortions.refuse_face_stack(17, count=12)
-        for n, count in ((17, 24), (16, 31), (10**9, 24)):
-            with pytest.raises(WrongDimension, match=f"{count} samples on each face of {n} states exceed 2,000,000"):
-                distortions.refuse_face_stack(n, count)
+        for n in (17, 10**9):
+            with pytest.raises(WrongDimension, match=f"24 samples on each face of {n} states exceed 2,000,000"):
+                distortions.refuse_face_stack(n)
         with pytest.raises(WrongDimension):
             is_occasionally_stubborn(BayesRule(17), np.full(17, 1 / 17))
         with pytest.raises(WrongDimension):
@@ -686,7 +707,7 @@ class TestStubbornChecker:
             n = 3 if k % 2 == 0 else 4
             rule = random_rule("occ-stubborn", n, rng)
             mu = np.full(n, 1.0 / n)
-            v = is_occasionally_stubborn(rule, mu, samples_per_face=16)
+            v = is_occasionally_stubborn(rule, mu)
             assert v.ok, (k, rule.spec.to_json(), v.to_json())
 
     def test_identity_interior_with_erring_vertex_refuted(self):
@@ -738,6 +759,17 @@ class TestTrivialAndAffine:
             assert n * (n - 1) // 2 <= z.shape[0] <= 12_000, (n, grid_size, z.shape[0])
             assert np.max(np.abs(x + y - 2.0 * z)) <= 1e-15 and np.max(np.abs(h)) <= 1e-15
             assert np.all(x >= 0.0) and np.all(y >= 0.0) and np.any(x != z, axis=1).all()
+
+    def test_coarsening_starts_at_the_point_cap(self, monkeypatch):
+        # A lattice of res + 1 levels has at least res + 1 points, so coarsening starts at
+        # res = _CHORD_POINTS whatever the grid: at most 2,000 steps at grid 10^6, not about 10^6.
+        steps = []
+        real = distortions.math.comb
+        monkeypatch.setattr(distortions, "math", SimpleNamespace(comb=lambda *a: steps.append(a) or real(*a)))
+        mu = np.full(3, 1.0 / 3)
+        z = affine_chords(BayesRule(3), mu, 10**6)[0]
+        assert len(steps) <= distortions._CHORD_POINTS
+        assert z.tobytes() == affine_chords(BayesRule(3), mu, distortions._CHORD_POINTS + 1)[0].tobytes()
 
     def test_near_bayes_grether_is_not_affine(self):
         # alpha = 1 leaves only the prior's extra power 1e-7, which moves a

@@ -26,6 +26,7 @@ from blackwell_audit.experiments import (
     garble,
 )
 from blackwell_audit.geometry import (
+    TOL_GEO,
     Belief,
     DimensionMismatch,
     Face,
@@ -35,13 +36,14 @@ from blackwell_audit.geometry import (
     _in_hull_barycentric,
     _in_hull_lp,
     in_convex_hull,
+    merge_owners,
     on_segment,
     separating_hyperplane_sets,
     simplex_lattice,
     solve_lp,
     uniform_belief,
 )
-from oracles import is_mpc
+from oracles import dedupe_points, is_mpc
 
 
 def random_belief(rng, n):
@@ -105,6 +107,92 @@ class TestOnSegment:
         at_y = on_segment(x, y, y)
         assert at_x.on and at_x.lam == pytest.approx(1.0, abs=1e-9)
         assert at_y.on and at_y.lam == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_rows_are_single_calls_and_the_census_formulas(self, n):
+        # Points on, near and off their segments, some segments degenerate (x = y); y is one
+        # point shared by every row, as the census passes the prior, or one point per row.
+        rng = np.random.default_rng(n)
+        X, Y = rng.dirichlet(np.ones(n), size=(2, 300))
+        X[:20] = Y[:20]
+        lam = rng.uniform(-0.2, 1.2, size=(300, 1))
+        noise = rng.choice([0.0, 1e-10, 1e-6], size=(300, 1)) * rng.normal(size=(300, n))
+        Z = lam * X + (1.0 - lam) * Y + noise
+        for y in (Y, Y[0]):
+            got = on_segment(X, y, Z)
+            Yr = np.broadcast_to(y, X.shape)
+            for r in range(len(X)):
+                one = on_segment(X[r], Yr[r], Z[r])
+                assert (one.on, one.lam.tobytes(), one.resid.tobytes()) == (
+                    got.on[r], got.lam[r].tobytes(), got.resid[r].tobytes())
+            # The census's formulas, with row sums.
+            dx, dz = X - Yr, Z - Yr
+            denom = np.sum(dx * dx, axis=1)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ref = np.where(denom > 0.0, np.sum(dz * dx, axis=1) / np.where(denom > 0, denom, 1.0), 0.0)
+            ref = np.clip(ref, 0.0, 1.0)
+            resid = np.max(np.abs(ref[:, None] * X + (1.0 - ref[:, None]) * Yr - Z), axis=1)
+            assert got.lam.tobytes() == ref.tobytes() and got.resid.tobytes() == resid.tobytes()
+            assert np.array_equal(got.on, resid <= TOL_GEO) and 0 < np.count_nonzero(got.on) < len(X)
+
+
+def near_copies(rng, points):
+    """Each point followed by copies at sup distances 0.4e-9 to 2.5e-9 from it, along a
+    direction in the simplex's plane; two copies 0.6e-9 and 1.2e-9 out make a chain whose
+    end is near the middle copy only.  Rows are shuffled."""
+    rows = []
+    for p in points:
+        d = rng.normal(size=p.shape[0])
+        d -= d.mean()
+        d /= np.max(np.abs(d))
+        rows += [p] + [p + t * 1e-9 * d for t in (0.6, 1.2, rng.uniform(0.4, 2.5))]
+    return np.asarray(rows)[rng.permutation(len(rows))]
+
+
+class TestMergeRule:
+    """``merge_owners`` against the pairwise loop (``oracles.dedupe_points``): a row within
+    TOL_GEO of an earlier kept row joins the first such row."""
+
+    def test_owners_match_the_pairwise_loop(self):
+        rng = np.random.default_rng(24)
+        merged = 0
+        for trial in range(120):
+            n = 2 + trial % 4
+            P = near_copies(rng, rng.dirichlet(np.ones(n), size=int(rng.integers(1, 4))))
+            owners = merge_owners(P)
+            kept = owners == np.arange(len(P))
+            assert P[kept].tobytes() == dedupe_points(P).tobytes()
+            near = np.max(np.abs(P[:, None] - P[None, kept]), axis=2) <= TOL_GEO
+            assert np.array_equal(owners, np.flatnonzero(kept)[np.argmax(near, axis=1)])
+            merged += np.count_nonzero(~kept)
+            stack = np.stack([P, P[::-1], rng.permutation(P)])  # stacked: each slice as its own call
+            assert np.array_equal(merge_owners(stack), [merge_owners(S) for S in stack])
+        assert merged >= 200
+
+    def test_separation_is_linprogs_on_the_rows_the_pairwise_loop_keeps(self):
+        rng = np.random.default_rng(2410)
+        for trial in range(40):
+            n = 2 + trial % 4
+            i = trial % n
+            # Coordinate i is at least 0.7 above and at most 0.45 below.
+            top = 0.7 * np.eye(n)[i] + 0.3 * rng.dirichlet(np.ones(n), size=int(rng.integers(1, 3)))
+            rest = rng.dirichlet(np.ones(n), size=int(rng.integers(1, 4)))
+            rest[:, i] = 0.0
+            s = rng.uniform(0.0, 0.45, size=(len(rest), 1))
+            above = near_copies(rng, top)
+            below = near_copies(rng, s * np.eye(n)[i] + (1.0 - s) * rest / rest.sum(axis=1, keepdims=True))
+            h = separating_hyperplane_sets(above, below)
+            A, B = dedupe_points(above), dedupe_points(below)
+            assert len(A) < len(above) and len(B) < len(below)
+            # The separation LP: normal (n), offset, margin m; maximize m.
+            ones_a, ones_b = np.ones((len(A), 1)), np.ones((len(B), 1))
+            A_ub = np.vstack([np.hstack([-A, ones_a, ones_a]), np.hstack([B, -ones_b, ones_b])])
+            lb, ub = np.append(np.full(n, -1.0), [-2.0, 0.0]), np.append(np.ones(n), [2.0, 4.0])
+            ref = linprog(np.append(np.zeros(n + 1), -1.0), A_ub=A_ub, b_ub=np.zeros(len(A_ub)),
+                          A_eq=np.zeros((0, n + 2)), b_eq=np.zeros(0), bounds=np.column_stack([lb, ub]),
+                          method="highs")
+            scale = float(np.max(np.abs(ref.x[:n])))
+            assert h.normal.tobytes() == (ref.x[:n] / scale).tobytes() and h.offset == float(ref.x[n]) / scale
 
 
 def hull_membership_bruteforce(p, hull, steps=64, tol=1e-9):
