@@ -20,7 +20,6 @@ from .geometry import (
     separating_hyperplane_sets,
     simplex_lattice,
     uniform_belief,
-    vertex_belief,
 )
 from .experiments import (
     BarycenterMismatch,
@@ -45,7 +44,6 @@ from .distortions import (
     NonFiniteImage,
     ShrinkageRule,
     StubbornRule,
-    StubbornSpec,
     StubbornVerdict,
     TabulatedRule,
     TrivialRule,

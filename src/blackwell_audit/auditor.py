@@ -993,8 +993,8 @@ def audit(
     array program) and the vertex recipe at the collapse checker's x*; DOUBLE mode (``affine``, from the
     chords at ``grid_size``) runs the chord recipe on those chords.  Random search spends the rest of the
     budget only on a rule the mode's checker refutes.  Absence of a certificate is a pass, never an
-    error.  A tol that is negative, infinite or NaN, or a negative seed, raises ValueError before the
-    census, and so does WrongDimension for a SINGLE audit with too many states (``refuse_face_stack``);
+    error.  A negative, infinite or NaN tol, a negative seed, or a budget below 1, infinite or NaN raises ValueError
+    before the census, and so does WrongDimension for a SINGLE audit with too many states (``refuse_face_stack``);
     an error of the rule's evaluation propagates, such as NonFiniteImage or an off-node GridMiss.
     """
     mua = interior_prior(mu, "audit")
@@ -1003,6 +1003,8 @@ def audit(
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
     if seed < 0:  # numpy's generators take no negative seed; refused whether or not random search runs
         raise ValueError(f"seed must be non-negative, got {seed}")
+    if not 1 <= budget < math.inf:  # also NaN, as the command line's --budget
+        raise ValueError(f"budget must be finite and at least 1, got {budget}")
     n = mua.shape[0]
     sel = sel or Selector()
     mode = WelfareMode(mode)

@@ -35,7 +35,6 @@ from .geometry import (
     enumerate_faces,
     face_samples,
     on_segment,
-    vertex_belief,
 )
 from .experiments import interior_prior
 
@@ -153,8 +152,8 @@ class CoarseRule(Distortion):
 
 
 @dataclass(frozen=True, eq=False)
-class StubbornSpec:
-    """Structure data for a collapse-to-a-point rule on three or more states.
+class StubbornRule(Distortion):
+    """Collapse rule on three or more states: every erring face interior is read as one common belief.
 
     ``identity_faces`` lists supports of faces on which the rule is the
     identity; the set is closed downward (all subfaces included), so a
@@ -171,6 +170,11 @@ class StubbornSpec:
     vertex_images: Dict[int, np.ndarray]
     identity_faces: FrozenSet[tuple]
     edge_case: Optional[Tuple[tuple, int]]
+    family: str = field(default="occ-stubborn", init=False)
+    # Built once for apply_batch: row i is vertex i's image, and one boolean support row for each
+    # identity face of two or more vertices (bit masks in int64 would overflow from 63 states on).
+    _vertex_table: np.ndarray = field(init=False, repr=False)
+    _identity_supports: np.ndarray = field(init=False, repr=False)
 
     def __init__(
         self,
@@ -190,8 +194,7 @@ class StubbornSpec:
             if not support or max(support) >= n or min(support) < 0:
                 raise ValueError(f"face support out of range: {support}")
             for size in range(1, len(support) + 1):
-                for sub in itertools.combinations(support, size):
-                    closure.add(sub)
+                closure.update(itertools.combinations(support, size))
 
         ec = None
         if edge_case is not None:
@@ -202,32 +205,52 @@ class StubbornSpec:
                 raise ValueError("edge_case must name an edge and one of its vertices")
             if edge in closure:
                 raise ValueError("the split edge cannot also be an identity face")
-            on_edge = all(
-                (xs[i] > SUPPORT_TOL) == (i in edge) for i in range(n)
-            )
-            if not on_edge:
+            if not np.array_equal(xs > SUPPORT_TOL, np.isin(range(n), edge)):
                 raise ValueError("edge_case requires the common image inside that edge")
             ec = (edge, extreme)
 
         imgs: Dict[int, np.ndarray] = {}
+        eye = np.eye(n)
         for key, img in (vertex_images or {}).items():
             i = int(key)
             if not 0 <= i < n:
                 raise ValueError(f"vertex index out of range: {i}")
             arr = Belief(img).coords
-            if (i,) in closure and np.max(np.abs(arr - vertex_belief(n, i).coords)) > TOL_GEO:
+            if (i,) in closure and np.max(np.abs(arr - eye[i])) > TOL_GEO:
                 raise ValueError(f"vertex {i} belongs to an identity face; it cannot err")
             if not vertex_image_ok(xs, i, arr):
                 raise ValueError(f"vertex {i} image must lie on the segment from the common image to vertex {i}")
             imgs[i] = arr
+        table = np.array([imgs.get(i, eye[i]) for i in range(n)])
 
+        supports = np.array([np.isin(range(n), face) for face in closure if len(face) > 1], dtype=bool)
         object.__setattr__(self, "x_star", xs)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "vertex_images", imgs)
         object.__setattr__(self, "identity_faces", frozenset(closure))
         object.__setattr__(self, "edge_case", ec)
+        object.__setattr__(self, "_vertex_table", table)
+        object.__setattr__(self, "_identity_supports", supports.reshape(-1, n))
 
-    def to_json(self) -> dict:
+    def apply_batch(self, mu, X):
+        """x* on every row, but a vertex's image on a vertex, and the row itself on an identity face or on the
+        split edge away from its vertex's side; a row's support is its coordinates above ``SUPPORT_TOL``."""
+        X = np.atleast_2d(X)
+        members = X > SUPPORT_TOL
+        sizes = members @ np.ones(self.n)  # a product: several times faster than sum(axis=1) on few columns
+        # A support lies on an identity face unless it has a member off each of them (the set is closed downward).
+        identity = (sizes > 1) & ~(members @ ~self._identity_supports.T).all(axis=1)
+        if self.edge_case is not None:
+            (i, j), extreme = self.edge_case
+            coord = X[:, extreme]
+            collapse = (coord > self.x_star[extreme] + 1e-12) & (coord < 1.0 - 1e-12)
+            identity |= (sizes == 2) & members[:, i] & members[:, j] & ~collapse
+        out = np.where(identity[:, None], X, self.x_star)
+        vertex = sizes == 1
+        out[vertex] = self._vertex_table[np.argmax(X[vertex], axis=1)]
+        return out
+
+    def to_json(self):
         doc: dict = {"x_star": [float(v) for v in self.x_star]}
         if self.vertex_images:
             doc["vertex_images"] = {
@@ -237,59 +260,6 @@ class StubbornSpec:
             doc["identity_faces"] = sorted(list(f) for f in self.identity_faces)
         if self.edge_case:
             doc["edge_case"] = {"edge": list(self.edge_case[0]), "vertex": self.edge_case[1]}
-        return doc
-
-
-@dataclass(frozen=True, eq=False)
-class StubbornRule(Distortion):
-    """Rule that collapses every erring face interior to one common belief."""
-
-    spec: StubbornSpec
-    n: int = 0
-    family: str = field(default="occ-stubborn", init=False)
-
-    def __init__(self, spec: StubbornSpec) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "n", spec.n)
-
-    def apply_batch(self, mu, X):
-        X = np.atleast_2d(X)
-        spec = self.spec
-        n = self.n
-        out = np.broadcast_to(spec.x_star, X.shape).copy()
-        members = X > SUPPORT_TOL
-        sizes = members.sum(axis=1)
-
-        # Vertices: explicit image, else identity.
-        vert_rows = np.nonzero(sizes == 1)[0]
-        for r in vert_rows:
-            i = int(np.argmax(X[r]))
-            out[r] = spec.vertex_images.get(i, vertex_belief(n, i).coords)
-
-        # Identity faces (closed downward, so any support match is exact).
-        if spec.identity_faces:
-            keys = members @ (1 << np.arange(n, dtype=np.int64))
-            id_keys = {sum(1 << i for i in f) for f in spec.identity_faces}
-            for r in np.nonzero((sizes > 1) & np.isin(keys, list(id_keys)))[0]:
-                out[r] = X[r]
-
-        # Split edge: the side toward the named vertex collapses, the rest is identity.
-        if spec.edge_case is not None:
-            (i, j), extreme = spec.edge_case
-            edge_key_members = np.zeros(n, dtype=bool)
-            edge_key_members[[i, j]] = True
-            on_edge = (sizes == 2) & np.all(members == edge_key_members, axis=1)
-            if np.any(on_edge):
-                s = spec.x_star[extreme]
-                coord = X[on_edge, extreme]
-                collapse = (coord > s + 1e-12) & (coord < 1.0 - 1e-12)
-                rows = np.nonzero(on_edge)[0]
-                out[rows[~collapse]] = X[rows[~collapse]]
-                # collapsing rows already hold x_star
-        return out
-
-    def to_json(self):
-        doc = self.spec.to_json()
         doc["family"] = "occ-stubborn"
         return doc
 
@@ -551,18 +521,14 @@ def is_occasionally_coarse(
     if a_fit > b_fit + tol:
         return CoarseVerdict(False, a_fit, b_fit, u_hat, v_hat, (float(ts[1]), "intervals"))
 
-    for k in range(1, g):
-        x = float(ts[k])
-        phi = float(phis[k])
-        if x < a_fit:
-            if abs(phi - a_fit) > tol:
-                return CoarseVerdict(False, a_fit, b_fit, u_hat, v_hat, (x, "c1-lower-coarse"))
-        elif x > b_fit:
-            if abs(phi - b_fit) > tol:
-                return CoarseVerdict(False, a_fit, b_fit, u_hat, v_hat, (x, "c2-upper-coarse"))
-        else:
-            if abs(phi - x) > tol:
-                return CoarseVerdict(False, a_fit, b_fit, u_hat, v_hat, (x, "c3-identity"))
+    # Each inner node against its region's image: a below [a, b], b above it, the node itself inside.
+    inner = ts[1:-1]
+    held = np.where(inner < a_fit, a_fit, np.where(inner > b_fit, b_fit, inner))
+    bad = np.flatnonzero(np.abs(phis[1:-1] - held) > tol)
+    if bad.size:
+        x = float(inner[bad[0]])
+        condition = "c1-lower-coarse" if x < a_fit else "c2-upper-coarse" if x > b_fit else "c3-identity"
+        return CoarseVerdict(False, a_fit, b_fit, u_hat, v_hat, (x, condition))
     if u_hat > a_fit + tol:
         return CoarseVerdict(False, a_fit, b_fit, u_hat, v_hat, (0.0, "c4-vertices"))
     if v_hat < b_fit - tol:
@@ -662,7 +628,10 @@ def is_occasionally_stubborn(d: Distortion, mu, tol: float = TOL_GEO) -> Stubbor
     # x*: the full simplex is the last face, and its closure carries every error.
     interior_imgs = face_data[-1][2]
     x_star = interior_imgs[0]
-    star = Belief(x_star) if np.max(np.abs(interior_imgs - x_star)) <= tol else None
+    try:
+        star = Belief(x_star) if np.max(np.abs(interior_imgs - x_star)) <= tol else None
+    except ValueError:  # a common image off the simplex is no collapse point
+        return StubbornVerdict(False, None, (face_data[-1][1][0], "item1-common-image"))
 
     # Item 1: erring faces of dimension >= 2 collapse to x*.
     for face, S, imgs, errs in face_data:
@@ -674,9 +643,9 @@ def is_occasionally_stubborn(d: Distortion, mu, tol: float = TOL_GEO) -> Stubbor
 
     def reads_as_split(edge: tuple, S: np.ndarray, imgs: np.ndarray) -> bool:
         """The samples read as ``StubbornRule`` reads them with x* and this split edge, for one of its
-        vertices; never when ``StubbornSpec`` refuses x* inside this edge."""
+        vertices; never when ``StubbornRule`` refuses x* inside this edge."""
         try:
-            splits = [StubbornRule(StubbornSpec(x_star, edge_case=(edge, k))) for k in edge]
+            splits = [StubbornRule(x_star, edge_case=(edge, k)) for k in edge]
         except ValueError:
             return False
         return any(np.max(np.abs(imgs - evaluate_batch(rule, mu, S))) <= tol for rule in splits)
@@ -760,13 +729,12 @@ def rule_from_json(doc: dict, n: Optional[int] = None) -> Distortion:
         ec = None
         if "edge_case" in doc and doc["edge_case"] is not None:
             ec = (tuple(doc["edge_case"]["edge"]), int(doc["edge_case"]["vertex"]))
-        spec = StubbornSpec(
+        return StubbornRule(
             doc["x_star"],
             vertex_images=doc.get("vertex_images"),
             identity_faces=doc.get("identity_faces"),
             edge_case=ec,
         )
-        return StubbornRule(spec)
     if family == "tabulated":
         return TabulatedRule(doc["nodes"], doc["images"], float(doc["tol"]))
     raise ValueError(f"unknown rule family: {family!r}")
@@ -816,14 +784,13 @@ def stubborn_example_a() -> StubbornRule:
     correct, and vertices 1 and 2 map a quarter of the way from x* to
     themselves, to (3/20, 1/2, 7/20) and (3/20, 1/4, 3/5).
     """
-    spec = StubbornSpec(
+    return StubbornRule(
         _full3(1 / 5, 1 / 3),
         vertex_images={
             2: _full3(3 / 20, 1 / 4),
             1: _full3(3 / 20, 1 / 2),
         },
     )
-    return StubbornRule(spec)
 
 
 def stubborn_example_b() -> StubbornRule:
@@ -835,13 +802,12 @@ def stubborn_example_b() -> StubbornRule:
     collapses, and the erring vertex maps onto the segment toward the
     common point.
     """
-    spec = StubbornSpec(
+    return StubbornRule(
         _full3(1 / 2, 1 / 2),
         vertex_images={1: _full3(3 / 10, 7 / 10)},
         identity_faces=[(0, 2)],
         edge_case=((0, 1), 1),
     )
-    return StubbornRule(spec)
 
 
 def random_rule(family: str, n: int, rng: np.random.Generator) -> Distortion:
@@ -862,11 +828,10 @@ def random_rule(family: str, n: int, rng: np.random.Generator) -> Distortion:
             t = float(rng.uniform(0.25, 0.75))
             xs = np.zeros(n)
             xs[i], xs[j] = t, 1.0 - t
-            ec = ((i, j), int(rng.choice([i, j]))) if rng.random() < 0.6 else None
-            spec_edge = ec
+            edge_case = ((i, j), int(rng.choice([i, j]))) if rng.random() < 0.6 else None
         else:
             xs = rng.dirichlet(np.ones(n) * 3.0)
-            spec_edge = None
+            edge_case = None
         vertex_images = {}
         for i in range(n):
             r = rng.random()
@@ -875,14 +840,13 @@ def random_rule(family: str, n: int, rng: np.random.Generator) -> Distortion:
             t = float(rng.uniform(0.0, 1.0))
             vertex_images[i] = t * np.eye(n)[i] + (1.0 - t) * xs  # on its segment: ``vertex_image_ok``
         identity = []
-        if spec_edge is None and rng.random() < 0.4:
+        if edge_case is None and rng.random() < 0.4:
             # One entirely-correct edge (its vertices become correct too).
             i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
             identity.append((i, j))
             vertex_images.pop(i, None)
             vertex_images.pop(j, None)
-        spec = StubbornSpec(xs, vertex_images=vertex_images, identity_faces=identity, edge_case=spec_edge)
-        return StubbornRule(spec)
+        return StubbornRule(xs, vertex_images=vertex_images, identity_faces=identity, edge_case=edge_case)
     if family == "grether":
         lo = rng.random() < 0.5
         alpha = float(rng.uniform(0.3, 0.75)) if lo else float(rng.uniform(1.3, 3.0))

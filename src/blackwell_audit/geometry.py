@@ -136,12 +136,6 @@ def uniform_belief(n: int) -> Belief:
     return Belief(np.full(n, 1.0 / n))
 
 
-def vertex_belief(n: int, i: int) -> Belief:
-    e = np.zeros(n)
-    e[i] = 1.0
-    return Belief(e)
-
-
 @dataclass(frozen=True)
 class Face:
     """A face of the simplex, identified by its (sorted) support indices."""
@@ -220,11 +214,13 @@ def merge_owners(points) -> np.ndarray:
     NaN is near no other row.
     """
     P = np.asarray(points, dtype=np.float64)
+    owners = np.empty(P.shape[:-1], dtype=np.intp)
+    owners[...] = np.arange(P.shape[-2])
+    if P.shape[-2] < 2:  # no pair of rows to merge
+        return owners
     with np.errstate(invalid="ignore"):  # inf - inf: NaN, never near
         near = np.abs(P[..., :, None, :] - P[..., None, :, :]).max(axis=-1) <= TOL_GEO
     near |= np.eye(P.shape[-2], dtype=bool)  # so a NaN row is near itself, and only pairs add to the count
-    owners = np.empty(P.shape[:-1], dtype=np.intp)
-    owners[...] = np.arange(P.shape[-2])
     if np.count_nonzero(near) == owners.size:  # no row is near another
         return owners
     for *lead, i in np.argwhere(near.sum(axis=-1) > 1).tolist():  # rows near another row, in order

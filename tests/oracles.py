@@ -5,18 +5,29 @@ No audit or verification calls them, so they live with the tests:
 ``convexity_violations`` (a sampled chord test of a welfare profile) and
 ``is_mpc`` (the dilation LP, the second route to the Blackwell order)
 and ``dedupe_points`` (the merge rule as one sup-norm comparison per pair).
-``sup_close`` compares beliefs in the sup norm.
+``sup_close`` compares beliefs in the sup norm.  ``StubbornLoopRule`` over a
+``StubbornSpec`` is the collapse map row by row, the reference for
+``StubbornRule``'s array map, and ``is_occasionally_coarse_by_node`` the
+interval checker node by node.
 """
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+import itertools
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from blackwell_audit.decision import TIE_TOL, DecisionProblem, Selector, WelfareMode, welfare_batch
-from blackwell_audit.distortions import Distortion
+from blackwell_audit.distortions import (
+    SUPPORT_TOL,
+    CoarseVerdict,
+    Distortion,
+    WrongDimension,
+    evaluate_batch,
+    vertex_image_ok,
+)
 from blackwell_audit.experiments import TOL_BARY, BarycenterMismatch, DimensionMismatch, PosteriorDistribution
-from blackwell_audit.geometry import TOL_GEO, _coerce, _min_sup_residual
+from blackwell_audit.geometry import TOL_GEO, Belief, _coerce, _min_sup_residual
 
 
 def sup_close(a, b) -> bool:
@@ -126,3 +137,200 @@ def is_mpc(rho_prime: PosteriorDistribution, rho: PosteriorDistribution, tol: fl
     mixture = (np.kron(rho_prime.probs[None, :], np.eye(J)), rho.probs)
     return bool(_min_sup_residual([barycenters, mixture], (I, J), "dilation") <= tol)
 
+
+def vertex_belief(n: int, i: int) -> Belief:
+    e = np.zeros(n)
+    e[i] = 1.0
+    return Belief(e)
+
+
+@dataclass(frozen=True, eq=False)
+class StubbornSpec:
+    """Structure data for a collapse-to-a-point rule on three or more states.
+
+    ``identity_faces`` lists supports of faces on which the rule is the
+    identity; the set is closed downward (all subfaces included), so a
+    face marked correct has correct vertices as well.  ``edge_case``
+    optionally names one edge containing ``x_star`` in its relative
+    interior together with the vertex whose side of the edge collapses;
+    the rest of that edge is the identity.  ``vertex_images`` assigns
+    images to erring vertices; vertex i's must lie on the segment from
+    ``x_star`` to vertex i (``vertex_image_ok``).
+    """
+
+    x_star: np.ndarray
+    n: int
+    vertex_images: Dict[int, np.ndarray]
+    identity_faces: FrozenSet[tuple]
+    edge_case: Optional[Tuple[tuple, int]]
+
+    def __init__(
+        self,
+        x_star,
+        vertex_images: Optional[dict] = None,
+        identity_faces: Optional[Sequence] = None,
+        edge_case: Optional[Tuple[Sequence, int]] = None,
+    ) -> None:
+        xs = Belief(x_star).coords
+        n = xs.shape[0]
+        if n < 3:
+            raise WrongDimension("this family needs three or more states")
+
+        closure: set = set()
+        for support in identity_faces or ():
+            support = tuple(sorted(int(i) for i in support))
+            if not support or max(support) >= n or min(support) < 0:
+                raise ValueError(f"face support out of range: {support}")
+            for size in range(1, len(support) + 1):
+                for sub in itertools.combinations(support, size):
+                    closure.add(sub)
+
+        ec = None
+        if edge_case is not None:
+            edge, extreme = edge_case
+            edge = tuple(sorted(int(i) for i in edge))
+            extreme = int(extreme)
+            if len(edge) != 2 or extreme not in edge:
+                raise ValueError("edge_case must name an edge and one of its vertices")
+            if edge in closure:
+                raise ValueError("the split edge cannot also be an identity face")
+            on_edge = all(
+                (xs[i] > SUPPORT_TOL) == (i in edge) for i in range(n)
+            )
+            if not on_edge:
+                raise ValueError("edge_case requires the common image inside that edge")
+            ec = (edge, extreme)
+
+        imgs: Dict[int, np.ndarray] = {}
+        for key, img in (vertex_images or {}).items():
+            i = int(key)
+            if not 0 <= i < n:
+                raise ValueError(f"vertex index out of range: {i}")
+            arr = Belief(img).coords
+            if (i,) in closure and np.max(np.abs(arr - vertex_belief(n, i).coords)) > TOL_GEO:
+                raise ValueError(f"vertex {i} belongs to an identity face; it cannot err")
+            if not vertex_image_ok(xs, i, arr):
+                raise ValueError(f"vertex {i} image must lie on the segment from the common image to vertex {i}")
+            imgs[i] = arr
+
+        object.__setattr__(self, "x_star", xs)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vertex_images", imgs)
+        object.__setattr__(self, "identity_faces", frozenset(closure))
+        object.__setattr__(self, "edge_case", ec)
+
+    def to_json(self) -> dict:
+        doc: dict = {"x_star": [float(v) for v in self.x_star]}
+        if self.vertex_images:
+            doc["vertex_images"] = {
+                str(i): [float(v) for v in img] for i, img in self.vertex_images.items()
+            }
+        if self.identity_faces:
+            doc["identity_faces"] = sorted(list(f) for f in self.identity_faces)
+        if self.edge_case:
+            doc["edge_case"] = {"edge": list(self.edge_case[0]), "vertex": self.edge_case[1]}
+        return doc
+
+
+@dataclass(frozen=True, eq=False)
+class StubbornLoopRule(Distortion):
+    """Rule that collapses every erring face interior to one common belief."""
+
+    spec: StubbornSpec
+    n: int = 0
+    family: str = field(default="occ-stubborn", init=False)
+
+    def __init__(self, spec: StubbornSpec) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "n", spec.n)
+
+    def apply_batch(self, mu, X):
+        X = np.atleast_2d(X)
+        spec = self.spec
+        n = self.n
+        out = np.broadcast_to(spec.x_star, X.shape).copy()
+        members = X > SUPPORT_TOL
+        sizes = members.sum(axis=1)
+
+        # Vertices: explicit image, else identity.
+        vert_rows = np.nonzero(sizes == 1)[0]
+        for r in vert_rows:
+            i = int(np.argmax(X[r]))
+            out[r] = spec.vertex_images.get(i, vertex_belief(n, i).coords)
+
+        # Identity faces (closed downward, so any support match is exact).
+        if spec.identity_faces:
+            keys = members @ (1 << np.arange(n, dtype=np.int64))
+            id_keys = {sum(1 << i for i in f) for f in spec.identity_faces}
+            for r in np.nonzero((sizes > 1) & np.isin(keys, list(id_keys)))[0]:
+                out[r] = X[r]
+
+        # Split edge: the side toward the named vertex collapses, the rest is identity.
+        if spec.edge_case is not None:
+            (i, j), extreme = spec.edge_case
+            edge_key_members = np.zeros(n, dtype=bool)
+            edge_key_members[[i, j]] = True
+            on_edge = (sizes == 2) & np.all(members == edge_key_members, axis=1)
+            if np.any(on_edge):
+                s = spec.x_star[extreme]
+                coord = X[on_edge, extreme]
+                collapse = (coord > s + 1e-12) & (coord < 1.0 - 1e-12)
+                rows = np.nonzero(on_edge)[0]
+                out[rows[~collapse]] = X[rows[~collapse]]
+                # collapsing rows already hold x_star
+        return out
+
+    def to_json(self):
+        doc = self.spec.to_json()
+        doc["family"] = "occ-stubborn"
+        return doc
+
+
+def is_occasionally_coarse_by_node(
+    d: Distortion, mu, grid_size: int = 200, tol: float = TOL_GEO
+) -> CoarseVerdict:
+    """Two-state structure test: identity interval with collapsed flanks.
+
+    Scans the scalar grid {0, 1/g, ..., 1}.  The interval endpoints are
+    fitted from the images of the innermost grid nodes (exact for
+    parametric members of the family), then each node is checked against
+    the region it falls in.  An endpoint indistinguishable from the grid
+    boundary is reported as 0 or 1 (empty flank).
+    """
+    if d.n != 2:
+        raise WrongDimension("interval structure is defined for two states")
+    g = int(grid_size)
+    if g < 2:
+        raise ValueError("grid_size must be at least 2")
+    ts = np.arange(g + 1, dtype=np.float64) / g
+    X = np.column_stack([ts, 1.0 - ts])
+    phis = evaluate_batch(d, mu, X)[:, 0]
+
+    u_hat = float(phis[0])
+    v_hat = float(phis[-1])
+    a_fit = float(phis[1])
+    b_fit = float(phis[-2])
+
+    if a_fit > b_fit + tol:
+        return CoarseVerdict(False, a_fit, b_fit, u_hat, v_hat, (float(ts[1]), "intervals"))
+
+    for k in range(1, g):
+        x = float(ts[k])
+        phi = float(phis[k])
+        if x < a_fit:
+            if abs(phi - a_fit) > tol:
+                return CoarseVerdict(False, a_fit, b_fit, u_hat, v_hat, (x, "c1-lower-coarse"))
+        elif x > b_fit:
+            if abs(phi - b_fit) > tol:
+                return CoarseVerdict(False, a_fit, b_fit, u_hat, v_hat, (x, "c2-upper-coarse"))
+        else:
+            if abs(phi - x) > tol:
+                return CoarseVerdict(False, a_fit, b_fit, u_hat, v_hat, (x, "c3-identity"))
+    if u_hat > a_fit + tol:
+        return CoarseVerdict(False, a_fit, b_fit, u_hat, v_hat, (0.0, "c4-vertices"))
+    if v_hat < b_fit - tol:
+        return CoarseVerdict(False, a_fit, b_fit, u_hat, v_hat, (1.0, "c4-vertices"))
+
+    a_out = 0.0 if a_fit <= ts[1] + tol else a_fit
+    b_out = 1.0 if b_fit >= ts[-2] - tol else b_fit
+    return CoarseVerdict(True, a_out, b_out, u_hat, v_hat)

@@ -41,7 +41,6 @@ from blackwell_audit.distortions import (
     GridMiss,
     ShrinkageRule,
     StubbornRule,
-    StubbornSpec,
     TabulatedRule,
     TrivialRule,
     classify_batch,
@@ -310,6 +309,14 @@ class TestFullAudit:
         with pytest.raises(ValueError, match="seed must be non-negative"):
             audit(rule, mu, grid_size=101, budget=1000, seed=-1, sel=sel)
 
+    @pytest.mark.parametrize("budget", [0, -3, 0.5, np.nan, np.inf])
+    def test_budget_below_one_is_refused_before_the_census(self, monkeypatch, budget):
+        # A budget of -3 stopped the first recipe and passed a rule the census found 855 expansive errors in;
+        # an infinite one raised OverflowError after the census.
+        monkeypatch.setattr(auditor, "classify_batch", lambda *args: pytest.fail("the census ran"))
+        with pytest.raises(ValueError, match="budget must be finite and at least 1"):
+            audit(GretherRule(2.0, 1.0, 3), MU3, grid_size=41, budget=budget)
+
     def test_misread_prior_is_caught(self):
         # Identity except the prior itself drifts: the two-stage
         # contraction recipe must produce a certificate.
@@ -461,7 +468,7 @@ class TestCollapseCharacterization:
         if edge is not None:
             images = {i: img for i, img in images.items() if i not in edge}
         assert all(vertex_image_ok(x_star, i, img) for i, img in images.items())
-        rule = StubbornRule(StubbornSpec(x_star, vertex_images=images, identity_faces=[edge] if edge else None))
+        rule = StubbornRule(x_star, vertex_images=images, identity_faces=[edge] if edge else None)
         mu = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
         mu /= mu.sum()
         v = is_occasionally_stubborn(rule, mu, tol=1e-9)
@@ -1206,7 +1213,7 @@ class TestImagesBeforeWeights:
         expansive = contractive = 0
         for n in (3, 4):
             for _ in range(3):
-                rules = (TrivialRule(rng.dirichlet(np.full(n, 2.0))), StubbornRule(StubbornSpec(rng.dirichlet(np.full(n, 3.0)))))
+                rules = (TrivialRule(rng.dirichlet(np.full(n, 2.0))), StubbornRule(rng.dirichlet(np.full(n, 3.0))))
                 for rule in rules:
                     for mu in (np.full(n, 1.0 / n), rng.dirichlet(np.full(n, 4.0))):
                         rep = audit(rule, mu, grid_size=41, budget=250)

@@ -18,10 +18,10 @@ from blackwell_audit.distortions import (
     NonFiniteImage,
     ShrinkageRule,
     StubbornRule,
-    StubbornSpec,
     TabulatedRule,
     TrivialRule,
     WrongDimension,
+    SUPPORT_TOL,
     classify_batch,
     evaluate_batch,
     affine_chords,
@@ -34,7 +34,7 @@ from blackwell_audit.distortions import (
     stubborn_example_a,
     stubborn_example_b,
 )
-from blackwell_audit.geometry import TOL_GEO, _coerce, simplex_lattice
+from blackwell_audit.geometry import TOL_GEO, _coerce, enumerate_faces, face_samples, simplex_lattice
 from blackwell_audit.experiments import PosteriorDistribution, PriorNotInterior
 from blackwell_audit.auditor import audit
 from blackwell_audit.decision import (
@@ -43,7 +43,7 @@ from blackwell_audit.decision import (
     WelfareMode,
     expected_payoff,
 )
-from oracles import is_mpc, sup_close
+from oracles import StubbornLoopRule, StubbornSpec, is_mpc, is_occasionally_coarse_by_node, sup_close
 
 
 def tabulated_from_csv(path, n: int, tol: float) -> TabulatedRule:
@@ -271,25 +271,85 @@ class TestStubbornFamily:
 
     def test_spec_validation(self):
         with pytest.raises(WrongDimension):
-            StubbornSpec((0.5, 0.5))
+            StubbornRule((0.5, 0.5))
         with pytest.raises(ValueError):
             # Vertex of an identity face cannot carry an error image.
-            StubbornSpec(
+            StubbornRule(
                 (0.2, 0.3, 0.5),
                 vertex_images={0: (0.5, 0.2, 0.3)},
                 identity_faces=[(0, 1)],
             )
         with pytest.raises(ValueError):
             # Vertex image less extreme than the common point.
-            StubbornSpec((0.6, 0.2, 0.2), vertex_images={0: (0.4, 0.3, 0.3)})
+            StubbornRule((0.6, 0.2, 0.2), vertex_images={0: (0.4, 0.3, 0.3)})
         with pytest.raises(ValueError, match="must lie on the segment"):
             # More extreme than the common point toward state 1, but off the segment to vertex 1.
-            StubbornSpec((0.2, 1 / 3, 1 - 0.2 - 1 / 3), vertex_images={1: (0.3, 0.5, 0.2)})
+            StubbornRule((0.2, 1 / 3, 1 - 0.2 - 1 / 3), vertex_images={1: (0.3, 0.5, 0.2)})
         # On the segment, endpoints included.
-        StubbornSpec((0.2, 0.3, 0.5), vertex_images={0: (1.0, 0.0, 0.0), 1: (0.2, 0.3, 0.5), 2: (0.1, 0.15, 0.75)})
+        StubbornRule((0.2, 0.3, 0.5), vertex_images={0: (1.0, 0.0, 0.0), 1: (0.2, 0.3, 0.5), 2: (0.1, 0.15, 0.75)})
         with pytest.raises(ValueError):
             # Split edge must contain the common point.
-            StubbornSpec((0.2, 0.3, 0.5), edge_case=((0, 1), 0))
+            StubbornRule((0.2, 0.3, 0.5), edge_case=((0, 1), 0))
+
+    @staticmethod
+    def _rows(rng, rule) -> list:
+        """Batches for the array map: lattice rows, face samples, vertices, empty and one-row
+        batches, points at the split edge's thresholds and coordinates at SUPPORT_TOL +- 1 ulp."""
+        n = rule.n
+        lattice = simplex_lattice(n, 7)
+        samples = np.vstack([face_samples(face, n, 5) for face in enumerate_faces(n, min_dim=1)])
+        batches = [lattice, samples, np.eye(n), np.empty((0, n)), lattice[:1], samples[-1:]]
+        if rule.edge_case is not None:
+            (i, j), extreme = rule.edge_case
+            s = rule.x_star[extreme]
+            cuts = [s, s + 1e-12, s - 1e-12, 1.0 - 1e-12, 1.0]
+            cuts += [np.nextafter(c, side) for c in cuts for side in (0.0, 2.0)]
+            edge = np.zeros((len(cuts), n))
+            edge[:, extreme] = cuts
+            edge[:, i + j - extreme] = 1.0 - edge[:, extreme]
+            batches.append(edge)
+        near = np.vstack([lattice, samples])[rng.integers(len(lattice) + len(samples), size=200)]
+        cols = rng.integers(n, size=len(near))
+        near[np.arange(len(near)), cols] = rng.choice(
+            [SUPPORT_TOL, np.nextafter(SUPPORT_TOL, 0.0), np.nextafter(SUPPORT_TOL, 1.0)], size=len(near)
+        )
+        batches.append(near)
+        return batches
+
+    def test_array_map_matches_the_row_loop(self):
+        # The array map against the per-row loop (``oracles.StubbornLoopRule``), bitwise.
+        rng = np.random.default_rng(25)
+        specs = []
+        for n in (3, 4, 5, 6):
+            for _ in range(25):
+                r = random_rule("occ-stubborn", n, rng)
+                specs.append(dict(x_star=r.x_star, vertex_images=r.vertex_images, identity_faces=r.identity_faces,
+                                  edge_case=r.edge_case))
+        for n in (4, 5):  # identity 2-faces, and identity vertices whose images lie within TOL_GEO of them
+            xs = rng.dirichlet(np.full(n, 3.0))
+            near_vertex = (1.0 - 5e-10) * np.eye(n) + 5e-10 * xs  # row i: vertex i's image, 5e-10 from it
+            erring = {0: near_vertex[0], 3: 0.5 * (np.eye(n)[3] + xs)}
+            specs.append(dict(x_star=xs, identity_faces=[(0, 1, 2)], vertex_images=erring))
+            correct = {2: near_vertex[2], 1: np.eye(n)[1]}
+            specs.append(dict(x_star=xs, identity_faces=[(0, 1, 2), (1, 3)], vertex_images=correct))
+        for n, (i, j) in ((3, (0, 1)), (4, (1, 3)), (5, (2, 4))):  # split edges at both vertices
+            xs = np.zeros(n)
+            xs[i], xs[j] = 0.375, 0.625
+            for extreme in (i, j):
+                erring = {extreme: 0.5 * (np.eye(n)[extreme] + xs)}
+                specs.append(dict(x_star=xs, edge_case=((i, j), extreme), vertex_images=erring))
+                others = [(k,) for k in range(n) if k not in (i, j)]
+                specs.append(dict(x_star=xs, edge_case=((j, i), extreme), identity_faces=others))
+        splits = 0
+        for spec in specs:
+            rule, loop = StubbornRule(**spec), StubbornLoopRule(StubbornSpec(**spec))
+            assert rule.to_json() == loop.to_json()
+            mu = rng.dirichlet(np.full(rule.n, 2.0))
+            splits += rule.edge_case is not None
+            for X in self._rows(rng, rule):
+                got, want = rule.apply_batch(mu, X), loop.apply_batch(mu, X)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (spec, X)
+        assert splits >= 25
 
 
 def pushforward(d, mu, rho):
@@ -641,6 +701,35 @@ class TestCoarseChecker:
         v = is_occasionally_coarse(rule, MU2, grid_size=200)
         assert not v.ok and v.refutation[1] == "c4-vertices"
 
+    def test_verdicts_match_the_node_loop(self):
+        # The array pass against the node-by-node loop (``oracles.is_occasionally_coarse_by_node``):
+        # equal verdicts, refuting node and condition included, on family members and noisy copies.
+        class Noisy(Distortion):
+            n = 2
+
+            def __init__(self, base, eps, cut):
+                self.base, self.eps, self.cut = base, eps, cut
+
+            def apply_batch(self, mu, X):  # noise of size eps from x = cut on
+                y = self.base.apply_batch(mu, X)[:, 0] + self.eps * (X[:, 0] >= self.cut) * np.sin(997.0 * X[:, 0])
+                return np.stack([y, 1.0 - y], axis=-1)
+
+        rng = np.random.default_rng(26)
+        seen = {}
+        for trial in range(60):
+            family = ("occ-coarse", "grether", "shrinkage", "trivial")[trial % 4]
+            base = random_rule(family, 2, rng)
+            mu = rng.uniform(0.15, 0.85)
+            for eps in (0.0, 3e-10, 2e-9, 1e-6):
+                rule = Noisy(base, eps, rng.uniform(0.05, 0.95)) if eps else base
+                for grid_size in (100, 101, 150):
+                    for tol in (1e-9, 1e-6):
+                        got = is_occasionally_coarse(rule, (mu, 1 - mu), grid_size, tol)
+                        assert got == is_occasionally_coarse_by_node(rule, (mu, 1 - mu), grid_size, tol)
+                        key = got.refutation[1] if got.refutation else "ok"
+                        seen[key] = seen.get(key, 0) + 1
+        assert all(seen.get(key, 0) >= 20 for key in ("ok", "c1-lower-coarse", "c2-upper-coarse", "c3-identity")), seen
+
 
 class TestStubbornChecker:
     def test_reference_rule_a(self):
@@ -673,6 +762,22 @@ class TestStubbornChecker:
         v = is_occasionally_stubborn(MovedSplit(), MU3)
         assert not v.ok and v.refutation[1] == "item2-edge" and v.refutation[0][other] == 0.0
         assert sup_close(v.x_star, (0.5, 0.5, 0.0))
+
+    def test_a_common_image_off_the_simplex_is_refuted(self):
+        # Every interior point is read as (0.5, 0.6, 0), which sums to 1.1: there is no collapse point.
+        class OffSimplex(BayesRule):
+            def apply_batch(self, mu, X):
+                out = super().apply_batch(mu, X)
+                out[np.all(X > 0.0, axis=1)] = (0.5, 0.6, 0.0)
+                return out
+
+        rule = OffSimplex(3)
+        v = is_occasionally_stubborn(rule, MU3)
+        first = distortions._face_stack(3)[1][-distortions._FACE_SAMPLES]  # the full simplex's first sample
+        assert not v.ok and v.x_star is None and v.refutation[1] == "item1-common-image"
+        assert v.refutation[0].tobytes() == first.tobytes()
+        rep = audit(rule, MU3, grid_size=11, budget=300)
+        assert rep.checker_verdicts["occasionally_stubborn"] == v.to_json()
 
     def test_bayes_vacuous(self):
         v = is_occasionally_stubborn(BayesRule(3), MU3)
@@ -708,7 +813,7 @@ class TestStubbornChecker:
             rule = random_rule("occ-stubborn", n, rng)
             mu = np.full(n, 1.0 / n)
             v = is_occasionally_stubborn(rule, mu)
-            assert v.ok, (k, rule.spec.to_json(), v.to_json())
+            assert v.ok, (k, rule.to_json(), v.to_json())
 
     def test_identity_interior_with_erring_vertex_refuted(self):
         # A correct interior cannot absorb a vertex error: the whole face

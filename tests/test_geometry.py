@@ -169,6 +169,11 @@ class TestMergeRule:
             assert np.array_equal(merge_owners(stack), [merge_owners(S) for S in stack])
         assert merged >= 200
 
+    def test_one_row_owns_itself(self):
+        for P in ([[0.2, 0.8]], [[np.nan, 0.5, 0.5]], [[[0.3, 0.7]], [[0.3, 0.7]]], np.empty((0, 3))):
+            owners = merge_owners(P)
+            assert owners.dtype == np.intp and owners.shape == np.shape(P)[:-1] and not owners.any()
+
     def test_separation_is_linprogs_on_the_rows_the_pairwise_loop_keeps(self):
         rng = np.random.default_rng(2410)
         for trial in range(40):
