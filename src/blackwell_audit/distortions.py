@@ -66,11 +66,13 @@ class Distortion:
     family: str
 
     def apply_batch(self, mu: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Images of the rows of X at prior mu; called only through ``evaluate_batch``.
+        """Images of the rows of X at prior mu; called only by the two gates,
+        ``evaluate_batch`` and ``classify_batch``.
 
-        mu is a float64 prior already found interior, and X a float64
-        array of posteriors, one per row.  The images must be finite:
-        ``evaluate_batch`` raises NonFiniteImage otherwise.
+        mu is a float64 prior already found interior, and X a read-only
+        float64 array of posteriors, one per row.  A rule may return X
+        itself; nobody writes into an image.  The images must be finite and
+        of X's shape: both gates raise NonFiniteImage or ValueError otherwise.
         """
         raise NotImplementedError
 
@@ -86,7 +88,7 @@ class BayesRule(Distortion):
     family: str = field(default="bayes", init=False)
 
     def apply_batch(self, mu, X):
-        return X.copy()
+        return X
 
     def to_json(self):
         return {"family": "bayes", "n": self.n}
@@ -386,18 +388,41 @@ class TabulatedRule(Distortion):
 
 
 def evaluate_batch(d: Distortion, mu, X) -> np.ndarray:
-    """The rule's images of the rows of X at prior mu: the one gate to ``Distortion.apply_batch``.
+    """The rule's images of the rows of X at prior mu: one of the two gates to ``Distortion.apply_batch``.
 
     mu and X are coerced to float64 once; a prior off the interior, or one
     with a NaN or infinite coordinate, raises PriorNotInterior before the
-    rule runs, and an image holding NaN or an infinite coordinate raises
-    NonFiniteImage, so every caller gets finite images or an error.
+    rule runs.  The rule gets a read-only view of X and may return it, so
+    the images may be read but never written.  Images of another shape than
+    X raise ValueError, and an image holding NaN or an infinite coordinate
+    raises NonFiniteImage, so every caller gets finite images or an error.
     """
     mua = interior_prior(mu, "rule evaluation")
-    imgs = d.apply_batch(mua, np.asarray(X, dtype=np.float64))
-    if not np.isfinite(imgs).all():
-        raise NonFiniteImage(f"the rule's map returned a non-finite image at prior {mua.tolist()}")
+    X = _read_only(X)
+    imgs = d.apply_batch(mua, X)
+    _check_shape(imgs, X)
+    _check_finite(imgs, mua)
     return imgs
+
+
+def _read_only(X) -> np.ndarray:
+    """X as float64, through a view that no rule can write through."""
+    view = np.asarray(X, dtype=np.float64).view()
+    view.setflags(write=False)
+    return view
+
+
+def _check_shape(imgs, X: np.ndarray) -> None:
+    """ValueError, before any arithmetic, unless the images have X's shape."""
+    if np.shape(imgs) != X.shape:
+        raise ValueError(f"the rule's map returned images of shape {np.shape(imgs)} for posteriors of shape {X.shape}")
+
+
+def _check_finite(imgs, mua: np.ndarray) -> None:
+    """NonFiniteImage unless every image coordinate is finite.  A finite sum proves that they all
+    are, and on the few rows of most calls it costs less than the elementwise test."""
+    if not abs(np.add.reduce(imgs, axis=None)) < np.inf and not np.isfinite(imgs).all():  # NaN fails both
+        raise NonFiniteImage(f"the rule's map returned a non-finite image at prior {mua.tolist()}")
 
 
 #: Census rows whose column-wise residual lies this close to tol are decided row-wise.
@@ -412,8 +437,13 @@ def classify_batch(d: Distortion, mu, X, tol: float = TOL_GEO):
     """Vectorized error census: returns (kinds, magnitudes).
 
     magnitudes is max|image - x| per row; a row errs when it exceeds tol.
-    kinds is int8 with 0 = none, 1 = expansive, 2 = contractive.  The rows
-    go through ``evaluate_batch`` in blocks of ``_CENSUS_BLOCK`` elements.
+    kinds is int8 with 0 = none, 1 = expansive, 2 = contractive.  The other
+    gate to ``Distortion.apply_batch``, with ``evaluate_batch``'s guarantee:
+    the prior is checked once, the rule gets read-only blocks of
+    ``_CENSUS_BLOCK`` elements, and an image of the wrong shape raises
+    ValueError.  Finiteness is read off a block's magnitudes, which over
+    finite rows are finite exactly when the images are: a non-finite image
+    raises NonFiniteImage, a non-finite posterior row ValueError.
     Only a block's erring rows, if it has any, are located against the
     posterior-prior segment, column by column (``_segment_residual``); a row
     whose residual lands within ``_REDECIDE`` of tol is decided again by the
@@ -421,19 +451,31 @@ def classify_batch(d: Distortion, mu, X, tol: float = TOL_GEO):
     the rounding of the column-wise sums.  Every formula is per row, so blocking changes no bit.
     """
     mua = interior_prior(mu, "rule evaluation")  # also when X has no rows, so no block is evaluated
-    X = np.asarray(X, dtype=np.float64)
+    X = _read_only(X)
     kinds = np.zeros(X.shape[0], dtype=np.int8)
     mags = np.empty(X.shape[0])
     step = max(1, _CENSUS_BLOCK // X.shape[1])
+    scratch = np.empty((min(step, X.shape[0]), X.shape[1]))  # every block's |image - x|
     for lo in range(0, X.shape[0], step):
         block = slice(lo, lo + step)
         Xb = X[block]
-        imgs = evaluate_batch(d, mua, Xb)
+        imgs = d.apply_batch(mua, Xb)
+        _check_shape(imgs, Xb)
+        diff = np.subtract(imgs, Xb, out=scratch[: Xb.shape[0]])
         # Row maxima column by column: np.max(axis=1) is several times slower on few columns.
-        mags[block] = functools.reduce(np.maximum, np.abs(imgs - Xb).T)
-        err = mags[block] > tol
-        if not err.any():  # an error-free block: its kinds stay 0
+        cols, m = np.abs(diff, out=diff).T, mags[block]
+        np.maximum(cols[0], cols[-1], out=m)
+        for col in cols[1:-1]:
+            np.maximum(m, col, out=m)
+        top = m.max()
+        if not top < np.inf:  # NaN or inf: find the non-finite image or row, unless a difference overflowed
+            _check_finite(imgs, mua)
+            bad = np.flatnonzero(~np.isfinite(Xb).all(axis=1))
+            if bad.size:
+                raise ValueError(f"posterior row {lo + bad[0]} is not finite: {Xb[bad[0]].tolist()}")
+        if top <= tol:  # an error-free block: its kinds stay 0
             continue
+        err = m > tol
         rows = slice(None)
         if not err.all():  # on many rules every row errs, and then a gather only costs time
             rows = np.flatnonzero(err)
@@ -442,7 +484,7 @@ def classify_batch(d: Distortion, mu, X, tol: float = TOL_GEO):
         near = np.flatnonzero(~(np.abs(resid - tol) > _REDECIDE))
         if near.size:
             resid[near] = on_segment(Xb.take(near, axis=0), mua, imgs.take(near, axis=0)).resid
-        kinds[block][rows] = 2 * (resid <= tol) + (resid > tol)  # a NaN residual stays 0
+        kinds[block][rows] = 2 * (resid <= tol) + (resid > tol)
     return kinds, mags
 
 

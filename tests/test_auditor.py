@@ -191,7 +191,7 @@ class _PriorDrift(BayesRule):
     """Bayes, except that the prior itself is read as (0.6, 0.2, 0.2)."""
 
     def apply_batch(self, mu, X):
-        out = super().apply_batch(mu, X)
+        out = super().apply_batch(mu, X).copy()  # Bayes returns X, which is read-only
         at_prior = np.max(np.abs(np.asarray(X) - mu), axis=-1) < 1e-9
         out[at_prior] = [0.6, 0.2, 0.2]
         return out

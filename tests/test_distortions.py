@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -80,7 +81,9 @@ class TestEvaluate:
     def test_bayes_identity(self):
         rng = np.random.default_rng(0)
         X = rng.dirichlet(np.ones(3), size=20)
-        assert np.allclose(evaluate_batch(BayesRule(3), MU3, X), X)
+        imgs = evaluate_batch(BayesRule(3), MU3, X)
+        assert np.array_equal(imgs, X) and np.shares_memory(imgs, X)
+        assert not imgs.flags.writeable and X.flags.writeable  # the image is read-only, the caller's X is not
 
     def test_grether_overreaction(self):
         img = image(GretherRule(2.0, 1.0, 2), MU2, (0.7, 0.3))
@@ -159,12 +162,12 @@ class TestEvaluate:
             n = 2
 
             def apply_batch(self, mu, X):
-                seen.append((mu.dtype, X.dtype))
+                seen.append((mu.dtype, X.dtype, X.flags.writeable))
                 return X.copy()
 
         assert evaluate_batch(Spy(), [0.5, 0.5], [[1, 0], [0, 1]]).dtype == np.float64
         assert sup_close(image(Spy(), (0.5, 0.5), (1, 0)), (1.0, 0.0))
-        assert seen == [(np.float64, np.float64)] * 2
+        assert seen == [(np.float64, np.float64, False)] * 2
         with pytest.raises(PriorNotInterior):
             evaluate_batch(Spy(), (1, 0), [[0.5, 0.5]])
         assert len(seen) == 2  # the rule never ran
@@ -177,6 +180,25 @@ class TestEvaluate:
             evaluate_batch(GretherRule(alpha, beta, 3), MU3, X)
         with pytest.raises(NonFiniteImage):
             classify_batch(GretherRule(alpha, beta, 3), MU3, X)
+
+    @pytest.mark.parametrize("wrong", [lambda X: X[:, :1], lambda X: X[0]], ids=["one-column", "one-row"])
+    def test_images_of_the_wrong_shape_raise_at_both_gates(self, wrong):
+        class WrongShape(Distortion):
+            n, family = 3, "wrong-shape"
+
+            def apply_batch(self, mu, X):
+                return np.array(wrong(X))
+
+        X = simplex_lattice(3, 11)
+        shapes = re.escape(f"images of shape {np.shape(wrong(X))} for posteriors of shape {X.shape}")
+        for run in (
+            lambda: evaluate_batch(WrongShape(), MU3, X),
+            lambda: classify_batch(WrongShape(), MU3, X),
+            lambda: audit(WrongShape(), MU3, grid_size=11, budget=10),
+        ):
+            with pytest.raises(ValueError, match=shapes) as raised:
+                run()
+            assert raised.type is ValueError
 
     def test_tabulated_lookup_and_miss(self):
         rule = TabulatedRule([(0.25, 0.75), (0.75, 0.25)], [(0.3, 0.7), (0.7, 0.3)], tol=0.05)
@@ -443,12 +465,14 @@ class TestClassifyBatch:
 
     # One census block per state count.
     GRIDS = {2: 201, 3: 61, 4: 31, 5: 11}
+    # Several blocks per state count, the last one short.
+    SEVERAL = {2: 100_000, 3: 301, 4: 61, 5: 31}
 
     @staticmethod
-    def _draws(family, n, share, tol, seed, count=3):
+    def _draws(family, n, share, tol, seed, count=3, grids=GRIDS):
         """``count`` (rule, prior) pairs at Dirichlet(4) priors whose lattice rows err as ``share`` says."""
         rng = np.random.default_rng(seed)
-        X = simplex_lattice(n, TestClassifyBatch.GRIDS[n])
+        X = simplex_lattice(n, grids[n])
         out = []
         while len(out) < count:
             d = BayesRule(n) if family == "bayes" else random_rule(family, n, rng)
@@ -461,12 +485,16 @@ class TestClassifyBatch:
     @pytest.mark.parametrize("tol", [1e-9, 1e-6])
     @pytest.mark.parametrize("family,n,share", CASES)
     def test_bitwise_equal_to_reference(self, family, n, share, tol):
-        for d, mu, X in self._draws(family, n, share, tol, seed=self.CASES.index((family, n, share))):
-            kinds, mags = classify_batch(d, mu, X, tol)
-            ref_kinds, imgs, _ = _reference_classify_batch(d, mu, X, tol)
-            assert kinds.dtype == np.int8
-            assert kinds.tobytes() == ref_kinds.tobytes()
-            assert mags.tobytes() == np.max(np.abs(imgs - X), axis=1).tobytes()
+        for grids in (self.GRIDS, self.SEVERAL):
+            rows = simplex_lattice(n, grids[n]).shape[0]
+            step, blocks = self._blocks(n, rows)
+            assert blocks == 1 if grids is self.GRIDS else blocks >= 2 and rows % step
+            for d, mu, X in self._draws(family, n, share, tol, seed=self.CASES.index((family, n, share)), grids=grids):
+                kinds, mags = classify_batch(d, mu, X, tol)
+                ref_kinds, imgs, _ = _reference_classify_batch(d, mu, X, tol)
+                assert kinds.dtype == np.int8
+                assert kinds.tobytes() == ref_kinds.tobytes()
+                assert mags.tobytes() == np.max(np.abs(imgs - X), axis=1).tobytes()
 
     @pytest.mark.parametrize("family,n,share", CASES)
     def test_audit_census_counts_the_reference_kinds(self, family, n, share):
@@ -637,6 +665,39 @@ class TestClassifyBatch:
             classify_batch(LastRowBad(), np.ones(n) / n, X)
         assert len(calls) == blocks >= 3
 
+    @pytest.mark.parametrize("n,grid_size", BLOCKED)
+    def test_one_prior_check_and_one_call_per_block(self, monkeypatch, n, grid_size):
+        X = simplex_lattice(n, grid_size)
+        before = X.tobytes()
+        step, blocks = self._blocks(n, X.shape[0])
+        checks, calls = [], []
+        real = distortions.interior_prior
+        monkeypatch.setattr(distortions, "interior_prior", lambda *a: checks.append(a) or real(*a))
+
+        class Spy(BayesRule):
+            def apply_batch(self, mu, X):
+                calls.append((len(X), X.flags.writeable))
+                return super().apply_batch(mu, X)
+
+        kinds, mags = classify_batch(Spy(n), np.full(n, 1.0 / n), X)
+        assert len(checks) == 1
+        assert calls == [(min(step, X.shape[0] - lo), False) for lo in range(0, X.shape[0], step)]
+        assert len(calls) == blocks >= 3
+        assert X.tobytes() == before
+        assert not kinds.any() and not mags.any()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_posterior_row_raises(self, bad):
+        # A trivial rule's images are finite, so only the row's own magnitude is not; it has no error class.
+        X = simplex_lattice(3, 301).copy()
+        row = X.shape[0] - 2  # in the last block
+        X[row, 0] = bad
+        with pytest.raises(ValueError, match=f"posterior row {row} is not finite") as raised:
+            classify_batch(TrivialRule([0.2, 0.3, 0.5]), MU3, X)
+        assert raised.type is ValueError
+        with pytest.raises(ValueError, match="posterior row 0 is not finite"):
+            classify_batch(TrivialRule([0.2, 0.3, 0.5]), MU3, [[bad, 0.0, 0.0]])
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0])
     def test_prior_checked_on_an_empty_census(self, bad):
         kinds, mags = classify_batch(BayesRule(3), MU3, np.empty((0, 3)))
@@ -767,7 +828,7 @@ class TestStubbornChecker:
         # Every interior point is read as (0.5, 0.6, 0), which sums to 1.1: there is no collapse point.
         class OffSimplex(BayesRule):
             def apply_batch(self, mu, X):
-                out = super().apply_batch(mu, X)
+                out = super().apply_batch(mu, X).copy()  # Bayes returns X, which is read-only
                 out[np.all(X > 0.0, axis=1)] = (0.5, 0.6, 0.0)
                 return out
 
@@ -820,7 +881,7 @@ class TestStubbornChecker:
         # would have to collapse.
         class VertexOnly(BayesRule):
             def apply_batch(self, mu, X):
-                out = super().apply_batch(mu, X)
+                out = super().apply_batch(mu, X).copy()  # Bayes returns X, which is read-only
                 vertex = np.abs(np.asarray(X)[..., 0] - 1.0) < 1e-12
                 out[vertex] = [0.6, 0.2, 0.2]
                 return out

@@ -66,3 +66,18 @@ class TestDeadApi:
         for module in (blackwell_audit, auditor, cli, decision, distortions, experiments, geometry):
             assert not [name for name in REMOVED if hasattr(module, name)], module.__name__
         assert not [name for owner, name in REMOVED_METHODS if hasattr(owner, name)]
+
+
+class TestGateBoundary:
+    def test_only_the_two_gates_call_apply_batch(self):
+        # evaluate_batch and classify_batch check the prior, hand the rule a read-only X and check its images.
+        callers = set()
+        for path in sorted((ROOT / "src").rglob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) and sub.func.attr == "apply_batch":
+                        callers.add((path.name, getattr(node, "name", None), sub.lineno))
+        assert {(file, name) for file, name, _ in callers} == {
+            ("distortions.py", "evaluate_batch"),
+            ("distortions.py", "classify_batch"),
+        }, sorted(callers)
