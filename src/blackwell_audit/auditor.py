@@ -92,6 +92,7 @@ from .distortions import (
     is_affine,
     is_occasionally_coarse,
     is_occasionally_stubborn,
+    refuse_chord_lattice,
     refuse_face_stack,
     rule_from_json,
     vertex_image_ok,
@@ -994,7 +995,7 @@ def audit(
     chords at ``grid_size``) runs the chord recipe on those chords.  Random search spends the rest of the
     budget only on a rule the mode's checker refutes.  Absence of a certificate is a pass, never an
     error.  A negative, infinite or NaN tol, a negative seed, or a budget below 1, infinite or NaN raises ValueError
-    before the census, and so does WrongDimension for a SINGLE audit with too many states (``refuse_face_stack``);
+    before the census, as does WrongDimension for too many states (``refuse_face_stack``, ``refuse_chord_lattice``);
     an error of the rule's evaluation propagates, such as NonFiniteImage or an off-node GridMiss.
     """
     mua = interior_prior(mu, "audit")
@@ -1008,7 +1009,9 @@ def audit(
     n = mua.shape[0]
     sel = sel or Selector()
     mode = WelfareMode(mode)
-    if mode is WelfareMode.SINGLE and n > 2:
+    if mode is WelfareMode.DOUBLE:
+        refuse_chord_lattice(n)
+    elif n > 2:
         refuse_face_stack(n)
 
     grid = simplex_lattice(n, grid_size)

@@ -4,13 +4,16 @@ Subcommands
 -----------
 audit       Run the violation search for a rule at one or more priors and
             write a JSON report (exit 0 = pass, 3 = violation found,
-            2 = bad configuration, a malformed rule table, or a rule whose
-            map returns non-finite images).  A found certificate is also
-            written next to the report as ``<stem>.certificate.json``.
+            2 = bad configuration, too many states (17 or more in single
+            mode, 400 or more in double mode), a malformed rule table, or a
+            rule whose map returns non-finite images).  A found certificate
+            is also written next to the report as ``<stem>.certificate.json``.
 reproduce   Emit the reference data sets as plot-ready CSV files.
-verify      Re-check a certificate file (exit 0 = valid, 4 = invalid,
-            2 = unreadable, or a rule that returns non-finite images or is
-            queried off its table on the certificate's posteriors).
+verify      Re-check a certificate file, or the first certificate in a
+            report that ``audit`` wrote (exit 0 = valid, 4 = invalid,
+            2 = unreadable, no certificate in the report, or a rule that
+            returns non-finite images or is queried off its table on the
+            certificate's posteriors).
 
 Outputs are written atomically (temp file + rename) and are
 byte-identical for identical configuration and seed.
@@ -207,8 +210,11 @@ def cmd_verify(path: str) -> int:
     except Exception as err:
         print(f"cannot read certificate: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    if isinstance(doc, dict) and "certificate" in doc and "pi" not in doc:
-        doc = doc["certificate"]  # accept full audit reports too
+    if isinstance(doc, dict) and "runs" in doc and "pi" not in doc:  # audit's report: its first run's certificate
+        runs = [run for run in doc["runs"] if isinstance(run, dict)] if isinstance(doc["runs"], list) else []
+        doc = next((run["certificate"] for run in runs if run.get("certificate") is not None), None)
+    elif isinstance(doc, dict) and "certificate" in doc and "pi" not in doc:
+        doc = doc["certificate"]  # the library's AuditReport
     if not isinstance(doc, dict) or doc.get("certificate", doc) is None:
         print("no certificate found in file", file=sys.stderr)
         return EXIT_CONFIG

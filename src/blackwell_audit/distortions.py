@@ -425,9 +425,6 @@ def _check_finite(imgs, mua: np.ndarray) -> None:
         raise NonFiniteImage(f"the rule's map returned a non-finite image at prior {mua.tolist()}")
 
 
-#: Census rows whose column-wise residual lies this close to tol are decided row-wise.
-_REDECIDE = 1e-12
-
 #: The census walks its rows in blocks of this many float64 elements (256 KB per array),
 #: so every pass over a block's images, differences and residuals stays in cache.
 _CENSUS_BLOCK = 1 << 15
@@ -445,10 +442,9 @@ def classify_batch(d: Distortion, mu, X, tol: float = TOL_GEO):
     finite rows are finite exactly when the images are: a non-finite image
     raises NonFiniteImage, a non-finite posterior row ValueError.
     Only a block's erring rows, if it has any, are located against the
-    posterior-prior segment, column by column (``_segment_residual``); a row
-    whose residual lands within ``_REDECIDE`` of tol is decided again by the
-    row-wise formulas (``on_segment``), so kinds never depend on
-    the rounding of the column-wise sums.  Every formula is per row, so blocking changes no bit.
+    posterior-prior segment, by one ``on_segment`` call: a row is
+    contractive when its residual is at most tol.  Every formula is per
+    row, so blocking changes no bit.
     """
     mua = interior_prior(mu, "rule evaluation")  # also when X has no rows, so no block is evaluated
     X = _read_only(X)
@@ -480,38 +476,9 @@ def classify_batch(d: Distortion, mu, X, tol: float = TOL_GEO):
         if not err.all():  # on many rules every row errs, and then a gather only costs time
             rows = np.flatnonzero(err)
             Xb, imgs = Xb.take(rows, axis=0), imgs.take(rows, axis=0)  # take: far faster than X[rows]
-        resid = _segment_residual(Xb, imgs, mua)
-        near = np.flatnonzero(~(np.abs(resid - tol) > _REDECIDE))
-        if near.size:
-            resid[near] = on_segment(Xb.take(near, axis=0), mua, imgs.take(near, axis=0)).resid
+        resid = on_segment(Xb, mua, imgs).resid
         kinds[block][rows] = 2 * (resid <= tol) + (resid > tol)
     return kinds, mags
-
-
-def _segment_residual(X: np.ndarray, imgs: np.ndarray, mua: np.ndarray) -> np.ndarray:
-    """Per row, the sup-norm distance from the image to its nearest point
-    lam x + (1 - lam) mu of the posterior-prior segment, lam clipped to
-    [0, 1]: the formulas of ``on_segment``, evaluated in place
-    on whole columns rather than broadcast over rows of a few entries."""
-    XT, IT = X.T, imgs.T
-    dx, di = XT[0] - mua[0], IT[0] - mua[0]
-    denom, num = dx * dx, di * dx
-    for c in range(1, len(mua)):
-        np.subtract(XT[c], mua[c], out=dx)
-        np.subtract(IT[c], mua[c], out=di)
-        denom += dx * dx
-        num += di * dx
-    with np.errstate(invalid="ignore", divide="ignore"):
-        lam = np.where(denom > 0.0, num / np.where(denom > 0, denom, 1.0), 0.0)
-    np.clip(lam, 0.0, 1.0, out=lam)
-    rest = np.subtract(1.0, lam, out=denom)
-    resid = np.zeros_like(lam)
-    for c, m in enumerate(mua):  # dx, then di, reused as scratch columns
-        np.multiply(lam, XT[c], out=dx)
-        dx += np.multiply(rest, m, out=di)
-        dx -= IT[c]
-        np.maximum(resid, np.abs(dx, out=dx), out=resid)
-    return resid
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +682,13 @@ _CHORD_POINTS = 2000
 AFFINE_TOL = 1e-8
 
 
+def refuse_chord_lattice(n: int) -> None:
+    """WrongDimension, before any lattice is built, when the chord scan's coarsest lattice (levels 0, 1/2, 1)
+    would hold more than 16 * ``MAX_POINTS`` coordinates, the most a SINGLE audit's may (from n = 400)."""
+    if n * math.comb(n + 1, 2) > 16 * MAX_POINTS:
+        raise WrongDimension(f"the chord scan's 3-level lattice of {n} states exceeds {16 * MAX_POINTS:,} coordinates")
+
+
 def affine_chords(d: Distortion, mu, grid_size: int = 21) -> tuple:
     """The rule's midpoint defects along lattice chords: (z, x, y, h), one row per chord.
 
@@ -722,9 +696,10 @@ def affine_chords(d: Distortion, mu, grid_size: int = 21) -> tuple:
     most ``_CHORD_POINTS`` points, but never coarser than levels 0, 1/2, 1.
     For each pair i < j with s = min(z_i, z_j) > 0, the chord's ends are
     x, y = z +- s (e_i - e_j), and h = phi(z) - (phi(x) + phi(y)) / 2.  An
-    affine map has h = 0 on every chord.
+    affine map has h = 0 on every chord.  ``refuse_chord_lattice`` runs first.
     """
     n = d.n
+    refuse_chord_lattice(n)
     res = max(2, min(grid_size - 1, _CHORD_POINTS))  # any finer lattice has more than _CHORD_POINTS points
     while res > 2 and math.comb(res + n - 1, n - 1) > _CHORD_POINTS:
         res -= 1

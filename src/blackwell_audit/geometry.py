@@ -193,16 +193,26 @@ def on_segment(x, y, z, tol: float = TOL_GEO) -> SegmentLocation:
     is the least-squares mixing weight (clamped to [0, 1], 0 when x = y),
     with lam * x + (1 - lam) * y the nearest segment point; resid is its
     sup-norm distance from z, and ``on`` is resid <= tol.  lam = 1 at x and
-    lam = 0 at y.  These are the census's formulas: each row's values are
-    bitwise those of its own call.
+    lam = 0 at y.  Sums and maxima run one coordinate at a time, in order,
+    on whole columns: each row's values are bitwise those of its own call.
     """
     xa, ya, za = _coerce(x), _coerce(y), _coerce(z)
-    dx, dz = xa - ya, za - ya
-    denom = np.sum(dx * dx, axis=-1)
+    cols = range(1, xa.shape[-1])
+    dx = xa[..., 0] - ya[..., 0]
+    denom, num = dx * dx, (za[..., 0] - ya[..., 0]) * dx
+    for c in cols:  # no broadcast over short rows; in place on arrays, a single point's scalars rebound
+        dx = xa[..., c] - ya[..., c]
+        denom += dx * dx
+        num += (za[..., c] - ya[..., c]) * dx
     with np.errstate(invalid="ignore", divide="ignore"):
-        lam = np.where(denom > 0.0, np.sum(dz * dx, axis=-1) / np.where(denom > 0, denom, 1.0), 0.0)
-    lam = np.clip(lam, 0.0, 1.0)
-    resid = np.max(np.abs(lam[..., None] * xa + (1.0 - lam[..., None]) * ya - za), axis=-1)
+        lam = np.clip(np.where(denom > 0.0, num / denom, 0.0), 0.0, 1.0)
+    rest = 1.0 - lam
+    resid = abs(lam * xa[..., 0] + rest * ya[..., 0] - za[..., 0])
+    for c in cols:
+        off = lam * xa[..., c]
+        off += rest * ya[..., c]
+        off -= za[..., c]
+        resid = np.maximum(resid, abs(off))
     return SegmentLocation(resid <= tol, lam, resid)
 
 

@@ -180,6 +180,21 @@ class TestAuditCommand:
         assert captured.err.splitlines() == [f"configuration error: {message}"]
         assert captured.out == "" and not out.exists()
 
+    def test_too_many_states_for_the_chord_scan(self, tmp_path, capsys, monkeypatch):
+        # Levels 0, 1/2, 1 of 400 states hold 80,200 points of 400 coordinates: refused before any lattice.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a lattice was built")
+
+        for module in (distortions, geometry):
+            monkeypatch.setattr(module, "_lattice", refuse)
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run(["audit", "--states", "400", "--mode", "double", "--rule", "bayes", "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        message = "the chord scan's 3-level lattice of 400 states exceeds 32,000,000 coordinates"
+        assert captured.err.splitlines() == [f"configuration error: {message}"]
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("rule", ["grether(2,800)", "grether(1000,1)"])
     def test_non_finite_images(self, tmp_path, capsys, rule):
         # mu**800 underflows to 0/0 on every lattice row; (x/mu)**1000 overflows on some.
@@ -333,6 +348,25 @@ class TestVerifyCommand:
 
     def test_valid_certificate(self, cert_path):
         assert run(["verify", str(cert_path)]) == EXIT_OK
+
+    def test_report_verifies_as_its_certificate_file(self, tmp_path, capsys):
+        # audit's report holds one run per prior; verify reads the certificate of the first run that has one.
+        out = tmp_path / "rep.json"
+        argv = ["audit", "--states", "3", "--rule", "grether(2,1)", "--grid", "41", "--out", str(out)]
+        assert run(argv) == EXIT_VIOLATION
+        capsys.readouterr()
+        results = [(run(["verify", str(path)]), capsys.readouterr()) for path in (out, tmp_path / "rep.certificate.json")]
+        assert results[0] == results[1] and results[0][0] == EXIT_OK
+        assert results[0][1].out.startswith("certificate valid: gap")
+        doc = json.loads(out.read_text())
+        doc["runs"].insert(0, dict(doc["runs"][0], certificate=None, verdict="pass"))
+        out.write_text(json.dumps(doc))
+        assert (run(["verify", str(out)]), capsys.readouterr()) == results[1]
+        # A passing report holds no certificate.
+        assert run(["audit", "--states", "3", "--rule", "bayes", "--grid", "41", "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["verify", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == ["no certificate found in file"]
 
     def test_swapped_experiments(self, cert_path, tmp_path):
         doc = json.loads(cert_path.read_text())

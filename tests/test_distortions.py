@@ -4,12 +4,11 @@ import csv
 import itertools
 import json
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from blackwell_audit import distortions
+from blackwell_audit import distortions, geometry
 from blackwell_audit.distortions import (
     BayesRule,
     CoarseRule,
@@ -35,7 +34,7 @@ from blackwell_audit.distortions import (
     stubborn_example_a,
     stubborn_example_b,
 )
-from blackwell_audit.geometry import TOL_GEO, _coerce, enumerate_faces, face_samples, simplex_lattice
+from blackwell_audit.geometry import TOL_GEO, _coerce, enumerate_faces, face_samples, on_segment, simplex_lattice
 from blackwell_audit.experiments import PosteriorDistribution, PriorNotInterior
 from blackwell_audit.auditor import audit
 from blackwell_audit.decision import (
@@ -517,33 +516,33 @@ class TestClassifyBatch:
         assert mags.tobytes() == np.max(np.abs(imgs - X), axis=1).tobytes()
         assert np.sum(kinds == 1) > 10 and np.sum(kinds == 2) > 10
 
-    @pytest.mark.parametrize("shift", [-5e-13, 0.0, 5e-13])
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_tolerance_at_a_row_residual_is_decided_row_wise(self, monkeypatch, n, shift):
-        self._decide_at_a_row_residual(monkeypatch, simplex_lattice(n, {3: 41, 4: 21, 5: 11}[n]), shift, 0)
+    # Past seven states numpy's row sums round otherwise than the census's column sums.
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 12])
+    def test_tolerance_at_a_row_residual_is_decided_row_wise(self, n, which):
+        self._decide_at_a_row_residual(simplex_lattice(n, {3: 41, 4: 21, 5: 11, 8: 5, 9: 5, 12: 4}[n]), which)
 
     @staticmethod
-    def _decide_at_a_row_residual(monkeypatch, X, shift, which):
-        """Census X with tol at the exact row-wise residual of erring row number ``which``, so
-        that row is contractive; the column-wise residual, also when shifted by a
-        rounding-sized amount, must not decide it.  Returns the row."""
+    def _decide_at_a_row_residual(X, which):
+        """Census X with tol at the exact residual of erring row number ``which``,
+        so that row is contractive: on the erring rows, kinds are those of
+        ``on_segment``'s residuals, ties included.  Returns the row."""
         n = X.shape[1]
         mu = np.arange(1.0, n + 1.0) / (n * (n + 1) / 2)
         rule = GretherRule(0.6, 1.3, n)  # under-reacts: images fall short of x, off the segment
-        _, imgs, lam = _reference_classify_batch(rule, mu, X, 0.0)
-        resid = np.max(np.abs(lam[:, None] * X + (1.0 - lam[:, None]) * mu - imgs), axis=1)
+        imgs = evaluate_batch(rule, mu, X)
+        resid = on_segment(X, mu, imgs).resid
         mags = np.max(np.abs(imgs - X), axis=1)
-        row = int(np.flatnonzero((resid > 1e-6) & (mags > 2.0 * resid))[which])
+        row = int(np.flatnonzero((resid > 1e-6) & (mags > resid))[which])  # erring at tol = its residual
         tol = float(resid[row])
-        real_columns = distortions._segment_residual
-        monkeypatch.setattr(distortions, "_segment_residual", lambda *a: real_columns(*a) + shift)
-        redecided = []
-        real_rows = distortions.on_segment
-        monkeypatch.setattr(distortions, "on_segment", lambda *a: redecided.append(len(a[0])) or real_rows(*a))
         kinds, _ = classify_batch(rule, mu, X, tol)
-        ref_kinds, _, _ = _reference_classify_batch(rule, mu, X, tol)
-        assert kinds[row] == 2 and redecided
-        assert kinds.tobytes() == ref_kinds.tobytes()
+        err = mags > tol
+        assert kinds[row] == 2 and on_segment(X[row], mu, imgs[row]).resid == tol
+        assert np.count_nonzero(kinds == 1) and np.count_nonzero(kinds == 2)
+        assert kinds[err].tobytes() == np.where(resid[err] <= tol, 2, 1).astype(np.int8).tobytes()
+        assert not kinds[~err].any()
+        if n <= 7:  # numpy's row sums are the column sums here
+            assert kinds.tobytes() == _reference_classify_batch(rule, mu, X, tol)[0].tobytes()
         return row
 
     # Lattices of 3, 5 and 8 census blocks (n = 3 at grid 201 is only 20,301 rows: two blocks).
@@ -571,12 +570,12 @@ class TestClassifyBatch:
             assert kinds.tobytes() == ref_kinds.tobytes()
             assert mags.tobytes() == np.max(np.abs(imgs - X), axis=1).tobytes()
 
-    @pytest.mark.parametrize("shift", [-5e-13, 0.0, 5e-13])
+    @pytest.mark.parametrize("which", [-1, -2, -3])
     @pytest.mark.parametrize("n,grid_size", BLOCKED)
-    def test_tolerance_at_a_row_residual_in_the_last_block(self, monkeypatch, n, grid_size, shift):
+    def test_tolerance_at_a_row_residual_in_the_last_block(self, n, grid_size, which):
         X = simplex_lattice(n, grid_size)
         step, blocks = self._blocks(n, X.shape[0])
-        assert blocks >= 3 and self._decide_at_a_row_residual(monkeypatch, X, shift, -1) >= (blocks - 1) * step
+        assert blocks >= 3 and self._decide_at_a_row_residual(X, which) >= (blocks - 1) * step
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("n,grid_size", BLOCKED)
@@ -600,11 +599,11 @@ class TestClassifyBatch:
     @staticmethod
     def _census_counting_segments(monkeypatch, d, mu, X, tol):
         """Census X against the reference; returns the reference kinds and the
-        number of ``_segment_residual`` calls, which must be one per block that
+        number of ``on_segment`` calls, which must be one per block that
         holds an erring row."""
         calls = []
-        real = distortions._segment_residual
-        monkeypatch.setattr(distortions, "_segment_residual", lambda *a: calls.append(len(a[0])) or real(*a))
+        real = distortions.on_segment
+        monkeypatch.setattr(distortions, "on_segment", lambda *a: calls.append(len(a[0])) or real(*a))
         kinds, mags = classify_batch(d, mu, X, tol)
         ref_kinds, imgs, _ = _reference_classify_batch(d, mu, X, tol)
         assert kinds.tobytes() == ref_kinds.tobytes()
@@ -931,11 +930,28 @@ class TestTrivialAndAffine:
         # res = _CHORD_POINTS whatever the grid: at most 2,000 steps at grid 10^6, not about 10^6.
         steps = []
         real = distortions.math.comb
-        monkeypatch.setattr(distortions, "math", SimpleNamespace(comb=lambda *a: steps.append(a) or real(*a)))
+        monkeypatch.setattr(distortions.math, "comb", lambda *a: steps.append(a) or real(*a))
         mu = np.full(3, 1.0 / 3)
         z = affine_chords(BayesRule(3), mu, 10**6)[0]
         assert len(steps) <= distortions._CHORD_POINTS
         assert z.tobytes() == affine_chords(BayesRule(3), mu, distortions._CHORD_POINTS + 1)[0].tobytes()
+
+    def test_chord_lattice_past_the_cap_is_refused_before_any_lattice(self, monkeypatch):
+        # n * C(n + 1, 2) coordinates on levels 0, 1/2, 1: 31,840,200 at n = 399, 32,080,000 at n = 400.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a lattice was built")
+
+        distortions.refuse_chord_lattice(399)
+        for module in (distortions, geometry):
+            monkeypatch.setattr(module, "_lattice", refuse)
+        for n in (400, 10**9):
+            with pytest.raises(WrongDimension, match=f"3-level lattice of {n} states exceeds 32,000,000 coordinates"):
+                distortions.refuse_chord_lattice(n)
+        mu = np.full(400, 1 / 400)
+        with pytest.raises(WrongDimension):
+            affine_chords(BayesRule(400), mu)
+        with pytest.raises(WrongDimension):
+            audit(BayesRule(400), mu, grid_size=11, mode=WelfareMode.DOUBLE)
 
     def test_near_bayes_grether_is_not_affine(self):
         # alpha = 1 leaves only the prior's extra power 1e-7, which moves a

@@ -125,11 +125,13 @@ class TestOnSegment:
                 one = on_segment(X[r], Yr[r], Z[r])
                 assert (one.on, one.lam.tobytes(), one.resid.tobytes()) == (
                     got.on[r], got.lam[r].tobytes(), got.resid[r].tobytes())
-            # The census's formulas, with row sums.
+            # The census's formulas, with column sums: one coordinate at a time, in order.
             dx, dz = X - Yr, Z - Yr
-            denom = np.sum(dx * dx, axis=1)
+            denom, num = dx[:, 0] * dx[:, 0], dz[:, 0] * dx[:, 0]
+            for c in range(1, n):
+                denom, num = denom + dx[:, c] * dx[:, c], num + dz[:, c] * dx[:, c]
             with np.errstate(invalid="ignore", divide="ignore"):
-                ref = np.where(denom > 0.0, np.sum(dz * dx, axis=1) / np.where(denom > 0, denom, 1.0), 0.0)
+                ref = np.where(denom > 0.0, num / np.where(denom > 0, denom, 1.0), 0.0)
             ref = np.clip(ref, 0.0, 1.0)
             resid = np.max(np.abs(ref[:, None] * X + (1.0 - ref[:, None]) * Yr - Z), axis=1)
             assert got.lam.tobytes() == ref.tobytes() and got.resid.tobytes() == resid.tobytes()

@@ -16,7 +16,7 @@ REMOVED = [
     "evaluate", "pushforward", "ErrorClass", "classify_error", "is_trivial_on_interior",
     "ValueResult", "value_function", "select_action", "welfare",
     "ConvexityViolation", "MIX_WEIGHTS", "convexity_violations",
-    "StubbornSpec", "vertex_belief",
+    "StubbornSpec", "vertex_belief", "_segment_residual", "_REDECIDE",
 ]
 REMOVED_METHODS = [(geometry.Belief, "allclose"), (geometry.Belief, "face"), (geometry.Hyperplane, "value")]
 
