@@ -583,60 +583,60 @@ def _binary(m: float, far: float, t: float) -> Optional[PosteriorDistribution]:
     return _distribution(np.array([[far, 1.0 - far], [t, 1.0 - t]]), [1.0 - w, w])
 
 
-def _audit_contractive_two_state(search: _Search, x0: np.ndarray, img0) -> Optional[ViolationCertificate]:
-    """Lemma 3 from the contractive error x0 with image img0: its 8 rungs are evaluated in one
-    call, then the 5 sub-rungs of every rung that is no threshold step in
-    another, and a two-state distribution is built only at a step that would
-    charge.  A rule's map is pure, so the certificate and the budget charged
-    are those of rung-by-rung calls."""
+def _audit_contractive_two_state(search: _Search, X0: np.ndarray, imgs0: np.ndarray) -> Optional[ViolationCertificate]:
+    """Lemma 3 from a block of contractive errors X0 (rows, in dispatch order) with images imgs0.  Every error's
+    8 rungs are evaluated in one call, then the 5 sub-rungs of every rung that is no threshold step in another;
+    the step and ternary masks of the whole block pick the candidates, and a two-state distribution is built
+    only at one of them.  If a call raises, each error's rungs, then its sub-rungs, are evaluated alone
+    (``_images``), and the first failure is raised after the errors before it ran their branches.  A rule's
+    map is pure, so the certificate, the budget charged and any error are those of one error at a time."""
     d, mu, tol = search.d, search.mu, search.tol
-    m = float(mu[0])
-    z = float(x0[0])
-    direction = 1.0 if z > m else -1.0
-    far = 0.0 if direction > 0 else 1.0  # scalar coordinate of the opposite vertex
-    binary = functools.lru_cache(maxsize=None)(functools.partial(_binary, m, far))
-
-    def phi(t: np.ndarray) -> np.ndarray:
-        return evaluate_batch(d, mu, np.stack([t, 1.0 - t], axis=1))[:, 0]
-
-    zhat = float(img0[0])
-    rungs = zhat + (z - zhat) * np.arange(1, 9) / 9.0
-    rung_hats = phi(rungs)
-    steps = direction * (rung_hats - zhat) > tol  # a less extreme posterior lands on a more extreme belief
-    sub_rungs = (rung_hats[:, None] + (rungs - rung_hats)[:, None] * np.arange(1, 6) / 6.0)[~steps]
-    sub_hats = phi(sub_rungs.ravel()).reshape(sub_rungs.shape) if sub_rungs.size else sub_rungs
-    ternary = iter(zip(sub_rungs.tolist(), sub_hats.tolist()))
-    for zp, zp_hat, step in zip(rungs.tolist(), rung_hats.tolist(), steps.tolist()):
-        if step:
-            cutoff = 0.5 * (zp_hat + zhat)
-            rho_z, rho_zp = binary(z), binary(zp)
-            if rho_z is None or rho_zp is None:
-                continue
-            search.charge()
-            cert = search.try_pair(rho_z, rho_zp, _threshold_problem(direction, cutoff), "lemma3-threshold")
-            if cert is not None:
-                return cert
-            continue
-        for zpp, zpp_hat in zip(*next(ternary)):
-            if direction * (zp_hat - zpp_hat) <= tol:
-                continue
-            # Ternary comparison: {far, zpp, z} against the binary {far, zp}.
-            cutoff = 0.5 * (zp_hat + zpp_hat)
-            rho_zp = binary(zp)
-            if rho_zp is None:
+    E, m = X0.shape[0], float(mu[0])
+    directions = np.where(X0[:, 0] > m, 1.0, -1.0)  # +1 where x0's first coordinate exceeds the prior's
+    rungs = imgs0[:, :1] + (X0[:, :1] - imgs0[:, :1]) * np.arange(1, 9) / 9.0
+    t = rungs.ravel()
+    hats, stop, failure = _images(d, mu, np.stack([t, 1.0 - t], axis=1), [(e, 0, 8 * e, 8 * e + 8) for e in range(E)])
+    rung_hats = hats[:, 0].reshape(E, 8)  # NaN from a failing error on
+    end = stop[0] if stop else E  # the errors before the first failure
+    # A step: a less extreme posterior lands on a more extreme belief.
+    steps = directions[:, None] * (rung_hats - imgs0[:, :1]) > tol
+    subs = ~steps & (np.arange(E) < end)[:, None]
+    sub_rungs = rung_hats[:, :, None] + (rungs - rung_hats)[:, :, None] * np.arange(1, 6) / 6.0
+    sub_hats = np.full_like(sub_rungs, np.nan)
+    if subs.any():
+        counts = 5 * subs.sum(axis=1)
+        ends, t = np.cumsum(counts), sub_rungs[subs].ravel()
+        segments = [(e, 1, ends[e] - c, ends[e]) for e, c in enumerate(counts.tolist()) if c]
+        hats, sub_stop, sub_failure = _images(d, mu, np.stack([t, 1.0 - t], axis=1), segments)
+        sub_hats[subs] = hats[:, 0].reshape(-1, 5)
+        if sub_stop:
+            end, failure = sub_stop[0], sub_failure
+    # Slot 0 of a rung compares it with x0 (a threshold step), slots 1-5 with its sub-rungs (ternary comparisons).
+    lows = np.concatenate([np.broadcast_to(imgs0[:, None, :1], (E, 8, 1)), sub_hats], axis=2)
+    candidates = directions[:, None, None] * (rung_hats[:, :, None] - lows) > tol
+    for e, k, j in np.argwhere(candidates[:end]).tolist():
+        z, zp, zp_hat, low = float(X0[e, 0]), float(rungs[e, k]), float(rung_hats[e, k]), float(lows[e, k, j])
+        direction = float(directions[e])
+        far = 0.0 if direction > 0 else 1.0  # scalar coordinate of the opposite vertex
+        rho_zp = _binary(m, far, zp)
+        if j == 0:  # the binary {far, z} against the binary {far, zp}
+            rho_hi, recipe = _binary(m, far, z), "lemma3-threshold"
+        else:  # {far, zpp, z} against the binary {far, zp}
+            zpp, recipe = float(sub_rungs[e, k, j - 1]), "lemma3-ternary"
+            if rho_zp is None or abs(z - zpp) < 1e-12:
                 continue
             p = float(rho_zp.probs[1])
-            if abs(z - zpp) < 1e-12:
-                continue
             q_z = p * (zp - zpp) / (z - zpp)
             support = np.array([[far, 1.0 - far], [zpp, 1.0 - zpp], [z, 1.0 - z]])
             rho_hi = _distribution(support, [1.0 - p, p - q_z, q_z])
-            if rho_hi is None:
-                continue
-            search.charge()
-            cert = search.try_pair(rho_hi, rho_zp, _threshold_problem(direction, cutoff), "lemma3-ternary")
-            if cert is not None:
-                return cert
+        if rho_hi is None or rho_zp is None:
+            continue
+        search.charge()
+        cert = search.try_pair(rho_hi, rho_zp, _threshold_problem(direction, 0.5 * (zp_hat + low)), recipe)
+        if cert is not None:
+            return cert
+    if failure is not None:
+        raise failure
     return None
 
 
@@ -675,11 +675,14 @@ def _audit_contractive_many_states(search: _Search, x0: np.ndarray, img0) -> Opt
 
 
 def _audit_contractive(search: _Search, X0: np.ndarray) -> Optional[ViolationCertificate]:
-    """The contraction recipes for the prior's state count on contractive errors X0 (rows), one at a time.  Their
-    images come from one call; in an audit it cannot raise, since the census has evaluated these rows."""
-    recipes = _audit_contractive_two_state if search.mu.shape[0] == 2 else _audit_contractive_many_states
-    for x0, img0 in zip(X0, evaluate_batch(search.d, search.mu, X0)):
-        cert = recipes(search, x0, img0)
+    """The contraction recipes for the prior's state count on contractive errors X0 (rows): on two states the
+    block's rungs at once, else one error at a time.  Their images come from one call; in an audit it cannot
+    raise, since the census has evaluated these rows."""
+    imgs0 = evaluate_batch(search.d, search.mu, X0)
+    if search.mu.shape[0] == 2:
+        return _audit_contractive_two_state(search, X0, imgs0)
+    for x0, img0 in zip(X0, imgs0):
+        cert = _audit_contractive_many_states(search, x0, img0)
         if cert is not None:
             return cert
     return None
@@ -996,7 +999,8 @@ def audit(
     budget only on a rule the mode's checker refutes.  Absence of a certificate is a pass, never an
     error.  A negative, infinite or NaN tol, a negative seed, or a budget below 1, infinite or NaN raises ValueError
     before the census, as does WrongDimension for too many states (``refuse_face_stack``, ``refuse_chord_lattice``);
-    an error of the rule's evaluation propagates, such as NonFiniteImage or an off-node GridMiss.
+    an error of the rule's evaluation propagates, such as NonFiniteImage or an off-node GridMiss.  A tol below
+    rounding level, such as 0, lets rounding pick each erring point's kind; the checkers floor theirs at 1e-9.
     """
     mua = interior_prior(mu, "audit")
     # A NaN or infinite tol would count every point as error-free, a negative one every point as erring.

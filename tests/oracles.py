@@ -8,15 +8,25 @@ and ``dedupe_points`` (the merge rule as one sup-norm comparison per pair).
 ``sup_close`` compares beliefs in the sup norm.  ``StubbornLoopRule`` over a
 ``StubbornSpec`` is the collapse map row by row, the reference for
 ``StubbornRule``'s array map, and ``is_occasionally_coarse_by_node`` the
-interval checker node by node.
+interval checker node by node.  ``contractive_two_state_by_error`` is lemma 3's
+two-state recipe for one contractive error, the reference for the auditor's
+block recipe.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from blackwell_audit.auditor import (
+    ViolationCertificate,
+    _Search,
+    _binary,
+    _distribution,
+    _threshold_problem,
+)
 from blackwell_audit.decision import TIE_TOL, DecisionProblem, Selector, WelfareMode, welfare_batch
 from blackwell_audit.distortions import (
     SUPPORT_TOL,
@@ -334,3 +344,62 @@ def is_occasionally_coarse_by_node(
     a_out = 0.0 if a_fit <= ts[1] + tol else a_fit
     b_out = 1.0 if b_fit >= ts[-2] - tol else b_fit
     return CoarseVerdict(True, a_out, b_out, u_hat, v_hat)
+
+
+def contractive_two_state_by_error(search: _Search, x0: np.ndarray, img0) -> Optional[ViolationCertificate]:
+    """Lemma 3 from the contractive error x0 with image img0: its 8 rungs are evaluated in one
+    call, then the 5 sub-rungs of every rung that is no threshold step in
+    another, and a two-state distribution is built only at a step that would
+    charge.  A rule's map is pure, so the certificate and the budget charged
+    are those of rung-by-rung calls."""
+    d, mu, tol = search.d, search.mu, search.tol
+    m = float(mu[0])
+    z = float(x0[0])
+    direction = 1.0 if z > m else -1.0
+    far = 0.0 if direction > 0 else 1.0  # scalar coordinate of the opposite vertex
+    binary = functools.lru_cache(maxsize=None)(functools.partial(_binary, m, far))
+
+    def phi(t: np.ndarray) -> np.ndarray:
+        return evaluate_batch(d, mu, np.stack([t, 1.0 - t], axis=1))[:, 0]
+
+    zhat = float(img0[0])
+    rungs = zhat + (z - zhat) * np.arange(1, 9) / 9.0
+    rung_hats = phi(rungs)
+    steps = direction * (rung_hats - zhat) > tol  # a less extreme posterior lands on a more extreme belief
+    sub_rungs = (rung_hats[:, None] + (rungs - rung_hats)[:, None] * np.arange(1, 6) / 6.0)[~steps]
+    sub_hats = phi(sub_rungs.ravel()).reshape(sub_rungs.shape) if sub_rungs.size else sub_rungs
+    ternary = iter(zip(sub_rungs.tolist(), sub_hats.tolist()))
+    for zp, zp_hat, step in zip(rungs.tolist(), rung_hats.tolist(), steps.tolist()):
+        if step:
+            cutoff = 0.5 * (zp_hat + zhat)
+            rho_z, rho_zp = binary(z), binary(zp)
+            if rho_z is None or rho_zp is None:
+                continue
+            search.charge()
+            cert = search.try_pair(rho_z, rho_zp, _threshold_problem(direction, cutoff), "lemma3-threshold")
+            if cert is not None:
+                return cert
+            continue
+        for zpp, zpp_hat in zip(*next(ternary)):
+            if direction * (zp_hat - zpp_hat) <= tol:
+                continue
+            # Ternary comparison: {far, zpp, z} against the binary {far, zp}.
+            cutoff = 0.5 * (zp_hat + zpp_hat)
+            rho_zp = binary(zp)
+            if rho_zp is None:
+                continue
+            p = float(rho_zp.probs[1])
+            if abs(z - zpp) < 1e-12:
+                continue
+            q_z = p * (zp - zpp) / (z - zpp)
+            support = np.array([[far, 1.0 - far], [zpp, 1.0 - zpp], [z, 1.0 - z]])
+            rho_hi = _distribution(support, [1.0 - p, p - q_z, q_z])
+            if rho_hi is None:
+                continue
+            search.charge()
+            cert = search.try_pair(rho_hi, rho_zp, _threshold_problem(direction, cutoff), "lemma3-ternary")
+            if cert is not None:
+                return cert
+    return None
+
+

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audit_helpers import adversary, one_error
-from oracles import value_function
+from oracles import contractive_two_state_by_error, value_function
 from blackwell_audit import auditor, geometry
 from blackwell_audit.geometry import (
     TOL_GEO,
@@ -1459,7 +1459,7 @@ class TestDispatchSelection:
                 assert len(expected) == min(_MAX_DISPATCH, np.count_nonzero(kinds == 1)) + min(_MAX_DISPATCH, np.count_nonzero(kinds == 2))
 
     def test_two_state_rows_are_the_rows_phi_builds(self):
-        # The two-state recipe's phi reads the rule at (t, 1 - t), and _audit_contractive
+        # The two-state recipe reads the rule at rows (t, 1 - t), and _audit_contractive
         # hands it the image of the lattice row instead: the two rows must be one.
         for grid_size in (2, 3, 11, 41, 100, 101, 201, 1001, 4097):
             grid = simplex_lattice(2, grid_size)
@@ -1497,6 +1497,38 @@ class _NonFiniteAt(Distortion):
 
     def to_json(self):
         return self.inner.to_json()
+
+
+class _ClippedShrinkage(Distortion):
+    """Two states: the scalar coordinate reads lo below a, is clipped to b above b and is shrunk by lam toward
+    the prior's between them.  Clipped to [a, b] (lo = a), its largest contractive errors are clipped
+    ones, whose rungs and sub-rungs all land on a or b and never certify; the shrunk errors after them do."""
+
+    def __init__(self, a: float, b: float, lam: float, lo: float) -> None:
+        self.a, self.b, self.lam, self.lo, self.n, self.family = a, b, lam, lo, 2, "clipped-shrinkage"
+
+    @classmethod
+    def draw(cls, rng: np.random.Generator, m: float, step: bool = False) -> "_ClippedShrinkage":
+        """A rule at prior coordinate m in (0.15, 0.85), clipped to an interval that leaves one to four lattice
+        rows (grid 101) near each vertex erring by more than the shrunk rows at that end.  With ``step``, the
+        rows below a read a belief nearer the prior than the shrunk row at a: their rungs past a are threshold
+        steps, a less extreme posterior landing on a more extreme belief."""
+        lam = float(rng.uniform(0.3, 0.7))
+        up, down = (rng.integers(1, 5, size=2) + 0.5) / 100
+        # A clipped row t > b errs by t - b, the shrunk row at b by (1 - lam)(b - m): the first is larger
+        # exactly for t > 1 - up.  Likewise below a, for t < down.
+        b = float((1.0 + (1.0 - lam) * m - up) / (2.0 - lam))
+        a = float((down + (1.0 - lam) * m) / (2.0 - lam))
+        lo = float(rng.uniform(m + lam * (a - m), m)) if step else a
+        return cls(a, b, lam, lo)
+
+    def apply_batch(self, mu, X):
+        t = X[:, 0]
+        y = np.where(t < self.a, self.lo, np.where(t > self.b, self.b, self.lam * t + (1.0 - self.lam) * mu[0]))
+        return np.stack([y, 1.0 - y], axis=1)
+
+    def to_json(self):
+        return {"family": self.family, "a": self.a, "b": self.b, "lambda": self.lam, "lo": self.lo}
 
 
 class TestWholeDispatch:
@@ -1584,6 +1616,23 @@ class TestWholeDispatch:
             later, failed_later, exhausted, certs, passes
         )
 
+    def test_a_contractive_block_past_its_first_error(self):
+        # Clipped errors lead each two-state contractive block and never certify:
+        # certificates and spent budgets come from a later error of the block.
+        later, exhausted = 0, 0
+        for i in range(24):
+            rng = np.random.default_rng(12800 + i)
+            m = float(rng.uniform(0.15, 0.85))
+            rule, mu = _ClippedShrinkage.draw(rng, m), np.array([m, 1.0 - m])
+            policy = (SelectorPolicy.LEX_FIRST, SelectorPolicy.LEX_LAST)[int(rng.integers(2))]
+            sel = Selector(policy, tie_tol=(1e-10, 0.01, 0.05)[int(rng.integers(3))])
+            tol, budget = (1e-9, 1e-6)[int(rng.integers(2))], (3, 10, 40)[int(rng.integers(3))]
+            (result, _), last, _ = self._compare(rule, mu, sel, tol, budget)
+            past = last is not None and last[0] == 2 and last[1] >= 1
+            later += past and isinstance(result, str) and json.loads(result)["recipe"].startswith("lemma3")
+            exhausted += past and result is BudgetExhausted
+        assert later >= 3 and exhausted >= 3, (later, exhausted)
+
     def test_an_image_that_fails_at_a_later_error(self, monkeypatch):
         failures = self._count_failures(monkeypatch)
         # The block's one evaluation raises NonFiniteImage at the points of the last
@@ -1646,3 +1695,117 @@ class TestWholeDispatch:
             assert evaluated[0].tobytes() == np.concatenate(want).tobytes(), i
             assert got == self._outcome(one_at_a_time, rule, mu, Selector(), 1e-9, 60, block), i
         assert merged >= 100, merged
+
+
+class TestContractiveBlock:
+    """On two states ``_audit_contractive`` plans its whole block; it must return the certificate bytes,
+    charge the budget and raise the error of ``oracles.contractive_two_state_by_error`` run one error at a
+    time, with two evaluations for the block's rungs and sub-rungs when nothing raises."""
+
+    FAMILIES = ("grether", "shrinkage", "occ-coarse", "clipped")
+
+    @classmethod
+    def _block(cls, i):
+        """Case i's rule, prior, tol and dispatched contractive rows, largest first; its generator."""
+        rng = np.random.default_rng(14000 + i)
+        m = float(rng.uniform(0.15, 0.85))
+        mu, family = np.array([m, 1.0 - m]), cls.FAMILIES[i % 4]
+        if family == "clipped":  # half of them with threshold steps
+            rule = _ClippedShrinkage.draw(rng, m, step=bool(rng.integers(2)))
+        else:
+            rule = random_rule(family, 2, rng)
+        tol = (1e-9, 1e-6)[i // 4 % 2]
+        grid = simplex_lattice(2, 101)
+        kinds, mags = classify_batch(rule, mu, grid, tol)
+        idx = np.flatnonzero(kinds == 2)
+        return rule, mu, tol, grid[idx[np.lexsort((idx, -mags[idx]))][:_MAX_DISPATCH]], rng
+
+    @staticmethod
+    def _by_error(search, X0):
+        for x0, img0 in zip(X0, evaluate_batch(search.d, search.mu, X0)):
+            cert = contractive_two_state_by_error(search, x0, img0)
+            if cert is not None:
+                return cert
+        return None
+
+    def _compare(self, rule, mu, sel, tol, budget, X0):
+        got = TestWholeDispatch._outcome(_audit_contractive, rule, mu, sel, tol, budget, X0)
+        want = TestWholeDispatch._outcome(self._by_error, rule, mu, sel, tol, budget, X0)
+        assert got == want, (rule.to_json(), mu.tolist(), sel, tol, budget, X0[:, 0].tolist())
+        return want
+
+    @staticmethod
+    def _ladder(rule, mu, x0, tol):
+        """The rows of x0's rungs and of the sub-rungs of its non-step rungs, as the reference builds them."""
+        z, zhat = float(x0[0]), float(evaluate_batch(rule, mu, x0[None, :])[0, 0])
+        rungs = zhat + (z - zhat) * np.arange(1, 9) / 9.0
+        hats = evaluate_batch(rule, mu, np.stack([rungs, 1.0 - rungs], axis=1))[:, 0]
+        steps = (1.0 if z > float(mu[0]) else -1.0) * (hats - zhat) > tol
+        subs = (hats[:, None] + (rungs - hats)[:, None] * np.arange(1, 6) / 6.0)[~steps].ravel()
+        return np.stack([rungs, 1.0 - rungs], axis=1), np.stack([subs, 1.0 - subs], axis=1)
+
+    def test_matches_the_per_error_reference(self):
+        outcomes, blocks = set(), 0
+        for i in range(288):
+            rule, mu, tol, X0, _ = self._block(i)
+            if not X0.shape[0]:
+                continue
+            policy = (SelectorPolicy.LEX_FIRST, SelectorPolicy.LEX_LAST)[i // 8 % 2]
+            sel = Selector(policy, tie_tol=(1e-10, 0.01, 0.05)[i // 16 % 3])
+            result, _ = self._compare(rule, mu, sel, tol, (1, 3, 10, 40)[i // 48 % 4], X0)
+            outcomes.add((self.FAMILIES[i % 4], json.loads(result)["recipe"] if isinstance(result, str) else result))
+            blocks += 1
+        # Every family but the interval rules certifies and runs out of budget, the clipped rules also at a
+        # threshold step; the interval rules always pass.
+        want = {(f, r) for f in ("grether", "shrinkage", "clipped") for r in ("lemma3-ternary", BudgetExhausted)}
+        want |= {("clipped", "lemma3-threshold"), ("occ-coarse", None)}
+        assert blocks >= 200 and want <= outcomes, (blocks, sorted(map(str, outcomes)))
+
+    def test_a_failing_evaluation_raises_where_the_reference_does(self, monkeypatch):
+        # NaN at the rung points, then at the sub-rung points, of the first, third and
+        # last dispatched error: the block's batched call raises, each error's points
+        # are evaluated alone up to that error, and the outcome is the reference's.
+        failures = TestWholeDispatch._count_failures(monkeypatch)
+        raised, certified_first, fell_back = 0, 0, 0
+        for i in range(24):
+            inner, mu, tol, X0, rng = self._block(i)
+            E = X0.shape[0]
+            rows = np.concatenate([X0] + [self._ladder(inner, mu, x0, tol)[0] for x0 in X0])
+            for k in sorted({0, 2, E - 1} & set(range(E))):
+                rungs, sub_rungs = self._ladder(inner, mu, X0[k], tol)
+                # Sub-rungs that are no rung or error of the block: only the block's second call meets them.
+                sub_rungs = sub_rungs[~np.all(sub_rungs[:, None] == rows[None], axis=2).any(axis=1)]
+                for points in (rungs, sub_rungs):
+                    if not points.shape[0]:
+                        continue
+                    failures.clear()
+                    sel = Selector(tie_tol=(1e-10, 0.05)[int(rng.integers(2))])
+                    result, _ = self._compare(_NonFiniteAt(inner, points), mu, sel, tol, 40, X0)
+                    raised += result is NonFiniteImage
+                    certified_first += isinstance(result, str) and k >= 1
+                    # The block's call over every error, then error k's own rungs or sub-rungs.
+                    # The block's batched call, then one error's own call, at error k.
+                    fell_back += len(failures) == 2 and failures[0] > failures[1]
+        assert raised >= 40 and certified_first >= 10 and fell_back >= 80, (raised, certified_first, fell_back)
+
+    @pytest.mark.parametrize("size", [1, 2, 15, 16])
+    def test_a_block_makes_at_most_three_evaluations(self, monkeypatch, size):
+        calls = []
+
+        def spy(d, mu, X):
+            calls.append(X.shape[0])
+            return evaluate_batch(d, mu, X)
+
+        monkeypatch.setattr(auditor, "evaluate_batch", spy)
+        blocks, whole = 0, 0
+        for i in range(48):
+            rule, mu, tol, X0, _ = self._block(i)
+            if X0.shape[0] < size:
+                continue
+            calls.clear()
+            TestWholeDispatch._outcome(_audit_contractive, rule, mu, Selector(), tol, 40, X0[:size])
+            # X0's images, every rung, then every sub-rung of a non-step rung
+            assert calls[:2] == [size, 8 * size] and len(calls) <= 3, (i, calls)
+            blocks += 1
+            whole += len(calls) == 3
+        assert blocks >= 30 and whole >= 30, (blocks, whole)
