@@ -29,7 +29,6 @@ from .experiments import (
     PosteriorDistribution,
     PriorNotInterior,
     bayes,
-    binary_symmetric,
     blackwell_dominates,
     experiment_from_posteriors,
     garble,

@@ -86,6 +86,7 @@ from .distortions import (
     Distortion,
     GridMiss,
     NonFiniteImage,
+    StubbornVerdict,
     affine_chords,
     classify_batch,
     evaluate_batch,
@@ -95,7 +96,6 @@ from .distortions import (
     refuse_chord_lattice,
     refuse_face_stack,
     rule_from_json,
-    vertex_image_ok,
 )
 from .decision import (
     DecisionProblem,
@@ -721,13 +721,14 @@ class AuditReport:
         }
 
 
-def _vertex_condition_certificate(search: _Search, x_star: np.ndarray) -> Optional[ViolationCertificate]:
-    """Vertex whose image fails the collapse family's vertex condition (``vertex_image_ok``)."""
-    d, mu, tol = search.d, search.mu, search.tol
-    verts = np.eye(mu.shape[0])
-    vert_imgs = evaluate_batch(d, mu, verts)
-    bad = ~vertex_image_ok(x_star, np.arange(mu.shape[0]), vert_imgs, tol)
-    for i, e, img in zip(np.flatnonzero(bad).tolist(), verts[bad], vert_imgs[bad]):
+def _vertex_condition_certificate(search: _Search, verdict: StubbornVerdict) -> Optional[ViolationCertificate]:
+    """The vertices the collapse checker found off their segment toward its x* (``failing_vertices``), in
+    one evaluation; none on a rule with no such vertex."""
+    d, mu, failing = search.d, search.mu, list(verdict.failing_vertices)
+    if not failing:
+        return None
+    x_star, verts = verdict.x_star.coords, np.eye(mu.shape[0])[failing]
+    for i, e, img in zip(failing, verts, evaluate_batch(d, mu, verts)):
         problem = search.cut([img], np.vstack([e[None, :], x_star[None, :], mu[None, :]]))
         if problem is None:
             continue
@@ -955,8 +956,9 @@ def _random_search(search: _Search) -> Optional[ViolationCertificate]:
 _MAX_DISPATCH = 16
 
 
-def _single_mode_recipes(search: _Search, grid, kinds, mags, census, star) -> Optional[ViolationCertificate]:
-    """The misread prior, the ``_MAX_DISPATCH`` largest errors of each kind, then the vertex condition at x*.
+def _single_mode_recipes(search: _Search, grid, kinds, mags, census, verdict) -> Optional[ViolationCertificate]:
+    """The misread prior, the ``_MAX_DISPATCH`` largest errors of each kind, then the vertices that the collapse
+    checker's verdict (None on two states) finds off their segment toward x*.
 
     The largest expansive error, which certifies most harmful rules, goes alone, then the other expansive
     errors as one block (``_audit_expansive``); the contractive errors go as one block.
@@ -975,7 +977,7 @@ def _single_mode_recipes(search: _Search, grid, kinds, mags, census, star) -> Op
             cert = handler(search, block) if block.shape[0] else None
             if cert is not None:
                 return cert
-    return None if star is None else _vertex_condition_certificate(search, star.coords)
+    return None if verdict is None else _vertex_condition_certificate(search, verdict)
 
 
 def audit(
@@ -991,10 +993,11 @@ def audit(
     """Scan a rule for order violations at one prior.
 
     Classifies every lattice belief and reports the verdict of the checker that characterizes
-    harmlessness in the mode.  SINGLE mode (``occasionally_coarse`` on max(100, lattice rows) levels, or
-    ``occasionally_stubborn``) runs the misread-prior recipe, the recipes for the ``_MAX_DISPATCH`` largest
-    errors of each kind (the largest expansive one alone, then the others as one block planned as one
-    array program) and the vertex recipe at the collapse checker's x*; DOUBLE mode (``affine``, from the
+    harmlessness in the mode.  SINGLE mode (``occasionally_coarse`` on the g + 1 nodes i/g, g = max(lattice
+    rows, 100), or ``occasionally_stubborn``) runs the misread-prior recipe, the recipes for the
+    ``_MAX_DISPATCH`` largest errors of each kind (the largest expansive one alone, then the others as one
+    block planned as one array program) and the vertex recipe on the vertices the collapse checker found
+    off their segment toward its x*; DOUBLE mode (``affine``, from the
     chords at ``grid_size``) runs the chord recipe on those chords.  Random search spends the rest of the
     budget only on a rule the mode's checker refutes.  Absence of a certificate is a pass, never an
     error.  A negative, infinite or NaN tol, a negative seed, or a budget below 1, infinite or NaN raises ValueError
@@ -1025,18 +1028,17 @@ def audit(
     census = {"none": grid.shape[0] - erring, "expansive": expansive, "contractive": erring - expansive}
 
     checker_verdicts: dict = {}
-    star: Optional[Belief] = None  # the collapse point x* of the vertex recipe
+    collapse: Optional[StubbornVerdict] = None  # the collapse checker's verdict, read by the vertex recipe
     if mode is WelfareMode.DOUBLE:
         chords = affine_chords(d, mua, grid_size)
-        characterized = checker_verdicts["affine"] = is_affine(d, mua, chords)
+        characterized = checker_verdicts["affine"] = is_affine(chords)
     else:
         if n == 2:
             structure = is_occasionally_coarse(d, mua, grid_size=max(grid.shape[0], 100), tol=max(tol, 1e-9))
             checker_verdicts["occasionally_coarse"] = structure.to_json()
         else:
-            structure = is_occasionally_stubborn(d, mua, tol=max(tol, 1e-9))
+            structure = collapse = is_occasionally_stubborn(d, mua, tol=max(tol, 1e-9))
             checker_verdicts["occasionally_stubborn"] = structure.to_json()
-            star = structure.x_star
         characterized = structure.ok
 
     search = _Search(d, mua, sel, mode, tol, seed, int(budget))
@@ -1044,7 +1046,7 @@ def audit(
         if mode is WelfareMode.DOUBLE:
             certificate = None if characterized else _chord_certificate(search, *chords)
         else:
-            certificate = _single_mode_recipes(search, grid, kinds_all, mags_all, census, star)
+            certificate = _single_mode_recipes(search, grid, kinds_all, mags_all, census, collapse)
         if certificate is None and not characterized:
             certificate = _random_search(search)
     except BudgetExhausted:

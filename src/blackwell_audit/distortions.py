@@ -553,6 +553,7 @@ class StubbornVerdict:
     ok: bool
     x_star: Optional[Belief] = None
     refutation: Optional[tuple] = None  # (point coords, item id)
+    failing_vertices: tuple = ()  # item 3's erring vertices off their segment toward x*; not reported
 
     def to_json(self) -> dict:
         doc: dict = {"ok": self.ok}
@@ -589,10 +590,10 @@ def refuse_face_stack(n: int) -> None:
 
 @functools.lru_cache(maxsize=16)
 def _face_stack(n: int) -> tuple:
-    """(faces, samples): every face of dimension >= 1 and its ``face_samples``, stacked
-    in face order, ``_FACE_SAMPLES`` rows per face; cached, read-only."""
+    """(faces, stack): every face of dimension >= 1, and the n vertices stacked over each face's
+    ``face_samples``, ``_FACE_SAMPLES`` rows per face in face order; cached, read-only."""
     faces = tuple(enumerate_faces(n, min_dim=1))
-    stack = np.vstack([face_samples(face, n, _FACE_SAMPLES) for face in faces])
+    stack = np.vstack([np.eye(n)] + [face_samples(face, n, _FACE_SAMPLES) for face in faces])
     stack.setflags(write=False)
     return faces, stack
 
@@ -601,33 +602,29 @@ def is_occasionally_stubborn(d: Distortion, mu, tol: float = TOL_GEO) -> Stubbor
     """Structure test for three or more states.
 
     Samples the relative interior of every face (deterministically, keyed
-    by the face), plus all vertices.  With any error present, x* is the
-    image the full simplex's samples share (named even in a refutation):
-    every face of dimension >= 2 whose closure errs collapses to x*; so do
-    erring edges, except possibly a split edge through x*, read as
-    ``StubbornRule`` reads its ``edge_case``; erring vertices meet
-    ``vertex_image_ok`` at x*.  Raises WrongDimension for fewer than three
-    states, or too many (``refuse_face_stack``).
+    by the face), plus all vertices, and evaluates them in one call.  With
+    any error present, x* is the image the full simplex's samples share
+    (named even in a refutation): every face of dimension >= 2 whose
+    closure errs collapses to x*; so do erring edges, except possibly a
+    split edge through x*, read as ``StubbornRule`` reads its
+    ``edge_case``; erring vertices meet ``vertex_image_ok`` at x*.  Those
+    that do not are found as soon as x* is, and every verdict naming x*
+    carries them (``failing_vertices``).  Raises WrongDimension for fewer
+    than three states, or too many (``refuse_face_stack``).
     """
     n = d.n
     if n < 3:
         raise WrongDimension("this structure test needs three or more states")
     refuse_face_stack(n)
 
-    verts = np.eye(n)
-    vert_imgs = evaluate_batch(d, mu, verts)
-    vert_err = np.max(np.abs(vert_imgs - verts), axis=1) > tol
-
     faces, stack = _face_stack(n)
-    stack_imgs = evaluate_batch(d, mu, stack)
-    stack_errs = np.max(np.abs(stack_imgs - stack), axis=1) > tol
-    face_data = []  # (face, samples, images, err mask)
-    for j, face in enumerate(faces):
-        part = slice(j * _FACE_SAMPLES, (j + 1) * _FACE_SAMPLES)
-        face_data.append((face, stack[part], stack_imgs[part], stack_errs[part]))
-
-    error_supports = [face.support for face, _, _, errs in face_data if bool(np.any(errs))]
-    error_supports += [(int(i),) for i in np.nonzero(vert_err)[0]]
+    imgs = evaluate_batch(d, mu, stack)
+    errs = np.max(np.abs(imgs - stack), axis=1) > tol
+    # Each face's samples, images and error mask: views of the rows after the vertices.
+    samples, face_imgs = (a[n:].reshape(len(faces), _FACE_SAMPLES, n) for a in (stack, imgs))
+    face_errs = errs[n:].reshape(len(faces), _FACE_SAMPLES)
+    error_supports = [face.support for face, e in zip(faces, face_errs) if e.any()]
+    error_supports += [(int(i),) for i in np.flatnonzero(errs[:n])]
     if not error_supports:
         return StubbornVerdict(True, None)
 
@@ -635,20 +632,22 @@ def is_occasionally_stubborn(d: Distortion, mu, tol: float = TOL_GEO) -> Stubbor
         return any(set(sup) <= set(face.support) for sup in error_supports)
 
     # x*: the full simplex is the last face, and its closure carries every error.
-    interior_imgs = face_data[-1][2]
-    x_star = interior_imgs[0]
+    x_star = imgs[-_FACE_SAMPLES]
+    dist = np.max(np.abs(imgs - x_star), axis=1)
     try:
-        star = Belief(x_star) if np.max(np.abs(interior_imgs - x_star)) <= tol else None
+        star = Belief(x_star) if dist[-_FACE_SAMPLES:].max() <= tol else None
     except ValueError:  # a common image off the simplex is no collapse point
-        return StubbornVerdict(False, None, (face_data[-1][1][0], "item1-common-image"))
+        return StubbornVerdict(False, None, (stack[-_FACE_SAMPLES], "item1-common-image"))
+    failing = ()  # item 3's set, found as soon as x* is
+    if star is not None:
+        failing = tuple(np.flatnonzero(errs[:n] & ~vertex_image_ok(x_star, np.arange(n), imgs[:n], tol)).tolist())
 
     # Item 1: erring faces of dimension >= 2 collapse to x*.
-    for face, S, imgs, errs in face_data:
-        if face.dim < 2 or not closure_errs(face):
-            continue
-        bad = ~errs | (np.max(np.abs(imgs - x_star), axis=1) > tol)
-        if bad.any():
-            return StubbornVerdict(False, star, (S[int(np.argmax(bad))], "item1-common-image"))
+    face_dist = dist[n:].reshape(face_errs.shape)
+    bad = ~face_errs | (face_dist > tol)
+    for j in np.flatnonzero(bad.any(axis=1)).tolist():
+        if faces[j].dim >= 2 and closure_errs(faces[j]):
+            return StubbornVerdict(False, star, (samples[j, int(np.argmax(bad[j]))], "item1-common-image"), failing)
 
     def reads_as_split(edge: tuple, S: np.ndarray, imgs: np.ndarray) -> bool:
         """The samples read as ``StubbornRule`` reads them with x* and this split edge, for one of its
@@ -660,18 +659,14 @@ def is_occasionally_stubborn(d: Distortion, mu, tol: float = TOL_GEO) -> Stubbor
         return any(np.max(np.abs(imgs - evaluate_batch(rule, mu, S))) <= tol for rule in splits)
 
     # Item 2: erring edges collapse, except possibly the split edge through x*.
-    for face, S, imgs, errs in face_data:
-        if face.dim != 1 or not closure_errs(face):
-            continue
-        dist = np.max(np.abs(imgs - x_star), axis=1)
-        if not (np.all(dist <= tol) or reads_as_split(face.support, S, imgs)):
-            return StubbornVerdict(False, star, (S[int(np.argmax(dist))], "item2-edge"))
+    for j in np.flatnonzero((face_dist > tol).any(axis=1)).tolist():
+        face = faces[j]
+        if face.dim == 1 and closure_errs(face) and not reads_as_split(face.support, samples[j], face_imgs[j]):
+            return StubbornVerdict(False, star, (samples[j, int(np.argmax(face_dist[j]))], "item2-edge"), failing)
 
     # Item 3: erring vertices map onto their segment toward x*.
-    bad = vert_err & ~vertex_image_ok(x_star, np.arange(n), vert_imgs, tol)
-    if bad.any():
-        return StubbornVerdict(False, star, (verts[int(np.argmax(bad))], "item3-vertex"))
-
+    if failing:
+        return StubbornVerdict(False, star, (stack[failing[0]], "item3-vertex"), failing)
     return StubbornVerdict(True, star)
 
 
@@ -689,7 +684,7 @@ def refuse_chord_lattice(n: int) -> None:
         raise WrongDimension(f"the chord scan's 3-level lattice of {n} states exceeds {16 * MAX_POINTS:,} coordinates")
 
 
-def affine_chords(d: Distortion, mu, grid_size: int = 21) -> tuple:
+def affine_chords(d: Distortion, mu, grid_size: int) -> tuple:
     """The rule's midpoint defects along lattice chords: (z, x, y, h), one row per chord.
 
     z runs over the finest lattice of at most ``grid_size`` levels and at
@@ -718,10 +713,9 @@ def affine_chords(d: Distortion, mu, grid_size: int = 21) -> tuple:
     return z, x, y, imgs[:m] - 0.5 * (imgs[m : 2 * m] + imgs[2 * m :])
 
 
-def is_affine(d: Distortion, mu, chords: Optional[tuple] = None) -> bool:
-    """True when no defect h of ``chords`` (default: the 21-level ``affine_chords``) exceeds ``AFFINE_TOL``."""
-    h = (affine_chords(d, mu) if chords is None else chords)[3]
-    return bool(np.max(np.abs(h)) <= AFFINE_TOL)
+def is_affine(chords: tuple) -> bool:
+    """True when no defect h of ``chords`` (``affine_chords``) exceeds ``AFFINE_TOL``."""
+    return bool(np.max(np.abs(chords[3])) <= AFFINE_TOL)
 
 
 # ---------------------------------------------------------------------------

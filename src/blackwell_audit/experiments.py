@@ -100,12 +100,6 @@ class Experiment:
         return Experiment(doc["likelihoods"], doc.get("signals"))
 
 
-def binary_symmetric(accuracy: float) -> Experiment:
-    """Two states, two signals, P(correct signal | state) = accuracy."""
-    a = float(accuracy)
-    return Experiment(np.array([[a, 1.0 - a], [1.0 - a, a]]))
-
-
 @dataclass(frozen=True, eq=False)
 class PosteriorDistribution:
     """Finite-support distribution over posterior beliefs.

@@ -10,7 +10,11 @@ and ``dedupe_points`` (the merge rule as one sup-norm comparison per pair).
 ``StubbornRule``'s array map, and ``is_occasionally_coarse_by_node`` the
 interval checker node by node.  ``contractive_two_state_by_error`` is lemma 3's
 two-state recipe for one contractive error, the reference for the auditor's
-block recipe.
+block recipe.  ``is_occasionally_stubborn_face_by_face`` is the collapse
+checker in two evaluations, walked face by face, and
+``vertex_condition_every_vertex`` the vertex recipe that evaluates and tests
+every vertex itself: the references for the one-pass checker and for the
+recipe that reads the checker's verdict.
 """
 
 import functools
@@ -20,6 +24,7 @@ from typing import Dict, FrozenSet, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from blackwell_audit import distortions
 from blackwell_audit.auditor import (
     ViolationCertificate,
     _Search,
@@ -32,12 +37,15 @@ from blackwell_audit.distortions import (
     SUPPORT_TOL,
     CoarseVerdict,
     Distortion,
+    StubbornRule,
+    StubbornVerdict,
     WrongDimension,
     evaluate_batch,
+    refuse_face_stack,
     vertex_image_ok,
 )
 from blackwell_audit.experiments import TOL_BARY, BarycenterMismatch, DimensionMismatch, PosteriorDistribution
-from blackwell_audit.geometry import TOL_GEO, Belief, _coerce, _min_sup_residual
+from blackwell_audit.geometry import TOL_GEO, Belief, Face, _coerce, _min_sup_residual
 
 
 def sup_close(a, b) -> bool:
@@ -403,3 +411,111 @@ def contractive_two_state_by_error(search: _Search, x0: np.ndarray, img0) -> Opt
     return None
 
 
+
+
+def is_occasionally_stubborn_face_by_face(d: Distortion, mu, tol: float = TOL_GEO) -> StubbornVerdict:
+    """Structure test for three or more states.
+
+    Samples the relative interior of every face (deterministically, keyed
+    by the face), plus all vertices.  With any error present, x* is the
+    image the full simplex's samples share (named even in a refutation):
+    every face of dimension >= 2 whose closure errs collapses to x*; so do
+    erring edges, except possibly a split edge through x*, read as
+    ``StubbornRule`` reads its ``edge_case``; erring vertices meet
+    ``vertex_image_ok`` at x*.  Raises WrongDimension for fewer than three
+    states, or too many (``refuse_face_stack``).  The vertices and the
+    face samples are evaluated in two calls, and each item walks the faces
+    one by one; the verdict carries no ``failing_vertices``.
+    """
+    n = d.n
+    if n < 3:
+        raise WrongDimension("this structure test needs three or more states")
+    refuse_face_stack(n)
+
+    verts = np.eye(n)
+    vert_imgs = evaluate_batch(d, mu, verts)
+    vert_err = np.max(np.abs(vert_imgs - verts), axis=1) > tol
+
+    faces, stack = distortions._face_stack(n)
+    stack = stack[n:]  # the face samples, after the vertices
+    stack_imgs = evaluate_batch(d, mu, stack)
+    stack_errs = np.max(np.abs(stack_imgs - stack), axis=1) > tol
+    face_data = []  # (face, samples, images, err mask)
+    for j, face in enumerate(faces):
+        part = slice(j * distortions._FACE_SAMPLES, (j + 1) * distortions._FACE_SAMPLES)
+        face_data.append((face, stack[part], stack_imgs[part], stack_errs[part]))
+
+    error_supports = [face.support for face, _, _, errs in face_data if bool(np.any(errs))]
+    error_supports += [(int(i),) for i in np.nonzero(vert_err)[0]]
+    if not error_supports:
+        return StubbornVerdict(True, None)
+
+    def closure_errs(face: Face) -> bool:
+        return any(set(sup) <= set(face.support) for sup in error_supports)
+
+    # x*: the full simplex is the last face, and its closure carries every error.
+    interior_imgs = face_data[-1][2]
+    x_star = interior_imgs[0]
+    try:
+        star = Belief(x_star) if np.max(np.abs(interior_imgs - x_star)) <= tol else None
+    except ValueError:  # a common image off the simplex is no collapse point
+        return StubbornVerdict(False, None, (face_data[-1][1][0], "item1-common-image"))
+
+    # Item 1: erring faces of dimension >= 2 collapse to x*.
+    for face, S, imgs, errs in face_data:
+        if face.dim < 2 or not closure_errs(face):
+            continue
+        bad = ~errs | (np.max(np.abs(imgs - x_star), axis=1) > tol)
+        if bad.any():
+            return StubbornVerdict(False, star, (S[int(np.argmax(bad))], "item1-common-image"))
+
+    def reads_as_split(edge: tuple, S: np.ndarray, imgs: np.ndarray) -> bool:
+        """The samples read as ``StubbornRule`` reads them with x* and this split edge, for one of its
+        vertices; never when ``StubbornRule`` refuses x* inside this edge."""
+        try:
+            splits = [StubbornRule(x_star, edge_case=(edge, k)) for k in edge]
+        except ValueError:
+            return False
+        return any(np.max(np.abs(imgs - evaluate_batch(rule, mu, S))) <= tol for rule in splits)
+
+    # Item 2: erring edges collapse, except possibly the split edge through x*.
+    for face, S, imgs, errs in face_data:
+        if face.dim != 1 or not closure_errs(face):
+            continue
+        dist = np.max(np.abs(imgs - x_star), axis=1)
+        if not (np.all(dist <= tol) or reads_as_split(face.support, S, imgs)):
+            return StubbornVerdict(False, star, (S[int(np.argmax(dist))], "item2-edge"))
+
+    # Item 3: erring vertices map onto their segment toward x*.
+    bad = vert_err & ~vertex_image_ok(x_star, np.arange(n), vert_imgs, tol)
+    if bad.any():
+        return StubbornVerdict(False, star, (verts[int(np.argmax(bad))], "item3-vertex"))
+
+    return StubbornVerdict(True, star)
+
+
+def vertex_condition_every_vertex(search: _Search, x_star: np.ndarray) -> Optional[ViolationCertificate]:
+    """Vertex whose image fails the collapse family's vertex condition (``vertex_image_ok``), every vertex
+    evaluated and tested at ``x_star``, the collapse point's Belief coordinates."""
+    d, mu, tol = search.d, search.mu, search.tol
+    verts = np.eye(mu.shape[0])
+    vert_imgs = evaluate_batch(d, mu, verts)
+    bad = ~vertex_image_ok(x_star, np.arange(mu.shape[0]), vert_imgs, tol)
+    for i, e, img in zip(np.flatnonzero(bad).tolist(), verts[bad], vert_imgs[bad]):
+        problem = search.cut([img], np.vstack([e[None, :], x_star[None, :], mu[None, :]]))
+        if problem is None:
+            continue
+        # Reveal-state-i experiment versus a slightly blurred contraction of it.
+        for p in (0.5 * float(mu[i]), 0.25 * float(mu[i])):
+            y = (mu - p * e) / (1.0 - p)
+            if np.min(y) <= 1e-9:
+                continue
+            rho_hi = PosteriorDistribution(np.vstack([e, y]), [p, 1.0 - p])
+            z = 0.9 * e + 0.1 * y  # so mu = p e + (1 - p) y = (p / 0.9) z + (1 - p / 0.9) y
+            rho_lo = _distribution(np.vstack([z, y]), [p / 0.9, 1.0 - p / 0.9])
+            if rho_lo is None:
+                continue
+            cert = search.try_pair(rho_hi, rho_lo, problem, "vertexprop-separation")
+            if cert is not None:
+                return cert
+    return None

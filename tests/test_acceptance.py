@@ -23,6 +23,7 @@ from blackwell_audit.distortions import (
     CoarseRule,
     GretherRule,
     ShrinkageRule,
+    affine_chords,
     evaluate_batch,
     is_affine,
     is_occasionally_coarse,
@@ -296,7 +297,7 @@ class TestCriterion5ContractiveNecessity:
                         grid_size=100, tol=1e-9, seed=int(rng.integers(1 << 30)), n_pairs=400,
                     )
                 )
-        affine_ok = is_affine(ShrinkageRule(0.5, 2), MU2) and is_affine(ShrinkageRule(0.5, 3), MU3)
+        affine_ok = all(is_affine(affine_chords(ShrinkageRule(0.5, n), mu, 21)) for n, mu in ((2, MU2), (3, MU3)))
         ok = ok2 and ok3 and double_hits == 0 and affine_ok
         _report(
             5, ok,

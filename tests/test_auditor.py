@@ -10,8 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audit_helpers import adversary, one_error
-from oracles import contractive_two_state_by_error, value_function
-from blackwell_audit import auditor, geometry
+from oracles import (
+    contractive_two_state_by_error,
+    is_occasionally_stubborn_face_by_face,
+    value_function,
+    vertex_condition_every_vertex,
+)
+from blackwell_audit import auditor, distortions, geometry
 from blackwell_audit.geometry import (
     TOL_GEO,
     Belief,
@@ -41,8 +46,10 @@ from blackwell_audit.distortions import (
     GridMiss,
     ShrinkageRule,
     StubbornRule,
+    StubbornVerdict,
     TabulatedRule,
     TrivialRule,
+    affine_chords,
     classify_batch,
     evaluate_batch,
     is_affine,
@@ -74,6 +81,7 @@ from blackwell_audit.auditor import (
     _random_search,
     _scaffolds,
     _screen,
+    _search_trial,
     _simplex_vertices,
     _single_mode_recipes,
     _tangent_basis,
@@ -172,6 +180,20 @@ class _OffSegmentVertices(TrivialRule):
         out = super().apply_batch(mu, X)
         for i, img in self.IMAGES.items():
             out[X[:, i] > 1.0 - 1e-12] = img
+        return out
+
+
+class _InteriorConstant(Distortion):
+    """Four states: (0.1, 0.2, 0.3, 0.4) on the open simplex, the identity on its boundary, except that
+    face {0, 1, 2} reads beliefs with x0 > 1/2 as (0.6, 0.3, 0.1, 0)."""
+
+    n = 4
+
+    def apply_batch(self, mu, X):
+        out = X.copy()
+        out[np.all(X > 0.0, axis=1)] = (0.1, 0.2, 0.3, 0.4)
+        face = np.all(X[:, :3] > 0.0, axis=1) & (X[:, 3] == 0.0) & (X[:, 0] > 0.5)
+        out[face] = (0.6, 0.3, 0.1, 0.0)
         return out
 
 
@@ -356,25 +378,15 @@ class TestFullAudit:
         # {0, 1, 2} reads beliefs with x0 > 1/2 as one point: checker item 1 fails, yet
         # it names x* = (0.1, 0.2, 0.3, 0.4), the image the open simplex shares, and the
         # vertex stage takes that x*.
-        class InteriorConstant(Distortion):
-            n = 4
-
-            def apply_batch(self, mu, X):
-                out = X.copy()
-                out[np.all(X > 0.0, axis=1)] = (0.1, 0.2, 0.3, 0.4)
-                face = np.all(X[:, :3] > 0.0, axis=1) & (X[:, 3] == 0.0) & (X[:, 0] > 0.5)
-                out[face] = (0.6, 0.3, 0.1, 0.0)
-                return out
-
         stars = []
 
-        def spy(search, x_star):
-            stars.append(np.array(x_star))
-            return vertex_stage(search, x_star)
+        def spy(search, verdict):
+            stars.append(np.array(verdict.x_star.coords))
+            return vertex_stage(search, verdict)
 
         vertex_stage = auditor._vertex_condition_certificate
         monkeypatch.setattr(auditor, "_vertex_condition_certificate", spy)
-        rep = audit(InteriorConstant(), np.full(4, 0.25), grid_size=21, budget=400, seed=1)
+        rep = audit(_InteriorConstant(), np.full(4, 0.25), grid_size=21, budget=400, seed=1)
         stubborn = rep.checker_verdicts["occasionally_stubborn"]
         assert not stubborn["ok"] and stubborn["x_star"] == [0.1, 0.2, 0.3, 0.4]
         assert stubborn["refutation"]["item"] == "item1-common-image"
@@ -387,9 +399,10 @@ class TestFullAudit:
         # once had these); the dedicated vertex construction turns that into
         # a certificate.
         rule = _OffSegmentVertices()
-        star = np.array([0.2, 1 / 3, 1 - 0.2 - 1 / 3])
+        verdict = is_occasionally_stubborn(rule, MU3, tol=1e-9)
+        assert verdict.x_star.to_json() == [0.2, 1 / 3, 1 - 0.2 - 1 / 3] and verdict.failing_vertices == (1, 2)
         cert = _vertex_condition_certificate(
-            _Search(rule, np.asarray(MU3), Selector(), WelfareMode.SINGLE, 1e-9, 0, 50), star
+            _Search(rule, np.asarray(MU3), Selector(), WelfareMode.SINGLE, 1e-9, 0, 50), verdict
         )
         assert cert is not None
         assert cert.recipe == "vertexprop-separation"
@@ -512,11 +525,132 @@ class TestCollapseCharacterization:
         # A rule constant on the interior whose vertex image leaves its segment is
         # refuted by the collapse checker, so it gets random search when the recipes miss.
         reached = []
-        monkeypatch.setattr(auditor, "_vertex_condition_certificate", lambda search, x_star: None)
+        monkeypatch.setattr(auditor, "_vertex_condition_certificate", lambda search, verdict: None)
         monkeypatch.setattr(auditor, "_random_search", lambda search: reached.append(search.used))
         rep = audit(_OffSegmentVertices(), MU3, grid_size=41, budget=300, seed=3)
         assert not rep.checker_verdicts["occasionally_stubborn"]["ok"]
         assert reached == [rep.budget_used], reached
+
+
+class _VertexMoved(Distortion):
+    """The inner rule, except that vertex i maps to image."""
+
+    def __init__(self, inner: Distortion, i: int, image: np.ndarray) -> None:
+        self.inner, self.i, self.image, self.n, self.family = inner, i, image, inner.n, inner.family
+
+    def apply_batch(self, mu, X):
+        out = np.array(self.inner.apply_batch(mu, X))
+        out[X[:, self.i] > 1.0 - 1e-12] = self.image
+        return out
+
+    def to_json(self):
+        return {"inner": self.inner.to_json(), "vertex": self.i, "image": self.image.tolist()}
+
+
+class _OffSimplexInterior(TrivialRule):
+    """The trivial rule at a point, except that the open simplex is read as one point summing to 1.1."""
+
+    def apply_batch(self, mu, X):
+        out = super().apply_batch(mu, X)
+        out[np.all(X > 0.0, axis=1)] = np.full(self.n, 1.1 / self.n)
+        return out
+
+
+class TestCollapseOnePass:
+    """The collapse checker evaluates one stack once, and the vertex recipe evaluates only the vertices
+    that the checker's verdict names; both agree with the references they replaced."""
+
+    @staticmethod
+    def _cases():
+        """(rule, prior, tol): at least 300 ``random_rule`` draws, the same rules with a vertex moved off its
+        segment toward x*, and rules whose common image is no belief or is shared by the open simplex only."""
+        rng = np.random.default_rng(3100)
+        for k in range(320):
+            family, n = ("occ-stubborn", "trivial", "grether", "shrinkage")[k % 4], 3 + k // 4 % 4
+            rule, mu, tol = random_rule(family, n, rng), rng.dirichlet(np.full(n, 4.0)), (1e-9, 1e-6)[k // 16 % 2]
+            yield rule, mu, tol
+            if family in ("occ-stubborn", "trivial"):
+                i, t = int(rng.integers(n)), float(rng.uniform(0.2, 0.8))
+                e, x_star = np.eye(n)[i], rule.x_star
+                s = t * e + (1.0 - t) * x_star
+                v = x_star - mu  # away from the prior, orthogonal to the segment: a cut exists
+                v -= (v @ (e - x_star)) / ((e - x_star) @ (e - x_star)) * (e - x_star)
+                image = rng.dirichlet(np.ones(3)) @ np.array([e, x_star, mu])  # inside the hull that no cut leaves
+                if np.min(s) > 0.0 and k % 8 < 4:
+                    image = s + 0.5 * np.min(s) * v / np.max(np.abs(v))
+                yield _VertexMoved(rule, i, image), mu, tol
+        for tol in (1e-9, 1e-6):
+            yield _InteriorConstant(), np.full(4, 0.25), tol
+            yield _OffSimplexInterior((0.2, 0.3, 0.5)), np.asarray(MU3), tol
+            yield _OffSegmentVertices(), np.asarray(MU3), tol
+
+    @staticmethod
+    def _outcome(run, search):
+        try:
+            cert = run(search)
+        except Exception as exc:
+            return type(exc), search.used
+        return (None if cert is None else cert.dumps()), search.used
+
+    def test_matches_the_references(self):
+        items, recipes = {}, {"tried": 0, "failing": 0, "certified": 0}
+        for rule, mu, tol in self._cases():
+            got = is_occasionally_stubborn(rule, mu, tol=max(tol, 1e-9))
+            want = is_occasionally_stubborn_face_by_face(rule, mu, tol=max(tol, 1e-9))
+            assert got.to_json() == want.to_json(), (rule.to_json(), tol)
+            item = want.refutation[1] if want.refutation else "ok"
+            items[item] = items.get(item, 0) + 1
+            if item == "item3-vertex":
+                assert got.failing_vertices[0] == int(np.argmax(want.refutation[0]))
+            if got.x_star is None:
+                continue  # the audit runs no vertex recipe
+            for budget in (1, 30):
+                searches = [_Search(rule, mu, Selector(), WelfareMode.SINGLE, tol, 0, budget) for _ in range(2)]
+                result = self._outcome(lambda search: _vertex_condition_certificate(search, got), searches[0])
+                reference = self._outcome(lambda search: vertex_condition_every_vertex(search, got.x_star.coords), searches[1])
+                assert result == reference, (rule.to_json(), tol, budget)
+                recipes["tried"] += 1
+                recipes["failing"] += bool(got.failing_vertices)
+                recipes["certified"] += isinstance(result[0], str)
+        assert sum(items.values()) >= 480 and min(items.values()) >= 10, items
+        assert set(items) == {"ok", "item1-common-image", "item2-edge", "item3-vertex"}, items
+        assert recipes["tried"] >= 600 and 100 <= recipes["certified"] <= recipes["failing"] - 100, recipes
+
+    def test_one_evaluation_each(self, monkeypatch):
+        # The checker evaluates its rule once, plus once per split rule it tries; the recipe evaluates
+        # nothing on an accepted rule, and otherwise only the failing vertices, in one call.
+        calls = []
+
+        def spy(d, mu, X):
+            calls.append((d, np.array(X)))
+            return evaluate_batch(d, mu, X)
+
+        monkeypatch.setattr(distortions, "evaluate_batch", spy)
+        monkeypatch.setattr(auditor, "evaluate_batch", spy)
+        rng = np.random.default_rng(3101)
+        rules = [stubborn_example_a(), stubborn_example_b(), _OffSegmentVertices(), GretherRule(2.0, 1.0, 3), _InteriorConstant()]
+        rules += [random_rule(("occ-stubborn", "trivial")[k % 2], 3 + k % 3, rng) for k in range(12)]
+        splits = failing = spared = 0
+        for rule in rules:
+            mu = rng.dirichlet(np.full(rule.n, 4.0))
+            calls.clear()
+            verdict = is_occasionally_stubborn(rule, mu, tol=1e-9)
+            assert [X.shape[0] for d, X in calls if d is rule] == [distortions._face_stack(rule.n)[1].shape[0]]
+            others = [d for d, _ in calls if d is not rule]
+            assert all(isinstance(d, StubbornRule) and d.edge_case for d in others) and len(set(map(id, others))) == len(others)
+            splits += len(others)
+            if verdict.x_star is None:
+                continue
+            calls.clear()
+            _vertex_condition_certificate(_Search(rule, mu, Selector(), WelfareMode.SINGLE, 1e-9, 0, 30), verdict)
+            recipe_calls = [X for d, X in calls if d is rule]
+            if verdict.failing_vertices:
+                assert len(recipe_calls) == 1 and np.array_equal(recipe_calls[0], np.eye(rule.n)[list(verdict.failing_vertices)])
+                failing += 1
+            else:
+                assert recipe_calls == [], verdict.to_json()
+                spared += 1
+        assert splits >= 2 and failing >= 1 and spared >= 12, (splits, failing, spared)
 
 
 class TestDoubleMode:
@@ -556,7 +690,7 @@ class TestDoubleMode:
         # The rule clips (0, 0.02) to 0.02 and (0.98, 1) to 0.98: affine on
         # every chord of the 21-level lattice, not on the audit's 101 levels.
         rule = CoarseRule(0.02, 0.98, 0.0, 1.0)
-        assert is_affine(rule, MU2)
+        assert is_affine(affine_chords(rule, MU2, 21))
         rep = audit(rule, MU2, grid_size=101, budget=1, mode=WelfareMode.DOUBLE)
         assert rep.checker_verdicts == {"affine": False}
         assert rep.certificate.recipe == "chord" and verify_certificate(rep.certificate) == (True, None)
@@ -865,6 +999,70 @@ class TestRandomSearchScreen:
         assert self._flagged(BayesRule(2), Selector(), WelfareMode.DOUBLE, lik, channel, 0.3)
         lik[0, :2] = (0.25, 0.35)
         assert not self._flagged(BayesRule(2), Selector(), WelfareMode.DOUBLE, lik, channel, 0.3)
+
+    @staticmethod
+    def _outcome(run, search):
+        """The certificate bytes and budget charged of ``run(search)``, or the type of the error it raised."""
+        try:
+            cert = run(search)
+        except Exception as exc:
+            return type(exc)
+        return (None if cert is None else cert.dumps()), search.used
+
+    def test_a_rule_failing_on_a_band_falls_back_to_one_trial_at_a_time(self, monkeypatch):
+        # The rule fails on posteriors with x0 in (0.40, 0.45), which random trials reach: the screen flags
+        # the whole block, and each trial is scored alone.  A NaN image is skipped as its trial (NonFiniteImage
+        # is a ValueError); any other error propagates.  Both must match one trial at a time.
+        fallbacks = []
+        screen = auditor._screen
+
+        def spy(search, block):
+            flags = screen(search, block)
+            fallbacks.append(bool(flags.all()))
+            return flags
+
+        monkeypatch.setattr(auditor, "_screen", spy)
+        outcomes = {}
+        for k in range(8):
+            rng = np.random.default_rng(7700 + k)
+            n = 2 + k % 2
+            mu, mode = rng.dirichlet(np.full(n, 4.0)), (WelfareMode.SINGLE, WelfareMode.DOUBLE)[k // 2 % 2]
+            inner = random_rule(("grether", "shrinkage")[k % 2], n, rng)
+            for fail in ("nan", "raise"):
+                rule = _FailingOnBand(inner, fail)
+                seed = int(rng.integers(1 << 30))
+                searches = [_Search(rule, mu, Selector(), mode, 1e-9, seed, 70) for _ in range(2)]
+                got = self._outcome(_random_search, searches[0])
+                want = self._outcome(lambda s: _reference_random_search(rule, mu, s, Selector(), mode, seed), searches[1])
+                assert got == want, (k, fail)
+                outcomes.setdefault(fail, []).append(got if isinstance(got, type) else got[0] is not None)
+        assert sum(fallbacks) >= 16, fallbacks
+        assert outcomes["raise"].count(RuntimeError) >= 4 and sum(v is True for v in outcomes["nan"]) >= 2, outcomes
+
+    def test_a_trial_with_a_flat_normal_is_skipped_uncharged(self):
+        # z with equal coordinates has no normal: _search_trial returns None and charges nothing.
+        search = _Search(GretherRule(2.0, 1.0, 3), np.array([0.2, 0.3, 0.5]), Selector(), WelfareMode.SINGLE, 1e-9, 0, 10)
+        lik, channel = np.array([[0.6, 0.4], [0.3, 0.7], [0.5, 0.5]]), np.eye(2)
+        assert _search_trial(search, lik, channel, np.array([0.2, 0.3, 0.5]), np.full(3, 0.7)) is None
+        assert search.used == 0
+
+
+class _FailingOnBand(Distortion):
+    """The inner rule, except on posteriors with x0 in (0.40, 0.45): a NaN image there, or a RuntimeError."""
+
+    def __init__(self, inner: Distortion, fail: str) -> None:
+        self.inner, self.fail, self.n, self.family = inner, fail, inner.n, inner.family
+
+    def apply_batch(self, mu, X):
+        imgs = np.array(self.inner.apply_batch(mu, X))
+        band = (X[:, 0] > 0.40) & (X[:, 0] < 0.45)
+        if band.any() and self.fail == "raise":
+            raise RuntimeError("the rule cannot read this posterior")
+        imgs[band] = np.nan
+        return imgs
+
+    def to_json(self):
+        return self.inner.to_json()
 
 
 # The recipes as they were when every moved point's weights were solved
@@ -1386,9 +1584,10 @@ class TestClosedFormWeights:
         assert pairs >= 8000 and skipped >= 100, (pairs, skipped)
 
     def test_vertex_recipe(self):
-        # Every vertex of a shrinkage rule errs; a random collapse point is
-        # off every vertex's segment, and every cut is granted, so the recipe
-        # builds its contraction at both values of p for every vertex.
+        # Every vertex of a shrinkage rule errs; the verdict names every vertex
+        # off its segment toward a random collapse point, and every cut is
+        # granted, so the recipe builds its contraction at both values of p
+        # for every vertex.
         pairs = 0
         for i in range(150):
             rng = np.random.default_rng(9900 + i)
@@ -1398,7 +1597,8 @@ class TestClosedFormWeights:
             tried = []
             search.cut = lambda above, below: hyperplane_problem(Hyperplane(np.ones(n), 0.5))
             search.try_pair = lambda rho_hi, rho_lo, problem, recipe: tried.append(rho_lo)
-            assert _vertex_condition_certificate(search, rng.dirichlet(np.ones(n))) is None
+            verdict = StubbornVerdict(False, Belief(rng.dirichlet(np.ones(n))), None, tuple(range(n)))
+            assert _vertex_condition_certificate(search, verdict) is None
             want = []
             for k in range(n):
                 e = np.eye(n)[k]
@@ -1469,7 +1669,8 @@ class TestDispatchSelection:
 
 def _error_by_error(search: _Search, grid, kinds, mags, census, star, trail: list) -> Optional[ViolationCertificate]:
     """``_single_mode_recipes`` handing over one error at a time to the weights-first references
-    above; ``trail`` gets the (kind code, dispatch position) of every error handed over."""
+    above, and the vertex condition to its reference at the collapse point ``star``; ``trail`` gets
+    the (kind code, dispatch position) of every error handed over."""
     cert = _audit_prior_error(search)
     if cert is not None:
         return cert
@@ -1481,7 +1682,7 @@ def _error_by_error(search: _Search, grid, kinds, mags, census, star, trail: lis
             cert = recipe(search, grid[gi])
             if cert is not None:
                 return cert
-    return None if star is None else _vertex_condition_certificate(search, star.coords)
+    return None if star is None else vertex_condition_every_vertex(search, star.coords)
 
 
 class _NonFiniteAt(Distortion):
@@ -1553,9 +1754,10 @@ class TestWholeDispatch:
         grid = simplex_lattice(n, 101 if n == 2 else 41)
         kinds, mags = classify_batch(rule, mu, grid, tol)
         census = {"expansive": int(np.count_nonzero(kinds == 1)), "contractive": int(np.count_nonzero(kinds == 2))}
-        star = None if n == 2 else is_occasionally_stubborn(rule, mu, tol=max(tol, 1e-9)).x_star
+        verdict = None if n == 2 else is_occasionally_stubborn(rule, mu, tol=max(tol, 1e-9))
+        star = None if verdict is None else verdict.x_star
         trail = []
-        got = self._outcome(_single_mode_recipes, rule, mu, sel, tol, budget, grid, kinds, mags, census, star)
+        got = self._outcome(_single_mode_recipes, rule, mu, sel, tol, budget, grid, kinds, mags, census, verdict)
         want = self._outcome(_error_by_error, rule, mu, sel, tol, budget, grid, kinds, mags, census, star, trail)
         assert got == want, (rule.to_json(), mu.tolist(), sel, tol, budget, trail[-1:])
         expansive = np.flatnonzero(kinds == 1)

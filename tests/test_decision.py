@@ -21,14 +21,19 @@ from blackwell_audit.distortions import (
 )
 from blackwell_audit.experiments import (
     BarycenterMismatch,
+    Experiment,
     PosteriorDistribution,
     bayes,
-    binary_symmetric,
 )
 from oracles import convexity_violations, value_function
 
 MU2 = (0.5, 0.5)
 SEL = Selector()
+
+
+def binary_symmetric(accuracy: float) -> Experiment:
+    """Two states, two signals, P(correct signal | state) = accuracy."""
+    return Experiment(np.array([[accuracy, 1.0 - accuracy], [1.0 - accuracy, accuracy]]))
 
 
 def choose(p, sel, x_hat) -> int:

@@ -902,11 +902,11 @@ class TestTrivialAndAffine:
             assert check(rule, mu).ok, rule.to_json()
 
     def test_affine_families(self):
-        assert is_affine(ShrinkageRule(0.5, 3), MU3)
-        assert is_affine(BayesRule(3), MU3)
-        assert is_affine(TrivialRule((0.2, 0.3, 0.5)), MU3)
-        assert not is_affine(GretherRule(2.0, 1.0, 3), MU3)
-        assert not is_affine(CoarseRule(0.3, 0.7, 0.2, 0.8), MU2)
+        assert is_affine(affine_chords(ShrinkageRule(0.5, 3), MU3, 21))
+        assert is_affine(affine_chords(BayesRule(3), MU3, 21))
+        assert is_affine(affine_chords(TrivialRule((0.2, 0.3, 0.5)), MU3, 21))
+        assert not is_affine(affine_chords(GretherRule(2.0, 1.0, 3), MU3, 21))
+        assert not is_affine(affine_chords(CoarseRule(0.3, 0.7, 0.2, 0.8), MU2, 21))
 
     def test_chord_count_is_bounded_and_never_empty(self):
         # One evaluation of 3 rows per chord: midpoint and both ends, at
@@ -949,7 +949,7 @@ class TestTrivialAndAffine:
                 distortions.refuse_chord_lattice(n)
         mu = np.full(400, 1 / 400)
         with pytest.raises(WrongDimension):
-            affine_chords(BayesRule(400), mu)
+            affine_chords(BayesRule(400), mu, 21)
         with pytest.raises(WrongDimension):
             audit(BayesRule(400), mu, grid_size=11, mode=WelfareMode.DOUBLE)
 
@@ -957,9 +957,9 @@ class TestTrivialAndAffine:
         # alpha = 1 leaves only the prior's extra power 1e-7, which moves a
         # chord's midpoint by 1.4e-8; the least-squares fit once called it affine.
         rule, mu = GretherRule(1.0, 1.0 + 1e-7, 4), np.array([0.206, 0.342, 0.26, 0.192])
-        assert 1e-8 < np.max(np.abs(affine_chords(rule, mu)[3])) < 2e-8
-        assert not is_affine(rule, mu)
-        assert is_affine(rule, np.full(4, 0.25))  # at the uniform prior it is Bayes
+        assert 1e-8 < np.max(np.abs(affine_chords(rule, mu, 21)[3])) < 2e-8
+        assert not is_affine(affine_chords(rule, mu, 21))
+        assert is_affine(affine_chords(rule, np.full(4, 0.25), 21))  # at the uniform prior it is Bayes
 
     def test_affine_rules_never_lose_from_double_mistakes(self):
         # Affinity makes the twice-mistaken welfare profile convex, so no
@@ -972,7 +972,7 @@ class TestTrivialAndAffine:
         while checked < 100:
             n = 2 + checked % 2
             rule = ShrinkageRule(0.5, n)
-            assert is_affine(rule, np.full(n, 1.0 / n))
+            assert is_affine(affine_chords(rule, np.full(n, 1.0 / n), 21))
             payoff = rng.uniform(-1, 1, size=(int(rng.integers(2, 6)), n))
             problem = DecisionProblem(payoff)
             pts = rng.dirichlet(np.ones(n), size=n)

@@ -13,12 +13,16 @@ from blackwell_audit.experiments import (
     PosteriorDistribution,
     PriorNotInterior,
     bayes,
-    binary_symmetric,
     blackwell_dominates,
     experiment_from_posteriors,
     garble,
 )
 from oracles import is_mpc, sup_close
+
+
+def binary_symmetric(accuracy: float) -> Experiment:
+    """Two states, two signals, P(correct signal | state) = accuracy."""
+    return Experiment(np.array([[accuracy, 1.0 - accuracy], [1.0 - accuracy, accuracy]]))
 
 
 def random_belief(rng, n):

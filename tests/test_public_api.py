@@ -1,4 +1,5 @@
-"""The package exports only what it, the README's library tour or the benchmark uses."""
+"""The package exports only what it, the README's library tour or the benchmark uses, and its modules
+import only what they read."""
 
 import ast
 import re
@@ -16,7 +17,7 @@ REMOVED = [
     "evaluate", "pushforward", "ErrorClass", "classify_error", "is_trivial_on_interior",
     "ValueResult", "value_function", "select_action", "welfare",
     "ConvexityViolation", "MIX_WEIGHTS", "convexity_violations",
-    "StubbornSpec", "vertex_belief", "_segment_residual", "_REDECIDE",
+    "StubbornSpec", "vertex_belief", "_segment_residual", "_REDECIDE", "binary_symmetric",
 ]
 REMOVED_METHODS = [(geometry.Belief, "allclose"), (geometry.Belief, "face"), (geometry.Hyperplane, "value")]
 
@@ -27,9 +28,9 @@ def exports() -> list:
     return [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
 
 
-def references(source: str, imports: bool = False) -> set:
-    """Names and attributes the code reads, each outside its own top-level definition;
-    with ``imports``, the names it imports too."""
+def references(source: str) -> set:
+    """Names and attributes the code reads, each outside its own top-level definition; a name
+    it only imports is not read."""
     found = set()
     for node in ast.parse(source).body:
         names = set()
@@ -38,8 +39,6 @@ def references(source: str, imports: bool = False) -> set:
                 names.add(sub.id)
             elif isinstance(sub, ast.Attribute):
                 names.add(sub.attr)
-            elif imports and isinstance(sub, ast.ImportFrom):
-                names.update(alias.name for alias in sub.names)
         names.discard(getattr(node, "name", None))  # a definition that reads its own name is no use of it
         found |= names
     return found
@@ -53,7 +52,7 @@ def library_tour() -> str:
 
 class TestDeadApi:
     def test_every_export_is_used(self):
-        used = references(library_tour(), imports=True)
+        used = references(library_tour())
         for path in sorted((ROOT / "perfbench").glob("*.py")):
             used |= references(path.read_text())
         for path in sorted(PACKAGE.glob("*.py")):
@@ -66,6 +65,33 @@ class TestDeadApi:
         for module in (blackwell_audit, auditor, cli, decision, distortions, experiments, geometry):
             assert not [name for name in REMOVED if hasattr(module, name)], module.__name__
         assert not [name for owner, name in REMOVED_METHODS if hasattr(owner, name)]
+
+
+def unread_imports(source: str) -> list:
+    """The names the code imports (``__future__`` features aside) and never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+    return sorted(imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+class TestUnusedImports:
+    def test_every_module_reads_what_it_imports(self):
+        # __init__.py imports to export; every other module imports only what it reads.
+        unread = {path.name: unread_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+        unread = {name: names for name, names in unread.items() if names and name != "__init__.py"}
+        assert not unread, f"imported but never read: {unread}"
+
+    def test_a_leftover_import_is_caught(self):
+        source = (PACKAGE / "auditor.py").read_text()
+        assert unread_imports(source) == []
+        leftover = source.replace("from .distortions import (\n", "from .distortions import (\n    vertex_image_ok,\n", 1)
+        assert unread_imports(leftover) == ["vertex_image_ok"]
+        assert unread_imports("import numpy.linalg\nfrom math import pi as tau\n") == ["numpy", "tau"]
 
 
 class TestGateBoundary:
