@@ -38,6 +38,9 @@ chord; random search runs in both, only on a rule that the mode's checker
   posteriors the certificate would carry; only the flagged trials are
   emitted, in trial order, so the result is that of emitting every trial.
 
+A block recipe whose one evaluation of a block of errors raises runs again
+on each error alone, in dispatch order (``_one_at_a_time``).
+
 One search object (``_Search``) holds an audit's fixed inputs and its
 construction budget.  Every recipe cuts through ``_Search.cut`` (charge
 one construction, separate, build the threshold problem), and every
@@ -423,6 +426,17 @@ def _moved(
     return _distribution(np.vstack([moved[None, :], rho.support[1:]]), probs, floor=1e-12)
 
 
+def _one_at_a_time(recipe, search: _Search, X0: np.ndarray, *per_error) -> Optional[ViolationCertificate]:
+    """``recipe`` on each error of X0 alone, with its rows of the ``per_error`` arrays, in dispatch order; the
+    first certificate.  A block recipe whose one evaluation raised falls back to this walk, and the contagion
+    recipe, which takes one error at a time, always goes through it."""
+    for e in range(X0.shape[0]):
+        cert = recipe(search, X0[e : e + 1], *(a[e : e + 1] for a in per_error))
+        if cert is not None:
+            return cert
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Expansive recipes
 # ---------------------------------------------------------------------------
@@ -439,9 +453,10 @@ def _audit_expansive(search: _Search, X0: np.ndarray) -> Optional[ViolationCerti
     One evaluation takes every x0, scaffold point and moved point (x0p at each gamma, x0pp at gamma / 2) and
     marks the live gammas: where x0's image is that of both moved points, every branch would skip uncharged.
     Then, one error and width at a time, a width with a live gamma builds its scaffold and runs the hull test
-    and the charged branches, so the outcome, a raised error included (``_images``), is unchanged.  A scaffold
-    whose atoms ``merge_owners`` merges is built first; its moved points come from what it keeps.  An error
-    within tol of the prior is skipped: ``_single_mode_recipes`` runs the misread-prior recipe once, first.
+    and the charged branches.  If the evaluation raises, the block's errors are walked one at a time
+    (``_one_at_a_time``).  A scaffold whose atoms ``merge_owners`` merges is built first; its moved points come
+    from what it keeps.  An error within tol of the prior is skipped: ``_single_mode_recipes`` runs the
+    misread-prior recipe once, first.
     """
     d, mu, tol = search.d, search.mu, search.tol
     E, n = X0.shape
@@ -459,22 +474,23 @@ def _audit_expansive(search: _Search, X0: np.ndarray) -> Optional[ViolationCerti
     keys = np.argwhere(usable).tolist()
     parts = [X0] + [p for e, w in keys
                     for p in (built[e, w].support[1:] if (e, w) in built else support[e, w, 1:], moved[e, w])]
+    try:
+        imgs = evaluate_batch(d, mu, np.concatenate(parts))
+    except Exception:
+        if E == 1:
+            raise
+        return _one_at_a_time(_audit_expansive, search, X0)
     ends = np.cumsum([p.shape[0] for p in parts])
-    order = sorted([(e, -1, e, e + 1) for e in range(E)]  # each x0, then its widths: one error at a time
-                   + [(e, w, ends[2 * s], ends[2 * s + 2]) for s, (e, w) in enumerate(keys)])
-    imgs, stop, failure = _images(d, mu, np.concatenate(parts), order)
     imgs_moved = np.full((E, 3, 6, n), np.nan)  # NaN, never live, where no width is used
     imgs_moved[usable] = imgs[ends[1::2, None] + np.arange(6)]
     off_p = np.abs(imgs_moved[:, :, :3] - imgs[:E, None, None]).max(axis=3) > tol  # x0p leaves x0's destination
     off_pp = np.abs(imgs_moved[:, :, 3:] - imgs_moved[:, :, :3]).max(axis=3) > tol  # x0pp leaves x0p's
     live = off_p | off_pp  # else one destination for all three: each branch below would skip uncharged
 
-    for e, w, lo, _ in order:
-        if (e, w) == stop:
-            raise failure
-        if w < 0 or not live[e, w].any():
+    for s, (e, w) in enumerate(keys):
+        if not live[e, w].any():
             continue
-        x0, img0 = X0[e], imgs[e]
+        x0, img0, lo = X0[e], imgs[e], ends[2 * s]
         rho = built[e, w] if (e, w) in built else _distribution(support[e, w], probs[e, w])
         if rho is None or in_convex_hull(img0, rho.support, tol=1e-7):
             continue  # no scaffold, or the image is not banished at this scaffold width
@@ -521,21 +537,6 @@ def _audit_expansive(search: _Search, X0: np.ndarray) -> Optional[ViolationCerti
             if cert is not None:
                 return cert
     return None
-
-
-def _images(d: Distortion, mu: np.ndarray, pts: np.ndarray, segments):
-    """The images of pts from one call: (images, None, None).  If it raises, the segments (error, width, lo, hi)
-    are evaluated in turn up to the first that raises: (images, NaN from there, (error, width), its error)."""
-    try:
-        return evaluate_batch(d, mu, pts), None, None
-    except Exception:
-        imgs = np.full_like(pts, np.nan)
-    for e, w, lo, hi in segments:
-        try:
-            imgs[lo:hi] = evaluate_batch(d, mu, pts[lo:hi])
-        except Exception as exc:
-            return imgs, (e, w), exc
-    return imgs, None, None
 
 
 def _audit_prior_error(search: _Search) -> Optional[ViolationCertificate]:
@@ -587,34 +588,32 @@ def _audit_contractive_two_state(search: _Search, X0: np.ndarray, imgs0: np.ndar
     """Lemma 3 from a block of contractive errors X0 (rows, in dispatch order) with images imgs0.  Every error's
     8 rungs are evaluated in one call, then the 5 sub-rungs of every rung that is no threshold step in another;
     the step and ternary masks of the whole block pick the candidates, and a two-state distribution is built
-    only at one of them.  If a call raises, each error's rungs, then its sub-rungs, are evaluated alone
-    (``_images``), and the first failure is raised after the errors before it ran their branches.  A rule's
-    map is pure, so the certificate, the budget charged and any error are those of one error at a time."""
+    only at one of them.  If a call raises, the block's errors are walked one at a time (``_one_at_a_time``).
+    A rule's map is pure, so the certificate and the budget charged are those of one error at a time."""
     d, mu, tol = search.d, search.mu, search.tol
     E, m = X0.shape[0], float(mu[0])
+
+    def phi(t: np.ndarray) -> np.ndarray:  # the first coordinate of the image of each (t, 1 - t)
+        return evaluate_batch(d, mu, np.stack([t.ravel(), 1.0 - t.ravel()], axis=1))[:, 0].reshape(t.shape)
+
     directions = np.where(X0[:, 0] > m, 1.0, -1.0)  # +1 where x0's first coordinate exceeds the prior's
     rungs = imgs0[:, :1] + (X0[:, :1] - imgs0[:, :1]) * np.arange(1, 9) / 9.0
-    t = rungs.ravel()
-    hats, stop, failure = _images(d, mu, np.stack([t, 1.0 - t], axis=1), [(e, 0, 8 * e, 8 * e + 8) for e in range(E)])
-    rung_hats = hats[:, 0].reshape(E, 8)  # NaN from a failing error on
-    end = stop[0] if stop else E  # the errors before the first failure
-    # A step: a less extreme posterior lands on a more extreme belief.
-    steps = directions[:, None] * (rung_hats - imgs0[:, :1]) > tol
-    subs = ~steps & (np.arange(E) < end)[:, None]
-    sub_rungs = rung_hats[:, :, None] + (rungs - rung_hats)[:, :, None] * np.arange(1, 6) / 6.0
-    sub_hats = np.full_like(sub_rungs, np.nan)
-    if subs.any():
-        counts = 5 * subs.sum(axis=1)
-        ends, t = np.cumsum(counts), sub_rungs[subs].ravel()
-        segments = [(e, 1, ends[e] - c, ends[e]) for e, c in enumerate(counts.tolist()) if c]
-        hats, sub_stop, sub_failure = _images(d, mu, np.stack([t, 1.0 - t], axis=1), segments)
-        sub_hats[subs] = hats[:, 0].reshape(-1, 5)
-        if sub_stop:
-            end, failure = sub_stop[0], sub_failure
+    try:
+        rung_hats = phi(rungs)
+        # A step: a less extreme posterior lands on a more extreme belief.
+        steps = directions[:, None] * (rung_hats - imgs0[:, :1]) > tol
+        sub_rungs = rung_hats[:, :, None] + (rungs - rung_hats)[:, :, None] * np.arange(1, 6) / 6.0
+        sub_hats = np.full_like(sub_rungs, np.nan)
+        if not steps.all():
+            sub_hats[~steps] = phi(sub_rungs[~steps])
+    except Exception:
+        if E == 1:
+            raise
+        return _one_at_a_time(_audit_contractive_two_state, search, X0, imgs0)
     # Slot 0 of a rung compares it with x0 (a threshold step), slots 1-5 with its sub-rungs (ternary comparisons).
     lows = np.concatenate([np.broadcast_to(imgs0[:, None, :1], (E, 8, 1)), sub_hats], axis=2)
     candidates = directions[:, None, None] * (rung_hats[:, :, None] - lows) > tol
-    for e, k, j in np.argwhere(candidates[:end]).tolist():
+    for e, k, j in np.argwhere(candidates).tolist():
         z, zp, zp_hat, low = float(X0[e, 0]), float(rungs[e, k]), float(rung_hats[e, k]), float(lows[e, k, j])
         direction = float(directions[e])
         far = 0.0 if direction > 0 else 1.0  # scalar coordinate of the opposite vertex
@@ -635,8 +634,6 @@ def _audit_contractive_two_state(search: _Search, X0: np.ndarray, imgs0: np.ndar
         cert = search.try_pair(rho_hi, rho_zp, _threshold_problem(direction, 0.5 * (zp_hat + low)), recipe)
         if cert is not None:
             return cert
-    if failure is not None:
-        raise failure
     return None
 
 
@@ -644,12 +641,13 @@ def _audit_contractive_two_state(search: _Search, X0: np.ndarray, imgs0: np.ndar
 _PULL_FRACS = np.array([0.8, 0.6])
 
 
-def _audit_contractive_many_states(search: _Search, x0: np.ndarray, img0) -> Optional[ViolationCertificate]:
-    """Contagion from the contractive error x0 with image img0.  A pull's moved points are
-    evaluated in one call and tested against the prior and img0 before their
+def _audit_contractive_many_states(search: _Search, X0: np.ndarray, imgs0) -> Optional[ViolationCertificate]:
+    """Contagion from the one contractive error X0 = [x0] with image imgs0 = [img0].  A pull's moved points
+    are evaluated in one call and tested against the prior and img0 before their
     weights are solved: both skips are uncharged, so the outcome is that of
     solving them first, one point at a time."""
     d, mu, tol = search.d, search.mu, search.tol
+    (x0,), (img0,) = X0, imgs0
     for pull in (0.25, 0.45):
         rho = _vertex_pulled_scaffold(mu, x0, pull)
         if rho is None:
@@ -681,11 +679,7 @@ def _audit_contractive(search: _Search, X0: np.ndarray) -> Optional[ViolationCer
     imgs0 = evaluate_batch(search.d, search.mu, X0)
     if search.mu.shape[0] == 2:
         return _audit_contractive_two_state(search, X0, imgs0)
-    for x0, img0 in zip(X0, imgs0):
-        cert = _audit_contractive_many_states(search, x0, img0)
-        if cert is not None:
-            return cert
-    return None
+    return _one_at_a_time(_audit_contractive_many_states, search, X0, imgs0)
 
 
 # ---------------------------------------------------------------------------
@@ -994,21 +988,22 @@ def audit(
 
     Classifies every lattice belief and reports the verdict of the checker that characterizes
     harmlessness in the mode.  SINGLE mode (``occasionally_coarse`` on the g + 1 nodes i/g, g = max(lattice
-    rows, 100), or ``occasionally_stubborn``) runs the misread-prior recipe, the recipes for the
-    ``_MAX_DISPATCH`` largest errors of each kind (the largest expansive one alone, then the others as one
-    block planned as one array program) and the vertex recipe on the vertices the collapse checker found
-    off their segment toward its x*; DOUBLE mode (``affine``, from the
-    chords at ``grid_size``) runs the chord recipe on those chords.  Random search spends the rest of the
+    rows - 1, 100), from grid 101 on the census lattice's own nodes, or ``occasionally_stubborn``) runs the
+    misread-prior recipe, the recipes for the ``_MAX_DISPATCH`` largest errors of each kind (the largest
+    expansive one alone, then the others as one block planned as one array program) and the vertex recipe
+    on the vertices the collapse checker found off their segment toward its x*; DOUBLE mode (``affine``, from
+    the chords at ``grid_size``) runs the chord recipe on those chords.  Random search spends the rest of the
     budget only on a rule the mode's checker refutes.  Absence of a certificate is a pass, never an
     error.  A negative, infinite or NaN tol, a negative seed, or a budget below 1, infinite or NaN raises ValueError
     before the census, as does WrongDimension for too many states (``refuse_face_stack``, ``refuse_chord_lattice``);
     an error of the rule's evaluation propagates, such as NonFiniteImage or an off-node GridMiss.  A tol below
-    rounding level, such as 0, lets rounding pick each erring point's kind; the checkers floor theirs at 1e-9.
+    1e-9 (``TOL_GEO``), such as 0, acts as 1e-9 in the census, the checkers and the recipes alike.
     """
     mua = interior_prior(mu, "audit")
     # A NaN or infinite tol would count every point as error-free, a negative one every point as erring.
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    tol = max(tol, TOL_GEO)  # below it, float rounding would pick an erring point's kind
     if seed < 0:  # numpy's generators take no negative seed; refused whether or not random search runs
         raise ValueError(f"seed must be non-negative, got {seed}")
     if not 1 <= budget < math.inf:  # also NaN, as the command line's --budget
@@ -1034,10 +1029,10 @@ def audit(
         characterized = checker_verdicts["affine"] = is_affine(chords)
     else:
         if n == 2:
-            structure = is_occasionally_coarse(d, mua, grid_size=max(grid.shape[0], 100), tol=max(tol, 1e-9))
+            structure = is_occasionally_coarse(d, mua, grid_size=max(grid.shape[0] - 1, 100), tol=tol)
             checker_verdicts["occasionally_coarse"] = structure.to_json()
         else:
-            structure = collapse = is_occasionally_stubborn(d, mua, tol=max(tol, 1e-9))
+            structure = collapse = is_occasionally_stubborn(d, mua, tol=tol)
             checker_verdicts["occasionally_stubborn"] = structure.to_json()
         characterized = structure.ok
 

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import re
 from typing import Optional
 
 import numpy as np
@@ -16,7 +17,7 @@ from oracles import (
     value_function,
     vertex_condition_every_vertex,
 )
-from blackwell_audit import auditor, distortions, geometry
+from blackwell_audit import auditor, cli, distortions, geometry
 from blackwell_audit.geometry import (
     TOL_GEO,
     Belief,
@@ -293,8 +294,8 @@ class TestFullAudit:
         assert adversary(rule, MU3, 300, seed=1) is None
 
     def test_two_state_checker_scans_at_most_the_lattice(self, monkeypatch):
-        # max(grid_size, 100) levels up to the lattice's 2,000,000-row cap, so reports there are unchanged;
-        # past it the lattice halves its resolution, and the scan takes the lattice's rows.
+        # max(lattice rows - 1, 100) levels: from grid 101 on, the scan's nodes i/g are the census lattice's,
+        # also past the lattice's 2,000,000-row cap, where it halves its resolution.
         seen = []
 
         def spy(d, mu, grid_size, tol):
@@ -307,7 +308,15 @@ class TestFullAudit:
                 assert audit(BayesRule(2), MU2, grid_size=grid_size, budget=10).verdict == "pass"
         finally:
             geometry._lattice.cache_clear()  # release the two lattices of 1.5 M rows and more
-        assert seen == [100, 101, 2_000_000, 1_562_500]
+        assert seen == [100, 100, 1_999_999, 1_562_499]
+
+    def test_a_tolerance_below_the_floor_acts_as_the_floor(self):
+        # A shrinkage rule's images lie on the posterior-prior segment up to rounding: at tol 0 the census
+        # used to file 313 of these 861 rows as expansive on residuals of order 1e-17.
+        rule, mu = ShrinkageRule(0.5, 3), [0.2, 0.3, 0.5]
+        rep = audit(rule, mu, grid_size=41, tol=0.0)
+        assert rep.error_census["expansive"] == 0
+        assert rep.to_json() == audit(rule, mu, grid_size=41, tol=TOL_GEO).to_json()
 
     def test_tabulated_rule_queried_off_its_nodes_raises(self):
         # Identity on the 11-level lattice; the checkers' face samples fall off its nodes.
@@ -752,6 +761,65 @@ class TestVerifyCertificate:
         back = ViolationCertificate.from_json(json.loads(cert.dumps()))
         assert verify_certificate(back)[0]
         assert back.dumps() == cert.dumps()
+
+
+def _two_state_table(reads: dict) -> TabulatedRule:
+    """Two states: the identity on the 11 levels i/10, except that each first coordinate t in ``reads`` (a
+    node of its own where it is no level) is read as reads[t].  A query takes its nearest node's image."""
+    ts = np.union1d(np.arange(11) / 10, list(reads))
+    images = np.array([reads.get(t, t) for t in ts.tolist()])
+    return TabulatedRule(np.stack([ts, 1.0 - ts], axis=1), np.stack([images, 1.0 - images], axis=1), tol=1.0)
+
+
+#: At the prior (1/2, 1/2) and grid 11 the census's one error is x0 = 0.9, read as 0.95.  Its widest scaffold
+#: adds 0.45; at gamma 0.6 its moved points are x0p = 0.72 and x0pp = 0.585, each a node of the table.  With
+#: x0p read as 0.97, the image of x0 lies between the others and claim 1 has no cut.  With x0pp read as 0.6,
+#: claim 2 cuts 0.97 off, and the pair acts at x0p.  With x0pp read as 0.99, claim 2 has no cut either, and
+#: claim 3 cuts 0.99 off: the mixture acts at x0pp, which lies well inside the pass side.
+_CLAIM2_TABLE = _two_state_table({0.9: 0.95, 0.72: 0.97, 0.585: 0.6})
+_CLAIM3_TABLE = _two_state_table({0.9: 0.95, 0.72: 0.97, 0.585: 0.99})
+
+
+#: A recipe, and a rule, prior and audit arguments whose audit it certifies.
+_RECIPE_AUDITS = [
+    ("claim1-hyperplane", GretherRule(2.0, 1.0, 3), MU3, dict(grid_size=61, budget=500, seed=1)),
+    ("claim2-separation", _CLAIM2_TABLE, MU2, dict(grid_size=11, budget=10)),
+    ("claim3-mixture", _CLAIM3_TABLE, MU2, dict(grid_size=11, budget=10)),
+    # The row 0.1 reads 0.3, while the rungs between them read their nearest level: a threshold step.
+    ("lemma3-threshold", _two_state_table({0.1: 0.3}), MU2, dict(grid_size=11, budget=10)),
+    ("lemma3-ternary", ShrinkageRule(0.5, 2), MU2, dict(grid_size=101, budget=100)),
+    ("contagion1-separation", ShrinkageRule(0.5, 3), MU3, dict(grid_size=41, budget=100)),
+    ("degenerate-prior", _PriorDrift(3), MU3, dict(grid_size=31, budget=300, seed=1)),
+    ("vertexprop-separation", _OffSegmentVertices(), MU3, dict(grid_size=41, budget=300, seed=3)),
+    ("chord", GretherRule(2.0, 1.0, 2), MU2, dict(grid_size=51, budget=200, mode=WelfareMode.DOUBLE)),
+    ("random-search", GretherRule(2.0, 1.0, 2), MU2, dict(grid_size=101, budget=1000, sel=Selector(tie_tol=0.05))),
+]
+
+
+class TestEveryRecipe:
+    """Each recipe of the ``auditor`` docstring's list certifies some rule through ``audit``."""
+
+    def test_covers_the_docstring_list(self):
+        listed = re.findall(r"^\* ``([\w-]+)``(?: / ``([\w-]+)``)?", auditor.__doc__, re.M)
+        assert sorted(filter(None, sum(listed, ()))) == sorted(case[0] for case in _RECIPE_AUDITS)
+
+    @pytest.mark.parametrize("recipe, rule, mu, kwargs", _RECIPE_AUDITS, ids=[case[0] for case in _RECIPE_AUDITS])
+    def test_certifies_through_the_audit(self, recipe, rule, mu, kwargs):
+        rep = audit(rule, mu, **kwargs)
+        assert rep.verdict == "violation" and rep.certificate.recipe == recipe
+        assert verify_certificate(rep.certificate) == (True, None)
+
+    def test_claim3_at_a_wide_scaffold_verifies_on_the_command_line(self, tmp_path):
+        rule_file, out = tmp_path / "rule.json", tmp_path / "r.json"
+        rule_file.write_text(json.dumps(_CLAIM3_TABLE.to_json()))
+        argv = ["audit", "--states", "2", "--rule", str(rule_file), "--grid", "11", "--budget", "10", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_VIOLATION
+        cert = ViolationCertificate.from_json(json.loads((tmp_path / "r.certificate.json").read_text()))
+        assert cert.recipe == "claim3-mixture" and verify_certificate(cert) == (True, None)
+        # The moved point x0p keeps weight 0.185 in the less informative distribution, and the gap is far
+        # below the cut: no rounding-level mixture.
+        assert np.min(bayes(np.asarray(MU2), cert.pi_prime).probs) > 0.1 and cert.gap < -0.05
+        assert cli.main(["verify", str(tmp_path / "r.certificate.json")]) == cli.EXIT_OK
 
 
 class TestDeterminism:
@@ -1667,15 +1735,28 @@ class TestDispatchSelection:
             assert grid.tobytes() == np.stack([t, 1.0 - t], axis=1).tobytes()
 
 
+def _points_first_expansive(search: _Search, x0: np.ndarray) -> Optional[ViolationCertificate]:
+    """``_weights_first_expansive`` after one evaluation of every point of x0's recipe: x0, then per scaffold
+    width its other points and moved points, none for an error at the prior.  An error of the rule is raised
+    before any branch runs, as ``_audit_expansive`` raises it for a block of one."""
+    points = [x0[None, :]]
+    if np.max(np.abs(x0 - search.mu)) > search.tol:
+        for rho in _one_error_scaffolds(search.mu, x0):
+            target = rho.support[1:].mean(axis=0)
+            points += [rho.support[1:], _MOVES[:, None] * x0 + (1.0 - _MOVES)[:, None] * target]
+    evaluate_batch(search.d, search.mu, np.concatenate(points))
+    return _weights_first_expansive(search, x0)
+
+
 def _error_by_error(search: _Search, grid, kinds, mags, census, star, trail: list) -> Optional[ViolationCertificate]:
-    """``_single_mode_recipes`` handing over one error at a time to the weights-first references
-    above, and the vertex condition to its reference at the collapse point ``star``; ``trail`` gets
-    the (kind code, dispatch position) of every error handed over."""
+    """``_single_mode_recipes`` handing over one error at a time to the references above, the expansive
+    one points first, and the vertex condition to its reference at the collapse point ``star``; ``trail``
+    gets the (kind code, dispatch position) of every error handed over."""
     cert = _audit_prior_error(search)
     if cert is not None:
         return cert
     contractive = _weights_first_two_state if search.mu.shape[0] == 2 else _weights_first_many_states
-    for code, recipe in ((1, _weights_first_expansive), (2, contractive)):
+    for code, recipe in ((1, _points_first_expansive), (2, contractive)):
         idx = np.flatnonzero(kinds == code)
         for k, gi in enumerate(idx[np.lexsort((idx, -mags[idx]))][:_MAX_DISPATCH]):
             trail.append((code, k))
@@ -1683,6 +1764,11 @@ def _error_by_error(search: _Search, grid, kinds, mags, census, star, trail: lis
             if cert is not None:
                 return cert
     return None if star is None else vertex_condition_every_vertex(search, star.coords)
+
+
+def _rows(X: np.ndarray) -> tuple:
+    """The rows of X as a tuple of tuples, for comparing logged blocks."""
+    return tuple(map(tuple, X.tolist()))
 
 
 class _NonFiniteAt(Distortion):
@@ -1736,7 +1822,7 @@ class TestWholeDispatch:
     """``_single_mode_recipes`` hands the first expansive error over alone and
     plans the others as one block; it must return the certificate bytes,
     charge the budget and raise the error of handing every error over alone
-    to the weights-first references."""
+    to the references, the expansive one evaluating its points first."""
 
     @staticmethod
     def _outcome(run, rule, mu, sel, tol, budget, *args):
@@ -1770,22 +1856,38 @@ class TestWholeDispatch:
         return from_expansive and last[0] == 1 and last[1] >= 1
 
     @staticmethod
-    def _count_failures(monkeypatch) -> list:
-        """The auditor's evaluations that raise, as they happen."""
-        failures = []
+    def _walk_log(monkeypatch, recipe: str) -> list:
+        """As they happen: the rows of every block handed to the auditor's ``recipe`` (``_rows``), and
+        "raise" for every evaluation of the auditor's that raises NonFiniteImage."""
+        log, handed = [], getattr(auditor, recipe)
+
+        def spy_recipe(search, X0, *args):
+            log.append(_rows(X0))
+            return handed(search, X0, *args)
 
         def spy(*args):
             try:
                 return evaluate_batch(*args)
             except NonFiniteImage:
-                failures.append(args[2].shape[0])
+                log.append("raise")
                 raise
 
+        monkeypatch.setattr(auditor, recipe, spy_recipe)
         monkeypatch.setattr(auditor, "evaluate_batch", spy)
-        return failures
+        return log
+
+    @staticmethod
+    def _walk(rows: np.ndarray, last: int, raised: bool) -> list:
+        """The log of a dispatch whose expansive block fails: the first error alone; the block of the others,
+        whose evaluation raises; then each of them alone up to error ``last``, whose own evaluation raises
+        when ``raised``."""
+        log = [_rows(rows[:1])]
+        if last >= 1:
+            log += [_rows(rows[1:_MAX_DISPATCH]), "raise"] + [_rows(rows[e : e + 1]) for e in range(1, last + 1)]
+        return log + ["raise"] * raised
 
     def test_matches_the_error_by_error_order(self, monkeypatch):
-        failures = self._count_failures(monkeypatch)
+        log = self._walk_log(monkeypatch, "_audit_expansive")
         later, failed_later, exhausted, certs, passes = 0, 0, 0, 0, 0
         for i in range(120):
             rng = np.random.default_rng(12000 + i)
@@ -1805,15 +1907,17 @@ class TestWholeDispatch:
                 later += 1
                 # The same rule failing at the scaffold points of the last dispatched
                 # error that no error up to the certifying one has: the block's one
-                # evaluation raises, and the certificate must still come.
+                # evaluation raises, the errors are handed over alone up to the
+                # certifying one, and the certificate must still come.
                 tried = [rho.support[1:] for x0 in rows[: last[1] + 1] for rho in _one_error_scaffolds(mu, x0)]
                 last_x0 = rows[min(rows.shape[0], _MAX_DISPATCH) - 1]
                 failing = [p for rho in _one_error_scaffolds(mu, last_x0) for p in rho.support[1:]]
                 failing = [p for p in failing if not any(np.any(np.all(t == p, axis=1)) for t in tried)]
                 if failing:
-                    failures.clear()
+                    log.clear()
                     kept = self._compare(_NonFiniteAt(rule, np.array(failing)), mu, sel, tol, budget)[0][0] == result
-                    failed_later += kept and len(failures) == 2  # the block's one evaluation, then that error's
+                    assert log == self._walk(rows, last[1], raised=False), (i, log)
+                    failed_later += kept
         assert later >= 2 and failed_later >= 2 and exhausted >= 5 and certs >= 30 and passes >= 20, (
             later, failed_later, exhausted, certs, passes
         )
@@ -1836,11 +1940,13 @@ class TestWholeDispatch:
         assert later >= 3 and exhausted >= 3, (later, exhausted)
 
     def test_an_image_that_fails_at_a_later_error(self, monkeypatch):
-        failures = self._count_failures(monkeypatch)
+        log = self._walk_log(monkeypatch, "_audit_expansive")
         # The block's one evaluation raises NonFiniteImage at the points of the last
-        # scaffold width of the third dispatched error, after its wider ones ran their
-        # recipes; the reference reaches them when x0's image is off that scaffold, and
-        # a tie tolerance of 10 lets nothing certify.
+        # scaffold width of the third dispatched error; the errors are handed over
+        # alone, and the third one's evaluation raises before any of its widths runs
+        # a branch, as the points-first reference does.  The reference's earlier
+        # widths reach their branches when x0's image is off that scaffold, and a tie
+        # tolerance of 10 lets nothing certify.
         raised = 0
         for i in range(12):
             rng = np.random.default_rng(12500 + i)
@@ -1851,10 +1957,12 @@ class TestWholeDispatch:
             img = evaluate_batch(inner, mu, rows[2:3])[0]
             if len(scaffolds) < 2 or in_convex_hull(img, scaffolds[-1].support, tol=1e-7):
                 continue
-            failures.clear()
+            log.clear()
             rule = _NonFiniteAt(inner, scaffolds[-1].support[1:])
             (result, _), last, _ = self._compare(rule, mu, Selector(tie_tol=10.0), 1e-9, 10_000)
-            raised += result is NonFiniteImage and last == (1, 2) and len(failures) == 2
+            if result is NonFiniteImage and last == (1, 2):
+                assert log == self._walk(rows, 2, raised=True), (i, log)
+                raised += 1
         assert raised >= 8, raised
 
     def test_a_block_with_scaffolds_that_merge_atoms(self, monkeypatch):
@@ -1923,18 +2031,21 @@ class TestContractiveBlock:
         return rule, mu, tol, grid[idx[np.lexsort((idx, -mags[idx]))][:_MAX_DISPATCH]], rng
 
     @staticmethod
-    def _by_error(search, X0):
+    def _by_error(search, X0, trail: list):
         for x0, img0 in zip(X0, evaluate_batch(search.d, search.mu, X0)):
+            trail.append(x0)
             cert = contractive_two_state_by_error(search, x0, img0)
             if cert is not None:
                 return cert
         return None
 
     def _compare(self, rule, mu, sel, tol, budget, X0):
+        """The outcome, which the block and the reference must share; how many errors the reference handed over."""
+        trail = []
         got = TestWholeDispatch._outcome(_audit_contractive, rule, mu, sel, tol, budget, X0)
-        want = TestWholeDispatch._outcome(self._by_error, rule, mu, sel, tol, budget, X0)
+        want = TestWholeDispatch._outcome(self._by_error, rule, mu, sel, tol, budget, X0, trail)
         assert got == want, (rule.to_json(), mu.tolist(), sel, tol, budget, X0[:, 0].tolist())
-        return want
+        return want, len(trail)
 
     @staticmethod
     def _ladder(rule, mu, x0, tol):
@@ -1954,7 +2065,7 @@ class TestContractiveBlock:
                 continue
             policy = (SelectorPolicy.LEX_FIRST, SelectorPolicy.LEX_LAST)[i // 8 % 2]
             sel = Selector(policy, tie_tol=(1e-10, 0.01, 0.05)[i // 16 % 3])
-            result, _ = self._compare(rule, mu, sel, tol, (1, 3, 10, 40)[i // 48 % 4], X0)
+            (result, _), _ = self._compare(rule, mu, sel, tol, (1, 3, 10, 40)[i // 48 % 4], X0)
             outcomes.add((self.FAMILIES[i % 4], json.loads(result)["recipe"] if isinstance(result, str) else result))
             blocks += 1
         # Every family but the interval rules certifies and runs out of budget, the clipped rules also at a
@@ -1965,9 +2076,10 @@ class TestContractiveBlock:
 
     def test_a_failing_evaluation_raises_where_the_reference_does(self, monkeypatch):
         # NaN at the rung points, then at the sub-rung points, of the first, third and
-        # last dispatched error: the block's batched call raises, each error's points
-        # are evaluated alone up to that error, and the outcome is the reference's.
-        failures = TestWholeDispatch._count_failures(monkeypatch)
+        # last dispatched error: the block's batched call raises, the errors are handed
+        # over alone up to the one that certifies or raises, and the outcome is the
+        # reference's.
+        log = TestWholeDispatch._walk_log(monkeypatch, "_audit_contractive_two_state")
         raised, certified_first, fell_back = 0, 0, 0
         for i in range(24):
             inner, mu, tol, X0, rng = self._block(i)
@@ -1980,14 +2092,16 @@ class TestContractiveBlock:
                 for points in (rungs, sub_rungs):
                     if not points.shape[0]:
                         continue
-                    failures.clear()
+                    log.clear()
                     sel = Selector(tie_tol=(1e-10, 0.05)[int(rng.integers(2))])
-                    result, _ = self._compare(_NonFiniteAt(inner, points), mu, sel, tol, 40, X0)
+                    (result, _), handed = self._compare(_NonFiniteAt(inner, points), mu, sel, tol, 40, X0)
                     raised += result is NonFiniteImage
                     certified_first += isinstance(result, str) and k >= 1
-                    # The block's call over every error, then error k's own rungs or sub-rungs.
-                    # The block's batched call, then one error's own call, at error k.
-                    fell_back += len(failures) == 2 and failures[0] > failures[1]
+                    # The block, whose rungs or sub-rungs raise; then, unless it is one error, each
+                    # error alone up to the one that certifies or, with its own call, raises.
+                    walk = [_rows(X0[e : e + 1]) for e in range(handed)] + ["raise"] * (result is NonFiniteImage)
+                    assert log == [_rows(X0), "raise"] + (walk if E > 1 else []), (i, k, log)
+                    fell_back += E > 1
         assert raised >= 40 and certified_first >= 10 and fell_back >= 80, (raised, certified_first, fell_back)
 
     @pytest.mark.parametrize("size", [1, 2, 15, 16])

@@ -153,6 +153,16 @@ class TestAuditCommand:
         assert captured.out == "" and not out.exists()
         assert run(argv + ["--tol", "0"]) == EXIT_VIOLATION
 
+    def test_a_tolerance_below_the_floor_acts_as_the_floor(self, tmp_path):
+        argv = ["audit", "--states", "3", "--rule", "shrinkage(0.5)", "--grid", "41", "--prior", "sweep:2"]
+        runs = []
+        for tol in ("0", "1e-9"):
+            out = tmp_path / f"r-{tol}.json"
+            assert run(argv + ["--tol", tol, "--out", str(out)]) == EXIT_VIOLATION
+            runs.append(json.loads(out.read_text())["runs"])
+        assert runs[0] == runs[1]
+        assert [r["error_census"]["expansive"] for r in runs[0]] == [0, 0]
+
     def test_negative_seed(self, tmp_path, capsys):
         # The sweep prior's generator used to raise numpy's "expected non-negative integer".
         out = tmp_path / "r.json"

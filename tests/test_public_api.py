@@ -18,6 +18,7 @@ REMOVED = [
     "ValueResult", "value_function", "select_action", "welfare",
     "ConvexityViolation", "MIX_WEIGHTS", "convexity_violations",
     "StubbornSpec", "vertex_belief", "_segment_residual", "_REDECIDE", "binary_symmetric",
+    "_images",
 ]
 REMOVED_METHODS = [(geometry.Belief, "allclose"), (geometry.Belief, "face"), (geometry.Hyperplane, "value")]
 
