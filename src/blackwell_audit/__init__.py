@@ -15,7 +15,6 @@ from .geometry import (
     NoStrictSeparation,
     enumerate_faces,
     face_samples,
-    in_convex_hull,
     on_segment,
     separating_hyperplane_sets,
     simplex_lattice,

@@ -12,9 +12,10 @@ SINGLE mode runs those down to ``vertexprop-separation``, DOUBLE mode the
 chord; random search runs in both, only on a rule that the mode's checker
 (the collapse checker, or ``is_affine``) does not accept.
 
-* ``claim1-hyperplane``   - an off-hull image is cut from the support
-  hull (and the contraction's image) by a strict hyperplane; the induced
-  threshold problem makes the rule act on news it should ignore.
+* ``claim1-hyperplane``   - an image whose ``hull_gap`` to the support
+  exceeds 1e-7 is cut from the support hull (and the contraction's image)
+  by a strict hyperplane; the induced threshold problem makes the rule
+  act on news it should ignore.
 * ``claim2-separation``   - the same cut one contraction deeper, used
   when the first contraction's image is itself banished.
 * ``claim3-mixture``      - two banished images with different
@@ -49,9 +50,8 @@ emission step, ``_Search.emit``: its gap is computed once by exact
 expected-welfare computation, must lie below -(GAP_TOL + the selector's
 tie_tol), and the certificate is kept only if it passes independent
 re-verification (``verify_certificate``).  There, and in ``blackwell-audit
-verify``, dominance is proved by a garbling matrix that nonnegative least
-squares finds; only when none fits within tolerance does the garbling
-feasibility LP decide.
+verify``, dominance is proved by a garbling matrix, from nonnegative least
+squares or else from the garbling LP, whose residual is checked.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .geometry import (
     Belief,
     Hyperplane,
     NoStrictSeparation,
-    in_convex_hull,
+    hull_gap,
     merge_owners,
     separating_hyperplane_sets,
     simplex_lattice,
@@ -202,9 +202,9 @@ def _gap_cut(sel: Selector) -> float:
 def verify_certificate(c: ViolationCertificate) -> Tuple[bool, Optional[str]]:
     """Independently re-check a certificate; returns (ok, reason-if-not).
 
-    Recomputes dominance with ``blackwell_dominates`` (a garbling found by
-    nonnegative least squares proves it; failing that, the garbling
-    feasibility program decides) and both expected payoffs from the raw
+    Recomputes dominance with ``blackwell_dominates`` (a garbling matrix
+    from nonnegative least squares or the garbling LP proves it once its
+    residual is checked) and both expected payoffs from the raw
     experiments (posteriors via Bayes, one welfare evaluation per support
     point, no pushforward shortcut); none of the auditor's intermediate
     state is reused.  The recomputed gap must lie below ``_gap_cut`` of
@@ -220,7 +220,7 @@ def verify_certificate(c: ViolationCertificate) -> Tuple[bool, Optional[str]]:
             return False, "malformed"
     except Exception:
         return False, "malformed"
-    if not blackwell_dominates(c.pi, c.pi_prime, tol=1e-8):
+    if not blackwell_dominates(c.pi, c.pi_prime):
         return False, "dominance"
     try:
         rho = bayes(mu, c.pi)
@@ -452,11 +452,11 @@ def _audit_expansive(search: _Search, X0: np.ndarray) -> Optional[ViolationCerti
 
     One evaluation takes every x0, scaffold point and moved point (x0p at each gamma, x0pp at gamma / 2) and
     marks the live gammas: where x0's image is that of both moved points, every branch would skip uncharged.
-    Then, one error and width at a time, a width with a live gamma builds its scaffold and runs the hull test
-    and the charged branches.  If the evaluation raises, the block's errors are walked one at a time
-    (``_one_at_a_time``).  A scaffold whose atoms ``merge_owners`` merges is built first; its moved points come
-    from what it keeps.  An error within tol of the prior is skipped: ``_single_mode_recipes`` runs the
-    misread-prior recipe once, first.
+    Then, one error and width at a time, a width with a live gamma builds its scaffold; unless x0's image is
+    within 1e-7 of the scaffold's hull (``hull_gap``), the width runs the charged branches.  If the evaluation
+    raises, the block's errors are walked one at a time (``_one_at_a_time``).  A scaffold whose atoms
+    ``merge_owners`` merges is built first; its moved points come from what it keeps.  An error within tol of
+    the prior is skipped: ``_single_mode_recipes`` runs the misread-prior recipe once, first.
     """
     d, mu, tol = search.d, search.mu, search.tol
     E, n = X0.shape
@@ -492,7 +492,7 @@ def _audit_expansive(search: _Search, X0: np.ndarray) -> Optional[ViolationCerti
             continue
         x0, img0, lo = X0[e], imgs[e], ends[2 * s]
         rho = built[e, w] if (e, w) in built else _distribution(support[e, w], probs[e, w])
-        if rho is None or in_convex_hull(img0, rho.support, tol=1e-7):
+        if rho is None or hull_gap([img0], rho.support) <= 1e-7:
             continue  # no scaffold, or the image is not banished at this scaffold width
         imgs_others = imgs[lo : lo + rho.size - 1]
         even = np.full(rho.size - 1, 1.0 / (rho.size - 1))  # the target's weights over the other points

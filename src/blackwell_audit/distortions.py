@@ -518,8 +518,8 @@ def is_occasionally_coarse(
     g = int(grid_size)
     if g < 2:
         raise ValueError("grid_size must be at least 2")
-    ts = np.arange(g + 1, dtype=np.float64) / g
-    X = np.column_stack([ts, 1.0 - ts])
+    X = _lattice(2, g)  # the census's cached lattice when g is its resolution
+    ts = X[:, 0]
     phis = evaluate_batch(d, mu, X)[:, 0]
 
     u_hat = float(phis[0])

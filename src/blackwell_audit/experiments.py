@@ -4,10 +4,11 @@ An experiment is a row-stochastic likelihood matrix (one row per state,
 one column per signal).  Updating it at an interior prior produces a
 finite-support distribution over posterior beliefs whose barycenter is
 the prior.  Informativeness is decided by garbling feasibility between
-likelihood matrices, a small linear program that a least-squares witness
-can settle without solving it.  The auditor builds its contractions
-itself: it moves one support point toward a known convex combination of
-the others, which fixes the new weights in closed form.
+likelihood matrices: a garbling matrix, from nonnegative least squares or
+else from a small linear program, proves it once its residual is checked.
+The auditor builds its contractions itself: it moves one support point
+toward a known convex combination of the others, which fixes the new
+weights in closed form.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .geometry import (
 
 # Barycenter agreement required of Bayes-plausible posterior distributions.
 TOL_BARY = 1e-10
+# Sup-norm residual within which a row-stochastic M proves pi @ M = pi_prime.
+TOL_GARBLING = 1e-8
 
 
 class PriorNotInterior(ValueError):
@@ -205,22 +208,29 @@ def garble(experiment: Experiment, m: GarblingMatrix) -> Experiment:
     return Experiment(experiment.likelihoods @ m.entries)
 
 
-def blackwell_dominates(pi: Experiment, pi_prime: Experiment, tol: float = 1e-8) -> bool:
+def blackwell_dominates(pi: Experiment, pi_prime: Experiment) -> bool:
     """True when pi_prime is a garbling of pi (pi is weakly more informative).
 
     Blackwell (1953): that holds exactly when some row-stochastic M gives
-    pi @ M = pi_prime.  A witness is tried first: M solved by nonnegative
-    least squares, rows renormalized; if max|pi @ M - pi_prime| <= tol, M
-    is a feasible point of the linear program below with objective <= tol,
-    and it proves dominance.  Otherwise, and whenever the least-squares
-    solve fails, that program decides: it minimizes the sup-norm residual
-    over row-stochastic M.
+    pi @ M = pi_prime, and such an M is the proof.  Two candidates are
+    tried in turn, each clipped at 0 with its rows renormalized and
+    accepted only if max|pi @ M - pi_prime| <= TOL_GARBLING: M solved by
+    nonnegative least squares, then, when that fails or misses, the M of the
+    linear program that minimizes the sup-norm residual over row-stochastic
+    M.  The program's optimum alone is no proof, as HiGHS meets its
+    constraints only within 1e-7.
     """
     if pi.n_states != pi_prime.n_states:
         raise DimensionMismatch("experiments must share the state space")
     A = pi.likelihoods
     B = pi_prime.likelihoods
     k, kp = A.shape[1], B.shape[1]
+
+    def garbles(m: np.ndarray) -> bool:
+        M = np.maximum(m, 0.0).reshape(k, kp)
+        sums = M.sum(axis=1, keepdims=True)
+        return bool(np.all(sums > 0.0) and np.max(np.abs(A @ (M / sums) - B)) <= TOL_GARBLING)
+
     # G = kron(A, I): row (theta, s') of G applied to the flattened M is (A M)[theta, s'].
     G = (A[:, None, :, None] * np.eye(kp)[:, None, :]).reshape(-1, k * kp)
     row_sums = np.repeat(np.eye(k), kp, axis=1)  # applied to the flattened M: M's row sums
@@ -228,9 +238,6 @@ def blackwell_dominates(pi: Experiment, pi_prime: Experiment, tol: float = 1e-8)
         m, _ = nnls(np.vstack([G, row_sums]), np.append(B.ravel(), np.ones(k)))
     except (ValueError, RuntimeError):  # non-finite input, or no convergence
         m = None
-    if m is not None:
-        M = np.maximum(m, 0.0).reshape(k, kp)
-        sums = M.sum(axis=1, keepdims=True)
-        if np.all(sums > 0.0) and np.max(np.abs(A @ (M / sums) - B)) <= tol:
-            return True
-    return bool(_min_sup_residual([(G, B.ravel())], (k, kp), "garbling") <= tol)
+    if m is not None and garbles(m):
+        return True
+    return garbles(_min_sup_residual([(G, B.ravel())], (k, kp), "garbling")[0])

@@ -6,11 +6,11 @@ n-vector normal; on the simplex's affine hull this is equivalent to the
 usual (n-1)-dimensional representation, with the advantage that no state
 index is privileged.
 
-Hull membership is decided by barycentric coordinates when the hull
-points are affinely independent and those coordinates settle the
-question; otherwise it reduces to a small linear program.  Strict
-separation is refused by a convex-weight witness when the two hulls
-provably meet, and decided by a linear program otherwise.  Every LP goes
+One convex-weight witness, :func:`hull_gap`, reads how close two hulls
+come: nonnegative least squares finds a point of each, and their sup-norm
+distance is its answer.  A gap within tolerance proves the hulls meet, so
+it decides hull membership (one point against a hull) and refuses strict
+separation; a linear program decides separation otherwise.  Every LP goes
 through :func:`solve_lp`, which hands HiGHS what
 ``linprog(method="highs")`` would, so its optima are linprog's, bit for bit;
 HiGHS is deterministic for fixed inputs, so every witness is reproducible.
@@ -24,7 +24,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,11 +32,6 @@ import numpy as np
 TOL_SUM = 1e-12
 # Default geometric tolerance for membership / segment / separation tests.
 TOL_GEO = 1e-9
-# HiGHS accepts constraint violations up to its primal feasibility tolerance
-# (1e-7), so the membership LP can call a point up to about that far outside
-# the hull a member.  Barycentric rejection leaves points within this slack
-# of tol to the LP, so both routes return the same verdict.
-_LP_SLACK = 1e-6
 # Most points a lattice, or the collapse checker's face samples, may hold.
 MAX_POINTS = 2_000_000
 
@@ -84,7 +79,7 @@ def _coerce(x) -> np.ndarray:
 
 
 def _coerce_many(points: Iterable) -> np.ndarray:
-    arr = np.asarray([_coerce(p) for p in points], dtype=np.float64)
+    arr = np.asarray(points if isinstance(points, np.ndarray) else [_coerce(p) for p in points], dtype=np.float64)
     if arr.size == 0:
         raise EmptyInput("expected at least one point")
     return arr
@@ -121,8 +116,8 @@ class Belief:
     def n(self) -> int:
         return self.coords.shape[0]
 
-    def is_interior(self, tol: float = 0.0) -> bool:
-        return bool(np.all(self.coords > tol))
+    def is_interior(self) -> bool:
+        return bool(np.all(self.coords > 0.0))
 
     def to_json(self) -> list:
         return [float(v) for v in self.coords]
@@ -241,73 +236,16 @@ def merge_owners(points) -> np.ndarray:
     return owners
 
 
-def in_convex_hull(p, hull_points: Sequence, tol: float = TOL_GEO) -> bool:
-    """True when p is reproducible as a convex combination of hull_points.
-
-    Membership means the least sup-norm reconstruction error over convex
-    weights is <= tol.  When the hull points are affinely independent,
-    p's barycentric coordinates decide this in most cases, with a proof
-    either way.  Dependent or duplicate points, and points whose error is
-    too close to tol, go to a linear program that computes the error.
-    Both routes return the same verdict.  A p whose length differs from
-    the hull points' raises DimensionMismatch.
-    """
-    pa = _coerce(p)
-    H = _coerce_many(hull_points)
-    if pa.shape != H.shape[1:]:
-        raise DimensionMismatch(f"point of shape {pa.shape} against hull points of length {H.shape[1]}")
-    verdict = _in_hull_barycentric(pa, H, tol)
-    if verdict is None:
-        return _in_hull_lp(pa, H, tol)
-    return verdict
-
-
-def _in_hull_barycentric(pa: np.ndarray, H: np.ndarray, tol: float) -> Optional[bool]:
-    """Hull membership from barycentric coordinates, or None when they cannot decide.
-
-    With A = [H^T; 1^T] of full column rank, P its pseudo-inverse and
-    w = P [p; 1], the clipped and renormalized w is a convex combination,
-    so a reconstruction error <= tol proves membership.  For the other
-    side, every convex v has v = w - (PA - I) v - P [p - H^T v; 0], so
-    v_i >= 0 bounds the sup-norm error |p - H^T v| below by
-    (-w_i - max_j |(PA - I)_ij|) / |P_i1..P_in|_1.  A lower bound above
-    tol + _LP_SLACK proves p is outside, by more than the LP can miss.
-    """
-    k, n = H.shape
-    if k > n + 1 or not (np.isfinite(H).all() and np.isfinite(pa).all()):
-        return None
-    A = np.vstack([H.T, np.ones(k)])
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if s[-1] <= TOL_GEO * s[0]:
-        return None  # affinely dependent: the LP decides
-    P = (Vt.T / s) @ U.T
-    b = np.append(pa, 1.0)
-    w = P @ b
-    wc = np.maximum(w, 0.0)
-    total = wc.sum()
-    if total > 0.0 and np.max(np.abs((wc / total) @ H - pa)) <= tol:
-        return True
-    slack = np.max(np.abs(P @ A - np.eye(k)), axis=1)
-    lower = float(np.max((-w - slack) / np.abs(P[:, :n]).sum(axis=1)))
-    if lower > tol + _LP_SLACK:
-        return False
-    return None
-
-
-def _in_hull_lp(pa: np.ndarray, H: np.ndarray, tol: float) -> bool:
-    """Hull membership by a linear program minimizing the sup-norm
-    reconstruction error over convex weights."""
-    return bool(_min_sup_residual([(H.T, pa)], (1, H.shape[0]), "hull membership") <= tol)
-
-
-def _min_sup_residual(blocks: Sequence, shape: tuple, what: str) -> float:
-    """min t over w of ``shape`` with rows summing to 1 and 0 <= w <= 1,
+def _min_sup_residual(blocks: Sequence, shape: tuple, what: str) -> tuple:
+    """``(w, t)``: min t over w of ``shape`` with rows summing to 1 and 0 <= w <= 1,
     subject to |G w - g| <= t entrywise for every (G, g) in ``blocks``.
 
-    w is flattened row-major.  Each block contributes its rows G w - t <= g,
-    then -G w - t <= -g, in block order; HiGHS's optimum can depend on the
-    row order, so callers keep theirs.  Raises RuntimeError naming ``what``
-    when the solve fails.
+    w is flattened row-major for G and returned in ``shape``.  Each block
+    contributes its rows G w - t <= g, then -G w - t <= -g, in block order;
+    HiGHS's optimum can depend on the row order, so callers keep theirs.
+    HiGHS meets the constraints only within its feasibility tolerance
+    (1e-7), so t can understate w's true residual by about that much.
+    Raises RuntimeError naming ``what`` when the solve fails.
     """
     r, c = shape
     # Variables: the entries of w, then the error bound t.
@@ -319,7 +257,8 @@ def _min_sup_residual(blocks: Sequence, shape: tuple, what: str) -> float:
     )
     b_ub = np.concatenate([sign * g for _, g in blocks for sign in (+1.0, -1.0)])
     ub = np.append(np.ones(r * c), np.inf)
-    return solve_lp(cost, A_ub, b_ub, A_eq, np.ones(r), np.zeros(r * c + 1), ub, what)[1]
+    x, t = solve_lp(cost, A_ub, b_ub, A_eq, np.ones(r), np.zeros(r * c + 1), ub, what)
+    return x[:-1].reshape(shape), t
 
 
 def solve_lp(c, A_ub, b_ub, A_eq, b_eq, lb, ub, what: str) -> tuple:
@@ -358,20 +297,13 @@ def solve_lp(c, A_ub, b_ub, A_eq, b_eq, lb, ub, what: str) -> tuple:
     return x, fun
 
 
-def separating_hyperplane_sets(above: Sequence, below: Sequence, margin: float = TOL_GEO) -> Hyperplane:
-    """Strictly separate two point sets: hull(above) strictly above, hull(below) strictly below.
+def hull_gap(above: Sequence, below: Sequence) -> float:
+    """|u A - v B|_inf for the convex weights u above and v below that nonnegative least squares
+    finds (Gilbert's nearest points, 1966), or inf when the solve fails, as it does on non-finite points.
 
-    Maximizes the two-sided margin m subject to normal . a >= offset + m for
-    every point a above and normal . b <= offset - m for every point b
-    below, with the normal boxed to [-1, 1]; the witness is then rescaled
-    so its sup norm is 1.  Raises NoStrictSeparation when the achievable
-    margin is <= ``margin``.
-
-    Refusal is tried first, from convex weights u above and v below solved
-    by nonnegative least squares and renormalized.  Every feasible m has
-    2 m <= normal . (u A - v B) <= n |u A - v B|_inf, so a sup-norm gap
-    <= 2 margin / n proves the refusal without the LP.  Otherwise, and
-    whenever the least-squares solve fails, the LP decides.
+    The gap bounds the hulls' distance from above: a gap <= tol proves they meet within tol, so p
+    lies in hull(below) within tol when ``hull_gap([p], below) <= tol``; a larger gap proves nothing.
+    Points of different lengths raise DimensionMismatch.
     """
     A, B = _coerce_many(above), _coerce_many(below)
     k, n = A.shape
@@ -381,12 +313,33 @@ def separating_hyperplane_sets(above: Sequence, below: Sequence, margin: float =
         w, _ = nnls(np.vstack([np.hstack([A.T, -B.T]), np.repeat(np.eye(2), (k, len(B)), axis=1)]),
                     np.append(np.zeros(n), [1.0, 1.0]))
     except (ValueError, RuntimeError):  # non-finite input, or no convergence
-        w = np.zeros(k + len(B))
+        return math.inf
     u, v = w[:k], w[k:]
-    if u.sum() > 0.0 and v.sum() > 0.0:
-        gap = float(np.max(np.abs(u @ A / u.sum() - v @ B / v.sum())))
-        if gap <= 2.0 * margin / n:
-            raise NoStrictSeparation(f"the hulls meet within {gap:.3e}: no margin exceeds {margin:.3e}")
+    if not (u.sum() > 0.0 and v.sum() > 0.0):
+        return math.inf
+    return float(np.max(np.abs(u @ A / u.sum() - v @ B / v.sum())))
+
+
+def separating_hyperplane_sets(above: Sequence, below: Sequence, margin: float = TOL_GEO) -> Hyperplane:
+    """Strictly separate two point sets: hull(above) strictly above, hull(below) strictly below.
+
+    Maximizes the two-sided margin m subject to normal . a >= offset + m for
+    every point a above and normal . b <= offset - m for every point b
+    below, with the normal boxed to [-1, 1]; the witness is then rescaled
+    so its sup norm is 1.  Raises NoStrictSeparation when the achievable
+    margin is <= ``margin``.
+
+    Refusal is tried first, from the hulls' ``hull_gap``, the distance
+    between u A and v B for convex weights u above and v below.  Every
+    feasible m has 2 m <= normal . (u A - v B) <= n |u A - v B|_inf, so a
+    gap <= 2 margin / n proves the refusal without the LP.  Otherwise, and
+    whenever the least-squares solve fails, the LP decides.
+    """
+    gap = hull_gap(above, below)
+    A, B = _coerce_many(above), _coerce_many(below)
+    n = A.shape[1]
+    if gap <= 2.0 * margin / n:
+        raise NoStrictSeparation(f"the hulls meet within {gap:.3e}: no margin exceeds {margin:.3e}")
     A, B = (P[merge_owners(P) == np.arange(len(P))] for P in (A, B))  # the LP sees each merged point once
     # Variables: normal (n), offset, margin m; maximize m.
     c = np.zeros(n + 2)

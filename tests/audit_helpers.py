@@ -12,9 +12,10 @@ from blackwell_audit.auditor import (
     _random_search,
     _Search,
 )
-from blackwell_audit.decision import Selector, WelfareMode
-from blackwell_audit.distortions import classify_batch
-from blackwell_audit.geometry import TOL_GEO
+from blackwell_audit.decision import DecisionProblem, Selector, SelectorPolicy, WelfareMode, expected_payoff
+from blackwell_audit.distortions import BayesRule, classify_batch
+from blackwell_audit.experiments import Experiment, bayes
+from blackwell_audit.geometry import TOL_GEO, Belief
 
 
 def one_error(kind, d, mu, x0, budget, sel=None, tol=TOL_GEO, seed=0) -> ViolationCertificate:
@@ -38,3 +39,23 @@ def adversary(d, mu, budget, sel=None, mode=WelfareMode.SINGLE, seed=0) -> Optio
     """
     search = _Search(d, np.asarray(mu, dtype=np.float64), sel or Selector(), WelfareMode(mode), TOL_GEO, seed, budget)
     return _random_search(search)
+
+
+def forged_bayes_certificate() -> ViolationCertificate:
+    """A certificate that accuses Bayes, with its true gap of -2e-5, at the uniform two-state prior.
+
+    pi is uninformative, so every garbling of it has equal rows, while pi_prime's rows differ by
+    4e-8 in each column: every garbling misses pi_prime by at least 2e-8, twice TOL_GARBLING.
+    The garbling LP's optimum still reads 0, within HiGHS's feasibility tolerance of 1e-7.
+    """
+    mu, rule, sel = np.array([0.5, 0.5]), BayesRule(2), Selector(SelectorPolicy.LEX_FIRST)
+    pi = Experiment([[1.0], [1.0]])
+    pi_prime = Experiment([[0.5 + 2e-8, 0.5 - 2e-8], [0.5 - 2e-8, 0.5 + 2e-8]])
+    problem = DecisionProblem([[0.0, 0.0], [1000.0, -1000.0]])
+    gap = expected_payoff(problem, rule, mu, sel, WelfareMode.SINGLE, bayes(mu, pi)) - expected_payoff(
+        problem, rule, mu, sel, WelfareMode.SINGLE, bayes(mu, pi_prime)
+    )
+    return ViolationCertificate(
+        prior=Belief(mu), rule=rule, pi=pi, pi_prime=pi_prime, problem=problem,
+        selector=sel, mode=WelfareMode.SINGLE, gap=gap, recipe="random-search",
+    )

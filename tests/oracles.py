@@ -5,6 +5,8 @@ No audit or verification calls them, so they live with the tests:
 ``convexity_violations`` (a sampled chord test of a welfare profile) and
 ``is_mpc`` (the dilation LP, the second route to the Blackwell order)
 and ``dedupe_points`` (the merge rule as one sup-norm comparison per pair).
+``in_convex_hull`` (barycentric coordinates, else the hull LP) is the reference
+for the package's hull-membership witness, ``geometry.hull_gap``.
 ``sup_close`` compares beliefs in the sup norm.  ``StubbornLoopRule`` over a
 ``StubbornSpec`` is the collapse map row by row, the reference for
 ``StubbornRule``'s array map, and ``is_occasionally_coarse_by_node`` the
@@ -45,7 +47,7 @@ from blackwell_audit.distortions import (
     vertex_image_ok,
 )
 from blackwell_audit.experiments import TOL_BARY, BarycenterMismatch, DimensionMismatch, PosteriorDistribution
-from blackwell_audit.geometry import TOL_GEO, Belief, Face, _coerce, _min_sup_residual
+from blackwell_audit.geometry import TOL_GEO, Belief, Face, _coerce, _coerce_many, _min_sup_residual
 
 
 def sup_close(a, b) -> bool:
@@ -153,7 +155,73 @@ def is_mpc(rho_prime: PosteriorDistribution, rho: PosteriorDistribution, tol: fl
     # rho_prime's i-th support point, and the rows mix back to rho's probabilities.
     barycenters = (np.kron(np.eye(I), rho.support.T), rho_prime.support.ravel())
     mixture = (np.kron(rho_prime.probs[None, :], np.eye(J)), rho.probs)
-    return bool(_min_sup_residual([barycenters, mixture], (I, J), "dilation") <= tol)
+    return bool(_min_sup_residual([barycenters, mixture], (I, J), "dilation")[1] <= tol)
+
+
+# HiGHS accepts constraint violations up to its primal feasibility tolerance
+# (1e-7), so the membership LP can call a point up to about that far outside
+# the hull a member.  Barycentric rejection leaves points within this slack
+# of tol to the LP, so both routes return the same verdict.
+_LP_SLACK = 1e-6
+
+
+def in_convex_hull(p, hull_points: Sequence, tol: float = TOL_GEO) -> bool:
+    """True when p is reproducible as a convex combination of hull_points.
+
+    Membership means the least sup-norm reconstruction error over convex
+    weights is <= tol.  When the hull points are affinely independent,
+    p's barycentric coordinates decide this in most cases, with a proof
+    either way.  Dependent or duplicate points, and points whose error is
+    too close to tol, go to a linear program that computes the error.
+    Both routes return the same verdict.  A p whose length differs from
+    the hull points' raises DimensionMismatch.
+    """
+    pa = _coerce(p)
+    H = _coerce_many(hull_points)
+    if pa.shape != H.shape[1:]:
+        raise DimensionMismatch(f"point of shape {pa.shape} against hull points of length {H.shape[1]}")
+    verdict = _in_hull_barycentric(pa, H, tol)
+    if verdict is None:
+        return _in_hull_lp(pa, H, tol)
+    return verdict
+
+
+def _in_hull_barycentric(pa: np.ndarray, H: np.ndarray, tol: float) -> Optional[bool]:
+    """Hull membership from barycentric coordinates, or None when they cannot decide.
+
+    With A = [H^T; 1^T] of full column rank, P its pseudo-inverse and
+    w = P [p; 1], the clipped and renormalized w is a convex combination,
+    so a reconstruction error <= tol proves membership.  For the other
+    side, every convex v has v = w - (PA - I) v - P [p - H^T v; 0], so
+    v_i >= 0 bounds the sup-norm error |p - H^T v| below by
+    (-w_i - max_j |(PA - I)_ij|) / |P_i1..P_in|_1.  A lower bound above
+    tol + _LP_SLACK proves p is outside, by more than the LP can miss.
+    """
+    k, n = H.shape
+    if k > n + 1 or not (np.isfinite(H).all() and np.isfinite(pa).all()):
+        return None
+    A = np.vstack([H.T, np.ones(k)])
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    if s[-1] <= TOL_GEO * s[0]:
+        return None  # affinely dependent: the LP decides
+    P = (Vt.T / s) @ U.T
+    b = np.append(pa, 1.0)
+    w = P @ b
+    wc = np.maximum(w, 0.0)
+    total = wc.sum()
+    if total > 0.0 and np.max(np.abs((wc / total) @ H - pa)) <= tol:
+        return True
+    slack = np.max(np.abs(P @ A - np.eye(k)), axis=1)
+    lower = float(np.max((-w - slack) / np.abs(P[:, :n]).sum(axis=1)))
+    if lower > tol + _LP_SLACK:
+        return False
+    return None
+
+
+def _in_hull_lp(pa: np.ndarray, H: np.ndarray, tol: float) -> bool:
+    """Hull membership by a linear program minimizing the sup-norm
+    reconstruction error over convex weights."""
+    return bool(_min_sup_residual([(H.T, pa)], (1, H.shape[0]), "hull membership")[1] <= tol)
 
 
 def vertex_belief(n: int, i: int) -> Belief:

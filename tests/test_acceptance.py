@@ -355,9 +355,9 @@ class TestCriterion7OracleEquivalence:
             pi_p = garble(pi, m)
             rho = bayes(mu, pi)
             rho_p = bayes(mu, pi_p)
-            if blackwell_dominates(pi, pi_p, tol=1e-8) != is_mpc(rho_p, rho, tol=1e-8):
+            if blackwell_dominates(pi, pi_p) != is_mpc(rho_p, rho, tol=1e-8):
                 mismatches += 1
-            if blackwell_dominates(pi_p, pi, tol=1e-8) != is_mpc(rho, rho_p, tol=1e-8):
+            if blackwell_dominates(pi_p, pi) != is_mpc(rho, rho_p, tol=1e-8):
                 mismatches += 1
         _report(7, mismatches == 0, f"400 comparisons across 200 random triples, {mismatches} mismatches")
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audit_helpers import adversary, one_error
+from audit_helpers import adversary, forged_bayes_certificate, one_error
 from oracles import (
     contractive_two_state_by_error,
     is_occasionally_stubborn_face_by_face,
@@ -23,7 +23,7 @@ from blackwell_audit.geometry import (
     Belief,
     Hyperplane,
     NoStrictSeparation,
-    in_convex_hull,
+    hull_gap,
     separating_hyperplane_sets,
     simplex_lattice,
 )
@@ -757,6 +757,12 @@ class TestVerifyCertificate:
         )
         assert verify_certificate(cert) == (False, "gap-too-small")
 
+    def test_forged_bayes_certificate_fails_dominance(self):
+        # Only dominance fails: the gap is the pair's true gap, well below the cut.
+        forged = forged_bayes_certificate()
+        assert forged.gap == pytest.approx(-2e-5, rel=1e-6)
+        assert verify_certificate(forged) == (False, "dominance")
+
     def test_json_round_trip_verifies(self, cert):
         back = ViolationCertificate.from_json(json.loads(cert.dumps()))
         assert verify_certificate(back)[0]
@@ -1200,7 +1206,7 @@ def _weights_first_expansive(search: _Search, x0: np.ndarray) -> Optional[Violat
 
     for rho in _one_error_scaffolds(mu, x0):
         others = rho.support[1:]
-        if in_convex_hull(img0, rho.support, tol=1e-7):
+        if hull_gap([img0], rho.support) <= 1e-7:
             continue  # image not banished at this scaffold width
         imgs_others = evaluate_batch(d, mu, others)
         even = np.full(others.shape[0], 1.0 / others.shape[0])
@@ -1424,19 +1430,19 @@ class TestImagesBeforeWeights:
 
         # Hull verdicts of the recipe under test ("got") and of the reference ("want").
         hulls = {"got": [], "want": []}
-        hull = in_convex_hull
+        hull = hull_gap
 
         def hull_spy(side):
             def spy(*args, **kwargs):
-                inside = hull(*args, **kwargs)
-                hulls[side].append(inside)
-                return inside
+                gap = hull(*args, **kwargs)
+                hulls[side].append(gap <= 1e-7)
+                return gap
 
             return spy
 
         monkeypatch.setattr(auditor, "_moved", counted)
-        monkeypatch.setattr(auditor, "in_convex_hull", hull_spy("got"))
-        monkeypatch.setitem(globals(), "in_convex_hull", hull_spy("want"))
+        monkeypatch.setattr(auditor, "hull_gap", hull_spy("got"))
+        monkeypatch.setitem(globals(), "hull_gap", hull_spy("want"))
         certs, exhausted, families = 0, 0, set()
         live_hull_skips, dead_hull_passes = 0, 0
         for i in range(84):
@@ -1473,7 +1479,7 @@ class TestImagesBeforeWeights:
         # and sub-rungs all land on its interval's end: no hull test, no
         # two-state distribution.
         hulls, binaries = [], []
-        monkeypatch.setattr(auditor, "in_convex_hull", lambda *a, **k: hulls.append(a) or in_convex_hull(*a, **k))
+        monkeypatch.setattr(auditor, "hull_gap", lambda *a: hulls.append(a) or hull_gap(*a))
         monkeypatch.setattr(auditor, "_binary", lambda *a: binaries.append(a) or _binary(*a))
         rng = np.random.default_rng(31)
         expansive = contractive = 0
@@ -1955,7 +1961,7 @@ class TestWholeDispatch:
             rows = self._compare(inner, mu, Selector(), 1e-9, 1)[2]
             scaffolds = list(_one_error_scaffolds(mu, rows[2])) if rows.shape[0] >= 3 else []
             img = evaluate_batch(inner, mu, rows[2:3])[0]
-            if len(scaffolds) < 2 or in_convex_hull(img, scaffolds[-1].support, tol=1e-7):
+            if len(scaffolds) < 2 or hull_gap([img], scaffolds[-1].support) <= 1e-7:
                 continue
             log.clear()
             rule = _NonFiniteAt(inner, scaffolds[-1].support[1:])

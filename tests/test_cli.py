@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blackwell_audit
-from audit_helpers import one_error
+from audit_helpers import forged_bayes_certificate, one_error
 from blackwell_audit import auditor, distortions, geometry
 from blackwell_audit.auditor import audit
 from blackwell_audit.decision import Selector, SelectorPolicy
@@ -377,6 +377,13 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert run(["verify", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == ["no certificate found in file"]
+
+    def test_forged_bayes_certificate_fails_dominance(self, tmp_path, capsys):
+        # Its pi_prime is 2e-8 from every garbling of pi, which the garbling LP's optimum misses.
+        forged = tmp_path / "bayes.certificate.json"
+        forged.write_text(forged_bayes_certificate().dumps())
+        assert run(["verify", str(forged)]) == EXIT_INVALID_CERT
+        assert capsys.readouterr().out == "certificate invalid: dominance\n"
 
     def test_swapped_experiments(self, cert_path, tmp_path):
         doc = json.loads(cert_path.read_text())

@@ -260,6 +260,35 @@ class TestBlackwellDominates:
         exp = Experiment([[0.9, 0.1], [0.3, 0.7]])
         assert blackwell_dominates(exp, exp)
 
+    def test_the_lp_optimum_alone_proves_nothing(self, monkeypatch):
+        # An uninformative pi garbles only into experiments with equal rows.  Moving d from one
+        # entry of a row to another makes a column's rows differ by d, so every garbling misses
+        # pi_prime by at least d / 2 > TOL_GARBLING, while the LP's optimum can still read 0.
+        from blackwell_audit import experiments
+
+        optima = []
+        real_lp = experiments._min_sup_residual
+
+        def lp(*args):
+            w, t = real_lp(*args)
+            optima.append(t)
+            return w, t
+
+        monkeypatch.setattr(experiments, "_min_sup_residual", lp)
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n, k, kp = (int(v) for v in rng.integers((2, 1, 2), (5, 4, 5)))
+            pi = Experiment(np.tile(rng.dirichlet(np.ones(k)), (n, 1)))
+            B = np.tile(rng.dirichlet(np.full(kp, 5.0)), (n, 1))
+            d = 10.0 ** rng.uniform(np.log10(2.5e-8), -7)
+            i, j = rng.choice(kp, size=2, replace=False)
+            B[int(rng.integers(n)), [i, j]] += (d, -d)
+            pi_prime = Experiment(B)
+            spread = pi_prime.likelihoods.max(axis=0) - pi_prime.likelihoods.min(axis=0)
+            assert spread.max() / 2.0 > experiments.TOL_GARBLING
+            assert not blackwell_dominates(pi, pi_prime), (pi.likelihoods, pi_prime.likelihoods)
+        assert sum(t <= experiments.TOL_GARBLING for t in optima) >= 100, optima
+
 
 class TestDominanceWitness:
     """The least-squares garbling witness may prove dominance; only the LP may refute it."""
@@ -280,18 +309,27 @@ class TestDominanceWitness:
     def test_witness_never_accepts_what_the_lp_rejects(self, monkeypatch):
         from blackwell_audit import experiments
 
-        lp_calls = []
+        lp_calls = []  # the garbling LP's optima
         real_lp = experiments._min_sup_residual
-        monkeypatch.setattr(experiments, "_min_sup_residual", lambda *a: lp_calls.append(1) or real_lp(*a))
+
+        def lp(*args):
+            w, t = real_lp(*args)
+            lp_calls.append(t)
+            return w, t
+
+        monkeypatch.setattr(experiments, "_min_sup_residual", lp)
         real_nnls = experiments.nnls
 
         def lp_verdict(a, b):
+            """The reference: the garbling LP's optimum within TOL_GARBLING.  The LP's M may still miss by more."""
             def fail(*args, **kwargs):
                 raise RuntimeError("no witness")
 
             monkeypatch.setattr(experiments, "nnls", fail)
             try:
-                return blackwell_dominates(a, b)
+                del lp_calls[:]
+                blackwell_dominates(a, b)
+                return lp_calls[0] <= experiments.TOL_GARBLING
             finally:
                 monkeypatch.setattr(experiments, "nnls", real_nnls)
 
@@ -450,7 +488,7 @@ class TestDominanceMpcEquivalence:
             pi = random_experiment(rng, n, int(rng.integers(2, 5)))
             m = GarblingMatrix(rng.dirichlet(np.ones(int(rng.integers(1, 4))), size=pi.n_signals))
             pi_p = garble(pi, m)
-            forward = blackwell_dominates(pi, pi_p, tol=1e-8)
+            forward = blackwell_dominates(pi, pi_p)
             assert forward == is_mpc(bayes(mu, pi_p), bayes(mu, pi), tol=1e-8)
-            backward = blackwell_dominates(pi_p, pi, tol=1e-8)
+            backward = blackwell_dominates(pi_p, pi)
             assert backward == is_mpc(bayes(mu, pi), bayes(mu, pi_p), tol=1e-8)

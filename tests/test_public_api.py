@@ -4,6 +4,7 @@ import only what they read."""
 import ast
 import re
 from pathlib import Path
+from typing import Optional
 
 import blackwell_audit
 from blackwell_audit import auditor, cli, decision, distortions, experiments, geometry
@@ -18,7 +19,7 @@ REMOVED = [
     "ValueResult", "value_function", "select_action", "welfare",
     "ConvexityViolation", "MIX_WEIGHTS", "convexity_violations",
     "StubbornSpec", "vertex_belief", "_segment_residual", "_REDECIDE", "binary_symmetric",
-    "_images",
+    "_images", "in_convex_hull", "_in_hull_barycentric", "_in_hull_lp", "_LP_SLACK",
 ]
 REMOVED_METHODS = [(geometry.Belief, "allclose"), (geometry.Belief, "face"), (geometry.Hyperplane, "value")]
 
@@ -95,16 +96,48 @@ class TestUnusedImports:
         assert unread_imports("import numpy.linalg\nfrom math import pi as tau\n") == ["numpy", "tau"]
 
 
+def callers(name: str, sources: Optional[dict] = None) -> set:
+    """(file, top-level definition, line) of every call to a function or method named ``name``
+    in ``sources`` (file name to source; by default every file of ``src/``)."""
+    if sources is None:
+        sources = {path.name: path.read_text() for path in sorted((ROOT / "src").rglob("*.py"))}
+    found = set()
+    for file, source in sources.items():
+        for node in ast.parse(source).body:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call) and name in (getattr(sub.func, "attr", None), getattr(sub.func, "id", None)):
+                    found.add((file, getattr(node, "name", None), sub.lineno))
+    return found
+
+
 class TestGateBoundary:
     def test_only_the_two_gates_call_apply_batch(self):
         # evaluate_batch and classify_batch check the prior, hand the rule a read-only X and check its images.
-        callers = set()
-        for path in sorted((ROOT / "src").rglob("*.py")):
-            for node in ast.parse(path.read_text()).body:
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) and sub.func.attr == "apply_batch":
-                        callers.add((path.name, getattr(node, "name", None), sub.lineno))
-        assert {(file, name) for file, name, _ in callers} == {
+        found = callers("apply_batch")
+        assert {(file, name) for file, name, _ in found} == {
             ("distortions.py", "evaluate_batch"),
             ("distortions.py", "classify_batch"),
-        }, sorted(callers)
+        }, sorted(found)
+
+
+class TestSolverBoundary:
+    """Two LP builders and two least-squares witnesses: a new route to either solver shows up here."""
+
+    def test_only_separation_and_the_residual_lp_call_solve_lp(self):
+        found = callers("solve_lp")
+        assert {(file, name) for file, name, _ in found} == {
+            ("geometry.py", "separating_hyperplane_sets"),
+            ("geometry.py", "_min_sup_residual"),
+        }, sorted(found)
+
+    def test_only_the_two_witnesses_call_nnls(self):
+        found = callers("nnls")
+        assert {(file, name) for file, name, _ in found} == {
+            ("geometry.py", "hull_gap"),
+            ("experiments.py", "blackwell_dominates"),
+        }, sorted(found)
+
+    def test_a_new_route_is_caught(self):
+        source = (PACKAGE / "geometry.py").read_text() + "\n\ndef probe():\n    return geometry.nnls(0, 0)\n"
+        found = callers("nnls", {"geometry.py": source})
+        assert {name for _, name, _ in found} == {"hull_gap", "probe"}
