@@ -50,8 +50,8 @@ emission step, ``_Search.emit``: its gap is computed once by exact
 expected-welfare computation, must lie below -(GAP_TOL + the selector's
 tie_tol), and the certificate is kept only if it passes independent
 re-verification (``verify_certificate``).  There, and in ``blackwell-audit
-verify``, dominance is proved by a garbling matrix, from nonnegative least
-squares or else from the garbling LP, whose residual is checked.
+verify``, dominance is proved by the garbling matrix nonnegative least
+squares finds, whose residual is checked; no linear program runs anywhere.
 """
 
 from __future__ import annotations
@@ -202,9 +202,9 @@ def _gap_cut(sel: Selector) -> float:
 def verify_certificate(c: ViolationCertificate) -> Tuple[bool, Optional[str]]:
     """Independently re-check a certificate; returns (ok, reason-if-not).
 
-    Recomputes dominance with ``blackwell_dominates`` (a garbling matrix
-    from nonnegative least squares or the garbling LP proves it once its
-    residual is checked) and both expected payoffs from the raw
+    Recomputes dominance with ``blackwell_dominates`` (the garbling matrix
+    nonnegative least squares finds proves it once its residual is
+    checked) and both expected payoffs from the raw
     experiments (posteriors via Bayes, one welfare evaluation per support
     point, no pushforward shortcut); none of the auditor's intermediate
     state is reused.  The recomputed gap must lie below ``_gap_cut`` of

@@ -393,9 +393,10 @@ def evaluate_batch(d: Distortion, mu, X) -> np.ndarray:
     mu and X are coerced to float64 once; a prior off the interior, or one
     with a NaN or infinite coordinate, raises PriorNotInterior before the
     rule runs.  The rule gets a read-only view of X and may return it, so
-    the images may be read but never written.  Images of another shape than
-    X raise ValueError, and an image holding NaN or an infinite coordinate
-    raises NonFiniteImage, so every caller gets finite images or an error.
+    the images may be read but never written.  Images that are not an
+    ndarray of X's shape raise ValueError, and an image holding NaN or an
+    infinite coordinate raises NonFiniteImage, so every caller gets finite
+    images or an error.
     """
     mua = interior_prior(mu, "rule evaluation")
     X = _read_only(X)
@@ -413,9 +414,11 @@ def _read_only(X) -> np.ndarray:
 
 
 def _check_shape(imgs, X: np.ndarray) -> None:
-    """ValueError, before any arithmetic, unless the images have X's shape."""
-    if np.shape(imgs) != X.shape:
-        raise ValueError(f"the rule's map returned images of shape {np.shape(imgs)} for posteriors of shape {X.shape}")
+    """ValueError, before any arithmetic, unless the images are an ndarray of X's shape."""
+    if not isinstance(imgs, np.ndarray):
+        raise ValueError(f"the rule's map returned a {type(imgs).__name__}, not a numpy.ndarray, of images")
+    if imgs.shape != X.shape:
+        raise ValueError(f"the rule's map returned images of shape {imgs.shape} for posteriors of shape {X.shape}")
 
 
 def _check_finite(imgs, mua: np.ndarray) -> None:
@@ -437,10 +440,11 @@ def classify_batch(d: Distortion, mu, X, tol: float = TOL_GEO):
     kinds is int8 with 0 = none, 1 = expansive, 2 = contractive.  The other
     gate to ``Distortion.apply_batch``, with ``evaluate_batch``'s guarantee:
     the prior is checked once, the rule gets read-only blocks of
-    ``_CENSUS_BLOCK`` elements, and an image of the wrong shape raises
-    ValueError.  Finiteness is read off a block's magnitudes, which over
-    finite rows are finite exactly when the images are: a non-finite image
-    raises NonFiniteImage, a non-finite posterior row ValueError.
+    ``_CENSUS_BLOCK`` elements, and images that are not an ndarray of the
+    block's shape raise ValueError.  Finiteness is read off a block's
+    magnitudes, which over finite rows are finite exactly when the images
+    are: a non-finite image raises NonFiniteImage, a non-finite posterior
+    row ValueError.
     Only a block's erring rows, if it has any, are located against the
     posterior-prior segment, by one ``on_segment`` call: a row is
     contractive when its residual is at most tol.  Every formula is per

@@ -4,8 +4,8 @@ An experiment is a row-stochastic likelihood matrix (one row per state,
 one column per signal).  Updating it at an interior prior produces a
 finite-support distribution over posterior beliefs whose barycenter is
 the prior.  Informativeness is decided by garbling feasibility between
-likelihood matrices: a garbling matrix, from nonnegative least squares or
-else from a small linear program, proves it once its residual is checked.
+likelihood matrices: the garbling matrix nonnegative least squares finds
+proves it once its residual is checked.
 The auditor builds its contractions itself: it moves one support point
 toward a known convex combination of the others, which fixes the new
 weights in closed form.
@@ -23,7 +23,6 @@ from .geometry import (
     Belief,
     DimensionMismatch,
     _coerce,
-    _min_sup_residual,
     merge_owners,
     nnls,
 )
@@ -209,35 +208,27 @@ def garble(experiment: Experiment, m: GarblingMatrix) -> Experiment:
 
 
 def blackwell_dominates(pi: Experiment, pi_prime: Experiment) -> bool:
-    """True when pi_prime is a garbling of pi (pi is weakly more informative).
+    """True when a garbling matrix proves pi_prime a garbling of pi (pi weakly more informative).
 
-    Blackwell (1953): that holds exactly when some row-stochastic M gives
-    pi @ M = pi_prime, and such an M is the proof.  Two candidates are
-    tried in turn, each clipped at 0 with its rows renormalized and
-    accepted only if max|pi @ M - pi_prime| <= TOL_GARBLING: M solved by
-    nonnegative least squares, then, when that fails or misses, the M of the
-    linear program that minimizes the sup-norm residual over row-stochastic
-    M.  The program's optimum alone is no proof, as HiGHS meets its
-    constraints only within 1e-7.
+    Blackwell (1953): pi dominates exactly when some row-stochastic M gives
+    pi @ M = pi_prime, and such an M is the proof.  M is solved by
+    nonnegative least squares, clipped at 0 with its rows renormalized, and
+    accepted only if max|pi @ M - pi_prime| <= TOL_GARBLING.  False when it
+    misses or the solve fails: a refusal, not a proof that pi does not
+    dominate.
     """
     if pi.n_states != pi_prime.n_states:
         raise DimensionMismatch("experiments must share the state space")
     A = pi.likelihoods
     B = pi_prime.likelihoods
     k, kp = A.shape[1], B.shape[1]
-
-    def garbles(m: np.ndarray) -> bool:
-        M = np.maximum(m, 0.0).reshape(k, kp)
-        sums = M.sum(axis=1, keepdims=True)
-        return bool(np.all(sums > 0.0) and np.max(np.abs(A @ (M / sums) - B)) <= TOL_GARBLING)
-
     # G = kron(A, I): row (theta, s') of G applied to the flattened M is (A M)[theta, s'].
     G = (A[:, None, :, None] * np.eye(kp)[:, None, :]).reshape(-1, k * kp)
     row_sums = np.repeat(np.eye(k), kp, axis=1)  # applied to the flattened M: M's row sums
     try:
         m, _ = nnls(np.vstack([G, row_sums]), np.append(B.ravel(), np.ones(k)))
     except (ValueError, RuntimeError):  # non-finite input, or no convergence
-        m = None
-    if m is not None and garbles(m):
-        return True
-    return garbles(_min_sup_residual([(G, B.ravel())], (k, kp), "garbling")[0])
+        return False
+    M = np.maximum(m, 0.0).reshape(k, kp)
+    sums = M.sum(axis=1, keepdims=True)
+    return bool(np.all(sums > 0.0) and np.max(np.abs(A @ (M / sums) - B)) <= TOL_GARBLING)

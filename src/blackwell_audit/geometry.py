@@ -6,16 +6,15 @@ n-vector normal; on the simplex's affine hull this is equivalent to the
 usual (n-1)-dimensional representation, with the advantage that no state
 index is privileged.
 
-One convex-weight witness, :func:`hull_gap`, reads how close two hulls
-come: nonnegative least squares finds a point of each, and their sup-norm
-distance is its answer.  A gap within tolerance proves the hulls meet, so
-it decides hull membership (one point against a hull) and refuses strict
-separation; a linear program decides separation otherwise.  Every LP goes
-through :func:`solve_lp`, which hands HiGHS what
-``linprog(method="highs")`` would, so its optima are linprog's, bit for bit;
-HiGHS is deterministic for fixed inputs, so every witness is reproducible.
-The loader :func:`_optimize` is the one place scipy is reached, at the first
-LP or NNLS solve, so an audit that needs neither never imports scipy.optimize.
+Two least-squares witnesses answer the hull questions, each by one
+nonnegative least-squares solve.  :func:`hull_gap` reads how close two hulls
+come: it finds a point of each, and their sup-norm distance is its answer, so
+a gap within tolerance proves the hulls meet and decides hull membership (one
+point against a hull).  :func:`separating_hyperplane_sets` cuts two hulls
+apart by the least-distance program, and returns a cut only when its margin,
+recomputed on the points, clears the one asked for.  :func:`nnls` imports
+scipy at its first call, so an audit that solves nothing never imports
+scipy.optimize.
 """
 
 from __future__ import annotations
@@ -36,24 +35,11 @@ TOL_GEO = 1e-9
 MAX_POINTS = 2_000_000
 
 
-@functools.lru_cache(maxsize=None)
-def _optimize() -> tuple:
-    """(scipy's nnls, the private HiGHS binding under linprog, linprog's options for it),
-    imported at the first solve, as scipy.optimize costs more than the rest of a cold Bayes
-    audit.  TestSolveLP fails for a scipy release that moves the binding or changes the options."""
-    from scipy.optimize import nnls
-    from scipy.optimize._highspy import _core as binding
-    options = binding.HighsOptions()
-    options.presolve = "on"
-    options.simplex_strategy = binding.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.highs_debug_level = binding.HighsDebugLevel.kHighsDebugLevelNone
-    options.output_flag = options.log_to_console = False
-    return nnls, binding, options
-
-
 def nnls(A, b) -> tuple:
-    """scipy.optimize.nnls(A, b), loaded at the first call."""
-    return _optimize()[0](A, b)
+    """scipy.optimize.nnls(A, b), imported at the first call, as scipy.optimize costs more than the
+    rest of a cold Bayes audit: an audit that solves nothing never loads it."""
+    from scipy.optimize import nnls as solve
+    return solve(A, b)
 
 
 class EmptyInput(ValueError):
@@ -65,9 +51,10 @@ class DimensionMismatch(ValueError):
 
 
 class NoStrictSeparation(ValueError):
-    """Raised when the query point cannot be strictly separated from the hull.
+    """Raised when no cut of two point sets clears the margin asked for on the points.
 
-    Signals that the caller should re-classify the point as a hull member.
+    A refusal, not a proof that the hulls meet: the least-distance solve may
+    also have failed.  The caller skips the cut.
     """
 
 
@@ -236,65 +223,12 @@ def merge_owners(points) -> np.ndarray:
     return owners
 
 
-def _min_sup_residual(blocks: Sequence, shape: tuple, what: str) -> tuple:
-    """``(w, t)``: min t over w of ``shape`` with rows summing to 1 and 0 <= w <= 1,
-    subject to |G w - g| <= t entrywise for every (G, g) in ``blocks``.
-
-    w is flattened row-major for G and returned in ``shape``.  Each block
-    contributes its rows G w - t <= g, then -G w - t <= -g, in block order;
-    HiGHS's optimum can depend on the row order, so callers keep theirs.
-    HiGHS meets the constraints only within its feasibility tolerance
-    (1e-7), so t can understate w's true residual by about that much.
-    Raises RuntimeError naming ``what`` when the solve fails.
-    """
-    r, c = shape
-    # Variables: the entries of w, then the error bound t.
-    cost = np.zeros(r * c + 1)
-    cost[-1] = 1.0
-    A_eq = np.hstack([np.repeat(np.eye(r), c, axis=1), np.zeros((r, 1))])
-    A_ub = np.vstack(
-        [np.hstack([sign * G, -np.ones((G.shape[0], 1))]) for G, _ in blocks for sign in (+1.0, -1.0)]
-    )
-    b_ub = np.concatenate([sign * g for _, g in blocks for sign in (+1.0, -1.0)])
-    ub = np.append(np.ones(r * c), np.inf)
-    x, t = solve_lp(cost, A_ub, b_ub, A_eq, np.ones(r), np.zeros(r * c + 1), ub, what)
-    return x[:-1].reshape(shape), t
-
-
-def solve_lp(c, A_ub, b_ub, A_eq, b_eq, lb, ub, what: str) -> tuple:
-    """min c . x subject to A_ub x <= b_ub, A_eq x = b_eq and lb <= x <= ub.
-
-    Returns ``(x, fun)``, bitwise what ``linprog(method="highs")`` returns.
-    Raises linprog's ValueError on non-finite coefficients, before HiGHS sees
-    them, and RuntimeError naming ``what`` when the solve ends without an
-    optimum or with one that breaks its bounds or rows by more than linprog allows.
-    """
-    for name, arr in (("c", c), ("A_ub", A_ub), ("b_ub", b_ub), ("A_eq", A_eq), ("b_eq", b_eq)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"Invalid input for linprog: {name} must not contain values inf, nan, or None")
-    _, binding, options = _optimize()
-    m, inf = len(b_ub), binding.kHighsInf
-    At = np.vstack([A_ub, A_eq]).T  # rows A_ub then A_eq; column-major nonzeros, as csc_array keeps
-    lp = binding.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
-    lp.num_row_ = lp.a_matrix_.num_row_ = m + len(b_eq)
-    lp.a_matrix_.format_ = binding.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.append(0, np.cumsum(np.count_nonzero(At, axis=1)))
-    lp.a_matrix_.index_, lp.a_matrix_.value_ = np.nonzero(At)[1], At[At != 0.0]
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, np.clip(lb, -inf, inf), np.clip(ub, -inf, inf)
-    lp.row_lower_, lp.row_upper_ = np.append(np.full(m, -inf), b_eq), np.append(b_ub, b_eq)
-    highs = binding._Highs()  # fresh per solve: a reused one carries state from solve to solve
-    highs.passOptions(options)
-    ran = highs.passModel(lp) != binding.HighsStatus.kError and highs.run() != binding.HighsStatus.kError
-    if not ran or highs.getModelStatus() != binding.HighsModelStatus.kOptimal:
-        raise RuntimeError(f"{what} LP failed: {highs.modelStatusToString(highs.getModelStatus())}")
-    sol, fun = highs.getSolution(), highs.getInfo().objective_function_value
-    x, rows = np.array(sol.col_value), np.array(sol.row_value)
-    tol = 10.0 * math.sqrt(1e-9)  # linprog's feasibility check, for its tol of 1e-9
-    if math.isnan(fun) or not (np.all(x >= lb - tol) and np.all(x <= ub + tol)
-                               and np.all(b_ub - rows[:m] >= -tol) and np.all(np.abs(b_eq - rows[m:]) <= tol)):
-        raise RuntimeError(f"{what} LP failed: the optimum breaks its constraints by more than {tol:.2e}")
-    return x, fun
+def _point_sets(above: Sequence, below: Sequence) -> tuple:
+    """Both point sets as float64 arrays; points of different lengths raise DimensionMismatch."""
+    A, B = _coerce_many(above), _coerce_many(below)
+    if B.shape[1:] != A.shape[1:]:
+        raise DimensionMismatch(f"points above of length {A.shape[1]} against points below of shape {B.shape[1:]}")
+    return A, B
 
 
 def hull_gap(above: Sequence, below: Sequence) -> float:
@@ -305,10 +239,8 @@ def hull_gap(above: Sequence, below: Sequence) -> float:
     lies in hull(below) within tol when ``hull_gap([p], below) <= tol``; a larger gap proves nothing.
     Points of different lengths raise DimensionMismatch.
     """
-    A, B = _coerce_many(above), _coerce_many(below)
+    A, B = _point_sets(above, below)
     k, n = A.shape
-    if B.shape[1:] != (n,):
-        raise DimensionMismatch(f"points above of length {n} against points below of shape {B.shape[1:]}")
     try:
         w, _ = nnls(np.vstack([np.hstack([A.T, -B.T]), np.repeat(np.eye(2), (k, len(B)), axis=1)]),
                     np.append(np.zeros(n), [1.0, 1.0]))
@@ -323,40 +255,40 @@ def hull_gap(above: Sequence, below: Sequence) -> float:
 def separating_hyperplane_sets(above: Sequence, below: Sequence, margin: float = TOL_GEO) -> Hyperplane:
     """Strictly separate two point sets: hull(above) strictly above, hull(below) strictly below.
 
-    Maximizes the two-sided margin m subject to normal . a >= offset + m for
-    every point a above and normal . b <= offset - m for every point b
-    below, with the normal boxed to [-1, 1]; the witness is then rescaled
-    so its sup norm is 1.  Raises NoStrictSeparation when the achievable
-    margin is <= ``margin``.
-
-    Refusal is tried first, from the hulls' ``hull_gap``, the distance
-    between u A and v B for convex weights u above and v below.  Every
-    feasible m has 2 m <= normal . (u A - v B) <= n |u A - v B|_inf, so a
-    gap <= 2 margin / n proves the refusal without the LP.  Otherwise, and
-    whenever the least-squares solve fails, the LP decides.
+    One nonnegative least-squares solve of the least-distance program (Lawson and Hanson, 1974,
+    ch. 23) finds the shortest (w, c) with w . a - c >= 1 for every point a above and
+    c - w . b >= 1 for every point b below: with G those rows, E = [G^T; 1^T] and
+    f = (0, ..., 0, 1), the residual r = E u - f of the solution u gives w proportional to r[:n]
+    when r[-1] < 0.  Shifting w by -(max w + min w) / 2 gives the same cut on the simplex with
+    the least sup norm; it is then scaled to sup norm 1, and the offset lies midway between the
+    minimum of w . a above and the maximum of w . b below.  The hyperplane is returned only when
+    half that distance, recomputed on the points, exceeds ``margin``, so the margin never rests
+    on the solver.  Raises NoStrictSeparation otherwise, also when the solve fails, ValueError
+    on a non-finite point, and DimensionMismatch on points of different lengths.
     """
-    gap = hull_gap(above, below)
-    A, B = _coerce_many(above), _coerce_many(below)
+    A, B = _point_sets(above, below)
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("points to separate must be finite")
     n = A.shape[1]
-    if gap <= 2.0 * margin / n:
-        raise NoStrictSeparation(f"the hulls meet within {gap:.3e}: no margin exceeds {margin:.3e}")
-    A, B = (P[merge_owners(P) == np.arange(len(P))] for P in (A, B))  # the LP sees each merged point once
-    # Variables: normal (n), offset, margin m; maximize m.
-    c = np.zeros(n + 2)
-    c[-1] = -1.0
-    rows = [np.concatenate([-a, [1.0, 1.0]]) for a in A]
-    rows += [np.concatenate([b, [-1.0, 1.0]]) for b in B]
-    A_ub = np.asarray(rows)
-    b_ub = np.zeros(len(rows))
-    lb, ub = np.append(np.full(n, -1.0), [-2.0, 0.0]), np.append(np.ones(n), [2.0, 4.0])
-    x, _ = solve_lp(c, A_ub, b_ub, np.zeros((0, n + 2)), np.zeros(0), lb, ub, "separation")
-    m = float(x[-1])
-    if m <= margin:
-        raise NoStrictSeparation(f"achievable margin {m:.3e} does not exceed required {margin:.3e}")
-    alpha = x[:n]
-    beta = float(x[n])
-    scale = float(np.max(np.abs(alpha)))
-    return Hyperplane(alpha / scale, beta / scale)
+    G = np.vstack([np.hstack([A, -np.ones((len(A), 1))]), np.hstack([-B, np.ones((len(B), 1))])])
+    E = np.vstack([G.T, np.ones(len(G))])
+    f = np.eye(n + 2)[-1]
+    try:
+        u, _ = nnls(E, f)
+    except RuntimeError as err:  # no convergence
+        raise NoStrictSeparation(f"the least-distance solve failed: {err}") from None
+    r = E @ u - f
+    w = r[:n] if r[-1] < 0.0 else np.zeros(n)
+    w = w - (np.max(w) + np.min(w)) / 2.0
+    scale = float(np.max(np.abs(w)))
+    if not scale > 0.0:
+        raise NoStrictSeparation("the least-distance program finds no cut")
+    w = w / scale
+    lo = float(np.min(A @ w))
+    hi = float(np.max(B @ w))
+    if not (lo - hi) / 2.0 > margin:
+        raise NoStrictSeparation(f"margin {(lo - hi) / 2.0:.3e} on the points does not exceed required {margin:.3e}")
+    return Hyperplane(w, (lo + hi) / 2.0)
 
 
 def simplex_lattice(n: int, grid_size: int, max_points: int = MAX_POINTS) -> np.ndarray:

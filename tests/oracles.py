@@ -6,7 +6,11 @@ No audit or verification calls them, so they live with the tests:
 ``is_mpc`` (the dilation LP, the second route to the Blackwell order)
 and ``dedupe_points`` (the merge rule as one sup-norm comparison per pair).
 ``in_convex_hull`` (barycentric coordinates, else the hull LP) is the reference
-for the package's hull-membership witness, ``geometry.hull_gap``.
+for the package's hull-membership witness, ``geometry.hull_gap``;
+``garbling_residual`` (the garbling LP) for its dominance witness,
+``experiments.blackwell_dominates``; ``max_margin`` (the separation LP) for
+its cuts, ``geometry.separating_hyperplane_sets``.  Every LP here is
+``scipy.optimize.linprog(method="highs")``: the package solves none.
 ``sup_close`` compares beliefs in the sup norm.  ``StubbornLoopRule`` over a
 ``StubbornSpec`` is the collapse map row by row, the reference for
 ``StubbornRule``'s array map, and ``is_occasionally_coarse_by_node`` the
@@ -25,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.optimize import linprog
 
 from blackwell_audit import distortions
 from blackwell_audit.auditor import (
@@ -46,8 +51,14 @@ from blackwell_audit.distortions import (
     refuse_face_stack,
     vertex_image_ok,
 )
-from blackwell_audit.experiments import TOL_BARY, BarycenterMismatch, DimensionMismatch, PosteriorDistribution
-from blackwell_audit.geometry import TOL_GEO, Belief, Face, _coerce, _coerce_many, _min_sup_residual
+from blackwell_audit.experiments import (
+    TOL_BARY,
+    BarycenterMismatch,
+    DimensionMismatch,
+    Experiment,
+    PosteriorDistribution,
+)
+from blackwell_audit.geometry import TOL_GEO, Belief, Face, _coerce, _coerce_many
 
 
 def sup_close(a, b) -> bool:
@@ -134,6 +145,67 @@ def convexity_violations(
         for k in np.nonzero(lhs > rhs + tol)[0]:
             found.append(ConvexityViolation(A[k].copy(), B[k].copy(), lam, float(lhs[k]), float(rhs[k])))
     return found
+
+
+def _min_sup_residual(blocks: Sequence, shape: tuple, what: str) -> tuple:
+    """``(w, t)``: min t over w of ``shape`` with rows summing to 1 and 0 <= w <= 1,
+    subject to |G w - g| <= t entrywise for every (G, g) in ``blocks``, by
+    ``linprog(method="highs")``.
+
+    w is flattened row-major for G and returned in ``shape``.  Each block
+    contributes its rows G w - t <= g, then -G w - t <= -g, in block order.
+    HiGHS meets the constraints only within its feasibility tolerance
+    (1e-7), so t can understate w's true residual by about that much.
+    Raises RuntimeError naming ``what`` when the solve fails, and linprog's
+    ValueError on non-finite coefficients.
+    """
+    r, c = shape
+    # Variables: the entries of w, then the error bound t.
+    cost = np.zeros(r * c + 1)
+    cost[-1] = 1.0
+    A_eq = np.hstack([np.repeat(np.eye(r), c, axis=1), np.zeros((r, 1))])
+    A_ub = np.vstack(
+        [np.hstack([sign * G, -np.ones((G.shape[0], 1))]) for G, _ in blocks for sign in (+1.0, -1.0)]
+    )
+    b_ub = np.concatenate([sign * g for _, g in blocks for sign in (+1.0, -1.0)])
+    bounds = np.column_stack([np.zeros(r * c + 1), np.append(np.ones(r * c), np.inf)])
+    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.ones(r), bounds=bounds, method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"{what} LP failed: {res.message}")
+    return res.x[:-1].reshape(shape), res.fun
+
+
+def garbling_residual(pi: Experiment, pi_prime: Experiment) -> float:
+    """The garbling LP's optimum: the least sup-norm residual |pi @ M - pi_prime| over row-stochastic M.
+
+    Blackwell (1953): zero exactly when pi_prime is a garbling of pi.  As HiGHS meets the constraints
+    only within 1e-7, the optimum can read 0 where no M fits, so it is a reference, never a proof.
+    """
+    A, B = pi.likelihoods, pi_prime.likelihoods
+    k, kp = A.shape[1], B.shape[1]
+    # G = kron(A, I): row (theta, s') of G applied to the flattened M is (A M)[theta, s'].
+    G = (A[:, None, :, None] * np.eye(kp)[:, None, :]).reshape(-1, k * kp)
+    return float(_min_sup_residual([(G, B.ravel())], (k, kp), "garbling")[1])
+
+
+def max_margin(above: Sequence, below: Sequence) -> float:
+    """The separation LP's optimum: the largest m with normal . a >= offset + m for every point a
+    above and normal . b <= offset - m for every point b below, the normal boxed to [-1, 1], the
+    offset to [-2, 2] and m to [0, 4].  Any cut of sup norm 1 of points in the simplex is feasible,
+    so its margin is at most this.  At HiGHS's default tolerances (1e-7) the optimum can read 0 for
+    a margin of 1e-9, so this reference tightens both feasibility tolerances to 1e-10."""
+    A, B = _coerce_many(above), _coerce_many(below)
+    n = A.shape[1]
+    ones_a, ones_b = np.ones((len(A), 1)), np.ones((len(B), 1))
+    # Variables: normal (n), offset, margin m; maximize m.
+    A_ub = np.vstack([np.hstack([-A, ones_a, ones_a]), np.hstack([B, -ones_b, ones_b])])
+    bounds = np.column_stack([np.append(np.full(n, -1.0), [-2.0, 0.0]), np.append(np.ones(n), [2.0, 4.0])])
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(np.append(np.zeros(n + 1), -1.0), A_ub=A_ub, b_ub=np.zeros(len(A_ub)), bounds=bounds,
+                  method="highs", options=tight)
+    if res.status != 0:
+        raise RuntimeError(f"separation LP failed: {res.message}")
+    return float(res.x[-1])
 
 
 def is_mpc(rho_prime: PosteriorDistribution, rho: PosteriorDistribution, tol: float = 1e-8) -> bool:

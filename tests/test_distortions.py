@@ -199,6 +199,25 @@ class TestEvaluate:
                 run()
             assert raised.type is ValueError
 
+    @pytest.mark.parametrize("kind", [list, tuple])
+    def test_images_that_are_no_array_raise_at_both_gates(self, kind):
+        # Images of the right shape, but not an ndarray: the census would crash on them deep inside.
+        class ListRule(Distortion):
+            n, family = 3, "list-images"
+
+            def apply_batch(self, mu, X):
+                return kind(map(list, X))
+
+        X = simplex_lattice(3, 11)
+        for run in (
+            lambda: evaluate_batch(ListRule(), MU3, X),
+            lambda: classify_batch(ListRule(), MU3, X),
+            lambda: audit(ListRule(), [0.2, 0.3, 0.5], grid_size=21),
+        ):
+            with pytest.raises(ValueError, match=f"returned a {kind.__name__}, not a numpy.ndarray") as raised:
+                run()
+            assert raised.type is ValueError
+
     def test_tabulated_lookup_and_miss(self):
         rule = TabulatedRule([(0.25, 0.75), (0.75, 0.25)], [(0.3, 0.7), (0.7, 0.3)], tol=0.05)
         assert sup_close(image(rule, MU2, (0.26, 0.74)), (0.3, 0.7))

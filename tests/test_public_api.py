@@ -20,6 +20,7 @@ REMOVED = [
     "ConvexityViolation", "MIX_WEIGHTS", "convexity_violations",
     "StubbornSpec", "vertex_belief", "_segment_residual", "_REDECIDE", "binary_symmetric",
     "_images", "in_convex_hull", "_in_hull_barycentric", "_in_hull_lp", "_LP_SLACK",
+    "solve_lp", "_min_sup_residual", "_optimize",
 ]
 REMOVED_METHODS = [(geometry.Belief, "allclose"), (geometry.Belief, "face"), (geometry.Hyperplane, "value")]
 
@@ -120,24 +121,42 @@ class TestGateBoundary:
         }, sorted(found)
 
 
+def lp_imports(sources: Optional[dict] = None) -> set:
+    """(file, line) of every import of ``linprog`` or of ``scipy.optimize._highspy`` in ``sources``
+    (file name to source; by default every file of ``src/``)."""
+    if sources is None:
+        sources = {path.name: path.read_text() for path in sorted((ROOT / "src").rglob("*.py"))}
+    found = set()
+    for file, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+                if any(name == "linprog" or "_highspy" in name for name in names):
+                    found.add((file, node.lineno))
+    return found
+
+
 class TestSolverBoundary:
-    """Two LP builders and two least-squares witnesses: a new route to either solver shows up here."""
+    """No LP, and three least-squares witnesses: a new route to a solver shows up here."""
 
-    def test_only_separation_and_the_residual_lp_call_solve_lp(self):
-        found = callers("solve_lp")
-        assert {(file, name) for file, name, _ in found} == {
-            ("geometry.py", "separating_hyperplane_sets"),
-            ("geometry.py", "_min_sup_residual"),
-        }, sorted(found)
+    def test_no_module_imports_an_lp_solver(self):
+        assert not lp_imports()
+        for path in sorted((ROOT / "src").rglob("*.py")):
+            assert "_highspy" not in path.read_text(), path.name
 
-    def test_only_the_two_witnesses_call_nnls(self):
+    def test_only_the_three_witnesses_call_nnls(self):
         found = callers("nnls")
         assert {(file, name) for file, name, _ in found} == {
             ("geometry.py", "hull_gap"),
+            ("geometry.py", "separating_hyperplane_sets"),
             ("experiments.py", "blackwell_dominates"),
         }, sorted(found)
 
     def test_a_new_route_is_caught(self):
         source = (PACKAGE / "geometry.py").read_text() + "\n\ndef probe():\n    return geometry.nnls(0, 0)\n"
         found = callers("nnls", {"geometry.py": source})
-        assert {name for _, name, _ in found} == {"hull_gap", "probe"}
+        assert {name for _, name, _ in found} == {"hull_gap", "separating_hyperplane_sets", "probe"}
+        for line in ("from scipy.optimize import linprog", "from scipy.optimize._highspy import _core",
+                     "import scipy.optimize._highspy"):
+            source = (PACKAGE / "geometry.py").read_text() + f"\n\ndef probe():\n    {line}\n"
+            assert [file for file, _ in lp_imports({"geometry.py": source})] == ["geometry.py"], line
