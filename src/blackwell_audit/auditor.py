@@ -12,10 +12,10 @@ SINGLE mode runs those down to ``vertexprop-separation``, DOUBLE mode the
 chord; random search runs in both, only on a rule that the mode's checker
 (the collapse checker, or ``is_affine``) does not accept.
 
-* ``claim1-hyperplane``   - an image whose ``hull_gap`` to the support
-  exceeds 1e-7 is cut from the support hull (and the contraction's image)
-  by a strict hyperplane; the induced threshold problem makes the rule
-  act on news it should ignore.
+* ``claim1-hyperplane``   - a banished image, one that a strict cut clearing
+  ``SEP_MARGIN`` separates from the support hull, is cut from that hull
+  (and the contraction's image) by a strict hyperplane; the induced
+  threshold problem makes the rule act on news it should ignore.
 * ``claim2-separation``   - the same cut one contraction deeper, used
   when the first contraction's image is itself banished.
 * ``claim3-mixture``      - two banished images with different
@@ -67,9 +67,9 @@ import numpy as np
 from .geometry import (
     TOL_GEO,
     Belief,
+    DimensionMismatch,
     Hyperplane,
     NoStrictSeparation,
-    hull_gap,
     merge_owners,
     separating_hyperplane_sets,
     simplex_lattice,
@@ -79,6 +79,7 @@ from .experiments import (
     Experiment,
     GarblingMatrix,
     PosteriorDistribution,
+    PriorNotInterior,
     bayes,
     blackwell_dominates,
     experiment_from_posteriors,
@@ -208,16 +209,19 @@ def verify_certificate(c: ViolationCertificate) -> Tuple[bool, Optional[str]]:
     experiments (posteriors via Bayes, one welfare evaluation per support
     point, no pushforward shortcut); none of the auditor's intermediate
     state is reused.  The recomputed gap must lie below ``_gap_cut`` of
-    the certificate's selector.  A rule that cannot be evaluated on the
+    the certificate's selector.  A prior that ``interior_prior`` refuses is
+    "prior", and a rule, experiment or problem over another state count than
+    the prior's is "malformed".  A rule that cannot be evaluated on the
     certificate's posteriors raises NonFiniteImage or GridMiss, as it does
     in an audit; every other failure of the recomputation is "malformed".
     """
     try:
         mu = c.prior
-        if not mu.is_interior():
-            return False, "prior"
-        if c.pi.n_states != mu.n or c.pi_prime.n_states != mu.n or c.problem.n_states != mu.n:
+        interior_prior(mu, "verification")
+        if any(k != mu.n for k in (c.rule.n, c.pi.n_states, c.pi_prime.n_states, c.problem.n_states)):
             return False, "malformed"
+    except PriorNotInterior:
+        return False, "prior"
     except Exception:
         return False, "malformed"
     if not blackwell_dominates(c.pi, c.pi_prime):
@@ -447,13 +451,22 @@ _GAMMAS = np.array([0.6, 0.35, 0.15])
 _MOVES = np.concatenate([_GAMMAS, _GAMMAS / 2.0])
 
 
+def _banished(img: np.ndarray, support: np.ndarray) -> bool:
+    """Claim 1's premise: a strict cut of img from hull(support) clears SEP_MARGIN on the points."""
+    try:
+        separating_hyperplane_sets([img], support, margin=SEP_MARGIN)
+    except NoStrictSeparation:
+        return False
+    return True
+
+
 def _audit_expansive(search: _Search, X0: np.ndarray) -> Optional[ViolationCertificate]:
     """Claims 1-3 from a block of expansive errors X0 (rows, in dispatch order), planned as one array program.
 
     One evaluation takes every x0, scaffold point and moved point (x0p at each gamma, x0pp at gamma / 2) and
     marks the live gammas: where x0's image is that of both moved points, every branch would skip uncharged.
-    Then, one error and width at a time, a width with a live gamma builds its scaffold; unless x0's image is
-    within 1e-7 of the scaffold's hull (``hull_gap``), the width runs the charged branches.  If the evaluation
+    Then, one error and width at a time, a width with a live gamma builds its scaffold; when x0's image is
+    banished from the scaffold's hull (``_banished``), the width runs the charged branches.  If the evaluation
     raises, the block's errors are walked one at a time (``_one_at_a_time``).  A scaffold whose atoms
     ``merge_owners`` merges is built first; its moved points come from what it keeps.  An error within tol of
     the prior is skipped: ``_single_mode_recipes`` runs the misread-prior recipe once, first.
@@ -492,7 +505,7 @@ def _audit_expansive(search: _Search, X0: np.ndarray) -> Optional[ViolationCerti
             continue
         x0, img0, lo = X0[e], imgs[e], ends[2 * s]
         rho = built[e, w] if (e, w) in built else _distribution(support[e, w], probs[e, w])
-        if rho is None or hull_gap([img0], rho.support) <= 1e-7:
+        if rho is None or not _banished(img0, rho.support):
             continue  # no scaffold, or the image is not banished at this scaffold width
         imgs_others = imgs[lo : lo + rho.size - 1]
         even = np.full(rho.size - 1, 1.0 / (rho.size - 1))  # the target's weights over the other points
@@ -995,7 +1008,8 @@ def audit(
     the chords at ``grid_size``) runs the chord recipe on those chords.  Random search spends the rest of the
     budget only on a rule the mode's checker refutes.  Absence of a certificate is a pass, never an
     error.  A negative, infinite or NaN tol, a negative seed, or a budget below 1, infinite or NaN raises ValueError
-    before the census, as does WrongDimension for too many states (``refuse_face_stack``, ``refuse_chord_lattice``);
+    before the census, as do DimensionMismatch for a rule over another state count than the prior's and
+    WrongDimension for too many states (``refuse_face_stack``, ``refuse_chord_lattice``);
     an error of the rule's evaluation propagates, such as NonFiniteImage or an off-node GridMiss.  A tol below
     1e-9 (``TOL_GEO``), such as 0, acts as 1e-9 in the census, the checkers and the recipes alike.
     """
@@ -1009,6 +1023,8 @@ def audit(
     if not 1 <= budget < math.inf:  # also NaN, as the command line's --budget
         raise ValueError(f"budget must be finite and at least 1, got {budget}")
     n = mua.shape[0]
+    if d.n != n:  # else the census would fail inside numpy, or a checker would name the wrong cause
+        raise DimensionMismatch(f"rule is for {d.n} states, prior has {n}")
     sel = sel or Selector()
     mode = WelfareMode(mode)
     if mode is WelfareMode.DOUBLE:

@@ -94,8 +94,6 @@ def _resolve_priors(args: argparse.Namespace) -> List[Belief]:
         raise ConfigError(f"cannot parse prior: {err}") from err
     if prior.n != n:
         raise ConfigError("prior length must match --states")
-    if not prior.is_interior():
-        raise ConfigError("prior must have full support")
     return [prior]
 
 
@@ -181,7 +179,7 @@ def cmd_reproduce(example_id: str, outdir: str, a: float, b: float, u: float, v:
         beliefs = np.column_stack([x, 1.0 - x])
         V = value_batch(problem, beliefs)
         W = welfare_batch(problem, rule, (0.5, 0.5), Selector(), WelfareMode.SINGLE, beliefs)
-        rows = np.column_stack([x, rule.apply_scalar(x), V, W]).tolist()
+        rows = np.column_stack([x, evaluate_batch(rule, (0.5, 0.5), beliefs)[:, 0], V, W]).tolist()
         _write_csv(out / "occ_coarse_figure.csv", ["x", "phi", "V", "W"], rows)
         print(f"wrote {out / 'occ_coarse_figure.csv'}")
         return EXIT_OK

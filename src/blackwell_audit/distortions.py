@@ -138,15 +138,11 @@ class CoarseRule(Distortion):
         if not self.b <= self.v <= 1.0:
             raise ValueError("vertex image v must satisfy b <= v <= 1")
 
-    def apply_scalar(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        out = np.clip(t, self.a, self.b)
-        out = np.where(t <= 1e-12, self.u, out)
-        out = np.where(t >= 1.0 - 1e-12, self.v, out)
-        return out
-
     def apply_batch(self, mu, X):
-        y = self.apply_scalar(X[..., 0])
+        t = X[..., 0]
+        y = np.clip(t, self.a, self.b)
+        y = np.where(t <= 1e-12, self.u, y)
+        y = np.where(t >= 1.0 - 1e-12, self.v, y)
         return np.stack([y, 1.0 - y], axis=-1)
 
     def to_json(self):

@@ -6,13 +6,11 @@ n-vector normal; on the simplex's affine hull this is equivalent to the
 usual (n-1)-dimensional representation, with the advantage that no state
 index is privileged.
 
-Two least-squares witnesses answer the hull questions, each by one
-nonnegative least-squares solve.  :func:`hull_gap` reads how close two hulls
-come: it finds a point of each, and their sup-norm distance is its answer, so
-a gap within tolerance proves the hulls meet and decides hull membership (one
-point against a hull).  :func:`separating_hyperplane_sets` cuts two hulls
-apart by the least-distance program, and returns a cut only when its margin,
-recomputed on the points, clears the one asked for.  :func:`nnls` imports
+One nonnegative least-squares solve answers the hull question.
+:func:`separating_hyperplane_sets` cuts two hulls apart by the least-distance
+program, and returns a cut only when its margin, recomputed on the points,
+clears the one asked for; a point is strictly outside a hull when the cut of
+it, as a set of one, from the hull's points is returned.  :func:`nnls` imports
 scipy at its first call, so an audit that solves nothing never imports
 scipy.optimize.
 """
@@ -102,9 +100,6 @@ class Belief:
     @property
     def n(self) -> int:
         return self.coords.shape[0]
-
-    def is_interior(self) -> bool:
-        return bool(np.all(self.coords > 0.0))
 
     def to_json(self) -> list:
         return [float(v) for v in self.coords]
@@ -223,35 +218,6 @@ def merge_owners(points) -> np.ndarray:
     return owners
 
 
-def _point_sets(above: Sequence, below: Sequence) -> tuple:
-    """Both point sets as float64 arrays; points of different lengths raise DimensionMismatch."""
-    A, B = _coerce_many(above), _coerce_many(below)
-    if B.shape[1:] != A.shape[1:]:
-        raise DimensionMismatch(f"points above of length {A.shape[1]} against points below of shape {B.shape[1:]}")
-    return A, B
-
-
-def hull_gap(above: Sequence, below: Sequence) -> float:
-    """|u A - v B|_inf for the convex weights u above and v below that nonnegative least squares
-    finds (Gilbert's nearest points, 1966), or inf when the solve fails, as it does on non-finite points.
-
-    The gap bounds the hulls' distance from above: a gap <= tol proves they meet within tol, so p
-    lies in hull(below) within tol when ``hull_gap([p], below) <= tol``; a larger gap proves nothing.
-    Points of different lengths raise DimensionMismatch.
-    """
-    A, B = _point_sets(above, below)
-    k, n = A.shape
-    try:
-        w, _ = nnls(np.vstack([np.hstack([A.T, -B.T]), np.repeat(np.eye(2), (k, len(B)), axis=1)]),
-                    np.append(np.zeros(n), [1.0, 1.0]))
-    except (ValueError, RuntimeError):  # non-finite input, or no convergence
-        return math.inf
-    u, v = w[:k], w[k:]
-    if not (u.sum() > 0.0 and v.sum() > 0.0):
-        return math.inf
-    return float(np.max(np.abs(u @ A / u.sum() - v @ B / v.sum())))
-
-
 def separating_hyperplane_sets(above: Sequence, below: Sequence, margin: float = TOL_GEO) -> Hyperplane:
     """Strictly separate two point sets: hull(above) strictly above, hull(below) strictly below.
 
@@ -266,7 +232,9 @@ def separating_hyperplane_sets(above: Sequence, below: Sequence, margin: float =
     on the solver.  Raises NoStrictSeparation otherwise, also when the solve fails, ValueError
     on a non-finite point, and DimensionMismatch on points of different lengths.
     """
-    A, B = _point_sets(above, below)
+    A, B = _coerce_many(above), _coerce_many(below)
+    if B.shape[1:] != A.shape[1:]:
+        raise DimensionMismatch(f"points above of length {A.shape[1]} against points below of shape {B.shape[1:]}")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("points to separate must be finite")
     n = A.shape[1]

@@ -5,11 +5,13 @@ No audit or verification calls them, so they live with the tests:
 ``convexity_violations`` (a sampled chord test of a welfare profile) and
 ``is_mpc`` (the dilation LP, the second route to the Blackwell order)
 and ``dedupe_points`` (the merge rule as one sup-norm comparison per pair).
-``in_convex_hull`` (barycentric coordinates, else the hull LP) is the reference
-for the package's hull-membership witness, ``geometry.hull_gap``;
-``garbling_residual`` (the garbling LP) for its dominance witness,
+``in_convex_hull`` (barycentric coordinates, else the hull LP) decides hull
+membership for the separation tests; ``hull_gap`` (Gilbert's nearest points by
+one nonnegative least-squares solve) is the reference for the auditor's
+banishment test, which asks ``geometry.separating_hyperplane_sets`` for a strict
+cut instead; ``garbling_residual`` (the garbling LP) for the dominance witness,
 ``experiments.blackwell_dominates``; ``max_margin`` (the separation LP) for
-its cuts, ``geometry.separating_hyperplane_sets``.  Every LP here is
+the package's cuts.  Every LP here is
 ``scipy.optimize.linprog(method="highs")``: the package solves none.
 ``sup_close`` compares beliefs in the sup norm.  ``StubbornLoopRule`` over a
 ``StubbornSpec`` is the collapse map row by row, the reference for
@@ -25,11 +27,12 @@ recipe that reads the checker's verdict.
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 from blackwell_audit import distortions
 from blackwell_audit.auditor import (
@@ -206,6 +209,29 @@ def max_margin(above: Sequence, below: Sequence) -> float:
     if res.status != 0:
         raise RuntimeError(f"separation LP failed: {res.message}")
     return float(res.x[-1])
+
+
+def hull_gap(above: Sequence, below: Sequence) -> float:
+    """|u A - v B|_inf for the convex weights u above and v below that nonnegative least squares
+    finds (Gilbert's nearest points, 1966), or inf when the solve fails, as it does on non-finite points.
+
+    The gap bounds the hulls' distance from above: a gap <= tol proves they meet within tol, so p
+    lies in hull(below) within tol when ``hull_gap([p], below) <= tol``; a larger gap proves nothing.
+    Points of different lengths raise DimensionMismatch.
+    """
+    A, B = _coerce_many(above), _coerce_many(below)
+    if B.shape[1:] != A.shape[1:]:
+        raise DimensionMismatch(f"points above of length {A.shape[1]} against points below of shape {B.shape[1:]}")
+    k, n = A.shape
+    try:
+        w, _ = nnls(np.vstack([np.hstack([A.T, -B.T]), np.repeat(np.eye(2), (k, len(B)), axis=1)]),
+                    np.append(np.zeros(n), [1.0, 1.0]))
+    except (ValueError, RuntimeError):  # non-finite input, or no convergence
+        return math.inf
+    u, v = w[:k], w[k:]
+    if not (u.sum() > 0.0 and v.sum() > 0.0):
+        return math.inf
+    return float(np.max(np.abs(u @ A / u.sum() - v @ B / v.sum())))
 
 
 def is_mpc(rho_prime: PosteriorDistribution, rho: PosteriorDistribution, tol: float = 1e-8) -> bool:

@@ -1,5 +1,6 @@
 """Auditor: recipe constructions, certificates, verification, determinism."""
 
+import dataclasses
 import functools
 import json
 import re
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from audit_helpers import adversary, forged_bayes_certificate, one_error
 from oracles import (
     contractive_two_state_by_error,
+    hull_gap,
     is_occasionally_stubborn_face_by_face,
     max_margin,
     value_function,
@@ -22,9 +24,9 @@ from blackwell_audit import auditor, cli, distortions, geometry
 from blackwell_audit.geometry import (
     TOL_GEO,
     Belief,
+    DimensionMismatch,
     Hyperplane,
     NoStrictSeparation,
-    hull_gap,
     separating_hyperplane_sets,
     simplex_lattice,
 )
@@ -329,6 +331,16 @@ class TestFullAudit:
     def test_non_finite_prior_is_refused_before_the_census(self, bad):
         with pytest.raises(ValueError, match="full-support prior"):
             audit(BayesRule(3), (bad, 0.5, 0.5), grid_size=11)
+
+    @pytest.mark.parametrize("rule, mode", [(GretherRule(2.0, 1.0, 5), WelfareMode.SINGLE),
+                                            (GretherRule(2.0, 1.0, 2), WelfareMode.SINGLE),
+                                            (BayesRule(4), WelfareMode.DOUBLE)])
+    def test_rule_of_another_state_count_is_refused_before_the_census(self, monkeypatch, rule, mode):
+        # On a three-state prior the five-state rule's census failed inside numpy, the two-state
+        # rule met the collapse checker's WrongDimension, and the Bayes rule passed.
+        monkeypatch.setattr(auditor, "classify_batch", lambda *args: pytest.fail("the census ran"))
+        with pytest.raises(DimensionMismatch, match=f"^rule is for {rule.n} states, prior has 3$"):
+            audit(rule, MU3, grid_size=21, mode=mode)
 
     @pytest.mark.parametrize(
         "rule, mu, sel",
@@ -763,6 +775,18 @@ class TestVerifyCertificate:
         forged = forged_bayes_certificate()
         assert forged.gap == pytest.approx(-2e-5, rel=1e-6)
         assert verify_certificate(forged) == (False, "dominance")
+
+    def test_rule_of_another_state_count_is_malformed(self, cert):
+        # Grether maps never read n: a two-state certificate whose rule claimed 3 or 7 states verified.
+        for n in (3, 7):
+            assert verify_certificate(dataclasses.replace(cert, rule=GretherRule(2.0, 1.0, n))) == (False, "malformed")
+            doc = json.loads(cert.dumps())
+            doc["rule"]["n"] = n
+            assert verify_certificate(ViolationCertificate.from_json(doc)) == (False, "malformed")
+
+    def test_prior_off_the_interior_is_refused(self, cert):
+        for prior in ((1.0, 0.0), (0.0, 1.0)):
+            assert verify_certificate(dataclasses.replace(cert, prior=Belief(prior))) == (False, "prior")
 
     def test_json_round_trip_verifies(self, cert):
         back = ViolationCertificate.from_json(json.loads(cert.dumps()))
@@ -1199,6 +1223,15 @@ def _moved_point(rho: PosteriorDistribution, x0: np.ndarray, gamma: float, lam: 
     return auditor._moved(rho, gamma, lam, moved), moved
 
 
+def banished(img: np.ndarray, support: np.ndarray) -> bool:
+    """Claim 1's premise, restated: a strict cut of img from hull(support) clears SEP_MARGIN."""
+    try:
+        separating_hyperplane_sets([img], support, margin=SEP_MARGIN)
+    except NoStrictSeparation:
+        return False
+    return True
+
+
 def _weights_first_expansive(search: _Search, x0: np.ndarray) -> Optional[ViolationCertificate]:
     d, mu, tol = search.d, search.mu, search.tol
     img0 = evaluate_batch(d, mu, x0[None, :])[0]
@@ -1207,7 +1240,7 @@ def _weights_first_expansive(search: _Search, x0: np.ndarray) -> Optional[Violat
 
     for rho in _one_error_scaffolds(mu, x0):
         others = rho.support[1:]
-        if hull_gap([img0], rho.support) <= 1e-7:
+        if not banished(img0, rho.support):
             continue  # image not banished at this scaffold width
         imgs_others = evaluate_batch(d, mu, others)
         even = np.full(others.shape[0], 1.0 / others.shape[0])
@@ -1429,21 +1462,20 @@ class TestImagesBeforeWeights:
                 failed_solves.append(args)
             return out
 
-        # Hull verdicts of the recipe under test ("got") and of the reference ("want").
+        # Banishment tests of the recipe under test ("got") and of the reference ("want"): True for a skip.
         hulls = {"got": [], "want": []}
-        hull = hull_gap
 
-        def hull_spy(side):
-            def spy(*args, **kwargs):
-                gap = hull(*args, **kwargs)
-                hulls[side].append(gap <= 1e-7)
-                return gap
+        def hull_spy(side, test):
+            def spy(img, support):
+                out = test(img, support)
+                hulls[side].append(not out)
+                return out
 
             return spy
 
         monkeypatch.setattr(auditor, "_moved", counted)
-        monkeypatch.setattr(auditor, "hull_gap", hull_spy("got"))
-        monkeypatch.setitem(globals(), "hull_gap", hull_spy("want"))
+        monkeypatch.setattr(auditor, "_banished", hull_spy("got", auditor._banished))
+        monkeypatch.setitem(globals(), "banished", hull_spy("want", banished))
         certs, exhausted, families = 0, 0, set()
         live_hull_skips, dead_hull_passes = 0, 0
         for i in range(84):
@@ -1479,8 +1511,8 @@ class TestImagesBeforeWeights:
         # every moved point to x*, and an interval rule's contractive rungs
         # and sub-rungs all land on its interval's end: no hull test, no
         # two-state distribution.
-        hulls, binaries = [], []
-        monkeypatch.setattr(auditor, "hull_gap", lambda *a: hulls.append(a) or hull_gap(*a))
+        hulls, binaries, real = [], [], auditor._banished
+        monkeypatch.setattr(auditor, "_banished", lambda *a: hulls.append(a) or real(*a))
         monkeypatch.setattr(auditor, "_binary", lambda *a: binaries.append(a) or _binary(*a))
         rng = np.random.default_rng(31)
         expansive = contractive = 0
@@ -1501,24 +1533,46 @@ class TestImagesBeforeWeights:
         assert not hulls and not binaries
         assert expansive == 24 and contractive >= 12, (expansive, contractive)
 
+    def test_banishment_decides_as_the_nearest_points_gap(self, monkeypatch):
+        # At every width the recipe tests, on the mix above, the strict cut banishes x0's image
+        # exactly when the nearest points of the image and the scaffold's hull lie over 1e-7 apart.
+        tests, real = [], auditor._banished
+
+        def spy(img, support):
+            tests.append((np.array(img), np.array(support), real(img, support)))
+            return tests[-1][2]
+
+        monkeypatch.setattr(auditor, "_banished", spy)
+        for i in range(84):
+            rule, mu, points, sel, mode, tol, budget, seed = self._case(i)
+            for x0 in points:
+                self._outcome(_audit_expansive, rule, mu, x0[None, :], budget, sel, mode, tol, seed)
+        for img, support, banished_ in tests:
+            assert banished_ == (hull_gap([img], support) > 1e-7), (img.tolist(), support.tolist())
+        skips = sum(not banished_ for *_, banished_ in tests)
+        assert skips >= 20 and len(tests) - skips >= 20, (skips, len(tests))
+
 
 
 class TestHarmlessCuts:
     """A harmless rule's recipe cuts cannot succeed: criterion 6's harmless families, at the
-    benchmark's grids and budget, pass, and the separation witness refuses every cut."""
+    benchmark's grids and budget, pass, and every recipe cut (``_Search.cut``) is refused.  A banishment
+    test is no recipe cut: on a collapse rule the separation it asks for may be granted."""
 
     @pytest.mark.parametrize("family, n", [("occ-coarse", 2), ("occ-stubborn", 3), ("occ-stubborn", 4),
                                            ("trivial", 3), ("trivial", 4)])
     def test_harmless_audit_refuses_every_cut(self, monkeypatch, family, n):
         cuts, granted = [], []
-        real_cut = auditor.separating_hyperplane_sets
+        real_cut = _Search.cut
 
-        def cut(*args, **kwargs):
+        def cut(search, above, below):
+            problem = real_cut(search, above, below)
             cuts.append(1)
-            granted.append(real_cut(*args, **kwargs))
-            return granted[-1]
+            if problem is not None:
+                granted.append(problem)
+            return problem
 
-        monkeypatch.setattr(auditor, "separating_hyperplane_sets", cut)
+        monkeypatch.setattr(_Search, "cut", cut)
         rng = np.random.default_rng(21)
         for k in range(12):
             rule = random_rule(family, n, rng)
@@ -1532,8 +1586,8 @@ class TestHarmlessCuts:
 
 class TestHarmfulCuts:
     """The cuts of the first 120 audits of the benchmark's harmful-certify mix (grether and
-    shrinkage draws at n = 2, 3, 4, seed 1): every one returned clears SEP_MARGIN on its points,
-    and every hyperplane problem built has max |payoff| <= 2."""
+    shrinkage draws at n = 2, 3, 4, seed 1), the banishment tests' included: every one returned
+    clears SEP_MARGIN on its points, and every hyperplane problem built has max |payoff| <= 2."""
 
     @staticmethod
     @functools.lru_cache(maxsize=1)
@@ -2021,7 +2075,7 @@ class TestWholeDispatch:
             rows = self._compare(inner, mu, Selector(), 1e-9, 1)[2]
             scaffolds = list(_one_error_scaffolds(mu, rows[2])) if rows.shape[0] >= 3 else []
             img = evaluate_batch(inner, mu, rows[2:3])[0]
-            if len(scaffolds) < 2 or hull_gap([img], scaffolds[-1].support) <= 1e-7:
+            if len(scaffolds) < 2 or not banished(img, scaffolds[-1].support):
                 continue
             log.clear()
             rule = _NonFiniteAt(inner, scaffolds[-1].support[1:])

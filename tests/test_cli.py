@@ -108,6 +108,10 @@ class TestAuditCommand:
         assert run(["audit", "--states", "2", "--rule", "bayes", "--prior", "[0.9,0.2]"]) == EXIT_CONFIG
         assert run(["audit", "--states", "3", "--rule", "bayes", "--prior", "[1.0,0.0,0.0]"]) == EXIT_CONFIG
 
+    def test_prior_off_the_interior_is_refused_by_the_audit_gate(self, capsys):
+        assert run(["audit", "--states", "3", "--rule", "bayes", "--prior", "[0.5,0.5,0.0]"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "configuration error: audit requires a full-support prior\n"
+
     def test_reference_example_on_wrong_state_count(self, tmp_path, capsys):
         for states, rule in (("4", "occ-stubborn-a"), ("2", "occ-stubborn-b")):
             capsys.readouterr()
@@ -384,6 +388,18 @@ class TestVerifyCommand:
         forged.write_text(forged_bayes_certificate().dumps())
         assert run(["verify", str(forged)]) == EXIT_INVALID_CERT
         assert capsys.readouterr().out == "certificate invalid: dominance\n"
+
+    def test_rule_of_another_state_count(self, tmp_path, capsys):
+        # Grether maps never read n: a three-state certificate whose rule claimed 7 states verified.
+        out = tmp_path / "rep.json"
+        assert run(["audit", "--states", "3", "--rule", "grether(2,1)", "--grid", "41", "--out", str(out)]) == EXIT_VIOLATION
+        cert_path = tmp_path / "rep.certificate.json"
+        doc = json.loads(cert_path.read_text())
+        doc["rule"]["n"] = 7
+        cert_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", str(cert_path)]) == EXIT_INVALID_CERT
+        assert capsys.readouterr().out == "certificate invalid: malformed\n"
 
     def test_swapped_experiments(self, cert_path, tmp_path):
         doc = json.loads(cert_path.read_text())

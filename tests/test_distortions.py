@@ -772,9 +772,9 @@ class TestCoarseChecker:
 
     def test_vertex_condition_refutes(self):
         class BadVertex(CoarseRule):
-            def apply_scalar(self, t):
-                out = super().apply_scalar(t)
-                return np.where(np.asarray(t) >= 1.0 - 1e-12, 0.5, out)
+            def apply_batch(self, mu, X):
+                out = super().apply_batch(mu, X)
+                return np.where(X[..., :1] >= 1.0 - 1e-12, 0.5, out)
 
         rule = BadVertex(0.3, 0.7, 0.2, 0.8)
         v = is_occasionally_coarse(rule, MU2, grid_size=200)

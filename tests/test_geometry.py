@@ -23,7 +23,6 @@ from blackwell_audit.geometry import (
     NoStrictSeparation,
     enumerate_faces,
     face_samples,
-    hull_gap,
     merge_owners,
     on_segment,
     separating_hyperplane_sets,
@@ -192,143 +191,9 @@ class TestMergeRule:
             assert m_kept <= max_margin(A, B) + 1e-13
 
 
-def hull_membership_bruteforce(p, hull, steps=64, tol=1e-9):
-    """Grid search over convex weights; independent of the LP route.
-
-    Every weight vector whose first k - 1 entries are multiples of 1/steps
-    is tried at once; returns the verdict and the grid's least sup-norm
-    residual.
-    """
-    hull = np.asarray(hull, dtype=float)
-    k = hull.shape[0]
-    axes = np.meshgrid(*[np.arange(steps + 1) / steps] * (k - 1), indexing="ij")
-    head = np.stack([a.ravel() for a in axes], axis=1)
-    head = head[head.sum(axis=1) <= 1 + 1e-12]
-    w = np.hstack([head, 1.0 - head.sum(axis=1, keepdims=True)])
-    best = float(np.min(np.max(np.abs(w @ hull - p), axis=1)))
-    return best <= tol, best
-
-
-class TestConvexHull:
-    """Hull membership by the witness: p lies in hull(H) within tol when hull_gap([p], H) <= tol."""
-
-    def test_barycenter_inside(self):
-        assert hull_gap([(1 / 3, 1 / 3, 1 / 3)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]) <= TOL_GEO
-
-    def test_vertex_outside_segment(self):
-        assert hull_gap([(1, 0, 0)], [(0.5, 0.5, 0), (0, 0, 1)]) > TOL_GEO
-
-    def test_three_point_system(self):
-        # Oracle: weights (0.5, 0.5, 0) solve the system exactly.
-        hull = [(0.2, 0.2, 0.6), (0.5, 0.5, 0.0), (0.3, 0.4, 0.3)]
-        p = 0.5 * np.array(hull[0]) + 0.5 * np.array(hull[1])
-        assert np.allclose(p, [0.35, 0.35, 0.30])
-        assert hull_gap([p], hull) <= TOL_GEO
-
-    def test_length_mismatch_rejected(self):
-        from blackwell_audit import experiments
-
-        assert experiments.DimensionMismatch is DimensionMismatch
-        with pytest.raises(DimensionMismatch):
-            hull_gap([(0.5, 0.5)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        with pytest.raises(DimensionMismatch):
-            hull_gap([(0.2, 0.2, 0.2, 0.4)], [(1, 0, 0), (0, 1, 0)])
-
-    def test_duplicate_hull_points_allowed(self):
-        assert hull_gap([(0.5, 0.5)], [(1, 0), (1, 0), (0, 1)]) <= TOL_GEO
-
-    def test_agrees_with_bruteforce(self):
-        rng = np.random.default_rng(20240817)
-        for _ in range(60):
-            n = int(rng.integers(2, 4))
-            k = int(rng.integers(2, 5))
-            hull = [random_belief(rng, n) for _ in range(k)]
-            if rng.random() < 0.5:
-                w = rng.dirichlet(np.ones(k))
-                p = w @ np.asarray(hull)
-            else:
-                p = random_belief(rng, n)
-            witness_says = hull_gap([p], hull) <= 1e-7
-            brute_says, dist = hull_membership_bruteforce(p, hull, steps=64)
-            if brute_says:
-                assert witness_says, f"brute force found weights (resid {dist:.2e}) but the witness said no"
-            if not witness_says:
-                # Grid resolution 1/64 cannot certify absence; check the grid's
-                # optimum is genuinely far relative to the grid error.
-                assert dist > 1e-7 or brute_says is False
-
-
-class TestHullFastPath:
-    """The witness against the reference ``in_convex_hull`` (barycentric proof, else the hull LP)."""
-
-    @staticmethod
-    def hull_queries(rng, n, k, facet_offset):
-        hull = rng.dirichlet(np.ones(n), size=k)
-        yield "inside", rng.dirichlet(np.ones(k)) @ hull, hull
-        yield "outside", rng.dirichlet(np.ones(n)), hull
-        if k >= 2:
-            # Just across (or just inside) the facet opposite hull[0].
-            f = rng.dirichlet(np.ones(k - 1)) @ hull[1:]
-            u = f - hull[0]
-            yield "facet", f + facet_offset * u / np.max(np.abs(u)), hull
-        if rng.random() < 0.25:
-            dup = np.vstack([hull, hull[int(rng.integers(k))]])
-            yield "dependent-inside", rng.dirichlet(np.ones(k + 1)) @ dup, dup
-            yield "dependent-outside", rng.dirichlet(np.ones(n)), dup
-
-    def test_matches_the_reference_on_seeded_hulls(self, monkeypatch):
-        solved = []
-        real_nnls = geometry.nnls
-
-        def spy(A, b):
-            out = real_nnls(A, b)
-            solved.append(out[0])
-            return out
-
-        monkeypatch.setattr(geometry, "nnls", spy)
-        rng = np.random.default_rng(20261018)
-        members, facet_misses, kinds = 0, [], set()
-        for trial in range(1000):
-            n = 2 + trial % 4
-            k = int(rng.integers(1, n + 1))
-            tol = (1e-9, 1e-7)[trial % 2]
-            offset = (1e-6, -1e-6, tol, -tol)[(trial // 2) % 4]
-            for kind, p, hull in self.hull_queries(rng, n, k, offset):
-                del solved[:]
-                gap = hull_gap([p], hull)
-                member, reference = gap <= tol, in_convex_hull(p, hull, tol)
-                kinds.add(kind)
-                if kind != "facet":
-                    assert member == reference, (kind, n, k, tol, offset)
-                elif member != reference:
-                    # The witness may miss a point the reference lets in; never the other way.
-                    assert reference, (n, k, tol, offset)
-                    facet_misses.append((offset, gap / tol))
-                if member:
-                    # Proved by its weights: convex, and reproducing p within tol.
-                    (w,) = solved
-                    v = w[1:]
-                    assert w[0] > 0.0 and np.all(v >= 0.0) and v.sum() > 0.0
-                    assert np.max(np.abs(v @ hull / v.sum() - p)) <= tol, (kind, n, k, tol, offset)
-                    members += 1
-        assert kinds == {"inside", "outside", "facet", "dependent-inside", "dependent-outside"}
-        assert members >= 1000, members
-        # Every miss is a point just outside a facet, at a gap below 1.5 tol: where the
-        # reference's LP, whose constraints hold only within 1e-7, may call it a member.
-        assert all(offset > 0.0 and ratio < 1.5 for offset, ratio in facet_misses), facet_misses
-
-    def test_nan_query_has_no_witness(self):
-        hull = [(1, 0, 0), (0, 1, 0)]
-        assert hull_gap([(np.nan, 0.5, 0.5)], hull) == math.inf
-        assert hull_gap([(1 / 3, 1 / 3, 1 / 3)], [(np.inf, 0, 0), (0, 1, 0)]) == math.inf
-        with pytest.raises(ValueError, match="b_ub must not contain values inf, nan"):
-            in_convex_hull((np.nan, 0.5, 0.5), hull)
-
-
 class TestHostileInput:
     """NaN and infinite coordinates, and an audit tolerance outside [0, inf), end
-    in ValueError, never a crashed process or a wrong verdict; the hull witness
-    answers them with an infinite gap, which proves nothing.
+    in ValueError, never a crashed process or a wrong verdict.
 
     The coordinate calls run in a child interpreter, so a crash inside the
     solver fails this test instead of killing the test run.  The child turns a
@@ -338,7 +203,7 @@ class TestHostileInput:
         import sys
         import numpy as np
         from blackwell_audit.geometry import (
-            Belief, hull_gap, separating_hyperplane_sets)
+            Belief, separating_hyperplane_sets)
         from blackwell_audit.auditor import audit
         from blackwell_audit.distortions import BayesRule, TabulatedRule, evaluate_batch
         from blackwell_audit.experiments import Experiment, PosteriorDistribution, bayes, experiment_from_posteriors
@@ -358,8 +223,6 @@ class TestHostileInput:
         centre = (1 / 3, 1 / 3, 1 / 3)
         spread = PosteriorDistribution(vertices, [1 / 3] * 3)
         cases = {
-            "hull_gap query": lambda: hull_gap([q], vertices),
-            "hull_gap hull point": lambda: hull_gap([centre], [q] + vertices[1:]),
             "separating_hyperplane_sets single point above": lambda: separating_hyperplane_sets([q], vertices),
             "separating_hyperplane_sets above": lambda: separating_hyperplane_sets([q, centre], vertices[:2]),
             "separating_hyperplane_sets below": lambda: separating_hyperplane_sets([centre], [q] + vertices[1:]),
@@ -389,10 +252,8 @@ class TestHostileInput:
         done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
-        assert len(lines) == 12, done.stdout
-        # The witness finds no weights, so it proves no membership; everything else raises.
-        assert lines[:2] == ["hull_gap query returned inf", "hull_gap hull point returned inf"], done.stdout
-        assert all(line.endswith(" ValueError") for line in lines[2:]), done.stdout
+        assert len(lines) == 10, done.stdout
+        assert all(line.endswith(" ValueError") for line in lines), done.stdout
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
     def test_hostile_audit_tolerance_raises_value_error(self, monkeypatch, tol):

@@ -20,9 +20,10 @@ REMOVED = [
     "ConvexityViolation", "MIX_WEIGHTS", "convexity_violations",
     "StubbornSpec", "vertex_belief", "_segment_residual", "_REDECIDE", "binary_symmetric",
     "_images", "in_convex_hull", "_in_hull_barycentric", "_in_hull_lp", "_LP_SLACK",
-    "solve_lp", "_min_sup_residual", "_optimize",
+    "solve_lp", "_min_sup_residual", "_optimize", "hull_gap", "_point_sets",
 ]
-REMOVED_METHODS = [(geometry.Belief, "allclose"), (geometry.Belief, "face"), (geometry.Hyperplane, "value")]
+REMOVED_METHODS = [(geometry.Belief, "allclose"), (geometry.Belief, "face"), (geometry.Hyperplane, "value"),
+                   (geometry.Belief, "is_interior"), (distortions.CoarseRule, "apply_scalar")]
 
 
 def exports() -> list:
@@ -137,17 +138,16 @@ def lp_imports(sources: Optional[dict] = None) -> set:
 
 
 class TestSolverBoundary:
-    """No LP, and three least-squares witnesses: a new route to a solver shows up here."""
+    """No LP, and two least-squares witnesses: a new route to a solver shows up here."""
 
     def test_no_module_imports_an_lp_solver(self):
         assert not lp_imports()
         for path in sorted((ROOT / "src").rglob("*.py")):
             assert "_highspy" not in path.read_text(), path.name
 
-    def test_only_the_three_witnesses_call_nnls(self):
+    def test_only_the_two_witnesses_call_nnls(self):
         found = callers("nnls")
         assert {(file, name) for file, name, _ in found} == {
-            ("geometry.py", "hull_gap"),
             ("geometry.py", "separating_hyperplane_sets"),
             ("experiments.py", "blackwell_dominates"),
         }, sorted(found)
@@ -155,7 +155,7 @@ class TestSolverBoundary:
     def test_a_new_route_is_caught(self):
         source = (PACKAGE / "geometry.py").read_text() + "\n\ndef probe():\n    return geometry.nnls(0, 0)\n"
         found = callers("nnls", {"geometry.py": source})
-        assert {name for _, name, _ in found} == {"hull_gap", "separating_hyperplane_sets", "probe"}
+        assert {name for _, name, _ in found} == {"separating_hyperplane_sets", "probe"}
         for line in ("from scipy.optimize import linprog", "from scipy.optimize._highspy import _core",
                      "import scipy.optimize._highspy"):
             source = (PACKAGE / "geometry.py").read_text() + f"\n\ndef probe():\n    {line}\n"
