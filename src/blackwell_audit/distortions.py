@@ -691,11 +691,19 @@ def affine_chords(d: Distortion, mu, grid_size: int) -> tuple:
     most ``_CHORD_POINTS`` points, but never coarser than levels 0, 1/2, 1.
     For each pair i < j with s = min(z_i, z_j) > 0, the chord's ends are
     x, y = z +- s (e_i - e_j), and h = phi(z) - (phi(x) + phi(y)) / 2.  An
-    affine map has h = 0 on every chord.  ``refuse_chord_lattice`` runs first.
+    affine map has h = 0 on every chord.  The rows z, x, y are built once per
+    (n, resolution) by ``_chord_rows`` (``refuse_chord_lattice`` first), cached
+    and returned as read-only views; each call evaluates the rule once.
     """
-    n = d.n
+    rows = _chord_rows(d.n, max(2, min(grid_size - 1, _CHORD_POINTS)))  # finer lattices pass the point cap
+    hz, hx, hy = evaluate_batch(d, mu, rows.reshape(-1, d.n)).reshape(rows.shape)
+    return (*rows, hz - 0.5 * (hx + hy))
+
+
+@functools.lru_cache(maxsize=4)
+def _chord_rows(n: int, res: int) -> np.ndarray:
+    """``affine_chords``' (z, x, y) in one read-only array, on res + 1 levels coarsened to ``_CHORD_POINTS``."""
     refuse_chord_lattice(n)
-    res = max(2, min(grid_size - 1, _CHORD_POINTS))  # any finer lattice has more than _CHORD_POINTS points
     while res > 2 and math.comb(res + n - 1, n - 1) > _CHORD_POINTS:
         res -= 1
     Z = _lattice(n, res)
@@ -707,10 +715,9 @@ def affine_chords(d: Distortion, mu, grid_size: int) -> tuple:
         step[:, i], step[:, j] = s, -s
         parts.append((z, step))
     z, step = (np.concatenate(c) for c in zip(*parts))
-    x, y = z + step, z - step
-    m = z.shape[0]
-    imgs = evaluate_batch(d, mu, np.concatenate([z, x, y]))
-    return z, x, y, imgs[:m] - 0.5 * (imgs[m : 2 * m] + imgs[2 * m :])
+    rows = np.stack([z, z + step, z - step])
+    rows.setflags(write=False)
+    return rows
 
 
 def is_affine(chords: tuple) -> bool:

@@ -13,6 +13,7 @@ weights in closed form.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -63,6 +64,12 @@ def _check_rows_stochastic(matrix: np.ndarray, what: str) -> np.ndarray:
     return matrix / sums[:, None]
 
 
+@functools.lru_cache(maxsize=64)
+def _default_labels(signals: int) -> tuple:
+    """("s0", "s1", ...): one tuple per signal count, shared by every experiment that names none."""
+    return tuple(f"s{j}" for j in range(signals))
+
+
 @dataclass(frozen=True, eq=False)
 class Experiment:
     """A signal structure: likelihoods[theta, s] = P(signal s | state theta)."""
@@ -74,7 +81,7 @@ class Experiment:
         arr = np.array(likelihoods, dtype=np.float64)
         arr = _check_rows_stochastic(arr, "likelihood matrix")
         if signal_labels is None:
-            signal_labels = tuple(f"s{j}" for j in range(arr.shape[1]))
+            signal_labels = _default_labels(arr.shape[1])
         else:
             signal_labels = tuple(str(s) for s in signal_labels)
             if len(signal_labels) != arr.shape[1]:

@@ -22,7 +22,9 @@ block recipe.  ``is_occasionally_stubborn_face_by_face`` is the collapse
 checker in two evaluations, walked face by face, and
 ``vertex_condition_every_vertex`` the vertex recipe that evaluates and tests
 every vertex itself: the references for the one-pass checker and for the
-recipe that reads the checker's verdict.
+recipe that reads the checker's verdict.  ``affine_chords_rebuilt`` builds
+the chord rows afresh on every call, the reference for ``affine_chords``,
+which reads them from a cache.
 """
 
 import functools
@@ -50,7 +52,9 @@ from blackwell_audit.distortions import (
     StubbornRule,
     StubbornVerdict,
     WrongDimension,
+    _CHORD_POINTS,
     evaluate_batch,
+    refuse_chord_lattice,
     refuse_face_stack,
     vertex_image_ok,
 )
@@ -61,7 +65,7 @@ from blackwell_audit.experiments import (
     Experiment,
     PosteriorDistribution,
 )
-from blackwell_audit.geometry import TOL_GEO, Belief, Face, _coerce, _coerce_many
+from blackwell_audit.geometry import TOL_GEO, Belief, Face, _coerce, _coerce_many, _lattice
 
 
 def sup_close(a, b) -> bool:
@@ -685,3 +689,27 @@ def vertex_condition_every_vertex(search: _Search, x_star: np.ndarray) -> Option
             if cert is not None:
                 return cert
     return None
+
+
+def affine_chords_rebuilt(d: Distortion, mu, grid_size: int) -> tuple:
+    """``affine_chords`` with its chord rows built afresh on every call: the
+    coarsened resolution, the per-pair masks and steps, and z, x and y as
+    separate writable arrays, evaluated in one call."""
+    n = d.n
+    refuse_chord_lattice(n)
+    res = max(2, min(grid_size - 1, _CHORD_POINTS))  # any finer lattice has more than _CHORD_POINTS points
+    while res > 2 and math.comb(res + n - 1, n - 1) > _CHORD_POINTS:
+        res -= 1
+    Z = _lattice(n, res)
+    parts = []
+    for i, j in itertools.combinations(range(n), 2):
+        z = Z[(Z[:, i] > 0.0) & (Z[:, j] > 0.0)]
+        s = np.minimum(z[:, i], z[:, j])
+        step = np.zeros_like(z)
+        step[:, i], step[:, j] = s, -s
+        parts.append((z, step))
+    z, step = (np.concatenate(c) for c in zip(*parts))
+    x, y = z + step, z - step
+    m = z.shape[0]
+    imgs = evaluate_batch(d, mu, np.concatenate([z, x, y]))
+    return z, x, y, imgs[:m] - 0.5 * (imgs[m : 2 * m] + imgs[2 * m :])

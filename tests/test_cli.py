@@ -265,6 +265,20 @@ class TestAuditCommand:
         assert run(["audit", "--mode", "double", "--rule", "bayes", "--states", "3", "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["runs"][0]["budget_used"] == 0
 
+    @pytest.mark.parametrize("rule, code", [("bayes", EXIT_OK), ("grether(2,1)", EXIT_VIOLATION)])
+    def test_cold_and_warm_chord_rows_write_the_same_bytes(self, tmp_path, rule, code):
+        # The chord rows are built once per (n, resolution) and cached: the run that builds them
+        # and the run that reads them write the same report and, for a non-affine rule, chord certificate.
+        args = ["audit", "--rule", rule, "--states", "3", "--grid", "201", "--prior", "sweep:3", "--mode", "double"]
+        distortions._chord_rows.cache_clear()
+        for name in ("cold", "warm"):
+            assert run(args + ["--seed", "1", "--out", str(tmp_path / f"{name}.json")]) == code
+        assert (tmp_path / "cold.json").read_bytes() == (tmp_path / "warm.json").read_bytes()
+        if code == EXIT_VIOLATION:
+            cold, warm = (tmp_path / f"{name}.certificate.json" for name in ("cold", "warm"))
+            assert json.loads(cold.read_text())["recipe"] == "chord"
+            assert cold.read_bytes() == warm.read_bytes()
+
     def test_budget_help_names_every_unit(self, capsys):
         assert run(["audit", "--help"]) == EXIT_OK
         help_text = " ".join(capsys.readouterr().out.split())

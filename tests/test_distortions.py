@@ -44,6 +44,7 @@ from blackwell_audit.decision import (
     expected_payoff,
 )
 from oracles import StubbornLoopRule, StubbornSpec, is_mpc, is_occasionally_coarse_by_node, sup_close
+from oracles import affine_chords_rebuilt as rebuilt_chords
 
 
 def tabulated_from_csv(path, n: int, tol: float) -> TabulatedRule:
@@ -947,13 +948,43 @@ class TestTrivialAndAffine:
     def test_coarsening_starts_at_the_point_cap(self, monkeypatch):
         # A lattice of res + 1 levels has at least res + 1 points, so coarsening starts at
         # res = _CHORD_POINTS whatever the grid: at most 2,000 steps at grid 10^6, not about 10^6.
+        # The chord rows are cached per (n, min(grid - 1, _CHORD_POINTS)), so only a cold call steps,
+        # and grid _CHORD_POINTS + 1 reads what grid 10^6 built.
+        distortions._chord_rows.cache_clear()
         steps = []
         real = distortions.math.comb
         monkeypatch.setattr(distortions.math, "comb", lambda *a: steps.append(a) or real(*a))
         mu = np.full(3, 1.0 / 3)
         z = affine_chords(BayesRule(3), mu, 10**6)[0]
-        assert len(steps) <= distortions._CHORD_POINTS
+        assert 0 < len(steps) <= distortions._CHORD_POINTS
+        steps.clear()
         assert z.tobytes() == affine_chords(BayesRule(3), mu, distortions._CHORD_POINTS + 1)[0].tobytes()
+        assert steps == []
+
+    def test_cached_chords_match_the_rebuilt_ones_bitwise(self, monkeypatch):
+        # The cached rows give the (z, x, y, h) of rows built afresh on every call, from a cold cache
+        # and from a warm one; z, x and y are read-only views of one buffer that calls share, and
+        # the rule is evaluated once, on all 3 rows of every chord.
+        rows = []
+        real = distortions.evaluate_batch
+        monkeypatch.setattr(distortions, "evaluate_batch", lambda d, mu, X: rows.append(X.shape[0]) or real(d, mu, X))
+        rng = np.random.default_rng(34)
+        for n in (2, 3, 4, 5, 8, 70):
+            mu = rng.dirichlet(np.full(n, 4.0))
+            coarse = CoarseRule(0.3, 0.7, 0.2, 0.8) if n == 2 else StubbornRule(np.full(n, 1.0 / n))
+            for grid_size in (11, 21, 41, 201, 10**6):
+                distortions._chord_rows.cache_clear()
+                first = None
+                for rule in (BayesRule(n), ShrinkageRule(0.5, n), GretherRule(2.0, 1.0, n), coarse):
+                    want = rebuilt_chords(rule, mu, grid_size)
+                    rows.clear()
+                    got = affine_chords(rule, mu, grid_size)
+                    assert rows == [3 * got[0].shape[0]], (n, grid_size, rule.family, rows)
+                    for a, b in zip(got, want):
+                        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                    first = first or got
+                    for a in got[:3]:
+                        assert not a.flags.writeable and a.base is first[0].base
 
     def test_chord_lattice_past_the_cap_is_refused_before_any_lattice(self, monkeypatch):
         # n * C(n + 1, 2) coordinates on levels 0, 1/2, 1: 31,840,200 at n = 399, 32,080,000 at n = 400.

@@ -53,6 +53,15 @@ class TestConstruction:
         e = Experiment([[1.0]], signal_labels=["null"])
         assert e.signal_labels == ("null",)
 
+    def test_default_labels_are_shared(self):
+        # Experiments that name no signals share one label tuple per signal count; the JSON is unchanged.
+        a = Experiment([[0.5, 0.25, 0.25, 0.0], [0.0, 0.5, 0.25, 0.25]])
+        b = Experiment(np.eye(4))
+        assert a.signal_labels is b.signal_labels
+        assert a.to_json()["signals"] == ["s0", "s1", "s2", "s3"]
+        assert Experiment.from_json(a.to_json()).to_json() == a.to_json()
+        assert Experiment([[1.0, 0.0]]).signal_labels == ("s0", "s1")
+
     def test_posteriors_merge_duplicates(self):
         rho = PosteriorDistribution([(0.5, 0.5), (0.5, 0.5), (0.2, 0.8)], [0.3, 0.3, 0.4])
         assert rho.size == 2
